@@ -548,6 +548,10 @@ def suggest_initial_beta(sample, basis: ScaledBasis, cfg: AdaptConfig | None = N
 # --------------------------------------------------------------------------
 
 
+# exp(-y/2) underflows (leaves the normal range) for y/2 above this
+_LOG_TINY = -math.log(np.finfo(float).tiny)
+
+
 class Frame:
     """Cached nodal operators of one (order, beta) damped Laguerre frame.
 
@@ -558,6 +562,11 @@ class Frame:
     the damping is built into every evaluation.  Instances are shared
     per (order, beta); shifted evaluations used by the exterior indicator
     are memoized on the instance.
+
+    The damping factor exp(-y/2) must stay a normal float64 at the frame's
+    own nodes: past y = 1416.8 it underflows, and the columns of the
+    transform at the largest nodes first lose precision and then vanish.
+    Orders up to 363 fit; higher orders raise ValueError.
     """
 
     _cache: dict = {}
@@ -576,6 +585,8 @@ class Frame:
             raise ValueError("frame order must be at least 1")
         basis = laguerre_basis(order, beta)
         rule = quadrature(basis)
+        if 0.5 * beta * rule.nodes[-1] > _LOG_TINY:
+            raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
         self.order = order
         self.beta = beta
         self.basis = basis

@@ -154,7 +154,9 @@ def relative_error(expansion: Expansion, func) -> float:
     Measured with a dedicated 2(N+1)-node Gauss rule of the expansion's own
     basis; ``func`` must accept a vector of points.  Each sum is accumulated
     as sum((sqrt(w)*f)^2) so large basis values at the far nodes cannot
-    overflow before the tiny weights tame them.
+    overflow before the tiny weights tame them.  By order 256 the
+    polynomials overflow at the far nodes of the doubled rule anyway; a
+    non-finite sum raises ValueError instead of returning NaN.
     """
     basis = expansion.basis
     rule = quadrature(replace(basis, order=2 * basis.order + 1))
@@ -162,9 +164,13 @@ def relative_error(expansion: Expansion, func) -> float:
     exact = np.asarray(func(rule.nodes), dtype=float)
     root_w = np.sqrt(rule.weights)
     denom = float(np.sum((root_w * exact) ** 2))
+    num = float(np.sum((root_w * (approx - exact)) ** 2))
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise ValueError(
+            f"relative error sums overflow at order {basis.order} (or the reference is not finite)"
+        )
     if denom == 0.0:
         raise ValueError("reference vanishes on the quadrature rule; relative error undefined")
-    num = float(np.sum((root_w * (approx - exact)) ** 2))
     return math.sqrt(num / denom)
 
 

@@ -12,10 +12,12 @@ Two families are provided:
 The scaling factor ``beta`` controls how fast the basis decays; adapting it
 (and, for Laguerre, the left endpoint ``x_left``) is what the rest of the
 package is about.  Quadrature rules are computed once per (family, alpha,
-order, kind) at unit scale via Golub-Welsch — eigenvalues and first
-eigenvector components of the symmetric tridiagonal Jacobi matrix — and then
-mapped to the requested scale, so repeated calls during time stepping are
-cheap.
+order, kind) at unit scale and then mapped to the requested scale, so
+repeated calls during time stepping are cheap.  The nodes are the LAPACK
+eigenvalues of the symmetric tridiagonal Jacobi matrix (Golub & Welsch,
+1969); the weights come from the Christoffel identity, in log form for
+Laguerre, so that the exponentially reweighted weights of
+:func:`modified_weights` stay finite where the plain tail weights underflow.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ __all__ = [
 
 LAGUERRE = "laguerre"
 HERMITE = "hermite"
-
-_EPS = np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class ScaledBasis:
@@ -111,7 +110,8 @@ class QuadratureRule:
             raise ValueError("nodes must be strictly increasing")
         # Weights are mathematically positive; in float64 the extreme tail
         # weights underflow to 0.0 once the order reaches ~180, so only
-        # negative values are rejected here.
+        # negative values are rejected here.  modified_weights does not
+        # read them: it scales separately cached damped weights.
         if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
         nodes.setflags(write=False)
@@ -145,7 +145,9 @@ def eval_weighted_all(basis: ScaledBasis, x) -> np.ndarray:
     contributes to the weight only through the quadrature, not the envelope).
     Unlike the bare polynomials, which reach ~1e30 near the largest N=40
     node, these stay O(1) over the whole node range, so nodal<->modal
-    transforms built from them are float64-safe at any order used here.
+    transforms built from them are float64-safe as long as the starting
+    envelope exp(-y/2) is a normal float, i.e. y < 1416.8 (order 363 at
+    the largest Gauss node; see ``adapt.Frame``).
     Hermite functions already carry their Gaussian envelope, so the plain
     evaluation is returned unchanged.
     """
@@ -169,22 +171,24 @@ def eval_weighted_all(basis: ScaledBasis, x) -> np.ndarray:
 def modified_weights(rule: QuadratureRule) -> np.ndarray:
     """Weights that integrate plain dx (Laguerre) instead of the weighted measure.
 
-    Multiplying the Gauss(-Radau) weights by exp(+beta*(x_j - x_left)) turns
-    sum w~_j f(x_j) into an approximation of the unweighted integral of f over
-    (x_left, inf), exact whenever f equals the weight times a polynomial of
-    rule degree.  This is the single place exponential reweighting occurs;
-    it is safe because w_j itself decays like the weight, so the product
-    stays bounded.  For Hermite rules the weights already integrate dx.
+    Mathematically these are the Gauss(-Radau) weights times
+    exp(+beta*(x_j - x_left)): sum w~_j f(x_j) approximates the unweighted
+    integral of f over (x_left, inf), exactly whenever f equals the weight
+    times a polynomial of rule degree.  That product is never formed: past
+    order ~180 the tail weights underflow to 0 while the exponential
+    overflows.  The cached damped unit weights exp(x_j)*w_j are scaled
+    instead, and stay O(1) at every order.  For Hermite rules the weights
+    already integrate dx.
     """
     basis = rule.basis
     if basis.family == HERMITE:
         return rule.weights.copy()
-    d = rule.nodes - basis.x_left
-    out = rule.weights * np.exp(basis.beta * d)
+    if basis.alpha != 0.0 and rule.kind == "radau":
+        raise ValueError("modified weights are singular at a pinned endpoint for alpha != 0")
+    damped = _unit_rule(basis.family, basis.alpha, basis.order, rule.kind)[2]
+    out = damped * basis.beta ** -(basis.alpha + 1.0)
     if basis.alpha != 0.0:
-        if rule.kind == "radau":
-            raise ValueError("modified weights are singular at a pinned endpoint for alpha != 0")
-        out = out / d**basis.alpha
+        out = out / (rule.nodes - basis.x_left) ** basis.alpha
     return out
 
 
@@ -238,7 +242,7 @@ def quadrature(basis: ScaledBasis, kind: str = "gauss") -> QuadratureRule:
         raise ValueError(f"unknown rule kind {kind!r}")
     if basis.family == HERMITE and kind == "radau":
         raise ValueError("Radau rules are only defined for the Laguerre family")
-    unit_nodes, unit_weights = _unit_rule(basis.family, basis.alpha, basis.order, kind)
+    unit_nodes, unit_weights, _ = _unit_rule(basis.family, basis.alpha, basis.order, kind)
     if basis.family == LAGUERRE:
         nodes = basis.x_left + unit_nodes / basis.beta
         if kind == "radau":
@@ -252,98 +256,83 @@ def quadrature(basis: ScaledBasis, kind: str = "gauss") -> QuadratureRule:
 
 @lru_cache(maxsize=128)
 def _unit_rule(family: str, alpha: float, order: int, kind: str):
+    """Unit-scale (nodes, weights, damped weights) of an N+1-node rule.
+
+    Nodes are the eigenvalues of the Jacobi matrix.  Laguerre weights come
+    from the Christoffel identity w_j = 1/sum_l p_l(x_j)^2 over the
+    orthonormal polynomials, carried in log form so that both the plain
+    weights exp(-log_sum), which underflow in the far tail, and the damped
+    ones exp(x_j - log_sum), which stay O(1), are accurate.  For Hermite
+    functions the weights already integrate dx, so both entries coincide.
+    """
     n = order + 1
+    k = np.arange(n, dtype=float)
     if family == LAGUERRE:
-        k = np.arange(n, dtype=float)
         diag = 2.0 * k + alpha + 1.0
         off = np.sqrt(k[1:] * (k[1:] + alpha))
         if kind == "radau":
             # Pinning a node at the endpoint 0 replaces the last diagonal
-            # entry by order (independent of alpha for this weight).
-            diag = diag.copy()
+            # entry by order (independent of alpha for this weight).  Rows
+            # 0..n-2 are unchanged, so the Christoffel identity still holds.
             diag[-1] = float(order)
-        vals, first = _symtri_eigh_first(diag, off)
-        weights = math.gamma(alpha + 1.0) * first**2
+        nodes = _jacobi_eigenvalues(diag, off)
         if kind == "radau":
-            vals = vals.copy()
-            vals[0] = 0.0
-        nodes = vals
+            nodes[0] = 0.0
+        log_sum = _laguerre_christoffel_log_sum(order, alpha, nodes)
+        weights = np.exp(-log_sum)
+        damped = np.exp(nodes - log_sum)
     else:
-        k = np.arange(n, dtype=float)
-        diag = np.zeros(n)
-        off = np.sqrt(k[1:] / 2.0)
-        nodes, _ = _symtri_eigh_first(diag, off)
+        nodes = _jacobi_eigenvalues(np.zeros(n), np.sqrt(k[1:] / 2.0))
         # Function-space weights via the Christoffel identity
         # w_j = 1 / sum_l h_l(x_j)^2; the textbook polynomial weights times
         # exp(x_j^2) would overflow at large order.
         h = _hermite_fn_all(order, nodes)
-        weights = 1.0 / np.sum(h * h, axis=0)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+        weights = damped = 1.0 / np.sum(h * h, axis=0)
+    for array in (nodes, weights, damped):
+        array.setflags(write=False)
+    return nodes, weights, damped
 
 
-def _symtri_eigh_first(diag: np.ndarray, off: np.ndarray, max_sweeps: int = 64):
-    """Eigenvalues (ascending) and first eigenvector components of a
-    symmetric tridiagonal matrix, by the QL algorithm with implicit shifts.
-
-    Only the first row of the eigenvector matrix is accumulated, which is all
-    Golub-Welsch needs; the row is a unit vector, so weights are
-    mu_0 * first**2.
-    """
+def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (diag, off) matrix."""
     n = diag.size
-    d = np.asarray(diag, dtype=float).copy()
-    e = np.zeros(n)
-    e[: n - 1] = off
-    z = np.zeros(n)
-    z[0] = 1.0
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise RuntimeError("tridiagonal eigensolver failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    idx = np.argsort(d, kind="stable")
-    return d[idx], z[idx]
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[1 :: n + 1] = off
+    jacobi.flat[n :: n + 1] = off
+    return np.linalg.eigvalsh(jacobi)
+
+
+# |p_l| past which the Christoffel recurrence rescales a node's column; a
+# power of two, so the rescaling is exact.
+_BIG = 2.0**332
+
+
+def _laguerre_christoffel_log_sum(order: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """log sum_{l<=order} p_l(x)^2 for the orthonormal Laguerre polynomials.
+
+    Uses x p_l = b_{l+1} p_{l+1} + a_l p_l + b_l p_{l-1} with a_l = 2l+alpha+1,
+    b_l = sqrt(l(l+alpha)) and p_0 = Gamma(alpha+1)**-1/2.  The sum grows
+    like exp(x), so each node's column is scaled down by _BIG whenever it
+    exceeds _BIG, and the removed factor is carried as a logarithm.
+    """
+    p_prev = np.zeros_like(x)
+    p = np.full_like(x, 1.0 / math.sqrt(math.gamma(alpha + 1.0)))
+    total = p * p
+    log_scale = np.zeros_like(x)
+    b = 0.0
+    for l in range(order):
+        b_next = math.sqrt((l + 1.0) * (l + 1.0 + alpha))
+        p_prev, p = p, ((x - (2.0 * l + alpha + 1.0)) * p - b * p_prev) / b_next
+        b = b_next
+        total += p * p
+        big = np.abs(p) > _BIG
+        if big.any():
+            p[big] /= _BIG
+            p_prev[big] /= _BIG
+            total[big] /= _BIG * _BIG
+            log_scale[big] += math.log(_BIG)
+    return np.log(total) + 2.0 * log_scale
 
 
 def derivative_coeffs(coeffs: np.ndarray, basis: ScaledBasis) -> tuple[np.ndarray, ScaledBasis]:

@@ -130,6 +130,10 @@ def _derivative_tail_norms(exp: Expansion, x_right: float) -> tuple[float, float
     num = math.exp(-basis.beta * (x_right - basis.x_left)) * float(
         np.sum(y_rule.weights * factor * shifted**2)
     )
+    # past order ~190 the plain derivative polynomials overflow at the far
+    # nodes; a ratio of infinities must not read as a valid indicator
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise ValueError(f"derivative tail norms overflow float64 at order {basis.order}")
     return num, denom
 
 

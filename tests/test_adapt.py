@@ -33,7 +33,7 @@ from specadapt.adapt import (
     scaling_step,
     suggest_initial_beta,
 )
-from specadapt.approx import Expansion, interpolate, rescale
+from specadapt.approx import Expansion, interpolate, relative_error, rescale
 from specadapt.basis import hermite_basis, laguerre_basis, quadrature
 
 
@@ -479,6 +479,48 @@ def test_fresh_interpolant_error_is_small_and_seen_between_nodes():
     # a visibly wrong state has a visibly large interpolant error
     wrong = FrameState(state.frame, state.values * 1.5, state.x_left)
     assert wrong.error(diffusive_front, 0.0) > 0.1
+
+
+def test_frame_operators_finite_at_order_256():
+    frame = Frame(256, 1.0)
+    assert np.all(np.isfinite(frame.mod_weights))
+    assert np.all(np.isfinite(frame.tomodal))
+
+
+def test_frame_state_at_order_256_is_accurate():
+    state = frame_state_from(diffusive_front, 256, 2.5)
+    assert state.error(diffusive_front, 0.0) <= 1e-8
+    assert math.isfinite(state.frequency())
+    assert math.isfinite(state.exterior(state.split_point()))
+
+
+def test_frame_order_ceiling():
+    # exp(-y/2) at the largest node leaves the normal float64 range at 364
+    frame = Frame(363, 1.0)
+    assert np.all(np.isfinite(frame.tomodal))
+    assert np.all(np.any(frame.tomodal != 0.0, axis=0))
+    state = frame_state_from(moving_front, 363, 2.5)
+    records, _ = run_frames(
+        frame_resample_evolver(moving_front), state, AdaptConfig(), 0.05, 0.15,
+        MODE_MOVE_SCALE, reference=moving_front,
+    )
+    assert max(r.error for r in records) <= 1e-8
+    before = len(Frame._cache)
+    with pytest.raises(ValueError, match="364"):
+        Frame(364, 1.0)
+    assert len(Frame._cache) == before
+
+
+def test_coefficient_engine_fails_loudly_past_its_range():
+    # the plain polynomials overflow at the far nodes; this used to give
+    # e0 == 1.0 (at 192 and 256) and a NaN error (at 256)
+    for order in (192, 256):
+        basis = laguerre_basis(order, 2.5)
+        expansion = interpolate(diffusive_front(quadrature(basis).nodes, 0.0), basis)
+        with pytest.raises(ValueError, match="overflow"):
+            initial_state(expansion, AdaptConfig())
+    with pytest.raises(ValueError, match="overflow"):
+        relative_error(expansion, lambda x: diffusive_front(x, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 from specadapt.basis import (
     ScaledBasis,
@@ -19,7 +19,6 @@ from specadapt.basis import (
     laguerre_basis,
     modified_weights,
     quadrature,
-    _symtri_eigh_first,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -180,15 +179,19 @@ def test_halving_beta_doubles_nodes_and_scales_weights():
 
 
 def test_quadrature_against_scipy_eigensolver_large_order():
-    # the self-contained QL eigensolver agrees with LAPACK on the Jacobi matrix
+    # the quadrature nodes agree with scipy's tridiagonal eigensolver on the
+    # Jacobi matrix
+    n = 129
+    k = np.arange(n, dtype=float)
     for alpha in (0.0, 1.5):
-        n = 129
-        k = np.arange(n, dtype=float)
+        ours = quadrature(laguerre_basis(n - 1, 1.0, alpha=alpha)).nodes
         diag = 2.0 * k + alpha + 1.0
         off = np.sqrt(k[1:] * (k[1:] + alpha))
-        ours, _ = _symtri_eigh_first(diag, off)
-        ref, _ = eigh_tridiagonal(diag, off)
+        ref = eigh_tridiagonal(diag, off, eigvals_only=True)
         assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
+    ours = quadrature(hermite_basis(n - 1, 1.0)).nodes
+    ref = eigh_tridiagonal(np.zeros(n), np.sqrt(k[1:] / 2.0), eigvals_only=True)
+    assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
 
 
 def test_quadrature_succeeds_at_order_256():
@@ -199,6 +202,18 @@ def test_quadrature_succeeds_at_order_256():
     # strict positivity holds where float64 can represent the tail weights
     assert np.all(quadrature(laguerre_basis(100, 1.0)).weights > 0.0)
     assert np.all(quadrature(hermite_basis(100, 1.0)).weights > 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_laguerre_rule_matches_scipy_up_to_order_320(alpha):
+    # scipy's plain weights underflow in the far tail; compare where they
+    # are representable
+    for order in (64, 128, 191, 256, 320):
+        rule = quadrature(laguerre_basis(order, 1.0, alpha=alpha))
+        nodes, weights = roots_genlaguerre(order + 1, alpha)
+        np.testing.assert_allclose(rule.nodes, nodes, rtol=1e-11)
+        kept = weights > 1e-300
+        np.testing.assert_allclose(rule.weights[kept], weights[kept], rtol=1e-11)
 
 
 def test_radau_rejected_for_hermite():
@@ -315,6 +330,21 @@ def test_modified_weights_orthonormalize_weighted_functions():
     gram = (psi * what) @ psi.T
     g = gamma_norms(basis)
     assert np.max(np.abs(gram - np.diag(g)) / np.max(g)) < 1e-11
+
+
+@pytest.mark.parametrize("kind,alpha", [("gauss", 0.0), ("gauss", 1.5), ("radau", 0.0)])
+def test_modified_weights_finite_and_exact_at_order_256(kind, alpha):
+    # the plain tail weights underflow to 0 here while exp(beta*x) overflows;
+    # the modified weights must come out finite and still integrate dx
+    basis = laguerre_basis(256, 0.8, alpha=alpha, x_left=1.0)
+    rule = quadrature(basis, kind)
+    assert np.any(rule.weights == 0.0)
+    what = modified_weights(rule)
+    assert np.all(np.isfinite(what)) and np.all(what > 0.0)
+    # int_1^inf (x-1)^alpha exp(-1.5(x-1)) dx = Gamma(alpha+1) / 1.5^(alpha+1)
+    d = rule.nodes - 1.0
+    val = np.sum(what * d**alpha * np.exp(-1.5 * d))
+    assert val == pytest.approx(math.gamma(alpha + 1.0) / 1.5 ** (alpha + 1.0), rel=1e-10)
 
 
 def test_modified_weights_reject_radau_with_alpha():
