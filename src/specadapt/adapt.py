@@ -22,13 +22,13 @@ through two interchangeable state representations:
   of :mod:`~.indicators`;
 * :class:`Frame` / :class:`FrameState` (and the 2-d :class:`FrameState2D`
   with :func:`run_2d`) carry nodal values and evaluate everything through
-  the exponentially damped basis functions.  PDE drivers use this engine:
-  reconstructing values (or 2-d marginals) from raw polynomial coefficients
-  amplifies roundoff like exp(y_max/2), while the damped forms stay O(1) at
-  any order used here.  The two layers agree on the exterior indicator (same
-  function, same quadrature); the frame frequency indicator measures the
-  damped-frame coefficients, which is what makes evolving-solution spectra
-  visible to the controller at large orders.
+  the exponentially damped basis functions: reconstructing values (or 2-d
+  marginals) from raw polynomial coefficients amplifies roundoff like
+  exp(y_max/2), while the damped forms stay O(1) at any order used here.
+  The two layers agree on the exterior indicator (same function, same
+  quadrature); the frame frequency indicator measures the damped-frame
+  coefficients, which is what makes evolving-solution spectra visible to
+  the controller at large orders.
 
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.
@@ -46,7 +46,6 @@ import numpy as np
 
 from .approx import Expansion, interpolate, move, relative_error, rescale
 from .basis import (
-    HERMITE,
     LAGUERRE,
     ScaledBasis,
     eval_weighted_all,
@@ -556,12 +555,17 @@ class Frame:
     """Cached nodal operators of one (order, beta) damped Laguerre frame.
 
     Holds the Gauss nodes as offsets from the basis origin, the plain and
-    exponentially reweighted quadrature weights, the nodal-to-modal
-    transform of the damped functions psi_l = exp(-y/2) L_l, and the nodal
-    differentiation matrix.  All entries are O(1)-safe in float64 because
-    the damping is built into every evaluation.  Instances are shared
-    per (order, beta); shifted evaluations used by the exterior indicator
-    are memoized on the instance.
+    exponentially reweighted quadrature weights, and the nodal-to-modal
+    transform of the damped functions psi_l = exp(-y/2) L_l.  All entries
+    are O(1)-safe in float64 because the damping is built into every
+    evaluation.  Instances are shared per (order, beta).
+
+    Two evaluations of the damped functions are memoized on the instance
+    and live as long as it does: at the shifted nodes (:meth:`psi_at`,
+    used by moves and the exterior indicator) and at another frame's nodes
+    (:meth:`psi_on`, used by rescales).  The controllers only ever ask for
+    a few fixed shifts n*delta and targets q*beta, so a controlled step
+    costs matrix-vector products, not basis recurrences.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes: past y = 1416.8 it underflows, and the columns of the
@@ -595,28 +599,39 @@ class Frame:
         self.mod_weights = modified_weights(rule)
         self.gamma = gamma_norms(basis)
         psi = eval_weighted_all(basis, rule.nodes)
+        psi.setflags(write=False)
         self.tomodal = (psi * self.mod_weights) / self.gamma[:, None]
-        self._dbasis = laguerre_basis(order - 1, beta, alpha=1.0)
-        psi1 = eval_weighted_all(self._dbasis, rule.nodes)
-        self.deriv = psi1.T @ (-beta * self.tomodal[1:, :]) - 0.5 * beta * np.eye(order + 1)
         self.split_rel = default_split_point(order, rule.nodes)
         refined_rule = quadrature(laguerre_basis(2 * order + 1, beta))
         self.refined_nodes = refined_rule.nodes
         self.refined_weights = refined_rule.weights
         self._psi_refined = eval_weighted_all(basis, refined_rule.nodes)
-        self._shifted: dict = {}
+        self._psi_at: dict = {0.0: psi}
+        self._psi_on: dict = {}
 
-    def _shifted_eval(self, shift: float):
+    def psi_at(self, shift: float) -> np.ndarray:
+        """The damped functions at the nodes shifted by ``shift``, (N+1, N+1).
+
+        Memoized under ``round(shift, 12)``, so offsets that differ only by
+        the rounding of origin arithmetic share one evaluation.
+        """
         key = round(float(shift), 12)
-        cached = self._shifted.get(key)
-        if cached is None:
-            points = shift + self.nodes
-            cached = (
-                eval_weighted_all(self._dbasis, points),
-                eval_weighted_all(self.basis, points),
-            )
-            self._shifted[key] = cached
-        return cached
+        psi = self._psi_at.get(key)
+        if psi is None:
+            psi = eval_weighted_all(self.basis, self.nodes + shift)
+            psi.setflags(write=False)
+            self._psi_at[key] = psi
+        return psi
+
+    def psi_on(self, frame: "Frame") -> np.ndarray:
+        """The damped functions at ``frame``'s nodes (same origin), memoized."""
+        key = (frame.order, frame.beta)
+        psi = self._psi_on.get(key)
+        if psi is None:
+            psi = eval_weighted_all(self.basis, frame.nodes)
+            psi.setflags(write=False)
+            self._psi_on[key] = psi
+        return psi
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """Damped-frame coefficients from nodal values."""
@@ -636,37 +651,33 @@ class Frame:
         m = default_high_mode_count(self.order)
         return min(1.0, float(math.sqrt(squares[self.order + 1 - m :].sum() / total)))
 
-    def tails(self, values: np.ndarray, offset: float):
-        """(origin-anchored, cut-anchored) exterior derivative-tail ratios.
+    def tails(self, values: np.ndarray, offset: float) -> float | None:
+        """Exterior derivative-tail ratio beyond ``offset`` from the origin.
 
         The numerator integrates the squared derivative of the interpolant
-        over (offset, inf) against the weight anchored at the basis origin
-        resp. at the cut itself; the denominator is the whole-domain value.
-        Returns (None, None) for a derivative-free state.
+        over (offset, inf) against the weight anchored at the basis origin;
+        the denominator is the whole-domain value.  Returns None for a
+        derivative-free state.
+
+        The derivative stays in the damped basis: with y = beta*(x - x_left)
+        and d/dy L_l = -sum_{j<l} L_j, the derivative of sum_l c_l psi_l is
+        sum_j d_j psi_j with d_j = -beta*(sum_{l>j} c_l + c_j/2).
         """
         coeffs = self.tomodal @ values
-        dcoeffs = -self.beta * coeffs[1:]
+        above = np.zeros_like(coeffs)
+        above[:-1] = np.cumsum(coeffs[:0:-1])[::-1]
+        dcoeffs = -self.beta * (above + 0.5 * coeffs)
 
         def tail(shift: float) -> float:
-            d1, d0 = self._shifted_eval(shift)
-            dv = dcoeffs @ d1 - 0.5 * self.beta * (coeffs @ d0)
+            dv = dcoeffs @ self.psi_at(shift)
             return float(np.sum(self.weights * dv * dv))
 
         denominator = tail(0.0)
         if denominator <= 0.0:
-            return None, None
+            return None
         numerator = tail(float(offset))
         anchored = math.sqrt(max(0.0, numerator / denominator))
-        return math.exp(-0.5 * self.beta * float(offset)) * anchored, anchored
-
-    def nodal_error(self, values: np.ndarray, exact: np.ndarray) -> float:
-        """Weighted relative nodal error via the frame's own quadrature."""
-        exact = np.asarray(exact, dtype=float)
-        denominator = float(np.sum(self.weights * exact * exact))
-        numerator = float(np.sum(self.weights * (values - exact) ** 2))
-        if denominator <= 0.0:
-            return math.sqrt(numerator)
-        return math.sqrt(numerator / denominator)
+        return math.exp(-0.5 * self.beta * float(offset)) * anchored
 
     def interpolant_error(self, values: np.ndarray, exact_refined: np.ndarray) -> float:
         """Weighted relative error of the interpolant over a doubled-order rule.
@@ -714,30 +725,21 @@ class FrameState:
     def exterior(self, split: float | None) -> float | None:
         if split is None:
             return None
-        return self.frame.tails(self.values, split - self.x_left)[0]
-
-    def exterior_pair(self, split: float):
         return self.frame.tails(self.values, split - self.x_left)
 
     def rescaled(self, beta: float) -> "FrameState":
         new_frame = Frame(self.frame.order, beta)
-        return FrameState(
-            new_frame, self.frame.eval_at(self.values, new_frame.nodes), self.x_left
-        )
+        values = self.frame.coefficients(self.values) @ self.frame.psi_on(new_frame)
+        return FrameState(new_frame, values, self.x_left)
 
     def moved(self, distance: float) -> "FrameState":
-        values = self.frame.eval_at(self.values, self.frame.nodes + distance)
+        values = self.frame.coefficients(self.values) @ self.frame.psi_at(distance)
         return FrameState(self.frame, values, self.x_left + distance)
 
     def error(self, reference, t: float) -> float:
         return self.frame.interpolant_error(
             self.values, reference(self.x_left + self.frame.refined_nodes, t)
         )
-
-    def to_expansion(self) -> Expansion:
-        """Materialize coefficient-space form (stable direction: values -> coefficients)."""
-        basis = laguerre_basis(self.frame.order, self.frame.beta, x_left=self.x_left)
-        return interpolate(self.values, basis)
 
 
 def frame_state_from(reference, order: int, beta: float, x_left: float = 0.0, t: float = 0.0) -> FrameState:
@@ -849,33 +851,29 @@ class FrameState2D:
     def exterior_x(self, split: float | None) -> float | None:
         if split is None:
             return None
-        return self.frame_x.tails(self.marginal_x_values(), split - self.x_left)[0]
+        return self.frame_x.tails(self.marginal_x_values(), split - self.x_left)
 
     def exterior_y(self, split: float | None) -> float | None:
         if split is None:
             return None
-        return self.frame_y.tails(self.marginal_y_values(), split - self.y_left)[0]
+        return self.frame_y.tails(self.marginal_y_values(), split - self.y_left)
 
     def moved_x(self, distance: float) -> "FrameState2D":
-        basis_eval = eval_weighted_all(self.frame_x.basis, self.frame_x.nodes + distance)
-        values = basis_eval.T @ (self.frame_x.tomodal @ self.values)
+        values = self.frame_x.psi_at(distance).T @ (self.frame_x.tomodal @ self.values)
         return FrameState2D(self.frame_x, self.frame_y, values, self.x_left + distance, self.y_left)
 
     def moved_y(self, distance: float) -> "FrameState2D":
-        basis_eval = eval_weighted_all(self.frame_y.basis, self.frame_y.nodes + distance)
-        values = (self.frame_y.tomodal @ self.values.T).T @ basis_eval
+        values = (self.frame_y.tomodal @ self.values.T).T @ self.frame_y.psi_at(distance)
         return FrameState2D(self.frame_x, self.frame_y, values, self.x_left, self.y_left + distance)
 
     def rescaled_x(self, beta: float) -> "FrameState2D":
         new_frame = Frame(self.frame_x.order, beta)
-        basis_eval = eval_weighted_all(self.frame_x.basis, new_frame.nodes)
-        values = basis_eval.T @ (self.frame_x.tomodal @ self.values)
+        values = self.frame_x.psi_on(new_frame).T @ (self.frame_x.tomodal @ self.values)
         return FrameState2D(new_frame, self.frame_y, values, self.x_left, self.y_left)
 
     def rescaled_y(self, beta: float) -> "FrameState2D":
         new_frame = Frame(self.frame_y.order, beta)
-        basis_eval = eval_weighted_all(self.frame_y.basis, new_frame.nodes)
-        values = (self.frame_y.tomodal @ self.values.T).T @ basis_eval
+        values = (self.frame_y.tomodal @ self.values.T).T @ self.frame_y.psi_on(new_frame)
         return FrameState2D(self.frame_x, new_frame, values, self.x_left, self.y_left)
 
     def error(self, reference, t: float) -> float:

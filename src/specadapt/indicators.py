@@ -110,11 +110,6 @@ def _derivative_tail_norms(exp: Expansion, x_right: float) -> tuple[float, float
     dc, dbasis = derivative_coeffs(exp.coeffs, basis)
     if not np.any(dc):
         return None
-    # denominator: the basis's own rule integrates (dU)^2 (degree 2N-2) exactly
-    dvals = dc @ eval_basis_all(dbasis, rule.nodes)
-    denom = float(np.sum(rule.weights * dvals**2))
-    if denom == 0.0:
-        return None
     # numerator: substitute x = x_right + y, so the tail integral becomes
     # exp(-beta*(x_right-x_left)) times an integral against exp(-beta*y);
     # for alpha = 0 an (N+1)-node rule in y is again exact, otherwise the
@@ -126,14 +121,21 @@ def _derivative_tail_norms(exp: Expansion, x_right: float) -> tuple[float, float
     else:
         y_rule = quadrature(laguerre_basis(4 * (basis.order + 1) - 1, basis.beta))
         factor = (x_right - basis.x_left + y_rule.nodes) ** basis.alpha
-    shifted = dc @ eval_basis_all(dbasis, x_right + y_rule.nodes)
-    num = math.exp(-basis.beta * (x_right - basis.x_left)) * float(
-        np.sum(y_rule.weights * factor * shifted**2)
-    )
     # past order ~190 the plain derivative polynomials overflow at the far
-    # nodes; a ratio of infinities must not read as a valid indicator
+    # nodes; the non-finite sums are reported below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        # denominator: the basis's own rule integrates (dU)^2 (degree 2N-2) exactly
+        dvals = dc @ eval_basis_all(dbasis, rule.nodes)
+        denom = float(np.sum(rule.weights * dvals**2))
+        shifted = dc @ eval_basis_all(dbasis, x_right + y_rule.nodes)
+        num = math.exp(-basis.beta * (x_right - basis.x_left)) * float(
+            np.sum(y_rule.weights * factor * shifted**2)
+        )
+    # a ratio of infinities must not read as a valid indicator
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise ValueError(f"derivative tail norms overflow float64 at order {basis.order}")
+    if denom == 0.0:
+        return None
     return num, denom
 
 

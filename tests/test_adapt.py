@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from specadapt import adapt
 from specadapt.adapt import (
     AdaptConfig,
     ExperimentRecord,
@@ -34,7 +36,7 @@ from specadapt.adapt import (
     suggest_initial_beta,
 )
 from specadapt.approx import Expansion, interpolate, relative_error, rescale
-from specadapt.basis import hermite_basis, laguerre_basis, quadrature
+from specadapt.basis import eval_weighted_all, hermite_basis, laguerre_basis, quadrature
 
 
 def diffusive_front(x, t):
@@ -473,6 +475,96 @@ def test_frame_state_move_shifts_origin():
     assert np.max(np.abs(after - before)) < 1e-8
 
 
+def _count_basis_evaluations(monkeypatch) -> list:
+    """Record every eval_weighted_all call the frame engine makes."""
+    calls = []
+
+    def counted(basis, x):
+        calls.append(basis)
+        return eval_weighted_all(basis, x)
+
+    monkeypatch.setattr(adapt, "eval_weighted_all", counted)
+    return calls
+
+
+def test_frame_resampling_is_exact_and_memoized(monkeypatch):
+    # an order and scale no other test uses, so the first calls are cold
+    state = frame_state_from(moving_front, 37, 1.7, t=0.5)
+    frame = state.frame
+    coeffs = frame.tomodal @ state.values
+    target = Frame(37, 1.7 * 0.95)
+    moved_direct = coeffs @ eval_weighted_all(frame.basis, frame.nodes + 0.012)
+    rescaled_direct = coeffs @ eval_weighted_all(frame.basis, target.nodes)
+    calls = _count_basis_evaluations(monkeypatch)
+    first = [state.moved(0.012).values, state.rescaled(target.beta).values]
+    assert len(calls) == 2
+    calls.clear()
+    again = [state.moved(0.012).values, state.rescaled(target.beta).values]
+    assert calls == []
+    for values in (first, again):
+        assert np.array_equal(values[0], moved_direct)
+        assert np.array_equal(values[1], rescaled_direct)
+
+
+def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
+    state = frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5)
+    fx, fy = state.frame_x, state.frame_y
+    tx, ty = Frame(11, 1.7 * 0.95), Frame(13, 2.3 * 0.95)
+    direct = {
+        "moved_x": eval_weighted_all(fx.basis, fx.nodes + 0.01).T @ (fx.tomodal @ state.values),
+        "moved_y": (fy.tomodal @ state.values.T).T @ eval_weighted_all(fy.basis, fy.nodes + 0.01),
+        "rescaled_x": eval_weighted_all(fx.basis, tx.nodes).T @ (fx.tomodal @ state.values),
+        "rescaled_y": (fy.tomodal @ state.values.T).T @ eval_weighted_all(fy.basis, ty.nodes),
+    }
+    args = {"moved_x": 0.01, "moved_y": 0.01, "rescaled_x": tx.beta, "rescaled_y": ty.beta}
+    calls = _count_basis_evaluations(monkeypatch)
+    for repeat in range(2):
+        for name, expected in direct.items():
+            assert np.array_equal(getattr(state, name)(args[name]).values, expected)
+        assert len(calls) == (4 if repeat == 0 else 0)
+        calls.clear()
+
+
+def _alpha_one_tails(frame: Frame, values: np.ndarray, offsets) -> list:
+    """The exterior ratios with the derivative taken in the alpha = 1 family."""
+    coeffs = frame.tomodal @ values
+    dbasis = laguerre_basis(frame.order - 1, frame.beta, alpha=1.0)
+
+    def tail(shift: float) -> float:
+        points = frame.nodes + shift
+        dv = (-frame.beta * coeffs[1:]) @ eval_weighted_all(dbasis, points) - 0.5 * frame.beta * (
+            coeffs @ eval_weighted_all(frame.basis, points)
+        )
+        return float(np.sum(frame.weights * dv * dv))
+
+    whole = tail(0.0)
+    return [math.exp(-0.5 * frame.beta * s) * math.sqrt(tail(s) / whole) for s in offsets]
+
+
+@pytest.mark.parametrize("order", [16, 48, 128, 256, 363])
+@pytest.mark.parametrize("beta", [0.2, 1.0, 2.5])
+def test_frame_tails_match_alpha_one_derivative(order, beta):
+    frame = Frame(order, beta)
+    x = frame.nodes
+    profiles = (
+        expit(-(x - 5.0 / beta) / (2.0 / beta)),
+        expit(-(x - frame.split_rel) / (0.2 * frame.split_rel)),
+        np.exp(-0.25 * beta * x),
+    )
+    # the ratio carries exp(-beta*offset/2), so past the default split of
+    # the larger orders it is far below 1e-12; fixed unit offsets keep
+    # every case compared
+    offsets = [frame.split_rel + n * 0.004 / beta for n in (0, 1, 10)]
+    offsets += [y / beta for y in (0.5, 5.0, 20.0, 40.0)]
+    compared = 0
+    for values in profiles:
+        for offset, expected in zip(offsets, _alpha_one_tails(frame, values, offsets)):
+            if expected > 1e-12:
+                assert frame.tails(values, offset) == pytest.approx(expected, rel=1e-10, abs=0)
+                compared += 1
+    assert compared >= 8
+
+
 def test_fresh_interpolant_error_is_small_and_seen_between_nodes():
     state = frame_state_from(diffusive_front, 40, 2.5)
     assert state.error(diffusive_front, 0.0) < 1e-10
@@ -513,14 +605,17 @@ def test_frame_order_ceiling():
 
 def test_coefficient_engine_fails_loudly_past_its_range():
     # the plain polynomials overflow at the far nodes; this used to give
-    # e0 == 1.0 (at 192 and 256) and a NaN error (at 256)
-    for order in (192, 256):
-        basis = laguerre_basis(order, 2.5)
-        expansion = interpolate(diffusive_front(quadrature(basis).nodes, 0.0), basis)
+    # e0 == 1.0 (at 192 and 256) and a NaN error (at 256).  The failure is
+    # the ValueError alone: no floating-point warning precedes it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (192, 256):
+            basis = laguerre_basis(order, 2.5)
+            expansion = interpolate(diffusive_front(quadrature(basis).nodes, 0.0), basis)
+            with pytest.raises(ValueError, match="overflow"):
+                initial_state(expansion, AdaptConfig())
         with pytest.raises(ValueError, match="overflow"):
-            initial_state(expansion, AdaptConfig())
-    with pytest.raises(ValueError, match="overflow"):
-        relative_error(expansion, lambda x: diffusive_front(x, 0.0))
+            relative_error(expansion, lambda x: diffusive_front(x, 0.0))
 
 
 # ---------------------------------------------------------------------------
