@@ -30,6 +30,15 @@ through two interchangeable state representations:
   coefficients, which is what makes evolving-solution spectra visible to
   the controller at large orders.
 
+The frame engine memoizes at two lifetimes.  A :class:`Frame` keeps its
+basis evaluations (at shifted nodes and at other frames' nodes) for as long
+as the frame lives, which is the whole process.  A frame state keeps what
+it derives from its own values (the damped coefficients, the derivative
+coefficients and whole-domain norm of the exterior indicator, and in 2-d
+the energy matrix) for as long as the state lives; a moved or rescaled
+state starts with none of them.  State values are a read-only copy, so no
+memo can go stale.
+
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.
 """
@@ -40,6 +49,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -551,6 +561,11 @@ def suggest_initial_beta(sample, basis: ScaledBasis, cfg: AdaptConfig | None = N
 _LOG_TINY = -math.log(np.finfo(float).tiny)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class Frame:
     """Cached nodal operators of one (order, beta) damped Laguerre frame.
 
@@ -564,8 +579,11 @@ class Frame:
     and live as long as it does: at the shifted nodes (:meth:`psi_at`,
     used by moves and the exterior indicator) and at another frame's nodes
     (:meth:`psi_on`, used by rescales).  The controllers only ever ask for
-    a few fixed shifts n*delta and targets q*beta, so a controlled step
-    costs matrix-vector products, not basis recurrences.
+    a few fixed shifts n*delta and targets q*beta.  Everything derived from
+    a state's values is memoized on the state, not here: the methods taking
+    coefficients are stateless per call.  So once a state has its
+    derivative coefficients, each candidate of the mover's search costs one
+    memo lookup, one (N+1)^2 matrix-vector product and a weighted sum.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes: past y = 1416.8 it underflows, and the columns of the
@@ -598,8 +616,7 @@ class Frame:
         self.weights = rule.weights
         self.mod_weights = modified_weights(rule)
         self.gamma = gamma_norms(basis)
-        psi = eval_weighted_all(basis, rule.nodes)
-        psi.setflags(write=False)
+        psi = _read_only(eval_weighted_all(basis, rule.nodes))
         self.tomodal = (psi * self.mod_weights) / self.gamma[:, None]
         self.split_rel = default_split_point(order, rule.nodes)
         refined_rule = quadrature(laguerre_basis(2 * order + 1, beta))
@@ -618,8 +635,7 @@ class Frame:
         key = round(float(shift), 12)
         psi = self._psi_at.get(key)
         if psi is None:
-            psi = eval_weighted_all(self.basis, self.nodes + shift)
-            psi.setflags(write=False)
+            psi = _read_only(eval_weighted_all(self.basis, self.nodes + shift))
             self._psi_at[key] = psi
         return psi
 
@@ -628,22 +644,17 @@ class Frame:
         key = (frame.order, frame.beta)
         psi = self._psi_on.get(key)
         if psi is None:
-            psi = eval_weighted_all(self.basis, frame.nodes)
-            psi.setflags(write=False)
+            psi = _read_only(eval_weighted_all(self.basis, frame.nodes))
             self._psi_on[key] = psi
         return psi
-
-    def coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Damped-frame coefficients from nodal values."""
-        return self.tomodal @ values
 
     def eval_at(self, values: np.ndarray, offsets) -> np.ndarray:
         """Evaluate the frame interpolant at offsets from the basis origin."""
         coeffs = self.tomodal @ values
         return coeffs @ eval_weighted_all(self.basis, np.asarray(offsets, dtype=float))
 
-    def frequency(self, values: np.ndarray) -> float | None:
-        coeffs = self.tomodal @ values
+    def frequency(self, coeffs: np.ndarray) -> float | None:
+        """High-mode energy fraction of damped-frame coefficients."""
         squares = self.gamma * coeffs * coeffs
         total = float(squares.sum())
         if total <= 0.0:
@@ -651,42 +662,48 @@ class Frame:
         m = default_high_mode_count(self.order)
         return min(1.0, float(math.sqrt(squares[self.order + 1 - m :].sum() / total)))
 
-    def tails(self, values: np.ndarray, offset: float) -> float | None:
-        """Exterior derivative-tail ratio beyond ``offset`` from the origin.
+    def derivative(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+        """The set-up of the exterior indicator for damped-frame coefficients.
 
-        The numerator integrates the squared derivative of the interpolant
-        over (offset, inf) against the weight anchored at the basis origin;
-        the denominator is the whole-domain value.  Returns None for a
-        derivative-free state.
-
+        Returns the derivative's coefficients (read-only) and its
+        whole-domain weighted squared norm, the indicator's denominator.
         The derivative stays in the damped basis: with y = beta*(x - x_left)
         and d/dy L_l = -sum_{j<l} L_j, the derivative of sum_l c_l psi_l is
         sum_j d_j psi_j with d_j = -beta*(sum_{l>j} c_l + c_j/2).
         """
-        coeffs = self.tomodal @ values
         above = np.zeros_like(coeffs)
         above[:-1] = np.cumsum(coeffs[:0:-1])[::-1]
-        dcoeffs = -self.beta * (above + 0.5 * coeffs)
+        dcoeffs = _read_only(-self.beta * (above + 0.5 * coeffs))
+        return dcoeffs, self._tail(dcoeffs, 0.0)
 
-        def tail(shift: float) -> float:
-            dv = dcoeffs @ self.psi_at(shift)
-            return float(np.sum(self.weights * dv * dv))
+    def _tail(self, dcoeffs: np.ndarray, shift: float) -> float:
+        dv = dcoeffs @ self.psi_at(shift)
+        return float(np.sum(self.weights * dv * dv))
 
-        denominator = tail(0.0)
+    def tails(self, dcoeffs: np.ndarray, denominator: float, offset: float) -> float | None:
+        """Exterior derivative-tail ratio beyond ``offset`` from the origin.
+
+        ``dcoeffs`` and ``denominator`` come from :meth:`derivative`.  The
+        numerator integrates the squared derivative of the interpolant over
+        (offset, inf) against the weight anchored at the basis origin; the
+        denominator is the whole-domain value.  Returns None for a
+        derivative-free state.
+        """
         if denominator <= 0.0:
             return None
-        numerator = tail(float(offset))
+        numerator = self._tail(dcoeffs, float(offset))
         anchored = math.sqrt(max(0.0, numerator / denominator))
         return math.exp(-0.5 * self.beta * float(offset)) * anchored
 
-    def interpolant_error(self, values: np.ndarray, exact_refined: np.ndarray) -> float:
+    def interpolant_error(self, coeffs: np.ndarray, exact_refined: np.ndarray) -> float:
         """Weighted relative error of the interpolant over a doubled-order rule.
 
         Sees between the frame's own nodes (where nodal comparison is blind
-        for freshly resampled states); ``exact_refined`` holds the reference
-        at ``refined_nodes`` offsets plus the basis origin.
+        for freshly resampled states); ``coeffs`` are the damped-frame
+        coefficients and ``exact_refined`` holds the reference at
+        ``refined_nodes`` offsets plus the basis origin.
         """
-        approx = (self.tomodal @ values) @ self._psi_refined
+        approx = coeffs @ self._psi_refined
         exact_refined = np.asarray(exact_refined, dtype=float)
         w = self.refined_weights
         denominator = float(np.sum(w * exact_refined * exact_refined))
@@ -698,11 +715,31 @@ class Frame:
 
 @dataclass(frozen=True)
 class FrameState:
-    """Nodal values in a damped frame plus the basis origin."""
+    """Nodal values in a damped frame plus the basis origin.
+
+    ``values`` is stored as a read-only float copy; the caller's array is
+    left as it was.  The damped coefficients and the exterior indicator's
+    derivative set-up (:meth:`Frame.derivative`) are computed at most once,
+    on first use, and kept for the state's lifetime.  So the mover's search
+    over n*delta pays for them once, and each candidate only for its own
+    shifted numerator.  A moved or rescaled state is a new state with an
+    empty memo.
+    """
 
     frame: Frame
     values: np.ndarray
     x_left: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _read_only(np.array(self.values, dtype=float)))
+
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        return _read_only(self.frame.tomodal @ self.values)
+
+    @cached_property
+    def _derivative(self) -> tuple[np.ndarray, float]:
+        return self.frame.derivative(self._coeffs)
 
     @property
     def beta(self) -> float:
@@ -717,7 +754,7 @@ class FrameState:
         return self.x_left + self.frame.nodes
 
     def frequency(self) -> float | None:
-        return self.frame.frequency(self.values)
+        return self.frame.frequency(self._coeffs)
 
     def split_point(self) -> float:
         return self.x_left + self.frame.split_rel
@@ -725,20 +762,28 @@ class FrameState:
     def exterior(self, split: float | None) -> float | None:
         if split is None:
             return None
-        return self.frame.tails(self.values, split - self.x_left)
+        return self.frame.tails(*self._derivative, split - self.x_left)
 
     def rescaled(self, beta: float) -> "FrameState":
         new_frame = Frame(self.frame.order, beta)
-        values = self.frame.coefficients(self.values) @ self.frame.psi_on(new_frame)
+        values = self._coeffs @ self.frame.psi_on(new_frame)
         return FrameState(new_frame, values, self.x_left)
 
     def moved(self, distance: float) -> "FrameState":
-        values = self.frame.coefficients(self.values) @ self.frame.psi_at(distance)
+        values = self._coeffs @ self.frame.psi_at(distance)
         return FrameState(self.frame, values, self.x_left + distance)
 
     def error(self, reference, t: float) -> float:
         return self.frame.interpolant_error(
-            self.values, reference(self.x_left + self.frame.refined_nodes, t)
+            self._coeffs, reference(self.x_left + self.frame.refined_nodes, t)
+        )
+
+
+def _require_default_indicators(cfg: AdaptConfig) -> None:
+    if cfg.indicators != IndicatorConfig():
+        raise ValueError(
+            "the frame engine uses the default indicator rules; "
+            "cfg.indicators must be IndicatorConfig()"
         )
 
 
@@ -772,8 +817,11 @@ def run_frames(
 
     ``evolver(state, t, dt)`` returns a :class:`FrameState` on the same
     frame; the recorded error is the interpolant's weighted relative error
-    against ``reference(x, t)`` over a doubled-order rule.
+    against ``reference(x, t)`` over a doubled-order rule.  The frame
+    engine derives its indicator parameters from the default rules, so a
+    ``cfg.indicators`` other than ``IndicatorConfig()`` raises ValueError.
     """
+    _require_default_indicators(cfg)
 
     def measure(state: FrameState, t: float) -> ExperimentRecord:
         error = state.error(reference, t) if reference is not None else None
@@ -796,7 +844,16 @@ def run_frames(
 
 @dataclass(frozen=True)
 class FrameState2D:
-    """Tensor-product nodal values with per-dimension frames and origins."""
+    """Tensor-product nodal values with per-dimension frames and origins.
+
+    ``values`` is stored as a read-only float copy.  What the indicators
+    and the error derive from it is computed at most once, on first use,
+    and kept for the state's lifetime: the tensor transform
+    (:meth:`coefficients`, read-only), the energy matrix
+    gamma_x*gamma_y*c^2 that both frequency indicators read, and per axis
+    the exterior indicator's derivative set-up of the marginal.  A moved
+    or rescaled state is a new state with an empty memo.
+    """
 
     frame_x: Frame
     frame_y: Frame
@@ -805,9 +862,26 @@ class FrameState2D:
     y_left: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _read_only(np.array(self.values, dtype=float)))
         expected = (self.frame_x.order + 1, self.frame_y.order + 1)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
+
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        return _read_only(self.frame_x.tomodal @ self.values @ self.frame_y.tomodal.T)
+
+    @cached_property
+    def _energy(self) -> np.ndarray:
+        return _read_only(np.multiply.outer(self.frame_x.gamma, self.frame_y.gamma) * self._coeffs**2)
+
+    @cached_property
+    def _derivative_x(self) -> tuple[np.ndarray, float]:
+        return self.frame_x.derivative(self.frame_x.tomodal @ self.marginal_x_values())
+
+    @cached_property
+    def _derivative_y(self) -> tuple[np.ndarray, float]:
+        return self.frame_y.derivative(self.frame_y.tomodal @ self.marginal_y_values())
 
     def nodes_x(self) -> np.ndarray:
         return self.x_left + self.frame_x.nodes
@@ -816,12 +890,11 @@ class FrameState2D:
         return self.y_left + self.frame_y.nodes
 
     def coefficients(self) -> np.ndarray:
-        return self.frame_x.tomodal @ self.values @ self.frame_y.tomodal.T
+        return self._coeffs
 
     def _frequency_axis(self, axis: int) -> float | None:
-        coeffs = self.coefficients()
         frame = self.frame_x if axis == 0 else self.frame_y
-        weights = np.multiply.outer(self.frame_x.gamma, self.frame_y.gamma) * coeffs**2
+        weights = self._energy
         total = float(weights.sum())
         if total <= 0.0:
             return None
@@ -851,12 +924,12 @@ class FrameState2D:
     def exterior_x(self, split: float | None) -> float | None:
         if split is None:
             return None
-        return self.frame_x.tails(self.marginal_x_values(), split - self.x_left)
+        return self.frame_x.tails(*self._derivative_x, split - self.x_left)
 
     def exterior_y(self, split: float | None) -> float | None:
         if split is None:
             return None
-        return self.frame_y.tails(self.marginal_y_values(), split - self.y_left)
+        return self.frame_y.tails(*self._derivative_y, split - self.y_left)
 
     def moved_x(self, distance: float) -> "FrameState2D":
         values = self.frame_x.psi_at(distance).T @ (self.frame_x.tomodal @ self.values)
@@ -877,8 +950,7 @@ class FrameState2D:
         return FrameState2D(self.frame_x, new_frame, values, self.x_left, self.y_left)
 
     def error(self, reference, t: float) -> float:
-        coeffs = self.coefficients()
-        approx = self.frame_x._psi_refined.T @ coeffs @ self.frame_y._psi_refined
+        approx = self.frame_x._psi_refined.T @ self._coeffs @ self.frame_y._psi_refined
         grid_x, grid_y = np.meshgrid(
             self.x_left + self.frame_x.refined_nodes,
             self.y_left + self.frame_y.refined_nodes,
@@ -971,8 +1043,10 @@ def run_2d(
     that dimension's mover first fires, then re-anchored after each accepted
     rescale of that dimension.  Standard record columns carry the
     x-dimension; the y-dimension is exported through the extras
-    ``beta_y, freq_y, ext_y, yL``.  Returns (history, final state).
+    ``beta_y, freq_y, ext_y, yL``.  Returns (history, final state).  As in
+    :func:`run_frames`, only the default ``cfg.indicators`` is supported.
     """
+    _require_default_indicators(cfg)
     mode = normalize_mode(mode)
     state = initial
     f0x, f0y = state.frequency_x(), state.frequency_y()

@@ -15,6 +15,7 @@ from specadapt.adapt import (
     ExperimentRecord,
     Frame,
     FrameState,
+    FrameState2D,
     MODE_MOVE,
     MODE_MOVE_SCALE,
     MODE_NONE,
@@ -37,6 +38,7 @@ from specadapt.adapt import (
 )
 from specadapt.approx import Expansion, interpolate, relative_error, rescale
 from specadapt.basis import eval_weighted_all, hermite_basis, laguerre_basis, quadrature
+from specadapt.indicators import IndicatorConfig
 
 
 def diffusive_front(x, t):
@@ -525,6 +527,143 @@ def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
         calls.clear()
 
 
+def _scratch_indicators(frame: Frame, values: np.ndarray, offsets) -> tuple:
+    """Frequency and exterior ratios from nodal values, with no memo."""
+    coeffs = frame.tomodal @ values
+    squares = frame.gamma * coeffs * coeffs
+    m = frame.order // 3
+    frequency = min(1.0, float(math.sqrt(squares[frame.order + 1 - m :].sum() / float(squares.sum()))))
+    above = np.zeros_like(coeffs)
+    above[:-1] = np.cumsum(coeffs[:0:-1])[::-1]
+    dcoeffs = -frame.beta * (above + 0.5 * coeffs)
+
+    def tail(shift: float) -> float:
+        dv = dcoeffs @ eval_weighted_all(frame.basis, frame.nodes + shift)
+        return float(np.sum(frame.weights * dv * dv))
+
+    whole = tail(0.0)
+    exterior = [
+        math.exp(-0.5 * frame.beta * float(s)) * math.sqrt(max(0.0, tail(float(s)) / whole))
+        for s in offsets
+    ]
+    return frequency, exterior
+
+
+def _count_derivative_setups(monkeypatch) -> list:
+    """Record the frame of every exterior-indicator set-up."""
+    calls = []
+    original = Frame.derivative
+
+    def counted(frame, coeffs):
+        calls.append(frame)
+        return original(frame, coeffs)
+
+    monkeypatch.setattr(Frame, "derivative", counted)
+    return calls
+
+
+def _search_offsets(control, cfg: AdaptConfig) -> list:
+    """The sentinel offsets a full mover search evaluates, as the state forms them."""
+    split = control.split_point()
+    n_max = int(math.floor(cfg.d_max / cfg.delta + 1e-12))
+    return [split - control.x_left] + [
+        (split + n * cfg.delta) - control.x_left for n in range(1, n_max + 1)
+    ]
+
+
+def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
+    # an order and scale no other test uses, so the frame's memos are cold
+    cfg = AdaptConfig()
+    state = frame_state_from(moving_front, 29, 1.9, x_left=0.3, t=0.4)
+    offsets = _search_offsets(state, cfg)
+    frequency, exterior = _scratch_indicators(state.frame, state.values, offsets)
+    calls = _count_derivative_setups(monkeypatch)
+    e = state.exterior(state.split_point())
+    assert e == exterior[0]
+    # a baseline no candidate can meet runs the search to its cap
+    assert adapt._moving_distance(state, e, 1e-300, cfg) == cfg.d_max
+    split = state.split_point()
+    for n, expected in enumerate(exterior):
+        assert state.exterior(split + n * cfg.delta) == expected
+    assert state.frequency() == frequency
+    assert calls == [state.frame]
+    # a derived state sets up its own indicators from its own values
+    for derived in (state.moved(2 * cfg.delta), state.rescaled(0.95 * state.beta)):
+        calls.clear()
+        offsets = _search_offsets(derived, cfg)
+        frequency, exterior = _scratch_indicators(derived.frame, derived.values, offsets)
+        assert derived.frequency() == frequency
+        assert derived.exterior(derived.split_point()) == exterior[0]
+        assert calls == [derived.frame]
+
+
+def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
+    cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
+    state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
+    fx, fy = state.frame_x, state.frame_y
+    coeffs = fx.tomodal @ state.values @ fy.tomodal.T
+    assert np.array_equal(state.coefficients(), coeffs)
+    energy = np.multiply.outer(fx.gamma, fy.gamma) * coeffs**2
+    total = float(energy.sum())
+    expected_frequency = (
+        min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
+        min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
+    )
+    marginals = (state.values @ fy.mod_weights, fx.mod_weights @ state.values)
+    calls = _count_derivative_setups(monkeypatch)
+    for axis, frame in ((0, fx), (1, fy)):
+        control = adapt._AxisControl(state, axis)
+        offsets = _search_offsets(control, cfg)
+        frequency, exterior = _scratch_indicators(frame, marginals[axis], offsets)
+        e = control.exterior(control.split_point())
+        assert e == exterior[0]
+        assert adapt._moving_distance(control, e, 1e-300, cfg) == cfg.d_max
+        split = control.split_point()
+        for n, expected in enumerate(exterior):
+            assert control.exterior(split + n * cfg.delta) == expected
+        assert control.frequency() == expected_frequency[axis]
+    assert calls == [fx, fy]
+    # derived states set up their own indicators, one per axis again
+    for derived in (state.moved_x(0.01), state.moved_y(0.01), state.rescaled_x(1.5), state.rescaled_y(2.0)):
+        calls.clear()
+        derived.exterior_x(derived.split_x())
+        derived.exterior_y(derived.split_y())
+        assert calls == [derived.frame_x, derived.frame_y]
+        assert np.array_equal(
+            derived.coefficients(), derived.frame_x.tomodal @ derived.values @ derived.frame_y.tomodal.T
+        )
+
+
+def test_frame_state_values_are_a_read_only_copy():
+    frame = Frame(12, 2.0)
+    mine = moving_front(frame.nodes, 0.2)
+    kept = mine.copy()
+    state = FrameState(frame, mine)
+    state.frequency()
+    with pytest.raises(ValueError):
+        state.values[0] = 1.0
+    mine[0] = -1.0
+    assert np.array_equal(state.values, kept)
+    state_2d = frame_state_2d_from(product_front, 6, 2.0, 7, 2.0)
+    mine_2d = np.array(state_2d.values)
+    state_2d = FrameState2D(state_2d.frame_x, state_2d.frame_y, mine_2d)
+    with pytest.raises(ValueError):
+        state_2d.values[0] = 1.0
+    with pytest.raises(ValueError):
+        state_2d.coefficients()[0] = 1.0
+    assert mine_2d.flags.writeable
+
+
+def test_frame_engine_rejects_custom_indicator_config():
+    cfg = AdaptConfig(indicators=IndicatorConfig(high_mode_rule=lambda n: n))
+    state = frame_state_from(moving_front, 12, 2.0)
+    with pytest.raises(ValueError, match="IndicatorConfig"):
+        run_frames(frame_resample_evolver(moving_front), state, cfg, 0.1, 0.2, MODE_MOVE_SCALE)
+    state_2d = frame_state_2d_from(product_front, 6, 2.0, 6, 2.0)
+    with pytest.raises(ValueError, match="IndicatorConfig"):
+        run_2d(frame_resample_evolver_2d(product_front), state_2d, cfg, 0.1, 0.2, MODE_MOVE_SCALE)
+
+
 def _alpha_one_tails(frame: Frame, values: np.ndarray, offsets) -> list:
     """The exterior ratios with the derivative taken in the alpha = 1 family."""
     coeffs = frame.tomodal @ values
@@ -560,7 +699,8 @@ def test_frame_tails_match_alpha_one_derivative(order, beta):
     for values in profiles:
         for offset, expected in zip(offsets, _alpha_one_tails(frame, values, offsets)):
             if expected > 1e-12:
-                assert frame.tails(values, offset) == pytest.approx(expected, rel=1e-10, abs=0)
+                actual = FrameState(frame, values).exterior(offset)
+                assert actual == pytest.approx(expected, rel=1e-10, abs=0)
                 compared += 1
     assert compared >= 8
 
