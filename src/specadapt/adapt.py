@@ -1,6 +1,8 @@
 """Adaptive controllers for scaled spectral expansions.
 
-Three control loops over a pluggable evolution step:
+One control loop, :func:`_control_loop`, drives a pluggable evolution step
+and applies the two controllers of the paper to every dimension of the
+state:
 
 * frequency-dependent SCALING: when the high-mode energy fraction rises past
   ``nu * f0``, contract the scale factor by powers of ``q`` as long as each
@@ -14,21 +16,18 @@ Three control loops over a pluggable evolution step:
   current node set at every iteration (moving owns ``x_L``, scaling owns
   ``x_R``).
 
-The decision logic is written once, over a tiny state protocol, and driven
-through two interchangeable state representations:
-
-* :class:`AdaptState` + the ``*_step`` functions and :func:`run` operate on
-  coefficient-space :class:`~.approx.Expansion` objects using the formulas
-  of :mod:`~.indicators`;
-* :class:`Frame` / :class:`FrameState` (and the 2-d :class:`FrameState2D`
-  with :func:`run_2d`) carry nodal values and evaluate everything through
-  the exponentially damped basis functions: reconstructing values (or 2-d
-  marginals) from raw polynomial coefficients amplifies roundoff like
-  exp(y_max/2), while the damped forms stay O(1) at any order used here.
-  The two layers agree on the exterior indicator (same function, same
-  quadrature); the frame frequency indicator measures the damped-frame
-  coefficients, which is what makes evolving-solution spectra visible to
-  the controller at large orders.
+The loop sees a state through its control views, one per dimension.  A
+one-dimensional state is its own single view: the coefficient-space
+:class:`~.approx.Expansion` behind :func:`run`, or a :class:`FrameState`
+behind :func:`run_frames`.  A :class:`FrameState2D` behind :func:`run_2d`
+has one view per axis.  :class:`Frame` and the frame states carry nodal
+values and evaluate everything through the exponentially damped basis
+functions: reconstructing values (or 2-d marginals) from raw polynomial
+coefficients amplifies roundoff like exp(y_max/2), while the damped forms
+stay O(1) at any order used here.  The coefficient and frame layers agree
+on the exterior indicator (same function, same quadrature); the frame
+frequency indicator measures the damped-frame coefficients, which is what
+makes evolving-solution spectra visible to the controller at large orders.
 
 The frame engine memoizes at two lifetimes.  A :class:`Frame` keeps its
 basis evaluations (at shifted nodes and at other frames' nodes) for as long
@@ -85,16 +84,15 @@ __all__ = [
     "MODE_SCALE",
     "frame_resample_evolver",
     "frame_resample_evolver_2d",
+    "frame_state_2d_from",
+    "frame_state_from",
     "history_to_csv",
     "initial_state",
-    "move_scale_step",
-    "moving_step",
     "normalize_mode",
     "resample_evolver",
     "run",
     "run_2d",
     "run_frames",
-    "scaling_step",
     "suggest_initial_beta",
 ]
 
@@ -244,8 +242,11 @@ def normalize_mode(mode) -> str:
 # --------------------------------------------------------------------------
 
 
-class ControlState(Protocol):
-    """What the controllers need from a solution state."""
+class _ControlState(Protocol):
+    """What the controllers need from one control view of a state."""
+
+    @property
+    def state(self): ...
 
     @property
     def beta(self) -> float: ...
@@ -259,9 +260,9 @@ class ControlState(Protocol):
 
     def split_point(self) -> float | None: ...
 
-    def rescaled(self, beta: float) -> "ControlState": ...
+    def rescaled(self, beta: float) -> "_ControlState": ...
 
-    def moved(self, distance: float) -> "ControlState": ...
+    def moved(self, distance: float) -> "_ControlState": ...
 
 
 def _scaling_ladder(state, f, f0, cfg: AdaptConfig):
@@ -315,29 +316,35 @@ def _step_count(t_final: float, dt: float) -> int:
     return int(math.floor(t_final / dt + 1e-9))
 
 
-def _control_loop(state, stepper, cfg, dt, t_final, mode, measure):
-    """Shared driver: evolve, optionally move, optionally scale, record.
+def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
+    """The one driver: evolve, optionally move, optionally scale, record.
 
-    ``f0``/``e0`` start from the initial state.  ``f0`` is refreshed only on
-    ladder acceptances.  ``e0`` is never refreshed by a move (re-anchoring it
-    there ratchets the threshold up by a factor ``mu`` per move and stalls
-    the tracking of a steadily translating profile), but once the mover has
-    fired at least once, an accepted rescale re-anchors ``e0`` at the new
-    sentinel: a rescale stretches the node set, so the old baseline belongs
-    to a sentinel that no longer exists, and keeping it leaves the mover
-    lagging by a fixed exterior-error level instead of tracking the front.
-    A run in which the mover never participates keeps its baseline frozen,
-    so a scaling-only profile is never nudged into moving by rescales alone.
+    ``views(state)`` returns one control view per dimension; a view's
+    ``moved``/``rescaled`` return a view whose ``.state`` is the whole new
+    state.  Every moving distance is taken from the same evolved state, then
+    the moves are applied; the scaling ladders run one dimension after
+    another (x first), each with the other dimensions held fixed.
+
+    Per dimension, ``f0``/``e0`` start from the initial state and ``f0`` is
+    refreshed only on ladder acceptances.  ``e0`` is never refreshed by a
+    move (re-anchoring it there ratchets the threshold up by a factor ``mu``
+    per move and stalls the tracking of a steadily translating profile),
+    but once that dimension's mover has fired at least once, an accepted
+    rescale re-anchors ``e0`` at the new sentinel, after all ladders have
+    run: a rescale stretches the node set, so the old baseline belongs to a
+    sentinel that no longer exists, and keeping it leaves the mover lagging
+    by a fixed exterior-error level instead of tracking the front.  A
+    dimension whose mover never participates keeps its baseline frozen, so
+    a scaling-only profile is never nudged into moving by rescales alone.
     Emits the initial record plus one record per step.
     """
     mode = normalize_mode(mode)
-    f0 = state.frequency()
-    e0 = state.exterior(state.split_point())
-    mover_active = False
+    f0 = [view.frequency() for view in views(state)]
+    e0 = [view.exterior(view.split_point()) for view in views(state)]
+    mover_active = [False] * len(f0)
     records = [measure(state, 0.0)]
     for n in range(_step_count(t_final, dt)):
         t_prev = n * dt
-        t_now = (n + 1) * dt
         try:
             state = stepper(state, t_prev, dt)
         except Exception as exc:
@@ -345,17 +352,31 @@ def _control_loop(state, stepper, cfg, dt, t_final, mode, measure):
             exc.args = (f"{note}: {exc.args[0]}" if exc.args else note,) + exc.args[1:]
             raise
         if mode in (MODE_MOVE, MODE_MOVE_SCALE):
-            e = state.exterior(state.split_point())
-            d0 = _moving_distance(state, e, e0, cfg)
-            if d0 > 0.0:
-                state = state.moved(d0)
-                mover_active = True
+            distances = [
+                _moving_distance(view, view.exterior(view.split_point()), e0[axis], cfg)
+                for axis, view in enumerate(views(state))
+            ]
+            for axis, d0 in enumerate(distances):
+                if d0 > 0.0:
+                    state = views(state)[axis].moved(d0).state
+                    mover_active[axis] = True
         if mode in (MODE_SCALE, MODE_MOVE_SCALE):
-            state, f0, accepted = _scaling_ladder(state, state.frequency(), f0, cfg)
-            if accepted and mover_active:
-                e0 = state.exterior(state.split_point())
-        records.append(measure(state, t_now))
+            accepted = []
+            for axis in range(len(f0)):
+                view = views(state)[axis]
+                view, f0[axis], count = _scaling_ladder(view, view.frequency(), f0[axis], cfg)
+                state = view.state
+                accepted.append(count)
+            for axis, view in enumerate(views(state)):
+                if accepted[axis] and mover_active[axis]:
+                    e0[axis] = view.exterior(view.split_point())
+        records.append(measure(state, (n + 1) * dt))
     return records, state
+
+
+def _single_view(state):
+    """A one-dimensional state is its own single control view."""
+    return (state,)
 
 
 # --------------------------------------------------------------------------
@@ -371,6 +392,10 @@ class _ExpansionControl:
     def __init__(self, expansion: Expansion, icfg: IndicatorConfig | None):
         self.expansion = expansion
         self.icfg = icfg if icfg is not None else IndicatorConfig()
+
+    @property
+    def state(self) -> "_ExpansionControl":
+        return self
 
     @property
     def beta(self) -> float:
@@ -403,21 +428,17 @@ class _ExpansionControl:
 
 @dataclass
 class AdaptState:
-    """Mutable loop state for the step-level API.
+    """Reference indicator values of a starting expansion.
 
-    ``f0``/``e0`` are the fixed reference indicator values; ``x_right`` is
-    re-derived from the current node set whenever the basis changes, so it
-    always equals the configured split point of the current expansion.
+    ``f0``/``e0`` are the frequency and exterior-error baselines the
+    controllers compare against; ``x_right`` is the configured split point
+    of the expansion's node set (None for a basis without one).
     """
 
     expansion: Expansion
     f0: float | None
     e0: float | None
     x_right: float | None
-    t: float = 0.0
-    history: list[ExperimentRecord] = field(default_factory=list)
-    moves: int = 0
-    rescalings: int = 0
 
 
 def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
@@ -430,49 +451,6 @@ def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
         e0=control.exterior(x_right),
         x_right=x_right,
     )
-
-
-def scaling_step(state: AdaptState, cfg: AdaptConfig) -> AdaptState:
-    """Apply one frequency-dependent scaling decision to an evolved state.
-
-    An accepted rescale moves the sentinel, so when the mover has already
-    participated in this run (``state.moves > 0``) the exterior baseline
-    ``e0`` is re-anchored at the new sentinel; with the mover idle the
-    baseline stays frozen and rescales alone never provoke a move.
-    """
-    control = _ExpansionControl(state.expansion, cfg.indicators)
-    control, f0, accepted = _scaling_ladder(control, control.frequency(), state.f0, cfg)
-    if accepted:
-        state.expansion = control.expansion
-        state.f0 = f0
-        state.x_right = control.split_point()
-        state.rescalings += accepted
-        if state.moves:
-            state.e0 = control.exterior(state.x_right)
-    return state
-
-
-def moving_step(state: AdaptState, cfg: AdaptConfig) -> AdaptState:
-    """Apply one exterior-error moving decision to an evolved state.
-
-    The sentinel is refreshed from the current nodes before the decision;
-    ``e0`` is deliberately left at its initial value (see _control_loop).
-    """
-    control = _ExpansionControl(state.expansion, cfg.indicators)
-    state.x_right = control.split_point()
-    e = control.exterior(state.x_right)
-    d0 = _moving_distance(control, e, state.e0, cfg)
-    if d0 > 0.0:
-        control = control.moved(d0)
-        state.expansion = control.expansion
-        state.x_right = control.split_point()
-        state.moves += 1
-    return state
-
-
-def move_scale_step(state: AdaptState, cfg: AdaptConfig) -> AdaptState:
-    """Moving first, then scaling, on an evolved state."""
-    return scaling_step(moving_step(state, cfg), cfg)
 
 
 def resample_evolver(reference) -> Callable:
@@ -525,7 +503,7 @@ def run(
         )
 
     records, _ = _control_loop(
-        _ExpansionControl(initial, icfg), stepper, cfg, dt, t_final, mode, measure
+        _ExpansionControl(initial, icfg), _single_view, stepper, cfg, dt, t_final, mode, measure
     )
     return records
 
@@ -742,6 +720,11 @@ class FrameState:
         return self.frame.derivative(self._coeffs)
 
     @property
+    def state(self) -> "FrameState":
+        """A one-dimensional state is its own control view."""
+        return self
+
+    @property
     def beta(self) -> float:
         return self.frame.beta
 
@@ -834,7 +817,7 @@ def run_frames(
             ext=state.exterior(state.split_point()),
         )
 
-    return _control_loop(initial, evolver, cfg, dt, t_final, mode, measure)
+    return _control_loop(initial, _single_view, evolver, cfg, dt, t_final, mode, measure)
 
 
 # --------------------------------------------------------------------------
@@ -1034,25 +1017,19 @@ def run_2d(
     mode=MODE_NONE,
     reference=None,
 ) -> tuple[list[ExperimentRecord], FrameState2D]:
-    """Dimension-by-dimension adaptive driver for tensor-product states.
+    """:func:`run_frames` for tensor-product states, one control view per axis.
 
-    Both moving decisions are taken from the same pre-move state and then
-    applied; the scaling ladders run per dimension with the other
-    dimension's factor held fixed (x first).  Exterior baselines follow the
-    same policy as the one-dimensional loop, per dimension: frozen until
-    that dimension's mover first fires, then re-anchored after each accepted
-    rescale of that dimension.  Standard record columns carry the
-    x-dimension; the y-dimension is exported through the extras
+    The shared loop takes both moving decisions from the same evolved state
+    and then applies them; the scaling ladders run per dimension with the
+    other dimension's factor held fixed (x first).  Exterior baselines
+    follow the one-dimensional policy per dimension: frozen until that
+    dimension's mover first fires, then re-anchored after each step in
+    which that dimension's ladder accepted.  Standard record columns carry
+    the x-dimension; the y-dimension is exported through the extras
     ``beta_y, freq_y, ext_y, yL``.  Returns (history, final state).  As in
     :func:`run_frames`, only the default ``cfg.indicators`` is supported.
     """
     _require_default_indicators(cfg)
-    mode = normalize_mode(mode)
-    state = initial
-    f0x, f0y = state.frequency_x(), state.frequency_y()
-    e0x = state.exterior_x(state.split_x())
-    e0y = state.exterior_y(state.split_y())
-    active_x = active_y = False
 
     def measure(state: FrameState2D, t: float) -> ExperimentRecord:
         error = state.error(reference, t) if reference is not None else None
@@ -1071,39 +1048,7 @@ def run_2d(
             },
         )
 
-    records = [measure(state, 0.0)]
-    for n in range(_step_count(t_final, dt)):
-        t_prev = n * dt
-        t_now = (n + 1) * dt
-        try:
-            state = evolver(state, t_prev, dt)
-        except Exception as exc:
-            note = f"evolution step failed at t = {_format_field(t_prev)}"
-            exc.args = (f"{note}: {exc.args[0]}" if exc.args else note,) + exc.args[1:]
-            raise
-        if mode in (MODE_MOVE, MODE_MOVE_SCALE):
-            ex = state.exterior_x(state.split_x())
-            ey = state.exterior_y(state.split_y())
-            d0x = _moving_distance(_AxisControl(state, 0), ex, e0x, cfg)
-            d0y = _moving_distance(_AxisControl(state, 1), ey, e0y, cfg)
-            if d0x > 0.0:
-                state = state.moved_x(d0x)
-                active_x = True
-            if d0y > 0.0:
-                state = state.moved_y(d0y)
-                active_y = True
-        if mode in (MODE_SCALE, MODE_MOVE_SCALE):
-            view, f0x, nx = _scaling_ladder(
-                _AxisControl(state, 0), state.frequency_x(), f0x, cfg
-            )
-            state = view.state
-            view, f0y, ny = _scaling_ladder(
-                _AxisControl(state, 1), state.frequency_y(), f0y, cfg
-            )
-            state = view.state
-            if nx and active_x:
-                e0x = state.exterior_x(state.split_x())
-            if ny and active_y:
-                e0y = state.exterior_y(state.split_y())
-        records.append(measure(state, t_now))
-    return records, state
+    def views(state: FrameState2D) -> tuple[_AxisControl, _AxisControl]:
+        return _AxisControl(state, 0), _AxisControl(state, 1)
+
+    return _control_loop(initial, views, evolver, cfg, dt, t_final, mode, measure)

@@ -13,6 +13,13 @@ Both return ``None`` when mathematically undefined (all-zero expansion or
 identically zero derivative) so callers can branch explicitly instead of
 comparing against NaN.  Both are invariant under scaling the coefficients by
 a nonzero constant.
+
+These are the coefficient-space forms for one-dimensional
+:class:`~specadapt.approx.Expansion` objects.  The frame engine in
+:mod:`specadapt.adapt` evaluates the same two signals in the damped basis,
+and per axis for tensor-product states (``FrameState2D.frequency_x``,
+``exterior_x`` and their y counterparts); the exterior indicator of an
+axis is that of the marginal with the other variable integrated out.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .approx import Expansion, Expansion2D, marginal_x, marginal_y
+from .approx import Expansion
 from .basis import (
     LAGUERRE,
     derivative_coeffs,
@@ -39,10 +46,6 @@ __all__ = [
     "default_split_point",
     "frequency_indicator",
     "exterior_error_indicator",
-    "frequency_indicator_x",
-    "frequency_indicator_y",
-    "exterior_error_indicator_x",
-    "exterior_error_indicator_y",
 ]
 
 
@@ -151,38 +154,3 @@ def exterior_error_indicator(exp: Expansion, x_right: float) -> float | None:
         return None
     num, denom = norms
     return math.sqrt(min(1.0, num / denom))
-
-
-# ---------------------------------------------------------------------------
-# tensor-product variants
-
-
-def _frequency_indicator_2d(exp2d: Expansion2D, config: IndicatorConfig | None, axis: int) -> float | None:
-    basis = exp2d.basis_x if axis == 0 else exp2d.basis_y
-    m = _high_mode_count(config, basis.order)
-    g2 = np.outer(gamma_norms(exp2d.basis_x), gamma_norms(exp2d.basis_y))
-    squares = g2 * exp2d.coeffs**2
-    take = (
-        squares[basis.order - m + 1 :, :] if axis == 0 else squares[:, basis.order - m + 1 :]
-    )
-    return _tail_fraction(squares, take)
-
-
-def frequency_indicator_x(exp2d: Expansion2D, config: IndicatorConfig | None = None) -> float | None:
-    """Directional frequency indicator: top x-modes over the double sum."""
-    return _frequency_indicator_2d(exp2d, config, 0)
-
-
-def frequency_indicator_y(exp2d: Expansion2D, config: IndicatorConfig | None = None) -> float | None:
-    """Directional frequency indicator: top y-modes over the double sum."""
-    return _frequency_indicator_2d(exp2d, config, 1)
-
-
-def exterior_error_indicator_x(exp2d: Expansion2D, x_right: float) -> float | None:
-    """1D exterior-error indicator of the y-integrated marginal in x."""
-    return exterior_error_indicator(marginal_x(exp2d), x_right)
-
-
-def exterior_error_indicator_y(exp2d: Expansion2D, y_right: float) -> float | None:
-    """1D exterior-error indicator of the x-integrated marginal in y."""
-    return exterior_error_indicator(marginal_y(exp2d), y_right)

@@ -7,28 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from specadapt.adapt import Frame, FrameState2D, frame_state_2d_from
 from specadapt.approx import (
     Expansion,
-    Expansion2D,
     evaluate,
-    evaluate_2d,
     from_text,
     interpolate,
-    interpolate_2d,
-    marginal_x,
-    marginal_y,
     move,
-    move_x,
-    move_y,
     relative_error,
-    relative_error_2d,
     rescale,
-    rescale_x,
-    rescale_y,
     to_text,
     truncate,
     weighted_norm,
-    weighted_norm_2d,
 )
 from specadapt.basis import eval_basis_all, gamma_norms, hermite_basis, laguerre_basis, quadrature
 
@@ -37,7 +27,7 @@ def fermi_dirac(x):
     return 1.0 / (1.0 + np.exp((x - 5.0) / 2.0))
 
 
-def bump_2d(x, y):
+def bump_2d(x, y, t=0.0):
     return (
         np.cos(x * y / 400.0)
         / (1.0 + np.exp((x - 2.0) / 2.0))
@@ -213,106 +203,72 @@ def test_hermite_expansion_round_trip_and_error():
 
 
 # ---------------------------------------------------------------------------
-# 2D
+# 2D: tensor-product states are adapt.FrameState2D, in the damped basis
+
+
+def separable(g, h):
+    return lambda x, y, t=0.0: g(np.asarray(x, dtype=float)) * h(np.asarray(y, dtype=float))
 
 
 def test_separable_2d_coefficients_are_outer_product():
-    bx = laguerre_basis(12, 1.0)
-    by = laguerre_basis(9, 1.5)
-    rx, ry = quadrature(bx), quadrature(by)
     g = lambda x: np.exp(-x)
     h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
-    vals = g(rx.nodes)[:, None] * h(ry.nodes)[None, :]
-    e2 = interpolate_2d(vals, bx, by)
-    ex = interpolate(g(rx.nodes), bx)
-    ey = interpolate(h(ry.nodes), by)
-    np.testing.assert_allclose(e2.coeffs, np.outer(ex.coeffs, ey.coeffs), rtol=1e-11, atol=1e-11)
+    state = frame_state_2d_from(separable(g, h), 12, 1.0, 9, 1.5)
+    fx, fy = state.frame_x, state.frame_y
+    cx = fx.tomodal @ g(fx.nodes)
+    cy = fy.tomodal @ h(fy.nodes)
+    np.testing.assert_allclose(state.coefficients(), np.outer(cx, cy), rtol=1e-11, atol=1e-11)
 
 
 def test_rescale_2d_identity_and_commutation():
-    bx = laguerre_basis(10, 2.0)
-    by = laguerre_basis(10, 1.0)
-    rx, ry = quadrature(bx), quadrature(by)
-    vals = bump_2d(rx.nodes[:, None], ry.nodes[None, :])
-    e2 = interpolate_2d(vals, bx, by)
-    same = rescale_x(e2, 2.0)
-    np.testing.assert_allclose(same.coeffs, e2.coeffs, rtol=1e-11, atol=1e-11)
-    a = rescale_y(rescale_x(e2, 1.4), 0.8)
-    b = rescale_x(rescale_y(e2, 0.8), 1.4)
-    np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-10, atol=1e-10)
+    state = frame_state_2d_from(bump_2d, 10, 2.0, 10, 1.0)
+    same = state.rescaled_x(2.0)
+    np.testing.assert_allclose(same.values, state.values, rtol=1e-11, atol=1e-11)
+    a = state.rescaled_x(1.4).rescaled_y(0.8)
+    b = state.rescaled_y(0.8).rescaled_x(1.4)
+    assert (a.frame_x.beta, a.frame_y.beta) == (b.frame_x.beta, b.frame_y.beta) == (1.4, 0.8)
+    np.testing.assert_allclose(a.values, b.values, rtol=1e-10, atol=1e-10)
 
 
 def test_2d_bump_relative_error_below_1e9():
-    bx = laguerre_basis(40, 2.5)
-    by = laguerre_basis(40, 2.5)
-    rx, ry = quadrature(bx), quadrature(by)
-    vals = bump_2d(rx.nodes[:, None], ry.nodes[None, :])
-    e2 = interpolate_2d(vals, bx, by)
-    assert relative_error_2d(e2, bump_2d) < 1e-9
+    state = frame_state_2d_from(bump_2d, 40, 2.5, 40, 2.5)
+    assert state.error(bump_2d, 0.0) < 1e-9
 
 
 def test_move_2d_translates_left_endpoints():
-    bx = laguerre_basis(24, 1.0)
-    by = laguerre_basis(24, 1.0)
-    rx, ry = quadrature(bx), quadrature(by)
-    f = lambda x, y: np.exp(-x - 0.5 * y)
-    e2 = interpolate_2d(f(rx.nodes[:, None], ry.nodes[None, :]), bx, by)
-    moved = move_y(move_x(e2, 0.5), 0.25)
-    assert moved.basis_x.x_left == 0.5 and moved.basis_y.x_left == 0.25
-    xs = np.array([1.0, 2.0])
-    ys = np.array([0.5, 3.0])
-    np.testing.assert_allclose(
-        evaluate_2d(moved, xs, ys), f(xs[:, None], ys[None, :]), rtol=1e-7, atol=1e-7
-    )
+    f = separable(lambda x: np.exp(-x), lambda y: np.exp(-0.5 * y))
+    state = frame_state_2d_from(f, 24, 1.0, 24, 1.0)
+    moved = state.moved_x(0.5).moved_y(0.25)
+    assert moved.x_left == 0.5 and moved.y_left == 0.25
+    grid = np.meshgrid(moved.nodes_x(), moved.nodes_y(), indexing="ij")
+    np.testing.assert_allclose(moved.values, f(*grid), rtol=1e-7, atol=1e-7)
 
 
 def test_marginal_x_separable_oracle():
-    # the exponential reweighting that undoes the y-weight amplifies far-node
-    # round-trip noise by ~e^{y_max/2}, so the marginal is meaningful only at
-    # moderate y-order; N_y = 8 keeps that floor below 1e-9
-    bx = laguerre_basis(16, 1.0)
-    by = laguerre_basis(8, 1.0)
-    rx, ry = quadrature(bx), quadrature(by)
-    g = lambda x: 1.0 / (1.0 + np.exp(x - 4.0))
-    # h(y) = e^{-y}: its plain integral over (0, inf) is exactly 1
-    vals = g(rx.nodes)[:, None] * np.exp(-ry.nodes)[None, :]
-    e2 = interpolate_2d(vals, bx, by)
-    marg = marginal_x(e2)
-    gx = interpolate(g(rx.nodes), bx)
-    assert np.max(np.abs(marg.coeffs - gx.coeffs)) < 1e-8
-    # zero coefficients marginalize to zero
-    zero = Expansion2D(bx, by, np.zeros((17, 9)))
-    assert np.max(np.abs(marginal_x(zero).coeffs)) == 0.0
+    # the damped basis keeps the marginal exact to roundoff at high order:
+    # the integral of e^{-0.4 y} over (0, inf) is 2.5
+    f = separable(lambda x: np.exp(-0.3 * x), lambda y: np.exp(-0.4 * y))
+    state = frame_state_2d_from(f, 150, 1.0, 150, 1.0)
+    np.testing.assert_allclose(
+        state.marginal_x_values(), 2.5 * np.exp(-0.3 * state.nodes_x()), rtol=1e-12, atol=0
+    )
+    # a zero state marginalizes to zero
+    zero = FrameState2D(Frame(16, 1.0), Frame(8, 1.0), np.zeros((17, 9)))
+    assert np.max(np.abs(zero.marginal_x_values())) == 0.0
 
 
 def test_marginal_y_proportionality_constant_is_the_x_integral():
-    bx = laguerre_basis(9, 1.0)
-    by = laguerre_basis(14, 1.3)
-    rx, ry = quadrature(bx), quadrature(by)
-    g = lambda x: np.exp(-2.0 * x)  # integral over (0, inf) = 1/2
     h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
-    vals = g(rx.nodes)[:, None] * h(ry.nodes)[None, :]
-    marg = marginal_y(interpolate_2d(vals, bx, by))
-    hy = interpolate(h(ry.nodes), by)
-    np.testing.assert_allclose(marg.coeffs, 0.5 * hy.coeffs, rtol=1e-8, atol=1e-8)
-
-
-def test_weighted_norm_2d_matches_tensor_quadrature():
-    bx = laguerre_basis(8, 1.0)
-    by = laguerre_basis(7, 2.0)
-    rng = np.random.default_rng(23)
-    e2 = Expansion2D(bx, by, rng.standard_normal((9, 8)))
-    rx, ry = quadrature(bx), quadrature(by)
-    vals = evaluate_2d(e2, rx.nodes, ry.nodes)
-    direct = math.sqrt(float(np.sum(np.outer(rx.weights, ry.weights) * vals**2)))
-    assert weighted_norm_2d(e2) == pytest.approx(direct, rel=1e-11)
+    # the integral of e^{-2x} over (0, inf) is 1/2
+    state = frame_state_2d_from(separable(lambda x: np.exp(-2.0 * x), h), 9, 1.0, 14, 1.3)
+    np.testing.assert_allclose(state.marginal_y_values(), 0.5 * h(state.nodes_y()), rtol=1e-8, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def test_text_round_trip_1d_and_2d():
+def test_text_round_trip():
     basis = laguerre_basis(6, 0.7, alpha=1.5, x_left=2.25)
     rng = np.random.default_rng(31)
     exp = Expansion(basis, rng.standard_normal(7))
@@ -320,11 +276,10 @@ def test_text_round_trip_1d_and_2d():
     assert back.basis == basis
     np.testing.assert_array_equal(back.coeffs, exp.coeffs)
 
-    bx, by = hermite_basis(3, 1.1), hermite_basis(4, 0.9)
-    e2 = Expansion2D(bx, by, rng.standard_normal((4, 5)))
-    back2 = from_text(to_text(e2))
-    assert back2.basis_x == bx and back2.basis_y == by
-    np.testing.assert_array_equal(back2.coeffs, e2.coeffs)
+    hermite = Expansion(hermite_basis(4, 0.9), rng.standard_normal(5))
+    back = from_text(to_text(hermite))
+    assert back.basis == hermite.basis
+    np.testing.assert_array_equal(back.coeffs, hermite.coeffs)
 
 
 def test_validation_errors():

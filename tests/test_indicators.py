@@ -9,12 +9,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
+from specadapt.adapt import Frame, FrameState, FrameState2D, frame_state_2d_from
 from specadapt.approx import (
     Expansion,
-    Expansion2D,
     evaluate,
     interpolate,
-    interpolate_2d,
     relative_error,
     truncate,
 )
@@ -31,11 +30,7 @@ from specadapt.indicators import (
     default_high_mode_count,
     default_split_point,
     exterior_error_indicator,
-    exterior_error_indicator_x,
-    exterior_error_indicator_y,
     frequency_indicator,
-    frequency_indicator_x,
-    frequency_indicator_y,
 )
 
 
@@ -213,55 +208,50 @@ def test_default_split_point_is_an_interior_node():
 
 
 # ---------------------------------------------------------------------------
-# tensor-product variants
+# tensor-product states: the per-axis indicators of adapt.FrameState2D
+
+
+def separable(g, h):
+    return lambda x, y, t=0.0: g(np.asarray(x, dtype=float)) * h(np.asarray(y, dtype=float))
 
 
 def test_frequency_2d_separable_factorization():
-    bx = laguerre_basis(12, 1.0)
-    by = laguerre_basis(10, 1.5)
-    rng = np.random.default_rng(11)
-    cx = rng.standard_normal(13) * np.exp(-0.3 * np.arange(13))
-    cy = rng.standard_normal(11) * np.exp(-0.2 * np.arange(11))
-    e2 = Expansion2D(bx, by, np.outer(cx, cy))
-    fx = frequency_indicator_x(e2)
-    fy = frequency_indicator_y(e2)
-    assert fx == pytest.approx(frequency_indicator(Expansion(bx, cx)), abs=1e-12)
-    assert fy == pytest.approx(frequency_indicator(Expansion(by, cy)), abs=1e-12)
+    g = lambda x: front(x, center=3.0, width=1.0)
+    h = lambda y: np.exp(-0.3 * y) * np.cos(y)
+    state = frame_state_2d_from(separable(g, h), 12, 1.0, 10, 1.5)
+    fx, fy = state.frame_x, state.frame_y
+    assert state.frequency_x() == pytest.approx(FrameState(fx, g(fx.nodes)).frequency(), abs=1e-12)
+    assert state.frequency_y() == pytest.approx(FrameState(fy, h(fy.nodes)).frequency(), abs=1e-12)
 
 
 def test_frequency_2d_zero_tail_and_undefined():
-    bx = laguerre_basis(9, 1.0)
-    by = laguerre_basis(9, 1.0)
+    fx = fy = Frame(9, 1.0)
+    zero = FrameState2D(fx, fy, np.zeros((10, 10)))
+    assert zero.frequency_x() is None and zero.frequency_y() is None
+    assert zero.exterior_x(zero.split_x()) is None
     coeffs = np.zeros((10, 10))
     coeffs[:7, :] = 1.0  # x-high-mode count for N=9 is 3: rows 7..9 empty
-    assert frequency_indicator_x(Expansion2D(bx, by, coeffs)) == 0.0
-    assert frequency_indicator_x(Expansion2D(bx, by, np.zeros((10, 10)))) is None
-    assert exterior_error_indicator_x(Expansion2D(bx, by, np.zeros((10, 10))), 2.0) is None
+    psi = fx.psi_at(0.0)
+    state = FrameState2D(fx, fy, psi.T @ coeffs @ psi)
+    assert state.frequency_x() == pytest.approx(0.0, abs=1e-12)
+    assert state.frequency_y() > 0.1
 
 
 def test_exterior_2d_separable_oracle():
-    # small y-order keeps the exponential-reweighting noise of the marginal
-    # well below the comparison tolerance
-    bx = laguerre_basis(16, 1.0)
-    by = laguerre_basis(8, 1.0)
-    rx, ry = quadrature(bx), quadrature(by)
     g = lambda x: front(x, center=4.0, width=1.0)
-    vals = g(rx.nodes)[:, None] * np.exp(-ry.nodes)[None, :]
-    e2 = interpolate_2d(vals, bx, by)
-    split = default_split_point(16, rx.nodes)
-    direct = exterior_error_indicator(interpolate(g(rx.nodes), bx), split)
-    assert exterior_error_indicator_x(e2, split) == pytest.approx(direct, abs=1e-8)
+    state = frame_state_2d_from(separable(g, lambda y: np.exp(-y)), 16, 1.0, 8, 1.0)
+    direct = FrameState(state.frame_x, g(state.frame_x.nodes))
+    split = state.split_x()
+    assert split == direct.split_point()
+    assert state.exterior_x(split) == pytest.approx(direct.exterior(split), abs=1e-8)
 
 
 def test_exterior_2d_detects_outward_drift():
     # with the window fixed, moving the y-front outward must raise the
     # y-direction signal by a large factor
-    bx = laguerre_basis(16, 1.0)
-    by = laguerre_basis(16, 1.0)
-    rx, ry = quadrature(bx), quadrature(by)
-    split = default_split_point(16, ry.nodes)
     values = []
     for center in (2.0, 8.0):
-        vals = np.exp(-rx.nodes)[:, None] * front(ry.nodes, center, 0.8)[None, :]
-        values.append(exterior_error_indicator_y(interpolate_2d(vals, bx, by), split))
+        f = separable(lambda x: np.exp(-x), lambda y, c=center: front(y, c, 0.8))
+        state = frame_state_2d_from(f, 16, 1.0, 16, 1.0)
+        values.append(state.exterior_y(state.split_y()))
     assert values[1] > 10.0 * values[0]
