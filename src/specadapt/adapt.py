@@ -29,14 +29,15 @@ on the exterior indicator (same function, same quadrature); the frame
 frequency indicator measures the damped-frame coefficients, which is what
 makes evolving-solution spectra visible to the controller at large orders.
 
-The frame engine memoizes at two lifetimes.  A :class:`Frame` keeps its
-basis evaluations (at shifted nodes and at other frames' nodes) for as long
-as the frame lives, which is the whole process.  A frame state keeps what
-it derives from its own values (the damped coefficients, the derivative
-coefficients and whole-domain norm of the exterior indicator, and in 2-d
-the energy matrix) for as long as the state lives; a moved or rescaled
-state starts with none of them.  State values are a read-only copy, so no
-memo can go stale.
+The frame engine memoizes at two lifetimes.  Each order builds its
+operators once, in the unit variable y = beta*x, and every :class:`Frame`
+of that order shares them.  The order also keeps its basis evaluations (at
+shifted nodes and at rescaled nodes) in two least-recently-used memos of
+fixed size.  A frame state keeps what it derives from its own values (the
+damped coefficients, the derivative coefficients and whole-domain norm of
+the exterior indicator, and in 2-d the energy matrix) for as long as the
+state lives; a moved or rescaled state starts with none of them.  State
+values are a read-only copy, so no memo can go stale.
 
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.
@@ -48,7 +49,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -326,22 +327,17 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     another (x first), each with the other dimensions held fixed.
 
     Per dimension, ``f0``/``e0`` start from the initial state and ``f0`` is
-    refreshed only on ladder acceptances.  ``e0`` is never refreshed by a
-    move (re-anchoring it there ratchets the threshold up by a factor ``mu``
-    per move and stalls the tracking of a steadily translating profile),
-    but once that dimension's mover has fired at least once, an accepted
-    rescale re-anchors ``e0`` at the new sentinel, after all ladders have
-    run: a rescale stretches the node set, so the old baseline belongs to a
-    sentinel that no longer exists, and keeping it leaves the mover lagging
-    by a fixed exterior-error level instead of tracking the front.  A
-    dimension whose mover never participates keeps its baseline frozen, so
-    a scaling-only profile is never nudged into moving by rescales alone.
+    refreshed only on ladder acceptances.  ``e0`` is never refreshed.
+    Re-anchoring it after a move ratchets the threshold up by a factor
+    ``mu`` per move and stalls the tracking of a translating front.
+    Re-anchoring it after an accepted rescale lowers the baseline with every
+    rung, so a front that widens while it moves keeps firing the mover, and
+    the frame runs past the front by several widths.
     Emits the initial record plus one record per step.
     """
     mode = normalize_mode(mode)
     f0 = [view.frequency() for view in views(state)]
     e0 = [view.exterior(view.split_point()) for view in views(state)]
-    mover_active = [False] * len(f0)
     records = [measure(state, 0.0)]
     for n in range(_step_count(t_final, dt)):
         t_prev = n * dt
@@ -359,17 +355,11 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
             for axis, d0 in enumerate(distances):
                 if d0 > 0.0:
                     state = views(state)[axis].moved(d0).state
-                    mover_active[axis] = True
         if mode in (MODE_SCALE, MODE_MOVE_SCALE):
-            accepted = []
             for axis in range(len(f0)):
                 view = views(state)[axis]
-                view, f0[axis], count = _scaling_ladder(view, view.frequency(), f0[axis], cfg)
+                view, f0[axis], _ = _scaling_ladder(view, view.frequency(), f0[axis], cfg)
                 state = view.state
-                accepted.append(count)
-            for axis, view in enumerate(views(state)):
-                if accepted[axis] and mover_active[axis]:
-                    e0[axis] = view.exterior(view.split_point())
         records.append(measure(state, (n + 1) * dt))
     return records, state
 
@@ -538,30 +528,82 @@ def suggest_initial_beta(sample, basis: ScaledBasis, cfg: AdaptConfig | None = N
 # exp(-y/2) underflows (leaves the normal range) for y/2 above this
 _LOG_TINY = -math.log(np.finfo(float).tiny)
 
+# Entries per resampling memo of one order.  One step of a 2-d run with
+# one order on both axes reads 44 shifts: 0, the split, and per axis a
+# 20-candidate search and a move.
+_MEMO_SIZE = 64
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
 
 
+def _memo(cache: dict, key: float, evaluate) -> np.ndarray:
+    """``cache[key]``, or ``evaluate(key)`` on a miss; least recently used out first."""
+    psi = cache.pop(key, None)
+    if psi is None:
+        psi = _read_only(evaluate(key))
+    cache[key] = psi
+    if len(cache) > _MEMO_SIZE:
+        del cache[next(iter(cache))]
+    return psi
+
+
+class _UnitFrame:
+    """The beta-free operators of one order, in the unit variable y = beta*x.
+
+    A frame at beta has nodes y/beta, weights and gamma scaled by 1/beta
+    and psi_l(beta*x) = psi_l(y), so its transform, its refined psi and
+    beta*split are those of this object.  It owns the resampling memos.
+    """
+
+    def __init__(self, order: int):
+        self.basis = basis = laguerre_basis(order, 1.0)
+        rule = quadrature(basis)
+        if 0.5 * rule.nodes[-1] > _LOG_TINY:
+            raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
+        refined = quadrature(laguerre_basis(2 * order + 1, 1.0))
+        self.nodes, self.weights = rule.nodes, rule.weights
+        self.mod_weights = modified_weights(rule)
+        self.gamma = gamma_norms(basis)
+        psi = _read_only(eval_weighted_all(basis, rule.nodes))
+        self.tomodal = _read_only((psi * self.mod_weights) / self.gamma[:, None])
+        self.split = default_split_point(order, rule.nodes)
+        self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
+        self.psi_refined = _read_only(eval_weighted_all(basis, refined.nodes))
+        self.psi_at: dict = {0.0: psi}  # keyed by beta*shift
+        self.psi_on: dict = {}  # keyed by beta/beta'
+
+
+@lru_cache(maxsize=None)
+def _unit_frame(order: int) -> _UnitFrame:
+    """The one unit frame of ``order``; orders past the ceiling raise, uncached."""
+    return _UnitFrame(order)
+
+
 class Frame:
-    """Cached nodal operators of one (order, beta) damped Laguerre frame.
+    """Nodal operators of one (order, beta) damped Laguerre frame.
 
     Holds the Gauss nodes as offsets from the basis origin, the plain and
     exponentially reweighted quadrature weights, and the nodal-to-modal
     transform of the damped functions psi_l = exp(-y/2) L_l.  All entries
     are O(1)-safe in float64 because the damping is built into every
-    evaluation.  Instances are shared per (order, beta).
+    evaluation.  Instances are shared per (order, beta) and cost O(N): the
+    transform, the refined psi and the memos belong to the order, built
+    once at beta = 1 and shared by every beta.
 
-    Two evaluations of the damped functions are memoized on the instance
-    and live as long as it does: at the shifted nodes (:meth:`psi_at`,
-    used by moves and the exterior indicator) and at another frame's nodes
-    (:meth:`psi_on`, used by rescales).  The controllers only ever ask for
-    a few fixed shifts n*delta and targets q*beta.  Everything derived from
-    a state's values is memoized on the state, not here: the methods taking
-    coefficients are stateless per call.  So once a state has its
-    derivative coefficients, each candidate of the mover's search costs one
-    memo lookup, one (N+1)^2 matrix-vector product and a weighted sum.
+    Two evaluations of the damped functions are memoized per order, each
+    in a least-recently-used memo of ``_MEMO_SIZE`` (N+1)^2 matrices: at
+    shifted nodes (:meth:`psi_at`, used by moves and the exterior
+    indicator) and at another frame's nodes (:meth:`psi_on`, used by
+    rescales).  Both are keyed in the unit variable, so every ladder rung
+    shares the entry of the ratio 1/q, and every frame of the order shares
+    the one at its split.  Everything derived from a state's values is
+    memoized on the state, not here: the methods taking coefficients are
+    stateless per call.  So once a state has its derivative coefficients,
+    each candidate of the mover's search costs one memo lookup, one
+    (N+1)^2 matrix-vector product and a weighted sum.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes: past y = 1416.8 it underflows, and the columns of the
@@ -583,48 +625,42 @@ class Frame:
     def _build(self, order: int, beta: float) -> None:
         if order < 1:
             raise ValueError("frame order must be at least 1")
-        basis = laguerre_basis(order, beta)
-        rule = quadrature(basis)
-        if 0.5 * beta * rule.nodes[-1] > _LOG_TINY:
-            raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
+        self.basis = laguerre_basis(order, beta)
+        self._unit = unit = _unit_frame(order)
+        scale = beta ** -1.0  # as basis.quadrature maps the unit rule
         self.order = order
         self.beta = beta
-        self.basis = basis
-        self.nodes = rule.nodes
-        self.weights = rule.weights
-        self.mod_weights = modified_weights(rule)
-        self.gamma = gamma_norms(basis)
-        psi = _read_only(eval_weighted_all(basis, rule.nodes))
-        self.tomodal = (psi * self.mod_weights) / self.gamma[:, None]
-        self.split_rel = default_split_point(order, rule.nodes)
-        refined_rule = quadrature(laguerre_basis(2 * order + 1, beta))
-        self.refined_nodes = refined_rule.nodes
-        self.refined_weights = refined_rule.weights
-        self._psi_refined = eval_weighted_all(basis, refined_rule.nodes)
-        self._psi_at: dict = {0.0: psi}
-        self._psi_on: dict = {}
+        self.nodes = _read_only(unit.nodes / beta)
+        self.weights = _read_only(unit.weights * scale)
+        self.mod_weights = unit.mod_weights * scale
+        self.gamma = unit.gamma / beta
+        self.tomodal = unit.tomodal
+        self.split_rel = unit.split / beta
+        self.refined_nodes = _read_only(unit.refined_nodes / beta)
+        self.refined_weights = _read_only(unit.refined_weights * scale)
+        self._psi_refined = unit.psi_refined
 
     def psi_at(self, shift: float) -> np.ndarray:
         """The damped functions at the nodes shifted by ``shift``, (N+1, N+1).
 
-        Memoized under ``round(shift, 12)``, so offsets that differ only by
-        the rounding of origin arithmetic share one evaluation.
+        That is psi at y + beta*shift.  It is memoized per order under
+        ``round(beta*shift, 12)`` and evaluated at that key, so offsets that
+        differ only by the rounding of origin arithmetic share one
+        evaluation, whose value does not depend on which came first.
         """
-        key = round(float(shift), 12)
-        psi = self._psi_at.get(key)
-        if psi is None:
-            psi = _read_only(eval_weighted_all(self.basis, self.nodes + shift))
-            self._psi_at[key] = psi
-        return psi
+        unit = self._unit
+        key = round(self.beta * float(shift), 12)
+        return _memo(unit.psi_at, key, lambda s: eval_weighted_all(unit.basis, unit.nodes + s))
 
     def psi_on(self, frame: "Frame") -> np.ndarray:
-        """The damped functions at ``frame``'s nodes (same origin), memoized."""
-        key = (frame.order, frame.beta)
-        psi = self._psi_on.get(key)
-        if psi is None:
-            psi = _read_only(eval_weighted_all(self.basis, frame.nodes))
-            self._psi_on[key] = psi
-        return psi
+        """The damped functions at the nodes of ``frame`` (same order and origin).
+
+        That is psi at y*beta/beta'.  It is memoized per order under
+        ``round(beta/beta', 12)`` and evaluated at that key.
+        """
+        unit = self._unit
+        key = round(self.beta / frame.beta, 12)
+        return _memo(unit.psi_on, key, lambda r: eval_weighted_all(unit.basis, unit.nodes * r))
 
     def eval_at(self, values: np.ndarray, offsets) -> np.ndarray:
         """Evaluate the frame interpolant at offsets from the basis origin."""
@@ -1021,10 +1057,8 @@ def run_2d(
 
     The shared loop takes both moving decisions from the same evolved state
     and then applies them; the scaling ladders run per dimension with the
-    other dimension's factor held fixed (x first).  Exterior baselines
-    follow the one-dimensional policy per dimension: frozen until that
-    dimension's mover first fires, then re-anchored after each step in
-    which that dimension's ladder accepted.  Standard record columns carry
+    other dimension's factor held fixed (x first).  Each dimension keeps
+    the exterior baseline of the initial state.  Standard record columns carry
     the x-dimension; the y-dimension is exported through the extras
     ``beta_y, freq_y, ext_y, yL``.  Returns (history, final state).  As in
     :func:`run_frames`, only the default ``cfg.indicators`` is supported.

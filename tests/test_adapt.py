@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,14 @@ from specadapt.adapt import (
     suggest_initial_beta,
 )
 from specadapt.approx import interpolate, relative_error, rescale
-from specadapt.basis import eval_weighted_all, hermite_basis, laguerre_basis, quadrature
+from specadapt.basis import (
+    eval_weighted_all,
+    gamma_norms,
+    hermite_basis,
+    laguerre_basis,
+    modified_weights,
+    quadrature,
+)
 from specadapt.indicators import IndicatorConfig
 
 
@@ -484,14 +492,29 @@ def _count_basis_evaluations(monkeypatch) -> list:
     return calls
 
 
+def _unit_psi(order: int, shift: float = 0.0, ratio: float = 1.0) -> np.ndarray:
+    """The damped functions of ``order`` at ratio*y + shift, y the unit nodes.
+
+    A frame at beta evaluates in the unit variable y = beta*x: a move by d
+    at y + round(beta*d, 12), a rescale to beta' at y*round(beta/beta', 12).
+    """
+    unit = laguerre_basis(order, 1.0)
+    return eval_weighted_all(unit, quadrature(unit).nodes * ratio + shift)
+
+
+def _assert_close(actual: np.ndarray, expected: np.ndarray, rel: float) -> None:
+    """Max-norm relative agreement."""
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
 def test_frame_resampling_is_exact_and_memoized(monkeypatch):
-    # an order and scale no other test uses, so the first calls are cold
+    # an order no other test uses, so the first calls are cold
     state = frame_state_from(moving_front, 37, 1.7, t=0.5)
     frame = state.frame
     coeffs = frame.tomodal @ state.values
     target = Frame(37, 1.7 * 0.95)
-    moved_direct = coeffs @ eval_weighted_all(frame.basis, frame.nodes + 0.012)
-    rescaled_direct = coeffs @ eval_weighted_all(frame.basis, target.nodes)
+    moved_direct = coeffs @ _unit_psi(37, shift=round(1.7 * 0.012, 12))
+    rescaled_direct = coeffs @ _unit_psi(37, ratio=round(1.7 / target.beta, 12))
     calls = _count_basis_evaluations(monkeypatch)
     first = [state.moved(0.012).values, state.rescaled(target.beta).values]
     assert len(calls) == 2
@@ -501,29 +524,47 @@ def test_frame_resampling_is_exact_and_memoized(monkeypatch):
     for values in (first, again):
         assert np.array_equal(values[0], moved_direct)
         assert np.array_equal(values[1], rescaled_direct)
+    # the x-variable evaluation agrees to rounding
+    monkeypatch.undo()
+    _assert_close(first[0], coeffs @ eval_weighted_all(frame.basis, frame.nodes + 0.012), 1e-12)
+    _assert_close(first[1], coeffs @ eval_weighted_all(frame.basis, target.nodes), 1e-12)
 
 
 def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
     state = frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5)
     fx, fy = state.frame_x, state.frame_y
     tx, ty = Frame(11, 1.7 * 0.95), Frame(13, 2.3 * 0.95)
+    cx, cy = fx.tomodal @ state.values, (fy.tomodal @ state.values.T).T
     direct = {
-        "moved_x": eval_weighted_all(fx.basis, fx.nodes + 0.01).T @ (fx.tomodal @ state.values),
-        "moved_y": (fy.tomodal @ state.values.T).T @ eval_weighted_all(fy.basis, fy.nodes + 0.01),
-        "rescaled_x": eval_weighted_all(fx.basis, tx.nodes).T @ (fx.tomodal @ state.values),
-        "rescaled_y": (fy.tomodal @ state.values.T).T @ eval_weighted_all(fy.basis, ty.nodes),
+        "moved_x": _unit_psi(11, shift=round(1.7 * 0.01, 12)).T @ cx,
+        "moved_y": cy @ _unit_psi(13, shift=round(2.3 * 0.01, 12)),
+        "rescaled_x": _unit_psi(11, ratio=round(1.7 / tx.beta, 12)).T @ cx,
+        "rescaled_y": cy @ _unit_psi(13, ratio=round(2.3 / ty.beta, 12)),
+    }
+    old = {
+        "moved_x": eval_weighted_all(fx.basis, fx.nodes + 0.01).T @ cx,
+        "moved_y": cy @ eval_weighted_all(fy.basis, fy.nodes + 0.01),
+        "rescaled_x": eval_weighted_all(fx.basis, tx.nodes).T @ cx,
+        "rescaled_y": cy @ eval_weighted_all(fy.basis, ty.nodes),
     }
     args = {"moved_x": 0.01, "moved_y": 0.01, "rescaled_x": tx.beta, "rescaled_y": ty.beta}
     calls = _count_basis_evaluations(monkeypatch)
     for repeat in range(2):
         for name, expected in direct.items():
-            assert np.array_equal(getattr(state, name)(args[name]).values, expected)
+            values = getattr(state, name)(args[name]).values
+            assert np.array_equal(values, expected)
+            _assert_close(values, old[name], 1e-12)
         assert len(calls) == (4 if repeat == 0 else 0)
         calls.clear()
 
 
-def _scratch_indicators(frame: Frame, values: np.ndarray, offsets) -> tuple:
-    """Frequency and exterior ratios from nodal values, with no memo."""
+def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -> tuple:
+    """Frequency and exterior ratios from nodal values, with no memo.
+
+    ``frame`` is a :class:`Frame` or a :func:`_direct_frame` build.  The
+    tails evaluate in the unit variable, as a frame does, or with
+    ``unit=False`` at the shifted x-nodes.
+    """
     coeffs = frame.tomodal @ values
     squares = frame.gamma * coeffs * coeffs
     m = frame.order // 3
@@ -533,7 +574,11 @@ def _scratch_indicators(frame: Frame, values: np.ndarray, offsets) -> tuple:
     dcoeffs = -frame.beta * (above + 0.5 * coeffs)
 
     def tail(shift: float) -> float:
-        dv = dcoeffs @ eval_weighted_all(frame.basis, frame.nodes + shift)
+        if unit:
+            psi = _unit_psi(frame.order, shift=round(frame.beta * shift, 12))
+        else:
+            psi = eval_weighted_all(frame.basis, frame.nodes + shift)
+        dv = dcoeffs @ psi
         return float(np.sum(frame.weights * dv * dv))
 
     whole = tail(0.0)
@@ -582,6 +627,9 @@ def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
         assert state.exterior(split + n * cfg.delta) == expected
     assert state.frequency() == frequency
     assert calls == [state.frame]
+    # the x-variable evaluation agrees to rounding
+    x_exterior = _scratch_indicators(state.frame, state.values, offsets, unit=False)[1]
+    assert exterior == pytest.approx(x_exterior, rel=1e-12, abs=0)
     # a derived state sets up its own indicators from its own values
     for derived in (state.moved(2 * cfg.delta), state.rescaled(0.95 * state.beta)):
         calls.clear()
@@ -617,6 +665,8 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
         for n, expected in enumerate(exterior):
             assert control.exterior(split + n * cfg.delta) == expected
         assert control.frequency() == expected_frequency[axis]
+        x_exterior = _scratch_indicators(frame, marginals[axis], offsets, unit=False)[1]
+        assert exterior == pytest.approx(x_exterior, rel=1e-12, abs=0)
     assert calls == [fx, fy]
     # derived states set up their own indicators, one per axis again
     for derived in (state.moved_x(0.01), state.moved_y(0.01), state.rescaled_x(1.5), state.rescaled_y(2.0)):
@@ -738,6 +788,88 @@ def test_frame_order_ceiling():
     assert len(Frame._cache) == before
 
 
+def _direct_frame(order: int, beta: float) -> SimpleNamespace:
+    """A from-scratch (order, beta) frame in the x variable, sharing nothing."""
+    basis = laguerre_basis(order, beta)
+    rule = quadrature(basis)
+    mod_weights = modified_weights(rule)
+    gamma = gamma_norms(basis)
+    return SimpleNamespace(
+        order=order,
+        beta=beta,
+        basis=basis,
+        nodes=rule.nodes,
+        weights=rule.weights,
+        mod_weights=mod_weights,
+        gamma=gamma,
+        tomodal=eval_weighted_all(basis, rule.nodes) * mod_weights / gamma[:, None],
+        psi_refined=eval_weighted_all(basis, quadrature(laguerre_basis(2 * order + 1, beta)).nodes),
+    )
+
+
+@pytest.mark.parametrize("order", [32, 128, 300])
+@pytest.mark.parametrize("beta", [0.2, 2.5, 2.5 * 0.95**7])
+def test_unit_frame_matches_direct_build(order, beta):
+    frame = Frame(order, beta)
+    direct = _direct_frame(order, beta)
+    for name in ("nodes", "weights", "mod_weights", "gamma"):
+        actual, expected = getattr(frame, name), getattr(direct, name)
+        assert np.all(np.abs(actual - expected) <= 1e-14 * np.abs(expected)), name
+    _assert_close(frame.tomodal, direct.tomodal, 1e-13)
+    _assert_close(frame._psi_refined, direct.psi_refined, 1e-13)
+    # Nodal values of a function of y = beta*x have indicators free of beta,
+    # so they are compared with a from-scratch build at beta = 1, where x
+    # and y coincide.  (The x-variable build at beta itself strays from it:
+    # by 2e-8 for the 2e-8 frequency of the front at N=128, beta=0.2.)
+    at_one = _direct_frame(order, 1.0)
+    y = at_one.nodes
+    split = y[(order + 2) // 3]
+    unit_offsets = [split + n * 0.004 for n in (0, 1, 10)] + [0.5, 5.0, 20.0]
+    compared = 0
+    for values in (expit(-(y - 10.0) / 2.0), np.exp(-0.5 * np.abs(y - 10.0))):
+        state = FrameState(frame, values)
+        frequency, exterior = _scratch_indicators(at_one, values, unit_offsets, unit=False)
+        actual = [state.frequency()] + [state.exterior(s / beta) for s in unit_offsets]
+        for a, expected in zip(actual, [frequency] + exterior):
+            if expected > 1e-10:
+                assert a == pytest.approx(expected, rel=1e-12, abs=0)
+                compared += 1
+    assert compared >= 7
+
+
+def test_frames_of_one_order_share_one_unit_frame():
+    before = adapt._unit_frame.cache_info().currsize
+    frames = [Frame(41, 0.3 + 0.01 * k) for k in range(300)]
+    assert adapt._unit_frame.cache_info().currsize <= before + 1
+    unit = adapt._unit_frame(41)
+    assert all(frame._unit is unit and frame.tomodal is unit.tomodal for frame in frames)
+
+
+def test_resampling_memos_are_bounded():
+    state = frame_state_from(moving_front, 128, 2.5, t=0.3)
+    unit = state.frame._unit
+    split = state.split_point()
+    for k in range(200):
+        state.exterior(split + 0.001 * k)
+        state.rescaled(2.5 * (0.5 + 0.002 * k))
+    for memo in (unit.psi_at, unit.psi_on):
+        assert 0 < len(memo) <= adapt._MEMO_SIZE
+        assert all(psi.shape == (129, 129) for psi in memo.values())
+    # the most recent entries are the ones kept
+    assert round(2.5 * (split + 0.199), 12) in unit.psi_at
+    assert round(1.0 / (0.5 + 0.002 * 199), 12) in unit.psi_on
+
+
+def test_frame_rejects_bad_input_and_caches_nothing():
+    before = (dict(Frame._cache), adapt._unit_frame.cache_info().currsize)
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Frame(32, beta)
+    with pytest.raises(ValueError, match="364"):
+        Frame(364, 1.0)
+    assert (dict(Frame._cache), adapt._unit_frame.cache_info().currsize) == before
+
+
 def test_coefficient_engine_fails_loudly_past_its_range():
     # the plain polynomials overflow at the far nodes; this used to give
     # e0 == 1.0 (at 192 and 256) and a NaN error (at 256).  The failure is
@@ -808,7 +940,7 @@ def test_2d_x_move_leaves_y_untouched():
     assert np.max(np.abs(after - before)) < 1e-8
 
 
-def test_run_2d_moves_from_one_state_and_reanchors_after_both_ladders(monkeypatch):
+def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):
     evolved, moves, ladders = [], [], []
     evolve = frame_resample_evolver_2d(product_front)
     moving_distance, scaling_ladder = adapt._moving_distance, adapt._scaling_ladder
@@ -842,21 +974,54 @@ def test_run_2d_moves_from_one_state_and_reanchors_after_both_ladders(monkeypatc
         assert move_x[2] is move_y[2] is evolved[n - 1]
         # the y ladder starts from where the x ladder stopped
         assert ladder_y[2] is ladder_x[3]
-    # e0 of an axis is re-anchored on the state left by both ladders, and
-    # only on a step where that axis's ladder accepted after its mover fired
-    exteriors = (lambda s: s.exterior_x(s.split_x()), lambda s: s.exterior_y(s.split_y()))
+    # every step compares against the e0 of the initial state, also after
+    # steps where an axis's ladder accepted after its mover had fired
+    e0 = (state.exterior_x(state.split_x()), state.exterior_y(state.split_y()))
+    assert all(e == e0[axis] for _, axis, _, e in moves)
     lefts = ([r.x_left for r in records], [r.extras["yL"] for r in records])
-    moved = [False, False]
-    reanchored = [0, 0]
-    for n in range(1, steps):
-        after_both = ladders[2 * n - 1][3]
-        for axis in (0, 1):
-            moved[axis] = moved[axis] or lefts[axis][n] != lefts[axis][n - 1]
-            before, after = moves[2 * n - 2 + axis][3], moves[2 * n + axis][3]
-            if ladders[2 * n - 2 + axis][4] and moved[axis]:
-                assert after == exteriors[axis](after_both)
-                reanchored[axis] += 1
-            else:
-                assert after == before
-    assert reanchored[0] and reanchored[1]
+    for axis in (0, 1):
+        first_move = next(n for n in range(1, steps + 1) if lefts[axis][n] != lefts[axis][n - 1])
+        assert any(ladders[2 * n - 2 + axis][4] for n in range(first_move, steps + 1))
     assert final is ladders[-1][3]
+
+
+def logistic_front(centre, width):
+    def front(x, t):
+        return expit(-(np.asarray(x, dtype=float) - centre(t)) / width(t))
+
+    return front
+
+
+# (centre, width) of logistic fronts; each starts inside a frame at x_left = 0
+FRONTS = {
+    "translate": (lambda t: 5.0 + t, lambda t: 2.0),
+    "translate+widen": (lambda t: 2.0 + t, lambda t: 2.0 + t),
+    "widen-only": (lambda t: 5.0, lambda t: 2.0 + t),
+}
+
+
+@pytest.mark.parametrize("cfg", [AdaptConfig(), AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)], ids=["default", "bump-2d"])
+@pytest.mark.parametrize("name", sorted(FRONTS))
+def test_move_scale_keeps_the_front_covered(name, cfg):
+    # Judged against the reference's front centre, not the recorded error:
+    # that error is relative over the frame's own domain, and it stays
+    # small while the frame runs past the front.
+    centre, width = FRONTS[name]
+    front = logistic_front(centre, width)
+
+    def front_2d(x, y, t):
+        return front(x, t) * front(y, t)
+
+    t_final = 5.0
+    _, final = run_frames(
+        frame_resample_evolver(front), frame_state_from(front, 48, 2.0), cfg, 0.005, t_final, MODE_MOVE_SCALE
+    )
+    _, final_2d = run_2d(
+        frame_resample_evolver_2d(front_2d), frame_state_2d_from(front_2d, 48, 2.0, 48, 2.0),
+        cfg, 0.005, t_final, MODE_MOVE_SCALE,
+    )
+    for x_left in (final.x_left, final_2d.x_left, final_2d.y_left):
+        if name == "widen-only":
+            assert x_left == 0.0  # the mover never fires
+        else:
+            assert centre(t_final) - 3.0 * width(t_final) <= x_left <= centre(t_final)
