@@ -35,12 +35,17 @@ of that order shares them.  The order also keeps its basis evaluations (at
 shifted nodes and at rescaled nodes) in two least-recently-used memos of
 fixed size.  A frame state keeps what it derives from its own values (the
 damped coefficients, the derivative coefficients and whole-domain norm of
-the exterior indicator, and in 2-d the energy matrix) for as long as the
-state lives; a moved or rescaled state starts with none of them.  State
-values are a read-only copy, so no memo can go stale.
+the exterior indicator, and in 2-d the energy matrix and its total) for as
+long as the state lives; a moved or rescaled state starts with none of
+them.  It keeps its readings too: the frequency indicator and the exterior
+indicator at its own split point, per axis in 2-d, so the ladder, the mover
+and the per-step record read each of them once.  The exterior indicator at
+any other split is evaluated on every call.  State values are a read-only
+copy, so no memo can go stale.
 
 Reference values for the recorded error are optional: without one, a run is
-blind, exactly like a real solver.
+blind, exactly like a real solver.  A 2-d reference is called on open grids
+(see :func:`run_2d`).
 """
 
 from __future__ import annotations
@@ -731,13 +736,15 @@ class Frame:
 class FrameState:
     """Nodal values in a damped frame plus the basis origin.
 
-    ``values`` is stored as a read-only float copy; the caller's array is
-    left as it was.  The damped coefficients and the exterior indicator's
-    derivative set-up (:meth:`Frame.derivative`) are computed at most once,
-    on first use, and kept for the state's lifetime.  So the mover's search
-    over n*delta pays for them once, and each candidate only for its own
-    shifted numerator.  A moved or rescaled state is a new state with an
-    empty memo.
+    ``values`` is stored as a read-only float copy of shape (order+1,); the
+    caller's array is left as it was.  The damped coefficients, the exterior
+    indicator's derivative set-up (:meth:`Frame.derivative`), the frequency
+    indicator and the exterior indicator at :meth:`split_point` are computed
+    at most once, on first use, and kept for the state's lifetime.  So the
+    mover's search over n*delta pays for the set-up once, and each candidate
+    only for its own shifted numerator; the per-step record re-reads the
+    controllers' readings for free.  A moved or rescaled state is a new
+    state with an empty memo.
     """
 
     frame: Frame
@@ -746,6 +753,9 @@ class FrameState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _read_only(np.array(self.values, dtype=float)))
+        expected = (self.frame.order + 1,)
+        if self.values.shape != expected:
+            raise ValueError(f"values shape {self.values.shape} != {expected}")
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
@@ -754,6 +764,14 @@ class FrameState:
     @cached_property
     def _derivative(self) -> tuple[np.ndarray, float]:
         return self.frame.derivative(self._coeffs)
+
+    @cached_property
+    def _frequency(self) -> float | None:
+        return self.frame.frequency(self._coeffs)
+
+    @cached_property
+    def _split_exterior(self) -> float | None:
+        return self._exterior(self.split_point())
 
     @property
     def state(self) -> "FrameState":
@@ -773,7 +791,7 @@ class FrameState:
         return self.x_left + self.frame.nodes
 
     def frequency(self) -> float | None:
-        return self.frame.frequency(self._coeffs)
+        return self._frequency
 
     def split_point(self) -> float:
         return self.x_left + self.frame.split_rel
@@ -781,6 +799,11 @@ class FrameState:
     def exterior(self, split: float | None) -> float | None:
         if split is None:
             return None
+        if split == self.split_point():
+            return self._split_exterior
+        return self._exterior(split)
+
+    def _exterior(self, split: float) -> float | None:
         return self.frame.tails(*self._derivative, split - self.x_left)
 
     def rescaled(self, beta: float) -> "FrameState":
@@ -869,9 +892,11 @@ class FrameState2D:
     and the error derive from it is computed at most once, on first use,
     and kept for the state's lifetime: the tensor transform
     (:meth:`coefficients`, read-only), the energy matrix
-    gamma_x*gamma_y*c^2 that both frequency indicators read, and per axis
-    the exterior indicator's derivative set-up of the marginal.  A moved
-    or rescaled state is a new state with an empty memo.
+    gamma_x*gamma_y*c^2 and its total that both frequency indicators read,
+    and per axis the exterior indicator's derivative set-up of the
+    marginal.  The readings are kept the same way: per axis, the frequency
+    indicator and the exterior indicator at the axis's own split point.  A
+    moved or rescaled state is a new state with an empty memo.
     """
 
     frame_x: Frame
@@ -895,12 +920,32 @@ class FrameState2D:
         return _read_only(np.multiply.outer(self.frame_x.gamma, self.frame_y.gamma) * self._coeffs**2)
 
     @cached_property
+    def _energy_total(self) -> float:
+        return float(self._energy.sum())
+
+    @cached_property
     def _derivative_x(self) -> tuple[np.ndarray, float]:
         return self.frame_x.derivative(self.frame_x.tomodal @ self.marginal_x_values())
 
     @cached_property
     def _derivative_y(self) -> tuple[np.ndarray, float]:
         return self.frame_y.derivative(self.frame_y.tomodal @ self.marginal_y_values())
+
+    @cached_property
+    def _frequency_x(self) -> float | None:
+        return self._frequency_axis(0)
+
+    @cached_property
+    def _frequency_y(self) -> float | None:
+        return self._frequency_axis(1)
+
+    @cached_property
+    def _split_exterior_x(self) -> float | None:
+        return self._exterior_x(self.split_x())
+
+    @cached_property
+    def _split_exterior_y(self) -> float | None:
+        return self._exterior_y(self.split_y())
 
     def nodes_x(self) -> np.ndarray:
         return self.x_left + self.frame_x.nodes
@@ -914,7 +959,7 @@ class FrameState2D:
     def _frequency_axis(self, axis: int) -> float | None:
         frame = self.frame_x if axis == 0 else self.frame_y
         weights = self._energy
-        total = float(weights.sum())
+        total = self._energy_total
         if total <= 0.0:
             return None
         m = default_high_mode_count(frame.order)
@@ -922,10 +967,10 @@ class FrameState2D:
         return min(1.0, float(math.sqrt(tail.sum() / total)))
 
     def frequency_x(self) -> float | None:
-        return self._frequency_axis(0)
+        return self._frequency_x
 
     def frequency_y(self) -> float | None:
-        return self._frequency_axis(1)
+        return self._frequency_y
 
     def marginal_x_values(self) -> np.ndarray:
         """Nodal values of the y-integrated solution (reweighted quadrature)."""
@@ -943,11 +988,21 @@ class FrameState2D:
     def exterior_x(self, split: float | None) -> float | None:
         if split is None:
             return None
-        return self.frame_x.tails(*self._derivative_x, split - self.x_left)
+        if split == self.split_x():
+            return self._split_exterior_x
+        return self._exterior_x(split)
 
     def exterior_y(self, split: float | None) -> float | None:
         if split is None:
             return None
+        if split == self.split_y():
+            return self._split_exterior_y
+        return self._exterior_y(split)
+
+    def _exterior_x(self, split: float) -> float | None:
+        return self.frame_x.tails(*self._derivative_x, split - self.x_left)
+
+    def _exterior_y(self, split: float) -> float | None:
         return self.frame_y.tails(*self._derivative_y, split - self.y_left)
 
     def moved_x(self, distance: float) -> "FrameState2D":
@@ -969,18 +1024,21 @@ class FrameState2D:
         return FrameState2D(self.frame_x, new_frame, values, self.x_left, self.y_left)
 
     def error(self, reference, t: float) -> float:
+        """Weighted relative error against ``reference(x, y, t)`` on the doubled-order grid.
+
+        ``reference`` is called once, on open grids (see :func:`run_2d`),
+        at the refined nodes of both frames.
+        """
         approx = self.frame_x._psi_refined.T @ self._coeffs @ self.frame_y._psi_refined
-        grid_x, grid_y = np.meshgrid(
+        exact = _on_grid(
+            reference,
             self.x_left + self.frame_x.refined_nodes,
             self.y_left + self.frame_y.refined_nodes,
-            indexing="ij",
+            t,
         )
-        exact = np.asarray(reference(grid_x, grid_y, t), dtype=float)
-        weights = np.multiply.outer(
-            self.frame_x.refined_weights, self.frame_y.refined_weights
-        )
-        denominator = float(np.sum(weights * exact * exact))
-        numerator = float(np.sum(weights * (approx - exact) ** 2))
+        wx, wy = self.frame_x.refined_weights, self.frame_y.refined_weights
+        denominator = float(wx @ (exact * exact) @ wy)
+        numerator = float(wx @ (approx - exact) ** 2 @ wy)
         if denominator <= 0.0:
             return math.sqrt(numerator)
         return math.sqrt(numerator / denominator)
@@ -1023,22 +1081,47 @@ class _AxisControl:
         return _AxisControl(new_state, self.axis)
 
 
+def _on_grid(reference, xs: np.ndarray, ys: np.ndarray, t: float) -> np.ndarray:
+    """``reference`` on the tensor grid xs x ys, called on open grids.
+
+    The call gets an (len(xs), 1) column and a (1, len(ys)) row, and its
+    result is broadcast (read-only) to the grid shape.
+    """
+    column, row = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    values = np.asarray(reference(column, row, t), dtype=float)
+    shape = (xs.size, ys.size)
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(
+            f"reference returned shape {values.shape}, which does not broadcast "
+            f"to the grid shape {shape}"
+        ) from None
+
+
 def frame_state_2d_from(
     reference, order_x: int, beta_x: float, order_y: int, beta_y: float,
     x_left: float = 0.0, y_left: float = 0.0, t: float = 0.0,
 ) -> FrameState2D:
-    """Sample ``reference(x, y, t)`` on the tensor node grid."""
+    """Sample ``reference(x, y, t)`` on the tensor node grid.
+
+    ``reference`` is called on open grids (see :func:`run_2d`): an
+    (order_x+1, 1) column of x nodes and a (1, order_y+1) row of y nodes.
+    """
     frame_x = Frame(order_x, beta_x)
     frame_y = Frame(order_y, beta_y)
-    grid_x, grid_y = np.meshgrid(x_left + frame_x.nodes, y_left + frame_y.nodes, indexing="ij")
-    values = np.asarray(reference(grid_x, grid_y, t), dtype=float)
+    values = _on_grid(reference, x_left + frame_x.nodes, y_left + frame_y.nodes, t)
     return FrameState2D(frame_x, frame_y, values, x_left, y_left)
 
 
 def frame_resample_evolver_2d(reference) -> Callable:
+    """Tracking evolver for 2-d frame states: resample the reference on the node grid.
+
+    ``reference`` is called on open grids (see :func:`run_2d`).
+    """
+
     def evolve(state: FrameState2D, t: float, dt: float) -> FrameState2D:
-        grid_x, grid_y = np.meshgrid(state.nodes_x(), state.nodes_y(), indexing="ij")
-        values = np.asarray(reference(grid_x, grid_y, t + dt), dtype=float)
+        values = _on_grid(reference, state.nodes_x(), state.nodes_y(), t + dt)
         return FrameState2D(state.frame_x, state.frame_y, values, state.x_left, state.y_left)
 
     return evolve
@@ -1062,6 +1145,15 @@ def run_2d(
     the x-dimension; the y-dimension is exported through the extras
     ``beta_y, freq_y, ext_y, yL``.  Returns (history, final state).  As in
     :func:`run_frames`, only the default ``cfg.indicators`` is supported.
+
+    The library calls every 2-d ``reference(x, y, t)`` on open grids, as
+    ``np.meshgrid(xs, ys, indexing="ij", sparse=True)`` gives them: ``x``
+    is a (len(xs), 1) column and ``y`` a (1, len(ys)) row, over the node
+    grid (Nx+1, Ny+1) when sampling and over the doubled-order grid when
+    recording the error.  The result must broadcast to the grid shape, or
+    ValueError names that shape.  Any elementwise numpy expression
+    qualifies, and a separable one costs len(xs) + len(ys) evaluations
+    instead of len(xs)*len(ys).
     """
     _require_default_indicators(cfg)
 

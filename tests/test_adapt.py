@@ -699,6 +699,163 @@ def test_frame_state_values_are_a_read_only_copy():
     assert mine_2d.flags.writeable
 
 
+def test_frame_state_rejects_values_of_the_wrong_shape():
+    frame = Frame(12, 2.0)
+    values = moving_front(frame.nodes, 0.2)
+    for wrong in (values[:, None], values[None, :], values[:-1], np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"values shape .* != \(13,\)"):
+            FrameState(frame, wrong)
+    with pytest.raises(ValueError, match="values shape"):
+        frame_resample_evolver(lambda x, t: 1.0)(FrameState(frame, values), 0.0, 0.1)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record ``(self, args)`` of every call to the method ``owner.name``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(self, *args):
+        calls.append((self, args))
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_frame_state_readings_are_memoized(monkeypatch):
+    state = frame_state_from(moving_front, 24, 2.0, x_left=0.3, t=0.2)
+    frame = state.frame
+    coeffs = frame.tomodal @ state.values
+    dcoeffs, whole = frame.derivative(coeffs)
+    split = state.split_point()
+    scratch_frequency = frame.frequency(coeffs)
+    scratch_exterior = frame.tails(dcoeffs, whole, split - state.x_left)
+    other = split + 0.05
+    scratch_other = frame.tails(dcoeffs, whole, other - state.x_left)
+    tails = _count_calls(monkeypatch, Frame, "tails")
+    frequency = _count_calls(monkeypatch, Frame, "frequency")
+    assert state.frequency() == scratch_frequency
+    assert state.exterior(split) == scratch_exterior
+    assert (len(frequency), len(tails)) == (1, 1)
+    for _ in range(3):
+        assert state.frequency() == scratch_frequency
+        assert state.exterior(state.split_point()) == scratch_exterior
+    assert (len(frequency), len(tails)) == (1, 1)
+    # any other split is evaluated on every call
+    assert state.exterior(other) == scratch_other
+    assert state.exterior(other) == scratch_other
+    assert len(tails) == 3
+    # a derived state reads its own indicators
+    moved = state.moved(0.01)
+    moved.frequency()
+    moved.exterior(moved.split_point())
+    assert (len(frequency), len(tails)) == (2, 4)
+
+
+def test_frame_state_2d_readings_are_memoized(monkeypatch):
+    state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
+    fx, fy = state.frame_x, state.frame_y
+    coeffs = fx.tomodal @ state.values @ fy.tomodal.T
+    energy = np.multiply.outer(fx.gamma, fy.gamma) * coeffs**2
+    total = float(energy.sum())
+    scratch_frequency = (
+        min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
+        min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
+    )
+    marginals = (state.values @ fy.mod_weights, fx.mod_weights @ state.values)
+    lefts = (state.x_left, state.y_left)
+    splits = (state.split_x(), state.split_y())
+    scratch_exterior = []
+    for frame, marginal, left, split in zip((fx, fy), marginals, lefts, splits):
+        set_up = frame.derivative(frame.tomodal @ marginal)
+        scratch_exterior.append(
+            (frame.tails(*set_up, split - left), frame.tails(*set_up, split + 0.05 - left))
+        )
+    tails = _count_calls(monkeypatch, Frame, "tails")
+    frequency = _count_calls(monkeypatch, FrameState2D, "_frequency_axis")
+    for axis in (0, 1):
+        control = adapt._AxisControl(state, axis)
+        before = (len(frequency), len(tails))
+        for _ in range(3):
+            assert control.frequency() == scratch_frequency[axis]
+            assert control.exterior(control.split_point()) == scratch_exterior[axis][0]
+        assert (len(frequency), len(tails)) == (before[0] + 1, before[1] + 1)
+        assert control.exterior(splits[axis] + 0.05) == scratch_exterior[axis][1]
+        assert control.exterior(splits[axis] + 0.05) == scratch_exterior[axis][1]
+        assert len(tails) == before[1] + 3
+    assert state._energy_total == total
+
+
+@pytest.mark.parametrize("mode", [MODE_MOVE, MODE_SCALE, MODE_MOVE_SCALE])
+def test_run_2d_reads_each_reading_once_per_state(monkeypatch, mode):
+    # the controllers and the per-step record share each state's readings:
+    # over a whole run, no state evaluates a frequency or an exterior twice
+    cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
+    tails = _count_calls(monkeypatch, Frame, "tails")
+    frequency = _count_calls(monkeypatch, FrameState2D, "_frequency_axis")
+    records, _ = run_2d(
+        frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 12, 2.0, 12, 2.0),
+        cfg, 0.05, 1.0, mode,
+    )
+    assert len(records) == 21 and len(frequency) >= 42
+    # the calls hold their arguments, so no id is reused within one list
+    assert len({(id(state), axis) for state, (axis,) in frequency}) == len(frequency)
+    assert len({(id(dcoeffs), offset) for _, (dcoeffs, _, offset) in tails}) == len(tails)
+
+
+def _non_separable(x, y, t):
+    return np.exp(-((x - 1.0) ** 2) - (y - 2.0) ** 2 - x * y / 10.0 - t)
+
+
+def test_2d_references_are_called_on_open_grids():
+    shapes = []
+
+    def recording(x, y, t):
+        shapes.append((np.shape(x), np.shape(y)))
+        return _non_separable(x, y, t)
+
+    state = frame_state_2d_from(recording, 9, 1.5, 6, 2.0)
+    evolved = frame_resample_evolver_2d(recording)(state, 0.0, 0.1)
+    evolved.error(recording, 0.1)
+    assert shapes == [((10, 1), (1, 7)), ((10, 1), (1, 7)), ((20, 1), (1, 14))]
+
+
+def test_open_grids_match_full_grid_sampling():
+    state = frame_state_2d_from(_non_separable, 14, 1.5, 11, 2.0, x_left=0.2, y_left=0.1, t=0.3)
+    grid_x, grid_y = np.meshgrid(state.nodes_x(), state.nodes_y(), indexing="ij")
+    assert np.array_equal(state.values, _non_separable(grid_x, grid_y, 0.3))
+    evolved = frame_resample_evolver_2d(_non_separable)(state, 0.3, 0.1)
+    assert np.array_equal(evolved.values, _non_separable(grid_x, grid_y, 0.4))
+    # an oracle error on the full refined grid with the outer weight grid
+    fx, fy = state.frame_x, state.frame_y
+    grid_x, grid_y = np.meshgrid(
+        state.x_left + fx.refined_nodes, state.y_left + fy.refined_nodes, indexing="ij"
+    )
+    approx = fx._psi_refined.T @ state.coefficients() @ fy._psi_refined
+    weights = np.multiply.outer(fx.refined_weights, fy.refined_weights)
+    for t in (0.3, 0.5):
+        exact = _non_separable(grid_x, grid_y, t)
+        oracle = math.sqrt(np.sum(weights * (approx - exact) ** 2) / np.sum(weights * exact**2))
+        assert oracle > 1e-12
+        assert state.error(_non_separable, t) == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
+def test_open_grid_reference_results_broadcast_or_raise():
+    state = frame_state_2d_from(lambda x, y, t: 2.0, 8, 1.5, 6, 2.0)
+    assert state.values.shape == (9, 7)
+    assert np.all(state.values == 2.0)
+    assert state.values.flags.owndata and not state.values.flags.writeable
+    full = lambda x, y, t: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), 2.0)
+    assert state.error(lambda x, y, t: 2.0, 0.0) == state.error(full, 0.0)
+    wrong = lambda x, y, t: np.ones((3, 3))
+    with pytest.raises(ValueError, match=r"\(3, 3\).*grid shape \(9, 7\)"):
+        frame_state_2d_from(wrong, 8, 1.5, 6, 2.0)
+    with pytest.raises(ValueError, match=r"\(3, 3\).*grid shape \(9, 7\)"):
+        frame_resample_evolver_2d(wrong)(state, 0.0, 0.1)
+    with pytest.raises(ValueError, match=r"\(3, 3\).*grid shape \(18, 14\)"):
+        state.error(wrong, 0.0)
+
+
 def test_frame_engine_rejects_custom_indicator_config():
     cfg = AdaptConfig(indicators=IndicatorConfig(high_mode_rule=lambda n: n))
     state = frame_state_from(moving_front, 12, 2.0)
