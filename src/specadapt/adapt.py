@@ -16,27 +16,30 @@ state:
   current node set at every iteration (moving owns ``x_L``, scaling owns
   ``x_R``).
 
-The loop sees a state through its control views, one per dimension.  A
-one-dimensional state is its own single view: the coefficient-space
-:class:`~.approx.Expansion` behind :func:`run`, or a :class:`FrameState`
-behind :func:`run_frames`.  A :class:`FrameState2D` behind :func:`run_2d`
-has one view per axis.  :class:`Frame` and the frame states carry nodal
-values and evaluate everything through the exponentially damped basis
-functions: reconstructing values (or 2-d marginals) from raw polynomial
-coefficients amplifies roundoff like exp(y_max/2), while the damped forms
-stay O(1) at any order used here.  The coefficient and frame layers agree
-on the exterior indicator (same function, same quadrature); the frame
-frequency indicator measures the damped-frame coefficients, which is what
-makes evolving-solution spectra visible to the controller at large orders.
+There is one engine: nodal values in a :class:`Frame`.  The loop sees a
+state through its control views, one per dimension: a :class:`FrameState`
+behind :func:`run_frames` is its own single view, and a
+:class:`FrameState2D` behind :func:`run_2d` has one view per axis.  A frame
+evaluates everything through basis functions that carry their own decay,
+in the unit variable y = beta*(x - x_left): the damped Laguerre functions
+exp(-y/2) L_l(y) on the half-line, or the Hermite functions h_l(y) on the
+line.  Reconstructing values (or 2-d marginals) from raw polynomial
+coefficients amplifies roundoff like exp(y_max/2), while these forms stay
+O(1) at any order used here; the frame frequency indicator measures their
+coefficients, which is what makes evolving-solution spectra visible to the
+controller at large orders.  A Hermite frame has no sentinel point: its
+exterior indicator is None, the mover never fires, and only the scaling
+controller acts (the time-dependent Hermite scaling of Ma, Sun & Tang,
+SINUM 43, 2005).
 
 The frame engine memoizes at two lifetimes.  Each order builds its
-operators once, in the unit variable y = beta*x, and every :class:`Frame`
-of that order shares them.  The order also keeps its basis evaluations (at
-shifted nodes and at rescaled nodes) in two least-recently-used memos of
-fixed size.  A frame state keeps what it derives from its own values (the
-damped coefficients, the derivative coefficients and whole-domain norm of
-the exterior indicator, and in 2-d the energy matrix and its total) for as
-long as the state lives; a moved or rescaled state starts with none of
+operators once, in the unit variable, and every :class:`Frame` of that
+order and family shares them.  The order also keeps its basis evaluations
+(at shifted nodes and at rescaled nodes) in two least-recently-used memos
+of fixed size.  A frame state keeps what it derives from its own values
+(the damped coefficients, the derivative coefficients and whole-domain norm
+of the exterior indicator, and in 2-d the energy matrix and its total) for
+as long as the state lives; a moved or rescaled state starts with none of
 them.  It keeps its readings too: the frequency indicator and the exterior
 indicator at its own split point, per axis in 2-d, so the ladder, the mover
 and the per-step record read each of them once.  The exterior indicator at
@@ -46,6 +49,9 @@ copy, so no memo can go stale.
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.  A 2-d reference is called on open grids
 (see :func:`run_2d`).
+
+The coefficient-space :class:`~.approx.Expansion` is not part of the
+engine; :func:`initial_state` reads the controllers' baselines of one.
 """
 
 from __future__ import annotations
@@ -55,22 +61,21 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .approx import Expansion, interpolate, move, relative_error, rescale
+from .approx import Expansion
 from .basis import (
+    _LOG_TINY,
     LAGUERRE,
     ScaledBasis,
     eval_weighted_all,
     gamma_norms,
-    laguerre_basis,
     modified_weights,
     quadrature,
 )
 from .indicators import (
-    IndicatorConfig,
     default_high_mode_count,
     default_split_point,
     exterior_error_indicator,
@@ -95,11 +100,8 @@ __all__ = [
     "history_to_csv",
     "initial_state",
     "normalize_mode",
-    "resample_evolver",
-    "run",
     "run_2d",
     "run_frames",
-    "suggest_initial_beta",
 ]
 
 
@@ -122,13 +124,15 @@ class AdaptConfig:
     mu: float = 1.005
     delta: float = 0.004
     d_max: float = 0.04
-    indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
         if self.nu is None:
             object.__setattr__(self, "nu", 1.0 / self.q)
+        for name in ("nu", "beta_min", "mu", "delta", "d_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.nu > 1.0:
             raise ValueError(f"nu must exceed 1, got {self.nu}")
         if not self.beta_min > 0.0:
@@ -219,6 +223,10 @@ def history_to_csv(
 
 MODE_NONE = "none"
 MODE_SCALE = "scale"
+# Moving alone is unsupported on fronts that widen: a move cannot undo a
+# rise of the exterior ratio that comes from spreading, so the origin runs
+# past the front (a logistic front of centre and width 2+t, mu = 1.003,
+# d_max = 0.1: x_left 54.6 at t = 5, centre 7).  Use MODE_MOVE_SCALE there.
 MODE_MOVE = "move"
 MODE_MOVE_SCALE = "move-scale"
 
@@ -246,29 +254,6 @@ def normalize_mode(mode) -> str:
 # --------------------------------------------------------------------------
 # the decision engine, written once over a state protocol
 # --------------------------------------------------------------------------
-
-
-class _ControlState(Protocol):
-    """What the controllers need from one control view of a state."""
-
-    @property
-    def state(self): ...
-
-    @property
-    def beta(self) -> float: ...
-
-    @property
-    def x_left(self) -> float: ...
-
-    def frequency(self) -> float | None: ...
-
-    def exterior(self, split: float | None) -> float | None: ...
-
-    def split_point(self) -> float | None: ...
-
-    def rescaled(self, beta: float) -> "_ControlState": ...
-
-    def moved(self, distance: float) -> "_ControlState": ...
 
 
 def _scaling_ladder(state, f, f0, cfg: AdaptConfig):
@@ -317,19 +302,25 @@ def _moving_distance(state, e, e0, cfg: AdaptConfig) -> float:
 
 
 def _step_count(t_final: float, dt: float) -> int:
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError("dt and t_final must be positive")
-    return int(math.floor(t_final / dt + 1e-9))
+    for name, value in (("dt", dt), ("t_final", t_final)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    steps = t_final / dt + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"t_final / dt overflows: t_final={t_final}, dt={dt}")
+    return int(math.floor(steps))
 
 
 def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     """The one driver: evolve, optionally move, optionally scale, record.
 
-    ``views(state)`` returns one control view per dimension; a view's
-    ``moved``/``rescaled`` return a view whose ``.state`` is the whole new
-    state.  Every moving distance is taken from the same evolved state, then
-    the moves are applied; the scaling ladders run one dimension after
-    another (x first), each with the other dimensions held fixed.
+    ``views(state)`` returns one control view per dimension: ``beta``,
+    ``x_left``, ``frequency()``, ``split_point()``, ``exterior(split)``,
+    and ``moved(d)``/``rescaled(beta)``, which return a view whose
+    ``.state`` is the whole new state.  Every moving distance is taken from
+    the same evolved state, then the moves are applied; the scaling ladders
+    run one dimension after another (x first), each with the other
+    dimensions held fixed.
 
     Per dimension, ``f0``/``e0`` start from the initial state and ``f0`` is
     refreshed only on ladder acceptances.  ``e0`` is never refreshed.
@@ -338,6 +329,8 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     Re-anchoring it after an accepted rescale lowers the baseline with every
     rung, so a front that widens while it moves keeps firing the mover, and
     the frame runs past the front by several widths.
+    A step must keep every view's beta and origin (adapting them is the
+    controllers' job), or ValueError is raised.
     Emits the initial record plus one record per step.
     """
     mode = normalize_mode(mode)
@@ -346,12 +339,18 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     records = [measure(state, 0.0)]
     for n in range(_step_count(t_final, dt)):
         t_prev = n * dt
+        frames = [(view.beta, view.x_left) for view in views(state)]
         try:
             state = stepper(state, t_prev, dt)
         except Exception as exc:
             note = f"evolution step failed at t = {_format_field(t_prev)}"
             exc.args = (f"{note}: {exc.args[0]}" if exc.args else note,) + exc.args[1:]
             raise
+        if [(view.beta, view.x_left) for view in views(state)] != frames:
+            raise ValueError(
+                f"the evolution step at t = {_format_field(t_prev)} changed a frame's "
+                "beta or origin; the evolver must keep the frames it was given"
+            )
         if mode in (MODE_MOVE, MODE_MOVE_SCALE):
             distances = [
                 _moving_distance(view, view.exterior(view.split_point()), e0[axis], cfg)
@@ -375,50 +374,8 @@ def _single_view(state):
 
 
 # --------------------------------------------------------------------------
-# public coefficient-space layer
+# baselines of a coefficient expansion
 # --------------------------------------------------------------------------
-
-
-class _ExpansionControl:
-    """Control-protocol adapter around a coefficient-space Expansion."""
-
-    __slots__ = ("expansion", "icfg")
-
-    def __init__(self, expansion: Expansion, icfg: IndicatorConfig | None):
-        self.expansion = expansion
-        self.icfg = icfg if icfg is not None else IndicatorConfig()
-
-    @property
-    def state(self) -> "_ExpansionControl":
-        return self
-
-    @property
-    def beta(self) -> float:
-        return self.expansion.basis.beta
-
-    @property
-    def x_left(self) -> float:
-        return self.expansion.basis.x_left
-
-    def frequency(self) -> float | None:
-        return frequency_indicator(self.expansion, self.icfg)
-
-    def split_point(self) -> float | None:
-        basis = self.expansion.basis
-        if basis.family != LAGUERRE:
-            return None
-        return self.icfg.split_rule(basis.order, quadrature(basis).nodes)
-
-    def exterior(self, split: float | None) -> float | None:
-        if split is None:
-            return None
-        return exterior_error_indicator(self.expansion, split)
-
-    def rescaled(self, beta: float) -> "_ExpansionControl":
-        return _ExpansionControl(rescale(self.expansion, beta), self.icfg)
-
-    def moved(self, distance: float) -> "_ExpansionControl":
-        return _ExpansionControl(move(self.expansion, distance), self.icfg)
 
 
 @dataclass
@@ -426,7 +383,7 @@ class AdaptState:
     """Reference indicator values of a starting expansion.
 
     ``f0``/``e0`` are the frequency and exterior-error baselines the
-    controllers compare against; ``x_right`` is the configured split point
+    controllers compare against; ``x_right`` is the default split point
     of the expansion's node set (None for a basis without one).
     """
 
@@ -437,101 +394,24 @@ class AdaptState:
 
 
 def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
-    """Compute the reference indicator values from the starting expansion."""
-    control = _ExpansionControl(expansion, cfg.indicators)
-    x_right = control.split_point()
-    return AdaptState(
-        expansion=expansion,
-        f0=control.frequency(),
-        e0=control.exterior(x_right),
-        x_right=x_right,
-    )
+    """Compute the reference indicator values of a coefficient expansion.
 
-
-def resample_evolver(reference) -> Callable:
-    """Tracking evolver: re-interpolate ``reference(x, t+dt)`` on the same basis."""
-
-    def evolve(expansion: Expansion, t: float, dt: float) -> Expansion:
-        rule = quadrature(expansion.basis)
-        values = np.asarray(reference(rule.nodes, t + dt), dtype=float)
-        return interpolate(values, expansion.basis, rule)
-
-    return evolve
-
-
-def run(
-    evolver,
-    initial: Expansion,
-    cfg: AdaptConfig,
-    dt: float,
-    t_final: float,
-    mode=MODE_NONE,
-    reference=None,
-) -> list[ExperimentRecord]:
-    """Drive an expansion through the adaptive loop and return its history.
-
-    ``evolver(expansion, t, dt)`` must return an expansion on the basis it
-    was given (adaptation is the controller's job); failures propagate with
-    the failure time attached.  ``reference(x, t)``, when given, fills the
-    error column with the weighted relative error.  ``t_final < dt`` yields
-    exactly the initial record.
+    The indicators use the default rules of :mod:`~specadapt.indicators`,
+    as the frame engine does; ``cfg`` is accepted but not read.
     """
-    icfg = cfg.indicators
-
-    def stepper(control, t, dt_):
-        evolved = evolver(control.expansion, t, dt_)
-        if evolved.basis != control.expansion.basis:
-            raise ValueError("evolver must return an expansion on the basis it was given")
-        return _ExpansionControl(evolved, icfg)
-
-    def measure(control, t):
-        error = None
-        if reference is not None:
-            error = relative_error(control.expansion, lambda x: reference(x, t))
-        return ExperimentRecord(
-            t=t,
-            beta=control.beta,
-            x_left=control.x_left,
-            error=error,
-            freq=control.frequency(),
-            ext=control.exterior(control.split_point()),
-        )
-
-    records, _ = _control_loop(
-        _ExpansionControl(initial, icfg), _single_view, stepper, cfg, dt, t_final, mode, measure
-    )
-    return records
-
-
-def suggest_initial_beta(sample, basis: ScaledBasis, cfg: AdaptConfig | None = None, scan_steps: int = 25) -> float:
-    """Scan ``beta, q*beta, q^2*beta, ...`` and return the factor whose
-    interpolant of ``sample(x)`` has the smallest frequency indicator.
-
-    Offered as a starting-point helper; nothing forces its use.  Ties keep
-    the largest factor (finest node clustering).
-    """
-    cfg = cfg if cfg is not None else AdaptConfig()
-    best_beta = basis.beta
-    best_f = None
-    for k in range(scan_steps):
-        beta_k = basis.beta * cfg.q**k
-        candidate = replace(basis, beta=beta_k)
-        rule = quadrature(candidate)
-        expansion = interpolate(np.asarray(sample(rule.nodes), dtype=float), candidate, rule)
-        f = frequency_indicator(expansion, cfg.indicators)
-        if f is not None and (best_f is None or f < best_f):
-            best_f = f
-            best_beta = beta_k
-    return best_beta
+    basis = expansion.basis
+    x_right = None
+    if basis.family == LAGUERRE:
+        x_right = default_split_point(basis.order, quadrature(basis).nodes)
+    f0 = frequency_indicator(expansion)
+    e0 = None if x_right is None else exterior_error_indicator(expansion, x_right)
+    return AdaptState(expansion=expansion, f0=f0, e0=e0, x_right=x_right)
 
 
 # --------------------------------------------------------------------------
 # nodal-value engine (damped-frame)
 # --------------------------------------------------------------------------
 
-
-# exp(-y/2) underflows (leaves the normal range) for y/2 above this
-_LOG_TINY = -math.log(np.finfo(float).tiny)
 
 # Entries per resampling memo of one order.  One step of a 2-d run with
 # one order on both axes reads 44 shifts: 0, the split, and per axis a
@@ -561,20 +441,21 @@ class _UnitFrame:
     A frame at beta has nodes y/beta, weights and gamma scaled by 1/beta
     and psi_l(beta*x) = psi_l(y), so its transform, its refined psi and
     beta*split are those of this object.  It owns the resampling memos.
+    A Hermite order has no split.
     """
 
-    def __init__(self, order: int):
-        self.basis = basis = laguerre_basis(order, 1.0)
+    def __init__(self, order: int, family: str):
+        self.basis = basis = ScaledBasis(family, 0.0, 1.0, 0.0, order)
         rule = quadrature(basis)
-        if 0.5 * rule.nodes[-1] > _LOG_TINY:
+        if family == LAGUERRE and 0.5 * rule.nodes[-1] > _LOG_TINY:
             raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
-        refined = quadrature(laguerre_basis(2 * order + 1, 1.0))
+        refined = quadrature(replace(basis, order=2 * order + 1))
         self.nodes, self.weights = rule.nodes, rule.weights
         self.mod_weights = modified_weights(rule)
         self.gamma = gamma_norms(basis)
         psi = _read_only(eval_weighted_all(basis, rule.nodes))
         self.tomodal = _read_only((psi * self.mod_weights) / self.gamma[:, None])
-        self.split = default_split_point(order, rule.nodes)
+        self.split = default_split_point(order, rule.nodes) if family == LAGUERRE else None
         self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
         self.psi_refined = _read_only(eval_weighted_all(basis, refined.nodes))
         self.psi_at: dict = {0.0: psi}  # keyed by beta*shift
@@ -582,21 +463,26 @@ class _UnitFrame:
 
 
 @lru_cache(maxsize=None)
-def _unit_frame(order: int) -> _UnitFrame:
-    """The one unit frame of ``order``; orders past the ceiling raise, uncached."""
-    return _UnitFrame(order)
+def _unit_frame(order: int, family: str) -> _UnitFrame:
+    """The one unit frame of ``order`` and ``family``; orders past the ceiling raise, uncached."""
+    return _UnitFrame(order, family)
 
 
 class Frame:
-    """Nodal operators of one (order, beta) damped Laguerre frame.
+    """Nodal operators of one (order, beta, family) frame.
 
     Holds the Gauss nodes as offsets from the basis origin, the plain and
     exponentially reweighted quadrature weights, and the nodal-to-modal
-    transform of the damped functions psi_l = exp(-y/2) L_l.  All entries
-    are O(1)-safe in float64 because the damping is built into every
-    evaluation.  Instances are shared per (order, beta) and cost O(N): the
-    transform, the refined psi and the memos belong to the order, built
-    once at beta = 1 and shared by every beta.
+    transform of the frame's functions: the damped Laguerre functions
+    psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the default) or the
+    Hermite functions psi_l = h_l(y) (HERMITE), with y = beta*x.  A Hermite
+    frame drops the sqrt(beta) of :func:`~.basis.hermite_basis`, so its
+    gamma is 1/beta as for Laguerre, and it has no split point
+    (``split_rel`` is None).  All entries are O(1)-safe in float64 because
+    the decay is built into every evaluation.  Instances are shared per
+    (order, beta, family) and cost O(N): the transform, the refined psi and
+    the memos belong to the order, built once at beta = 1 and shared by
+    every beta.
 
     Two evaluations of the damped functions are memoized per order, each
     in a least-recently-used memo of ``_MEMO_SIZE`` (N+1)^2 matrices: at
@@ -613,26 +499,30 @@ class Frame:
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes: past y = 1416.8 it underflows, and the columns of the
     transform at the largest nodes first lose precision and then vanish.
-    Orders up to 363 fit; higher orders raise ValueError.
+    Orders up to 363 fit; higher orders raise ValueError.  A Hermite frame
+    has the same ceiling, set by its refined rule of order 2N+1, which
+    stops at 727 (see :func:`~.basis.quadrature`).
     """
 
     _cache: dict = {}
 
-    def __new__(cls, order: int, beta: float):
-        key = (int(order), float(beta))
+    def __new__(cls, order: int, beta: float, family: str = LAGUERRE):
+        key = (int(order), float(beta), family)
         frame = cls._cache.get(key)
         if frame is None:
             frame = super().__new__(cls)
-            frame._build(int(order), float(beta))
+            frame._build(int(order), float(beta), family)
             cls._cache[key] = frame
         return frame
 
-    def _build(self, order: int, beta: float) -> None:
+    def _build(self, order: int, beta: float, family: str) -> None:
         if order < 1:
             raise ValueError("frame order must be at least 1")
-        self.basis = laguerre_basis(order, beta)
-        self._unit = unit = _unit_frame(order)
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"scaling factor must be positive, got {beta}")
+        self._unit = unit = _unit_frame(order, family)
         scale = beta ** -1.0  # as basis.quadrature maps the unit rule
+        self.family = family
         self.order = order
         self.beta = beta
         self.nodes = _read_only(unit.nodes / beta)
@@ -640,7 +530,7 @@ class Frame:
         self.mod_weights = unit.mod_weights * scale
         self.gamma = unit.gamma / beta
         self.tomodal = unit.tomodal
-        self.split_rel = unit.split / beta
+        self.split_rel = None if unit.split is None else unit.split / beta
         self.refined_nodes = _read_only(unit.refined_nodes / beta)
         self.refined_weights = _read_only(unit.refined_weights * scale)
         self._psi_refined = unit.psi_refined
@@ -666,11 +556,6 @@ class Frame:
         unit = self._unit
         key = round(self.beta / frame.beta, 12)
         return _memo(unit.psi_on, key, lambda r: eval_weighted_all(unit.basis, unit.nodes * r))
-
-    def eval_at(self, values: np.ndarray, offsets) -> np.ndarray:
-        """Evaluate the frame interpolant at offsets from the basis origin."""
-        coeffs = self.tomodal @ values
-        return coeffs @ eval_weighted_all(self.basis, np.asarray(offsets, dtype=float))
 
     def frequency(self, coeffs: np.ndarray) -> float | None:
         """High-mode energy fraction of damped-frame coefficients."""
@@ -732,9 +617,22 @@ class Frame:
         return math.sqrt(numerator / denominator)
 
 
+def _split_at(left: float, frame: Frame) -> float | None:
+    """The sentinel point of ``frame`` with its origin at ``left``; None for Hermite."""
+    return None if frame.split_rel is None else left + frame.split_rel
+
+
+def _check_move(frame: Frame, distance: float) -> None:
+    """Only a Laguerre origin moves, and only rightward by a finite distance."""
+    if frame.family != LAGUERRE:
+        raise ValueError("only a Laguerre frame has a movable origin")
+    if not (math.isfinite(distance) and distance >= 0.0):
+        raise ValueError(f"move distance must be finite and nonnegative, got {distance}")
+
+
 @dataclass(frozen=True)
 class FrameState:
-    """Nodal values in a damped frame plus the basis origin.
+    """Nodal values in a frame plus the basis origin.
 
     ``values`` is stored as a read-only float copy of shape (order+1,); the
     caller's array is left as it was.  The damped coefficients, the exterior
@@ -793,8 +691,8 @@ class FrameState:
     def frequency(self) -> float | None:
         return self._frequency
 
-    def split_point(self) -> float:
-        return self.x_left + self.frame.split_rel
+    def split_point(self) -> float | None:
+        return _split_at(self.x_left, self.frame)
 
     def exterior(self, split: float | None) -> float | None:
         if split is None:
@@ -807,11 +705,17 @@ class FrameState:
         return self.frame.tails(*self._derivative, split - self.x_left)
 
     def rescaled(self, beta: float) -> "FrameState":
-        new_frame = Frame(self.frame.order, beta)
+        new_frame = Frame(self.frame.order, beta, self.frame.family)
         values = self._coeffs @ self.frame.psi_on(new_frame)
         return FrameState(new_frame, values, self.x_left)
 
     def moved(self, distance: float) -> "FrameState":
+        """The state on the frame whose origin is ``distance`` to the right.
+
+        ValueError for a negative or non-finite distance, and for any move
+        of a Hermite state.
+        """
+        _check_move(self.frame, distance)
         values = self._coeffs @ self.frame.psi_at(distance)
         return FrameState(self.frame, values, self.x_left + distance)
 
@@ -821,17 +725,11 @@ class FrameState:
         )
 
 
-def _require_default_indicators(cfg: AdaptConfig) -> None:
-    if cfg.indicators != IndicatorConfig():
-        raise ValueError(
-            "the frame engine uses the default indicator rules; "
-            "cfg.indicators must be IndicatorConfig()"
-        )
-
-
-def frame_state_from(reference, order: int, beta: float, x_left: float = 0.0, t: float = 0.0) -> FrameState:
-    """Sample ``reference(x, t)`` at the frame nodes."""
-    frame = Frame(order, beta)
+def frame_state_from(
+    reference, order: int, beta: float, x_left: float = 0.0, t: float = 0.0, family: str = LAGUERRE
+) -> FrameState:
+    """Sample ``reference(x, t)`` at the nodes of the ``family`` frame."""
+    frame = Frame(order, beta, family)
     values = np.asarray(reference(x_left + frame.nodes, t), dtype=float)
     return FrameState(frame, values, x_left)
 
@@ -855,15 +753,23 @@ def run_frames(
     mode=MODE_NONE,
     reference=None,
 ) -> tuple[list[ExperimentRecord], FrameState]:
-    """:func:`run` on the nodal-value engine; returns (history, final state).
+    """Drive a frame state through the adaptive loop; returns (history, final state).
 
-    ``evolver(state, t, dt)`` returns a :class:`FrameState` on the same
-    frame; the recorded error is the interpolant's weighted relative error
-    against ``reference(x, t)`` over a doubled-order rule.  The frame
-    engine derives its indicator parameters from the default rules, so a
-    ``cfg.indicators`` other than ``IndicatorConfig()`` raises ValueError.
+    ``evolver(state, t, dt)`` returns a :class:`FrameState` on the frame it
+    was given: a step that changes beta or the origin raises ValueError,
+    and a failing step propagates with the failure time attached.  The
+    recorded error is the interpolant's weighted relative error against
+    ``reference(x, t)`` over a doubled-order rule.  ``t_final < dt``
+    yields exactly the initial record.  The indicators use the default
+    rules (:func:`~.indicators.default_high_mode_count` and
+    :func:`~.indicators.default_split_point`).
+
+    A Hermite state (``frame_state_from(..., family=HERMITE)``) is scaled
+    only: it has no sentinel point, so ``ext`` is None on every record and
+    the mover never fires.  ``MODE_MOVE`` alone is unsupported on fronts
+    that widen: the origin runs past the front (see ``MODE_MOVE``); use
+    ``MODE_MOVE_SCALE`` there.
     """
-    _require_default_indicators(cfg)
 
     def measure(state: FrameState, t: float) -> ExperimentRecord:
         error = state.error(reference, t) if reference is not None else None
@@ -979,11 +885,11 @@ class FrameState2D:
     def marginal_y_values(self) -> np.ndarray:
         return self.frame_x.mod_weights @ self.values
 
-    def split_x(self) -> float:
-        return self.x_left + self.frame_x.split_rel
+    def split_x(self) -> float | None:
+        return _split_at(self.x_left, self.frame_x)
 
-    def split_y(self) -> float:
-        return self.y_left + self.frame_y.split_rel
+    def split_y(self) -> float | None:
+        return _split_at(self.y_left, self.frame_y)
 
     def exterior_x(self, split: float | None) -> float | None:
         if split is None:
@@ -1006,20 +912,23 @@ class FrameState2D:
         return self.frame_y.tails(*self._derivative_y, split - self.y_left)
 
     def moved_x(self, distance: float) -> "FrameState2D":
+        """:meth:`FrameState.moved` along x, with its guards."""
+        _check_move(self.frame_x, distance)
         values = self.frame_x.psi_at(distance).T @ (self.frame_x.tomodal @ self.values)
         return FrameState2D(self.frame_x, self.frame_y, values, self.x_left + distance, self.y_left)
 
     def moved_y(self, distance: float) -> "FrameState2D":
+        _check_move(self.frame_y, distance)
         values = (self.frame_y.tomodal @ self.values.T).T @ self.frame_y.psi_at(distance)
         return FrameState2D(self.frame_x, self.frame_y, values, self.x_left, self.y_left + distance)
 
     def rescaled_x(self, beta: float) -> "FrameState2D":
-        new_frame = Frame(self.frame_x.order, beta)
+        new_frame = Frame(self.frame_x.order, beta, self.frame_x.family)
         values = self.frame_x.psi_on(new_frame).T @ (self.frame_x.tomodal @ self.values)
         return FrameState2D(new_frame, self.frame_y, values, self.x_left, self.y_left)
 
     def rescaled_y(self, beta: float) -> "FrameState2D":
-        new_frame = Frame(self.frame_y.order, beta)
+        new_frame = Frame(self.frame_y.order, beta, self.frame_y.family)
         values = (self.frame_y.tomodal @ self.values.T).T @ self.frame_y.psi_on(new_frame)
         return FrameState2D(self.frame_x, new_frame, values, self.x_left, self.y_left)
 
@@ -1144,7 +1053,9 @@ def run_2d(
     the exterior baseline of the initial state.  Standard record columns carry
     the x-dimension; the y-dimension is exported through the extras
     ``beta_y, freq_y, ext_y, yL``.  Returns (history, final state).  As in
-    :func:`run_frames`, only the default ``cfg.indicators`` is supported.
+    :func:`run_frames`, the evolver must keep both frames and origins, and
+    ``MODE_MOVE`` alone is unsupported on fronts that widen (see
+    ``MODE_MOVE``).
 
     The library calls every 2-d ``reference(x, y, t)`` on open grids, as
     ``np.meshgrid(xs, ys, indexing="ij", sparse=True)`` gives them: ``x``
@@ -1155,8 +1066,6 @@ def run_2d(
     qualifies, and a separable one costs len(xs) + len(ys) evaluations
     instead of len(xs)*len(ys).
     """
-    _require_default_indicators(cfg)
-
     def measure(state: FrameState2D, t: float) -> ExperimentRecord:
         error = state.error(reference, t) if reference is not None else None
         return ExperimentRecord(

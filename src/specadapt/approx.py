@@ -1,17 +1,16 @@
-"""Expansions on scaled bases: transforms, evaluation, rescaling, translation.
+"""Coefficient expansions on scaled bases: transform, evaluation, error.
 
 An :class:`Expansion` is an immutable coefficient vector against a
 :class:`~specadapt.basis.ScaledBasis`.  The discrete transform uses the
 basis's own Gauss rule (or a caller-supplied Radau rule), so interpolating
 nodal values and evaluating back at the nodes round-trips exactly for
-anything the truncated basis can represent.  Tensor-product (2-d) states
-live in :class:`specadapt.adapt.FrameState2D`, which works in the damped
-basis and so stays accurate at orders where plain coefficients do not.
+anything the truncated basis can represent.
 
-Changing the scale (``rescale``) or the left endpoint (``move``) never uses
-connection formulas: the expansion is evaluated at the new basis's nodes and
-re-interpolated, which is exact for the Laguerre family (same polynomial
-space) and spectrally accurate for Hermite functions.
+The adaptive controllers do not use this layer: they run on the damped
+frames of :mod:`specadapt.adapt`, which stay accurate at orders where plain
+polynomial coefficients do not.  It is kept for
+:func:`specadapt.adapt.initial_state` and the coefficient-space half of
+the benchmark's cold set-up workload (``cold-orders``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import (
-    LAGUERRE,
     QuadratureRule,
     ScaledBasis,
     eval_basis_all,
@@ -34,13 +32,7 @@ __all__ = [
     "Expansion",
     "interpolate",
     "evaluate",
-    "rescale",
-    "move",
-    "truncate",
-    "weighted_norm",
     "relative_error",
-    "to_text",
-    "from_text",
 ]
 
 
@@ -86,39 +78,6 @@ def evaluate(expansion: Expansion, x):
     return expansion.coeffs @ eval_basis_all(expansion.basis, x)
 
 
-def rescale(expansion: Expansion, beta_new: float) -> Expansion:
-    """Re-expand on the same family with a new scaling factor."""
-    new_basis = replace(expansion.basis, beta=float(beta_new))
-    rule = quadrature(new_basis)
-    return interpolate(evaluate(expansion, rule.nodes), new_basis, rule)
-
-
-def move(expansion: Expansion, shift: float) -> Expansion:
-    """Translate a Laguerre expansion's left endpoint rightward by ``shift``."""
-    if expansion.basis.family != LAGUERRE:
-        raise ValueError("only Laguerre bases have a movable left endpoint")
-    if not (math.isfinite(shift) and shift >= 0.0):
-        raise ValueError("shift must be nonnegative")
-    new_basis = replace(expansion.basis, x_left=expansion.basis.x_left + float(shift))
-    rule = quadrature(new_basis)
-    return interpolate(evaluate(expansion, rule.nodes), new_basis, rule)
-
-
-def truncate(expansion: Expansion, order: int) -> Expansion:
-    """Drop all modes above ``order`` (basis keeps its original size)."""
-    if not 0 <= order <= expansion.basis.order:
-        raise ValueError("truncation order out of range")
-    coeffs = np.zeros_like(expansion.coeffs)
-    coeffs[: order + 1] = expansion.coeffs[: order + 1]
-    return Expansion(expansion.basis, coeffs)
-
-
-def weighted_norm(expansion: Expansion) -> float:
-    """Weighted L2 norm: sqrt(sum of gamma_l * u_l^2)."""
-    g = gamma_norms(expansion.basis)
-    return math.sqrt(float(np.sum(g * expansion.coeffs**2)))
-
-
 def relative_error(expansion: Expansion, func) -> float:
     """Weighted relative L2 distance between the expansion and ``func``.
 
@@ -144,42 +103,3 @@ def relative_error(expansion: Expansion, func) -> float:
     if denom == 0.0:
         raise ValueError("reference vanishes on the quadrature rule; relative error undefined")
     return math.sqrt(num / denom)
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization
-
-
-def _format(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _basis_header(basis: ScaledBasis) -> str:
-    return " ".join(
-        [basis.family, _format(basis.alpha), _format(basis.beta), _format(basis.x_left), str(basis.order)]
-    )
-
-
-def _parse_header(line: str) -> ScaledBasis:
-    parts = line.split()
-    if len(parts) != 5:
-        raise ValueError(f"malformed basis header: {line!r}")
-    family, alpha, beta, x_left, order = parts
-    return ScaledBasis(family, float(alpha), float(beta), float(x_left), int(order))
-
-
-def to_text(expansion: Expansion) -> str:
-    """Serialize an expansion: a basis header line, then one coefficient per line."""
-    lines = [_basis_header(expansion.basis)]
-    lines.extend(_format(c) for c in expansion.coeffs)
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Expansion:
-    """Inverse of :func:`to_text`."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty expansion file")
-    basis = _parse_header(lines[0])
-    coeffs = np.array([float(v) for v in lines[1:]])
-    return Expansion(basis, coeffs)

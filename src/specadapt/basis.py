@@ -44,6 +44,9 @@ __all__ = [
 LAGUERRE = "laguerre"
 HERMITE = "hermite"
 
+# exp(-s) leaves float64's normal range for s above this
+_LOG_TINY = -math.log(np.finfo(float).tiny)
+
 @dataclass(frozen=True)
 class ScaledBasis:
     """A truncated basis: family, weight exponent, scale, left endpoint, order.
@@ -236,7 +239,9 @@ def quadrature(basis: ScaledBasis, kind: str = "gauss") -> QuadratureRule:
     Unit-scale nodes/weights come from the Golub-Welsch eigenproblem and are
     cached; the returned rule is the mapped copy
     (Laguerre: x -> x/beta + x_left, w -> w * beta**-(alpha+1);
-    Hermite: x -> x/beta, w -> w/beta).
+    Hermite: x -> x/beta, w -> w/beta).  Hermite rules stop at order 727:
+    past it exp(-y^2/2) at the largest node leaves the normal float64
+    range, and the rule raises ValueError before any function evaluation.
     """
     if kind not in ("gauss", "radau"):
         raise ValueError(f"unknown rule kind {kind!r}")
@@ -283,6 +288,11 @@ def _unit_rule(family: str, alpha: float, order: int, kind: str):
         damped = np.exp(nodes - log_sum)
     else:
         nodes = _jacobi_eigenvalues(np.zeros(n), np.sqrt(k[1:] / 2.0))
+        # h_0 = exp(-y^2/2) at the largest node starts the recurrence; once
+        # it is subnormal the weights lose precision, and from order 765
+        # they are infinite
+        if 0.5 * nodes[-1] ** 2 > _LOG_TINY:
+            raise ValueError(f"Hermite rule order {order} exceeds the ceiling of 727")
         # Function-space weights via the Christoffel identity
         # w_j = 1 / sum_l h_l(x_j)^2; the textbook polynomial weights times
         # exp(x_j^2) would overflow at large order.

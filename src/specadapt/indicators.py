@@ -14,19 +14,19 @@ identically zero derivative) so callers can branch explicitly instead of
 comparing against NaN.  Both are invariant under scaling the coefficients by
 a nonzero constant.
 
-These are the coefficient-space forms for one-dimensional
-:class:`~specadapt.approx.Expansion` objects.  The frame engine in
-:mod:`specadapt.adapt` evaluates the same two signals in the damped basis,
-and per axis for tensor-product states (``FrameState2D.frequency_x``,
-``exterior_x`` and their y counterparts); the exterior indicator of an
-axis is that of the marginal with the other variable integrated out.
+The controllers read both signals from the damped frames of
+:mod:`specadapt.adapt` (``Frame.frequency`` and ``Frame.tails``), per axis
+for tensor-product states, with the high-mode count and the split point of
+:func:`default_high_mode_count` and :func:`default_split_point`.  The
+coefficient-space forms here, for one-dimensional
+:class:`~specadapt.approx.Expansion` objects, are kept only for
+:func:`specadapt.adapt.initial_state` and the benchmark's cold set-up
+workload (``cold-orders``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .basis import (
 )
 
 __all__ = [
-    "IndicatorConfig",
     "default_high_mode_count",
     "default_split_point",
     "frequency_indicator",
@@ -59,20 +58,6 @@ def default_split_point(order: int, nodes: np.ndarray) -> float:
     return float(nodes[(order + 2) // 3])
 
 
-@dataclass(frozen=True)
-class IndicatorConfig:
-    """Rules deriving the indicator parameters from the expansion order.
-
-    ``high_mode_rule`` maps the order N to the number M of top modes summed
-    by the frequency indicator (1 <= M <= N).  ``split_rule`` maps (N, Gauss
-    nodes) to the split point x_right used by the exterior-error indicator;
-    it must fall strictly between the smallest and largest node.
-    """
-
-    high_mode_rule: Callable[[int], int] = field(default=default_high_mode_count)
-    split_rule: Callable[[int, np.ndarray], float] = field(default=default_split_point)
-
-
 def _tail_fraction(weighted_squares: np.ndarray, tail: np.ndarray) -> float | None:
     total = float(np.sum(weighted_squares))
     if total == 0.0:
@@ -80,23 +65,15 @@ def _tail_fraction(weighted_squares: np.ndarray, tail: np.ndarray) -> float | No
     return math.sqrt(min(1.0, float(np.sum(tail)) / total))
 
 
-def _high_mode_count(config: IndicatorConfig | None, order: int) -> int:
-    cfg = config if config is not None else IndicatorConfig()
-    m = int(cfg.high_mode_rule(order))
-    if not 1 <= m <= order:
-        raise ValueError(f"high-mode count {m} outside [1, {order}]")
-    return m
-
-
-def frequency_indicator(exp: Expansion, config: IndicatorConfig | None = None) -> float | None:
+def frequency_indicator(exp: Expansion) -> float | None:
     """Fraction of the weighted norm in the top modes, in [0, 1].
 
     Equals ``sqrt(sum over the top M of gamma_l u_l^2 / sum over all)``,
-    which is identically the relative weighted-norm error committed by
-    truncating those modes.  Returns ``None`` for the all-zero expansion
-    (no scaling signal).
+    M from :func:`default_high_mode_count`, which is identically the
+    relative weighted-norm error committed by truncating those modes.
+    Returns ``None`` for the all-zero expansion (no scaling signal).
     """
-    m = _high_mode_count(config, exp.basis.order)
+    m = default_high_mode_count(exp.basis.order)
     g = gamma_norms(exp.basis)
     squares = g * exp.coeffs**2
     return _tail_fraction(squares, squares[exp.basis.order - m + 1 :])

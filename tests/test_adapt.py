@@ -28,14 +28,13 @@ from specadapt.adapt import (
     history_to_csv,
     initial_state,
     normalize_mode,
-    resample_evolver,
-    run,
     run_2d,
     run_frames,
-    suggest_initial_beta,
 )
-from specadapt.approx import interpolate, relative_error, rescale
+from specadapt.approx import evaluate, interpolate, relative_error
 from specadapt.basis import (
+    HERMITE,
+    LAGUERRE,
     eval_weighted_all,
     gamma_norms,
     hermite_basis,
@@ -43,7 +42,7 @@ from specadapt.basis import (
     modified_weights,
     quadrature,
 )
-from specadapt.indicators import IndicatorConfig
+from specadapt.indicators import frequency_indicator
 
 
 def diffusive_front(x, t):
@@ -86,10 +85,17 @@ def test_config_explicit_nu_kept():
         {"mu": 1.0},
         {"delta": 0.0},
         {"delta": 0.05, "d_max": 0.04},
+        {"nu": math.inf},
+        {"beta_min": math.inf},
+        {"mu": math.inf},
+        {"d_max": math.inf},
+        {"delta": math.inf, "d_max": math.inf},
+        {"mu": math.nan},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    # the message names the offending field
+    with pytest.raises(ValueError, match="|".join(kwargs)):
         AdaptConfig(**kwargs)
 
 
@@ -184,15 +190,22 @@ def test_short_horizon_yields_initial_record_only():
 def test_nonpositive_steps_rejected():
     state = frame_state_from(diffusive_front, 16, 2.5)
     evolve = frame_resample_evolver(diffusive_front)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dt"):
         run_frames(evolve, state, AdaptConfig(), 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t_final"):
         run_frames(evolve, state, AdaptConfig(), 0.1, -1.0)
-
-
-def _expansion_at(profile, order: int, beta: float):
-    basis = laguerre_basis(order, beta)
-    return interpolate(profile(quadrature(basis).nodes, 0.0), basis)
+    # non-finite horizons and steps are rejected by name, not by OverflowError
+    with pytest.raises(ValueError, match="t_final"):
+        run_frames(evolve, state, AdaptConfig(), 0.1, math.inf)
+    with pytest.raises(ValueError, match="dt"):
+        run_frames(evolve, state, AdaptConfig(), math.nan, 1.0)
+    with pytest.raises(ValueError, match="t_final / dt"):
+        run_frames(evolve, state, AdaptConfig(), 5e-324, 1.0)
+    with pytest.raises(ValueError, match="dt"):
+        run_2d(
+            frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 6, 2.0, 6, 2.0),
+            AdaptConfig(), math.inf, 1.0,
+        )
 
 
 def test_scaling_guard_leaves_state_untouched():
@@ -200,8 +213,8 @@ def test_scaling_guard_leaves_state_untouched():
     def frozen(x, t):
         return diffusive_front(x, 0.0)
 
-    records = run(
-        resample_evolver(frozen), _expansion_at(frozen, 20, 2.5), AdaptConfig(), 0.1, 1.0, MODE_SCALE
+    records, _ = run_frames(
+        frame_resample_evolver(frozen), frame_state_from(frozen, 20, 2.5), AdaptConfig(), 0.1, 1.0, MODE_SCALE
     )
     assert len(records) == 11
     assert all(r.beta == 2.5 and r.x_left == 0.0 for r in records)
@@ -211,8 +224,8 @@ def test_moving_guard_leaves_state_untouched():
     def frozen(x, t):
         return moving_front(x, 0.0)
 
-    records = run(
-        resample_evolver(frozen), _expansion_at(frozen, 20, 2.5), AdaptConfig(), 0.1, 1.0, MODE_MOVE
+    records, _ = run_frames(
+        frame_resample_evolver(frozen), frame_state_from(frozen, 20, 2.5), AdaptConfig(), 0.1, 1.0, MODE_MOVE
     )
     assert len(records) == 11
     assert all(r.x_left == 0.0 and r.beta == 2.5 for r in records)
@@ -249,10 +262,15 @@ def _failing_at(evolve, t_fail: float):
     return bomb
 
 
-def _drive_expansion(wrap):
-    initial = _expansion_at(diffusive_front, 16, 2.5)
-    evolve = wrap(resample_evolver(diffusive_front))
-    return run(evolve, initial, AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE)
+def widening_gauss(x, t):
+    x = np.asarray(x, dtype=float)
+    return np.exp(-((x / (1.0 + t)) ** 2))
+
+
+def _drive_hermite(wrap):
+    initial = frame_state_from(widening_gauss, 16, 1.0, family=HERMITE)
+    evolve = wrap(frame_resample_evolver(widening_gauss))
+    return run_frames(evolve, initial, AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE)
 
 
 def _drive_frames(wrap):
@@ -267,21 +285,29 @@ def _drive_2d(wrap):
     return run_2d(evolve, initial, AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE)
 
 
-@pytest.mark.parametrize("drive", [_drive_expansion, _drive_frames, _drive_2d], ids=["run", "run_frames", "run_2d"])
+@pytest.mark.parametrize("drive", [_drive_hermite, _drive_frames, _drive_2d], ids=["hermite", "run_frames", "run_2d"])
 def test_evolver_failure_carries_timestamp(drive):
     with pytest.raises(RuntimeError, match=r"failed at t = 0.3.*solver blew up"):
         drive(lambda evolve: _failing_at(evolve, 0.3))
 
 
 def test_expansion_evolver_must_keep_basis():
-    basis = laguerre_basis(16, 2.5)
-    initial = interpolate(diffusive_front(quadrature(basis).nodes, 0.0), basis)
-
-    def rescaler(expansion, t, dt):
-        return rescale(expansion, 0.5 * expansion.basis.beta)
-
-    with pytest.raises(ValueError, match="same basis|basis it was given"):
-        run(rescaler, initial, AdaptConfig(), 0.1, 1.0, MODE_NONE)
+    # an evolver that changes a frame's beta or origin breaks the contract
+    # of both drivers, in every mode, at the step where it does so
+    initial = frame_state_from(diffusive_front, 16, 2.5)
+    initial_2d = frame_state_2d_from(product_front, 8, 2.0, 8, 2.0)
+    evolve = frame_resample_evolver(diffusive_front)
+    evolve_2d = frame_resample_evolver_2d(product_front)
+    cases = [
+        (run_frames, initial, "0", lambda s, t, dt: evolve(s, t, dt).rescaled(0.5 * s.beta)),
+        (run_frames, initial, r"0\.3\d*", lambda s, t, dt: evolve(s, t, dt).moved(0.1 if t > 0.25 else 0.0)),
+        (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).rescaled_y(0.95 * s.frame_y.beta)),
+        (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).moved_y(0.1)),
+    ]
+    for drive, state, t_fail, stepper in cases:
+        for mode in (MODE_NONE, MODE_MOVE_SCALE):
+            with pytest.raises(ValueError, match=rf"at t = {t_fail} changed a frame's beta or origin"):
+                drive(stepper, state, AdaptConfig(), 0.1, 1.0, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +428,15 @@ def test_translating_move_scale_identical_to_move_only():
 
 
 def test_step_level_spreading_profile_never_triggers_moving():
-    # at every step, fresh interpolants of a pure spreading profile neither
-    # move nor rescale the coefficient engine: the mover must not mistake
-    # diffusion for translation, and the polynomial-coefficient tail of a
-    # widening profile shrinks, so the ladder has nothing to do either
-    # (evolved PDE states, not fresh interpolants, are what raise it -- see
-    # the Hermite test below for the accepting-ladder path of this engine)
-    records = run(
-        resample_evolver(diffusive_front), _expansion_at(diffusive_front, 40, 2.5), AdaptConfig(),
+    # at every step, fresh interpolants of a pure spreading profile never
+    # move the frame: the mover must not mistake diffusion for translation
+    # (the ladder may rescale; a widening front needs a smaller beta)
+    records, _ = run_frames(
+        frame_resample_evolver(diffusive_front), frame_state_from(diffusive_front, 40, 2.5), AdaptConfig(),
         0.01, 1.0, MODE_MOVE_SCALE,
     )
     assert len(records) == 101
-    assert all(r.x_left == 0.0 and r.beta == 2.5 for r in records)
+    assert all(r.x_left == 0.0 for r in records)
 
 
 def test_record_count_is_steps_plus_initial():
@@ -426,48 +449,56 @@ def test_record_count_is_steps_plus_initial():
     assert records[-1].t == pytest.approx(1.0)
 
 
-def test_hermite_run_scales_without_sentinel():
-    def widening_gauss(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-((x / (1.0 + t)) ** 2))
+# the ladder's accepted rungs per step (beta = 0.95**rungs), as the deleted
+# coefficient-space ``run`` recorded them on the same problem
+HERMITE_RUNGS = [0] * 11 + [3] + [11] * 7 + [15] * 4 + [16, 17, 18, 18, 19, 19, 20, 20]
 
-    basis = hermite_basis(24, 1.0)
-    initial = interpolate(widening_gauss(quadrature(basis).nodes, 0.0), basis)
-    records = run(
-        resample_evolver(widening_gauss), initial, AdaptConfig(), 0.1, 3.0, MODE_SCALE,
+
+def test_hermite_run_scales_without_sentinel():
+    initial = frame_state_from(widening_gauss, 24, 1.0, family=HERMITE)
+    records, final = run_frames(
+        frame_resample_evolver(widening_gauss), initial, AdaptConfig(), 0.1, 3.0, MODE_SCALE,
         reference=widening_gauss,
     )
-    assert records[-1].beta < 1.0  # the ladder fired
+    assert [round(math.log(r.beta) / math.log(0.95)) for r in records] == HERMITE_RUNGS
+    assert final.beta == pytest.approx(0.95**20, rel=1e-13)
     assert all(r.ext is None for r in records)  # no exterior sentinel for this family
+    assert all(r.x_left == 0.0 for r in records)
     assert records[-1].error < 1e-8
 
 
-# ---------------------------------------------------------------------------
-# helpers
+@pytest.mark.parametrize("beta", [0.7, 1.3])
+def test_hermite_frame_matches_the_coefficient_expansion(beta):
+    # the frame's functions h_l(beta*x) are those of hermite_basis(N, beta)
+    # without the factor sqrt(beta), so the frame and the coefficient
+    # expansion share their nodes, frequency indicator and interpolant
+    def bump(x, t=0.0):
+        return np.exp(-0.5 * (np.asarray(x, dtype=float) - 0.5) ** 2) * np.cos(x)
+
+    state = frame_state_from(bump, 24, beta, family=HERMITE)
+    basis = hermite_basis(24, beta)
+    rule = quadrature(basis)
+    expansion = interpolate(bump(rule.nodes), basis, rule)
+    assert np.allclose(state.frame.nodes, rule.nodes, rtol=1e-14, atol=0)
+    assert state.frequency() == pytest.approx(frequency_indicator(expansion), rel=1e-9)
+    assert state.split_point() is None and state.exterior(state.split_point()) is None
+    assert state.error(bump, 0.0) == pytest.approx(relative_error(expansion, bump), rel=1e-6)
+    rescaled = state.rescaled(0.95 * beta)
+    assert rescaled.frame.family == HERMITE
+    _assert_close(rescaled.values, evaluate(expansion, rescaled.frame.nodes), 1e-11)
 
 
-def test_suggest_initial_beta_prefers_matched_scale():
-    def wide(x):
-        return expit(-(np.asarray(x, dtype=float) - 5.0) / 12.0)
-
-    basis = laguerre_basis(40, 2.5)
-    suggestion = suggest_initial_beta(wide, basis)
-    assert suggestion < 2.5
-    # a profile matched to the basis scale keeps the starting factor:
-    # exp(-beta*x/2) is the frame's own ground mode
-    def matched(x):
-        return np.exp(-1.25 * np.asarray(x, dtype=float))
-
-    assert suggest_initial_beta(matched, laguerre_basis(20, 2.5)) == 2.5
+def _eval_at(state, points) -> np.ndarray:
+    """A Laguerre frame state's interpolant at physical points."""
+    basis = laguerre_basis(state.frame.order, state.beta, x_left=state.x_left)
+    return (state.frame.tomodal @ state.values) @ eval_weighted_all(basis, np.asarray(points, dtype=float))
 
 
 def test_frame_state_rescale_preserves_function():
     state = frame_state_from(diffusive_front, 40, 2.5)
     rescaled = state.rescaled(2.0)
     points = np.linspace(0.5, 8.0, 23)
-    original = state.frame.eval_at(state.values, points - state.x_left)
-    after = rescaled.frame.eval_at(rescaled.values, points - rescaled.x_left)
-    assert np.max(np.abs(after - original)) < 1e-9
+    assert np.max(np.abs(_eval_at(rescaled, points) - _eval_at(state, points))) < 1e-9
 
 
 def test_frame_state_move_shifts_origin():
@@ -475,9 +506,7 @@ def test_frame_state_move_shifts_origin():
     moved = state.moved(0.5)
     assert moved.x_left == 0.5
     points = np.linspace(1.0, 9.0, 17)
-    before = state.frame.eval_at(state.values, points)
-    after = moved.frame.eval_at(moved.values, points - 0.5)
-    assert np.max(np.abs(after - before)) < 1e-8
+    assert np.max(np.abs(_eval_at(moved, points) - _eval_at(state, points))) < 1e-8
 
 
 def _count_basis_evaluations(monkeypatch) -> list:
@@ -490,6 +519,11 @@ def _count_basis_evaluations(monkeypatch) -> list:
 
     monkeypatch.setattr(adapt, "eval_weighted_all", counted)
     return calls
+
+
+def _basis(frame):
+    """The scaled Laguerre basis whose damped functions a frame evaluates."""
+    return laguerre_basis(frame.order, frame.beta)
 
 
 def _unit_psi(order: int, shift: float = 0.0, ratio: float = 1.0) -> np.ndarray:
@@ -526,8 +560,8 @@ def test_frame_resampling_is_exact_and_memoized(monkeypatch):
         assert np.array_equal(values[1], rescaled_direct)
     # the x-variable evaluation agrees to rounding
     monkeypatch.undo()
-    _assert_close(first[0], coeffs @ eval_weighted_all(frame.basis, frame.nodes + 0.012), 1e-12)
-    _assert_close(first[1], coeffs @ eval_weighted_all(frame.basis, target.nodes), 1e-12)
+    _assert_close(first[0], coeffs @ eval_weighted_all(_basis(frame), frame.nodes + 0.012), 1e-12)
+    _assert_close(first[1], coeffs @ eval_weighted_all(_basis(frame), target.nodes), 1e-12)
 
 
 def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
@@ -542,10 +576,10 @@ def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
         "rescaled_y": cy @ _unit_psi(13, ratio=round(2.3 / ty.beta, 12)),
     }
     old = {
-        "moved_x": eval_weighted_all(fx.basis, fx.nodes + 0.01).T @ cx,
-        "moved_y": cy @ eval_weighted_all(fy.basis, fy.nodes + 0.01),
-        "rescaled_x": eval_weighted_all(fx.basis, tx.nodes).T @ cx,
-        "rescaled_y": cy @ eval_weighted_all(fy.basis, ty.nodes),
+        "moved_x": eval_weighted_all(_basis(fx), fx.nodes + 0.01).T @ cx,
+        "moved_y": cy @ eval_weighted_all(_basis(fy), fy.nodes + 0.01),
+        "rescaled_x": eval_weighted_all(_basis(fx), tx.nodes).T @ cx,
+        "rescaled_y": cy @ eval_weighted_all(_basis(fy), ty.nodes),
     }
     args = {"moved_x": 0.01, "moved_y": 0.01, "rescaled_x": tx.beta, "rescaled_y": ty.beta}
     calls = _count_basis_evaluations(monkeypatch)
@@ -577,7 +611,7 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
         if unit:
             psi = _unit_psi(frame.order, shift=round(frame.beta * shift, 12))
         else:
-            psi = eval_weighted_all(frame.basis, frame.nodes + shift)
+            psi = eval_weighted_all(_basis(frame), frame.nodes + shift)
         dv = dcoeffs @ psi
         return float(np.sum(frame.weights * dv * dv))
 
@@ -856,16 +890,6 @@ def test_open_grid_reference_results_broadcast_or_raise():
         state.error(wrong, 0.0)
 
 
-def test_frame_engine_rejects_custom_indicator_config():
-    cfg = AdaptConfig(indicators=IndicatorConfig(high_mode_rule=lambda n: n))
-    state = frame_state_from(moving_front, 12, 2.0)
-    with pytest.raises(ValueError, match="IndicatorConfig"):
-        run_frames(frame_resample_evolver(moving_front), state, cfg, 0.1, 0.2, MODE_MOVE_SCALE)
-    state_2d = frame_state_2d_from(product_front, 6, 2.0, 6, 2.0)
-    with pytest.raises(ValueError, match="IndicatorConfig"):
-        run_2d(frame_resample_evolver_2d(product_front), state_2d, cfg, 0.1, 0.2, MODE_MOVE_SCALE)
-
-
 def _alpha_one_tails(frame: Frame, values: np.ndarray, offsets) -> list:
     """The exterior ratios with the derivative taken in the alpha = 1 family."""
     coeffs = frame.tomodal @ values
@@ -874,7 +898,7 @@ def _alpha_one_tails(frame: Frame, values: np.ndarray, offsets) -> list:
     def tail(shift: float) -> float:
         points = frame.nodes + shift
         dv = (-frame.beta * coeffs[1:]) @ eval_weighted_all(dbasis, points) - 0.5 * frame.beta * (
-            coeffs @ eval_weighted_all(frame.basis, points)
+            coeffs @ eval_weighted_all(_basis(frame), points)
         )
         return float(np.sum(frame.weights * dv * dv))
 
@@ -943,6 +967,19 @@ def test_frame_order_ceiling():
     with pytest.raises(ValueError, match="364"):
         Frame(364, 1.0)
     assert len(Frame._cache) == before
+    # a Hermite frame's refined rule of order 2N+1 stops at 727, so its
+    # last order is 363 too
+    frame = Frame(363, 1.0, HERMITE)
+    for operator in (frame.tomodal, frame._psi_refined):
+        assert np.all(np.isfinite(operator))
+        assert np.all(np.any(operator != 0.0, axis=0))
+    state = frame_state_from(widening_gauss, 363, 1.0, family=HERMITE)
+    assert state.error(widening_gauss, 0.0) <= 1e-8
+    assert state.rescaled(0.95).error(widening_gauss, 0.0) <= 1e-8
+    before = (dict(Frame._cache), adapt._unit_frame.cache_info().currsize)
+    with pytest.raises(ValueError, match="order 729 exceeds the ceiling of 727"):
+        Frame(364, 1.0, HERMITE)
+    assert (dict(Frame._cache), adapt._unit_frame.cache_info().currsize) == before
 
 
 def _direct_frame(order: int, beta: float) -> SimpleNamespace:
@@ -998,7 +1035,7 @@ def test_frames_of_one_order_share_one_unit_frame():
     before = adapt._unit_frame.cache_info().currsize
     frames = [Frame(41, 0.3 + 0.01 * k) for k in range(300)]
     assert adapt._unit_frame.cache_info().currsize <= before + 1
-    unit = adapt._unit_frame(41)
+    unit = adapt._unit_frame(41, LAGUERRE)
     assert all(frame._unit is unit and frame.tomodal is unit.tomodal for frame in frames)
 
 
@@ -1024,6 +1061,8 @@ def test_frame_rejects_bad_input_and_caches_nothing():
             Frame(32, beta)
     with pytest.raises(ValueError, match="364"):
         Frame(364, 1.0)
+    with pytest.raises(ValueError, match="unknown basis family"):
+        Frame(32, 1.0, "chebyshev")
     assert (dict(Frame._cache), adapt._unit_frame.cache_info().currsize) == before
 
 
@@ -1089,10 +1128,10 @@ def test_2d_x_move_leaves_y_untouched():
     # the represented function is unchanged where both frames resolve it
     xs = np.linspace(1.0, 6.0, 7)
     before = np.array(
-        [state.frame_x.eval_at(state.values[:, j], xs) for j in range(13)]
+        [_eval_at(FrameState(state.frame_x, state.values[:, j]), xs) for j in range(13)]
     )
     after = np.array(
-        [moved.frame_x.eval_at(moved.values[:, j], xs - 0.25) for j in range(13)]
+        [_eval_at(FrameState(moved.frame_x, moved.values[:, j], 0.25), xs) for j in range(13)]
     )
     assert np.max(np.abs(after - before)) < 1e-8
 
@@ -1158,8 +1197,19 @@ FRONTS = {
 
 
 @pytest.mark.parametrize("cfg", [AdaptConfig(), AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)], ids=["default", "bump-2d"])
-@pytest.mark.parametrize("name", sorted(FRONTS))
-def test_move_scale_keeps_the_front_covered(name, cfg):
+@pytest.mark.parametrize(
+    "name, mode",
+    [pytest.param(name, MODE_MOVE_SCALE, id=name) for name in sorted(FRONTS)]
+    + [
+        pytest.param(
+            "translate+widen", MODE_MOVE, id="translate+widen-move-only",
+            # moving alone is unsupported on fronts that widen; a stop rule
+            # for the mover has to make this pass
+            marks=pytest.mark.xfail(strict=True, reason="move-only runs past a widening front"),
+        )
+    ],
+)
+def test_move_scale_keeps_the_front_covered(name, mode, cfg):
     # Judged against the reference's front centre, not the recorded error:
     # that error is relative over the frame's own domain, and it stays
     # small while the frame runs past the front.
@@ -1171,11 +1221,11 @@ def test_move_scale_keeps_the_front_covered(name, cfg):
 
     t_final = 5.0
     _, final = run_frames(
-        frame_resample_evolver(front), frame_state_from(front, 48, 2.0), cfg, 0.005, t_final, MODE_MOVE_SCALE
+        frame_resample_evolver(front), frame_state_from(front, 48, 2.0), cfg, 0.005, t_final, mode
     )
     _, final_2d = run_2d(
         frame_resample_evolver_2d(front_2d), frame_state_2d_from(front_2d, 48, 2.0, 48, 2.0),
-        cfg, 0.005, t_final, MODE_MOVE_SCALE,
+        cfg, 0.005, t_final, mode,
     )
     for x_left in (final.x_left, final_2d.x_left, final_2d.y_left):
         if name == "widen-only":

@@ -1,4 +1,8 @@
-"""Unit and property tests for expansions: transforms, rescaling, moving."""
+"""Unit and property tests for expansions: transforms, rescaling, moving.
+
+Rescaling and moving are frame operations (``FrameState.rescaled`` and
+``moved``); the coefficient layer keeps the transform and the error.
+"""
 
 from __future__ import annotations
 
@@ -7,20 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from specadapt.adapt import Frame, FrameState2D, frame_state_2d_from
-from specadapt.approx import (
-    Expansion,
-    evaluate,
-    from_text,
-    interpolate,
-    move,
-    relative_error,
-    rescale,
-    to_text,
-    truncate,
-    weighted_norm,
-)
-from specadapt.basis import eval_basis_all, gamma_norms, hermite_basis, laguerre_basis, quadrature
+from specadapt.adapt import Frame, FrameState, FrameState2D, frame_state_2d_from, frame_state_from
+from specadapt.approx import Expansion, evaluate, interpolate, relative_error
+from specadapt.basis import HERMITE, eval_basis_all, gamma_norms, hermite_basis, laguerre_basis, quadrature
 
 
 def fermi_dirac(x):
@@ -99,74 +92,74 @@ def test_evaluate_trivial_cases_and_node_round_trip():
         np.testing.assert_allclose(again.coeffs, coeffs, rtol=1e-10, atol=1e-10)
 
 
+def _frame_fermi_dirac(order: int, beta: float) -> FrameState:
+    return frame_state_from(lambda x, t: fermi_dirac(x), order, beta)
+
+
+def _fermi_dirac_error(state: FrameState) -> float:
+    return state.error(lambda x, t: fermi_dirac(x), 0.0)
+
+
 def test_rescale_identity_and_polynomial_reproduction():
-    basis = laguerre_basis(15, 2.0)
-    rule = quadrature(basis)
-    exp = interpolate(fermi_dirac(rule.nodes), basis)
-    same = rescale(exp, 2.0)
-    np.testing.assert_allclose(same.coeffs, exp.coeffs, rtol=1e-11, atol=1e-11)
-    # a degree-<=N polynomial must survive any rescale exactly
-    poly = interpolate(rule.nodes**3 - 2.0 * rule.nodes + 1.0, basis)
-    scaled = rescale(poly, 0.7)
-    rng = np.random.default_rng(11)
-    x = rng.uniform(0.0, 20.0, 20)
-    np.testing.assert_allclose(
-        evaluate(scaled, x), x**3 - 2.0 * x + 1.0, rtol=1e-9, atol=1e-9
-    )
+    state = _frame_fermi_dirac(15, 2.0)
+    same = state.rescaled(2.0)
+    np.testing.assert_allclose(same.values, state.values, rtol=1e-11, atol=1e-11)
+    # anything the frame represents, exp(-beta*x/2) times a polynomial of
+    # degree <= N, is resampled exactly at the new nodes
+    def damped_poly(x):
+        return np.exp(-x) * (x**3 - 2.0 * x + 1.0)
+
+    poly = FrameState(Frame(15, 2.0), damped_poly(Frame(15, 2.0).nodes))
+    scaled = poly.rescaled(0.7)
+    np.testing.assert_allclose(scaled.values, damped_poly(scaled.frame.nodes), rtol=1e-9, atol=1e-12)
 
 
 def test_rescale_fermi_dirac_one_ladder_step_keeps_error_small():
     # a controller-sized rescale (one 0.95 step) extrapolates only slightly
     # beyond the old node range, so the error stays small and changes little
-    basis = laguerre_basis(40, 2.5)
-    exp = interpolate(fermi_dirac(quadrature(basis).nodes), basis)
-    before = relative_error(exp, fermi_dirac)
-    stepped = rescale(exp, 2.5 * 0.95)
-    after = relative_error(stepped, fermi_dirac)
+    state = _frame_fermi_dirac(40, 2.5)
+    before = _fermi_dirac_error(state)
+    after = _fermi_dirac_error(state.rescaled(2.5 * 0.95))
     assert before < 1e-8 and after < 1e-8
     assert after < 10.0 * before
 
 
-def test_rescale_far_downscale_extrapolation_is_hazardous():
-    # halving beta doubles the node range; the old expansion's polynomial
-    # tail explodes there, which is why the adaptive controller only takes
-    # small steps and rejects scalings that raise the frequency indicator
-    basis = laguerre_basis(40, 2.5)
-    exp = interpolate(fermi_dirac(quadrature(basis).nodes), basis)
-    halved = rescale(exp, 1.25)
-    assert relative_error(halved, fermi_dirac) > 1.0
+def test_rescale_far_downscale_stays_bounded_in_damped_frames():
+    # halving beta doubles the node range.  A plain-coefficient expansion's
+    # polynomial tail explodes there (relative error above 1); the damped
+    # functions are bounded by 1, so the frame's extrapolation stays small
+    state = _frame_fermi_dirac(40, 2.5)
+    assert _fermi_dirac_error(state.rescaled(1.25)) < 1e-6
 
 
 def test_move_identity_exponential_and_composition():
-    basis = laguerre_basis(30, 1.0)
-    rule = quadrature(basis)
-    exp = interpolate(np.exp(-rule.nodes), basis)
-    same = move(exp, 0.0)
-    np.testing.assert_allclose(same.coeffs, exp.coeffs, rtol=1e-11, atol=1e-11)
-    shifted = move(exp, 0.5)
-    assert shifted.basis.x_left == 0.5
-    # error is measured in the weighted norm: pointwise values at the far
-    # nodes sit under an exponentially large polynomial factor
-    assert relative_error(shifted, lambda s: np.exp(-s)) < 1e-8
-    x = np.linspace(0.6, 10.0, 25)
-    assert np.max(np.abs(evaluate(shifted, x) - np.exp(-x))) < 1e-8
-    two_steps = move(move(exp, 0.25), 0.25)
-    np.testing.assert_allclose(
-        evaluate(two_steps, x), evaluate(shifted, x), rtol=1e-7, atol=1e-7
-    )
+    def decay(x, t=0.0):
+        return np.exp(-np.asarray(x, dtype=float))
+
+    state = frame_state_from(decay, 30, 1.0)
+    same = state.moved(0.0)
+    np.testing.assert_allclose(same.values, state.values, rtol=1e-11, atol=1e-11)
+    shifted = state.moved(0.5)
+    assert shifted.x_left == 0.5
+    assert shifted.error(decay, 0.0) < 1e-8
+    np.testing.assert_allclose(shifted.values, decay(shifted.nodes()), rtol=0, atol=1e-8)
+    two_steps = state.moved(0.25).moved(0.25)
+    assert two_steps.x_left == 0.5
+    np.testing.assert_allclose(two_steps.values, shifted.values, rtol=1e-7, atol=1e-7)
 
 
 def test_weighted_norm_trivial_and_quadrature_oracle():
-    basis = laguerre_basis(14, 1.0)
-    assert weighted_norm(Expansion(basis, np.zeros(15))) == 0.0
-    assert weighted_norm(Expansion(basis, np.eye(15)[0])) == pytest.approx(1.0, rel=1e-14)
+    # the frame energy sum(gamma * c^2), the frequency indicator's
+    # denominator, is the squared L2 norm of the interpolant
+    frame = Frame(14, 1.0)
+    assert float(np.sum(frame.gamma * (frame.tomodal @ np.zeros(15)) ** 2)) == 0.0
+    ground = np.exp(-0.5 * frame.nodes)  # psi_0, with norm 1/beta
+    assert float(np.sum(frame.gamma * (frame.tomodal @ ground) ** 2)) == pytest.approx(1.0, rel=1e-14)
     rng = np.random.default_rng(5)
-    basis = laguerre_basis(14, 0.8, alpha=1.5, x_left=2.0)
-    exp = Expansion(basis, rng.standard_normal(15))
-    rule = quadrature(basis)
-    vals = evaluate(exp, rule.nodes)
-    direct = math.sqrt(float(np.sum(rule.weights * vals**2)))
-    assert weighted_norm(exp) == pytest.approx(direct, rel=1e-11)
+    frame = Frame(14, 0.8)
+    values = rng.standard_normal(15)
+    energy = float(np.sum(frame.gamma * (frame.tomodal @ values) ** 2))
+    assert energy == pytest.approx(float(np.sum(frame.mod_weights * values**2)), rel=1e-11)
 
 
 def test_relative_error_self_reference_is_zero():
@@ -187,7 +180,7 @@ def test_relative_error_of_truncation_equals_parseval_tail_ratio():
     rng = np.random.default_rng(17)
     coeffs = rng.standard_normal(25) * np.exp(-0.5 * np.arange(25))
     full = Expansion(basis, coeffs)
-    cut = truncate(full, 24 - 5)
+    cut = Expansion(basis, np.where(np.arange(25) <= 24 - 5, coeffs, 0.0))
     g = gamma_norms(basis)
     tail = math.sqrt(float(np.sum(g[20:] * coeffs[20:] ** 2) / np.sum(g * coeffs**2)))
     measured = relative_error(cut, lambda x: evaluate(full, x))
@@ -265,21 +258,7 @@ def test_marginal_y_proportionality_constant_is_the_x_integral():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_text_round_trip():
-    basis = laguerre_basis(6, 0.7, alpha=1.5, x_left=2.25)
-    rng = np.random.default_rng(31)
-    exp = Expansion(basis, rng.standard_normal(7))
-    back = from_text(to_text(exp))
-    assert back.basis == basis
-    np.testing.assert_array_equal(back.coeffs, exp.coeffs)
-
-    hermite = Expansion(hermite_basis(4, 0.9), rng.standard_normal(5))
-    back = from_text(to_text(hermite))
-    assert back.basis == hermite.basis
-    np.testing.assert_array_equal(back.coeffs, hermite.coeffs)
+# validation
 
 
 def test_validation_errors():
@@ -290,11 +269,20 @@ def test_validation_errors():
         Expansion(basis, np.array([1.0, np.nan, 0, 0, 0]))
     with pytest.raises(ValueError):
         interpolate(np.zeros(6), basis)
-    with pytest.raises(ValueError):
-        move(Expansion(hermite_basis(4, 1.0), np.zeros(5)), 1.0)
-    with pytest.raises(ValueError):
-        move(Expansion(basis, np.zeros(5)), -0.5)
-    with pytest.raises(ValueError):
-        truncate(Expansion(basis, np.ones(5)), 9)
-    with pytest.raises(ValueError):
-        from_text("")
+    # moves: only a Laguerre origin moves, rightward by a finite distance,
+    # and a rejected move leaves the order's memo as it was
+    state = FrameState(Frame(4, 1.0), np.ones(5))
+    state_2d = FrameState2D(Frame(4, 1.0), Frame(5, 1.0), np.ones((5, 6)))
+    memo = list(state.frame._unit.psi_at)
+    for distance in (-0.5, -0.001, math.nan, math.inf):
+        for move in (state.moved, state_2d.moved_x, state_2d.moved_y):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                move(distance)
+    assert list(state.frame._unit.psi_at) == memo
+    hermite = FrameState(Frame(4, 1.0, HERMITE), np.ones(5))
+    hermite_2d = FrameState2D(Frame(4, 1.0, HERMITE), Frame(5, 1.0), np.ones((5, 6)))
+    for move in (hermite.moved, hermite_2d.moved_x):
+        for distance in (0.0, 1.0):
+            with pytest.raises(ValueError, match="Laguerre"):
+                move(distance)
+    assert hermite_2d.moved_y(0.5).y_left == 0.5

@@ -221,6 +221,22 @@ def test_radau_rejected_for_hermite():
         quadrature(hermite_basis(4, 1.0), "radau")
 
 
+def test_hermite_rule_order_ceiling():
+    # exp(-y^2/2) at the largest node, where the function recurrence
+    # starts, leaves the normal float64 range from order 728 on; the rule
+    # raises there, before any evaluation (order 765 used to divide by 0)
+    log_tiny = -math.log(np.finfo(float).tiny)
+    rule = quadrature(hermite_basis(727, 1.0))
+    assert 0.5 * rule.nodes[-1] ** 2 <= log_tiny
+    assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0.0)
+    k = np.arange(1, 729, dtype=float)
+    largest = eigh_tridiagonal(np.zeros(729), np.sqrt(k / 2.0), eigvals_only=True)[-1]
+    assert 0.5 * largest**2 > log_tiny
+    for order in (728, 765):
+        with pytest.raises(ValueError, match=f"order {order} exceeds the ceiling of 727"):
+            quadrature(hermite_basis(order, 1.0))
+
+
 def test_laguerre_derivative_drops_order_and_shifts_family():
     basis = laguerre_basis(6, 1.0)
     # interpolant of f(x) = x is L_0 - L_1; derivative should be identically 1
