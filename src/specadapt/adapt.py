@@ -34,17 +34,19 @@ SINUM 43, 2005).
 
 The frame engine memoizes at two lifetimes.  Each order builds its
 operators once, in the unit variable, and every :class:`Frame` of that
-order and family shares them.  The order also keeps its basis evaluations
-(at shifted nodes and at rescaled nodes) in two least-recently-used memos
-of fixed size.  A frame state keeps what it derives from its own values
-(the damped coefficients, the derivative coefficients and whole-domain norm
-of the exterior indicator, and in 2-d the energy matrix and its total) for
-as long as the state lives; a moved or rescaled state starts with none of
-them.  It keeps its readings too: the frequency indicator and the exterior
-indicator at its own split point, per axis in 2-d, so the ladder, the mover
-and the per-step record read each of them once.  The exterior indicator at
-any other split is evaluated on every call.  State values are a read-only
-copy, so no memo can go stale.
+order and family shares them.  The order also keeps, in three
+least-recently-used memos of fixed size, its basis at shifted and at
+rescaled nodes and (Laguerre only) its weighted basis derivative at
+shifted nodes, which is all the exterior indicator reads.  A state keeps what
+it derives from its own values (the damped coefficients, the exterior
+indicator's whole-domain derivative norm, in 2-d the marginals and the
+energy matrix and its total) for as long as the state lives; a moved or
+rescaled state starts with none of them.  It keeps its readings too: the
+frequency indicator and the exterior indicator at its own split point,
+per axis in 2-d, so the ladder, the mover and the per-step record read
+each of them once.  The exterior indicator at any other split is
+evaluated on every call.  State values are a read-only copy, so no memo
+can go stale.
 
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.  A 2-d reference is called on open grids
@@ -413,9 +415,9 @@ def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
 # --------------------------------------------------------------------------
 
 
-# Entries per resampling memo of one order.  One step of a 2-d run with
-# one order on both axes reads 44 shifts: 0, the split, and per axis a
-# 20-candidate search and a move.
+# Entries per memo of one order.  A 2-d step with one order on both axes
+# reads 22 derivative shifts (0, the split, per axis a 20-candidate search),
+# 3 basis shifts (0, per axis a move) and per axis its ladder's ratios.
 _MEMO_SIZE = 64
 
 
@@ -440,8 +442,8 @@ class _UnitFrame:
 
     A frame at beta has nodes y/beta, weights and gamma scaled by 1/beta
     and psi_l(beta*x) = psi_l(y), so its transform, its refined psi and
-    beta*split are those of this object.  It owns the resampling memos.
-    A Hermite order has no split.
+    beta*split are those of this object.  It owns the memos.  A Hermite
+    order has no split and no derivative memo.
     """
 
     def __init__(self, order: int, family: str):
@@ -460,6 +462,15 @@ class _UnitFrame:
         self.psi_refined = _read_only(eval_weighted_all(basis, refined.nodes))
         self.psi_at: dict = {0.0: psi}  # keyed by beta*shift
         self.psi_on: dict = {}  # keyed by beta/beta'
+        self.dpsi_at: dict = {} if self.split is None else {0.0: _read_only(self.dpsi(psi.copy()))}
+
+    def dpsi(self, psi: np.ndarray) -> np.ndarray:
+        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], overwriting psi."""
+        g = np.cumsum(psi, axis=0)
+        psi *= 0.5
+        g -= psi
+        g *= np.sqrt(self.weights)
+        return g.T
 
 
 @lru_cache(maxsize=None)
@@ -484,17 +495,18 @@ class Frame:
     the memos belong to the order, built once at beta = 1 and shared by
     every beta.
 
-    Two evaluations of the damped functions are memoized per order, each
-    in a least-recently-used memo of ``_MEMO_SIZE`` (N+1)^2 matrices: at
-    shifted nodes (:meth:`psi_at`, used by moves and the exterior
-    indicator) and at another frame's nodes (:meth:`psi_on`, used by
-    rescales).  Both are keyed in the unit variable, so every ladder rung
-    shares the entry of the ratio 1/q, and every frame of the order shares
-    the one at its split.  Everything derived from a state's values is
-    memoized on the state, not here: the methods taking coefficients are
-    stateless per call.  So once a state has its derivative coefficients,
-    each candidate of the mover's search costs one memo lookup, one
-    (N+1)^2 matrix-vector product and a weighted sum.
+    Three evaluations are memoized per order, each in a least-recently-used
+    memo of ``_MEMO_SIZE`` (N+1)^2 matrices: the damped functions at
+    shifted nodes (:meth:`psi_at`, used by moves) and at another frame's
+    nodes (:meth:`psi_on`, used by rescales), and their weighted derivative
+    at shifted nodes (:meth:`dpsi_at`, used by the exterior indicator).
+    All are keyed in the unit variable, so every ladder rung shares the
+    entry of the ratio 1/q, and every frame of the order shares the one at
+    its split.  Everything derived from a state's values is memoized on the
+    state, not here: the methods taking coefficients are stateless per
+    call.  So once a state has its derivative norm, each candidate of the
+    mover's search costs one memo lookup, one (N+1)^2 matrix-vector product
+    and one dot product.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes: past y = 1416.8 it underflows, and the columns of the
@@ -557,6 +569,19 @@ class Frame:
         key = round(self.beta / frame.beta, 12)
         return _memo(unit.psi_on, key, lambda r: eval_weighted_all(unit.basis, unit.nodes * r))
 
+    def dpsi_at(self, shift: float) -> np.ndarray:
+        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) at y_k + beta*shift, (N+1, N+1).
+
+        With w the unit weights and d/dy L_l = -sum_{j<l} L_j, the
+        derivative of sum_l c_l psi_l there is -beta*(G c)_k/sqrt(w_k).
+        Memoized and keyed as :meth:`psi_at`; a Hermite frame raises.
+        """
+        unit = self._unit
+        if unit.split is None:
+            raise ValueError("only a Laguerre frame has a derivative memo")
+        key = round(self.beta * float(shift), 12)
+        return _memo(unit.dpsi_at, key, lambda s: unit.dpsi(eval_weighted_all(unit.basis, unit.nodes + s)))
+
     def frequency(self, coeffs: np.ndarray) -> float | None:
         """High-mode energy fraction of damped-frame coefficients."""
         squares = self.gamma * coeffs * coeffs
@@ -566,38 +591,24 @@ class Frame:
         m = default_high_mode_count(self.order)
         return min(1.0, float(math.sqrt(squares[self.order + 1 - m :].sum() / total)))
 
-    def derivative(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """The set-up of the exterior indicator for damped-frame coefficients.
+    def derivative_norm(self, coeffs: np.ndarray) -> float:
+        """The exterior indicator's denominator for damped-frame coefficients: |G c| at shift 0."""
+        g = self.dpsi_at(0.0) @ coeffs
+        return math.sqrt(g.dot(g))
 
-        Returns the derivative's coefficients (read-only) and its
-        whole-domain weighted squared norm, the indicator's denominator.
-        The derivative stays in the damped basis: with y = beta*(x - x_left)
-        and d/dy L_l = -sum_{j<l} L_j, the derivative of sum_l c_l psi_l is
-        sum_j d_j psi_j with d_j = -beta*(sum_{l>j} c_l + c_j/2).
-        """
-        above = np.zeros_like(coeffs)
-        above[:-1] = np.cumsum(coeffs[:0:-1])[::-1]
-        dcoeffs = _read_only(-self.beta * (above + 0.5 * coeffs))
-        return dcoeffs, self._tail(dcoeffs, 0.0)
-
-    def _tail(self, dcoeffs: np.ndarray, shift: float) -> float:
-        dv = dcoeffs @ self.psi_at(shift)
-        return float(np.sum(self.weights * dv * dv))
-
-    def tails(self, dcoeffs: np.ndarray, denominator: float, offset: float) -> float | None:
+    def tails(self, coeffs: np.ndarray, denominator: float, offset: float) -> float | None:
         """Exterior derivative-tail ratio beyond ``offset`` from the origin.
 
-        ``dcoeffs`` and ``denominator`` come from :meth:`derivative`.  The
-        numerator integrates the squared derivative of the interpolant over
-        (offset, inf) against the weight anchored at the basis origin; the
-        denominator is the whole-domain value.  Returns None for a
-        derivative-free state.
+        ``denominator`` is the :meth:`derivative_norm` of ``coeffs``.  The
+        weighted norm of the derivative over (offset, inf), against the
+        weight anchored at the basis origin, over its whole-domain value is
+        exp(-beta*offset/2)*|G c|/|G(0) c| with G = dpsi_at(offset): the
+        factors beta cancel.  Returns None for a derivative-free state.
         """
         if denominator <= 0.0:
             return None
-        numerator = self._tail(dcoeffs, float(offset))
-        anchored = math.sqrt(max(0.0, numerator / denominator))
-        return math.exp(-0.5 * self.beta * float(offset)) * anchored
+        g = self.dpsi_at(offset) @ coeffs
+        return math.exp(-0.5 * self.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
 
     def interpolant_error(self, coeffs: np.ndarray, exact_refined: np.ndarray) -> float:
         """Weighted relative error of the interpolant over a doubled-order rule.
@@ -608,7 +619,6 @@ class Frame:
         ``refined_nodes`` offsets plus the basis origin.
         """
         approx = coeffs @ self._psi_refined
-        exact_refined = np.asarray(exact_refined, dtype=float)
         w = self.refined_weights
         denominator = float(np.sum(w * exact_refined * exact_refined))
         numerator = float(np.sum(w * (approx - exact_refined) ** 2))
@@ -636,13 +646,13 @@ class FrameState:
 
     ``values`` is stored as a read-only float copy of shape (order+1,); the
     caller's array is left as it was.  The damped coefficients, the exterior
-    indicator's derivative set-up (:meth:`Frame.derivative`), the frequency
+    indicator's denominator (:meth:`Frame.derivative_norm`), the frequency
     indicator and the exterior indicator at :meth:`split_point` are computed
     at most once, on first use, and kept for the state's lifetime.  So the
-    mover's search over n*delta pays for the set-up once, and each candidate
-    only for its own shifted numerator; the per-step record re-reads the
-    controllers' readings for free.  A moved or rescaled state is a new
-    state with an empty memo.
+    mover's search over n*delta pays for the denominator once, and each
+    candidate only for its own shifted numerator; the per-step record
+    re-reads the controllers' readings for free.  A moved or rescaled state
+    is a new state with an empty memo.
     """
 
     frame: Frame
@@ -660,8 +670,8 @@ class FrameState:
         return _read_only(self.frame.tomodal @ self.values)
 
     @cached_property
-    def _derivative(self) -> tuple[np.ndarray, float]:
-        return self.frame.derivative(self._coeffs)
+    def _derivative_norm(self) -> float:
+        return self.frame.derivative_norm(self._coeffs)
 
     @cached_property
     def _frequency(self) -> float | None:
@@ -669,7 +679,7 @@ class FrameState:
 
     @cached_property
     def _split_exterior(self) -> float | None:
-        return self._exterior(self.split_point())
+        return self._ratio(self.split_point())
 
     @property
     def state(self) -> "FrameState":
@@ -695,14 +705,18 @@ class FrameState:
         return _split_at(self.x_left, self.frame)
 
     def exterior(self, split: float | None) -> float | None:
+        return self._exterior(split)
+
+    def _exterior(self, split: float | None) -> float | None:
+        # also a 2-d state's per-axis reading, which the benchmark times as one call
         if split is None:
             return None
         if split == self.split_point():
             return self._split_exterior
-        return self._exterior(split)
+        return self._ratio(split)
 
-    def _exterior(self, split: float) -> float | None:
-        return self.frame.tails(*self._derivative, split - self.x_left)
+    def _ratio(self, split: float) -> float | None:
+        return self.frame.tails(self._coeffs, self._derivative_norm, split - self.x_left)
 
     def rescaled(self, beta: float) -> "FrameState":
         new_frame = Frame(self.frame.order, beta, self.frame.family)
@@ -720,9 +734,10 @@ class FrameState:
         return FrameState(self.frame, values, self.x_left + distance)
 
     def error(self, reference, t: float) -> float:
-        return self.frame.interpolant_error(
-            self._coeffs, reference(self.x_left + self.frame.refined_nodes, t)
-        )
+        """Weighted relative error against ``reference(x, t)``, broadcast to the refined nodes."""
+        nodes = self.x_left + self.frame.refined_nodes
+        exact = _broadcast(reference(nodes, t), nodes.shape, "refined-node")
+        return self.frame.interpolant_error(self._coeffs, exact)
 
 
 def frame_state_from(
@@ -799,10 +814,10 @@ class FrameState2D:
     and kept for the state's lifetime: the tensor transform
     (:meth:`coefficients`, read-only), the energy matrix
     gamma_x*gamma_y*c^2 and its total that both frequency indicators read,
-    and per axis the exterior indicator's derivative set-up of the
-    marginal.  The readings are kept the same way: per axis, the frequency
-    indicator and the exterior indicator at the axis's own split point.  A
-    moved or rescaled state is a new state with an empty memo.
+    and per axis the marginal as a :class:`FrameState`, which keeps that
+    axis's exterior set-up and split reading.  The frequency readings are
+    kept the same way, per axis.  A moved or rescaled state is a new state
+    with an empty memo.
     """
 
     frame_x: Frame
@@ -830,12 +845,12 @@ class FrameState2D:
         return float(self._energy.sum())
 
     @cached_property
-    def _derivative_x(self) -> tuple[np.ndarray, float]:
-        return self.frame_x.derivative(self.frame_x.tomodal @ self.marginal_x_values())
+    def _marginal_x(self) -> FrameState:
+        return FrameState(self.frame_x, self.marginal_x_values(), self.x_left)
 
     @cached_property
-    def _derivative_y(self) -> tuple[np.ndarray, float]:
-        return self.frame_y.derivative(self.frame_y.tomodal @ self.marginal_y_values())
+    def _marginal_y(self) -> FrameState:
+        return FrameState(self.frame_y, self.marginal_y_values(), self.y_left)
 
     @cached_property
     def _frequency_x(self) -> float | None:
@@ -844,14 +859,6 @@ class FrameState2D:
     @cached_property
     def _frequency_y(self) -> float | None:
         return self._frequency_axis(1)
-
-    @cached_property
-    def _split_exterior_x(self) -> float | None:
-        return self._exterior_x(self.split_x())
-
-    @cached_property
-    def _split_exterior_y(self) -> float | None:
-        return self._exterior_y(self.split_y())
 
     def nodes_x(self) -> np.ndarray:
         return self.x_left + self.frame_x.nodes
@@ -892,24 +899,11 @@ class FrameState2D:
         return _split_at(self.y_left, self.frame_y)
 
     def exterior_x(self, split: float | None) -> float | None:
-        if split is None:
-            return None
-        if split == self.split_x():
-            return self._split_exterior_x
-        return self._exterior_x(split)
+        """:meth:`FrameState.exterior` of the x marginal, memoized the same way."""
+        return self._marginal_x._exterior(split)
 
     def exterior_y(self, split: float | None) -> float | None:
-        if split is None:
-            return None
-        if split == self.split_y():
-            return self._split_exterior_y
-        return self._exterior_y(split)
-
-    def _exterior_x(self, split: float) -> float | None:
-        return self.frame_x.tails(*self._derivative_x, split - self.x_left)
-
-    def _exterior_y(self, split: float) -> float | None:
-        return self.frame_y.tails(*self._derivative_y, split - self.y_left)
+        return self._marginal_y._exterior(split)
 
     def moved_x(self, distance: float) -> "FrameState2D":
         """:meth:`FrameState.moved` along x, with its guards."""
@@ -990,22 +984,28 @@ class _AxisControl:
         return _AxisControl(new_state, self.axis)
 
 
-def _on_grid(reference, xs: np.ndarray, ys: np.ndarray, t: float) -> np.ndarray:
-    """``reference`` on the tensor grid xs x ys, called on open grids.
-
-    The call gets an (len(xs), 1) column and a (1, len(ys)) row, and its
-    result is broadcast (read-only) to the grid shape.
-    """
-    column, row = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-    values = np.asarray(reference(column, row, t), dtype=float)
-    shape = (xs.size, ys.size)
+def _broadcast(values, shape: tuple, name: str) -> np.ndarray:
+    """A reference's result broadcast to ``shape``, or ValueError naming both."""
+    values = np.asarray(values, dtype=float)
+    if values.shape == shape:
+        return values
     try:
         return np.broadcast_to(values, shape)
     except ValueError:
         raise ValueError(
             f"reference returned shape {values.shape}, which does not broadcast "
-            f"to the grid shape {shape}"
+            f"to the {name} shape {shape}"
         ) from None
+
+
+def _on_grid(reference, xs: np.ndarray, ys: np.ndarray, t: float) -> np.ndarray:
+    """``reference`` on the tensor grid xs x ys, called on open grids.
+
+    The call gets an (len(xs), 1) column and a (1, len(ys)) row, and its
+    result is broadcast to the grid shape.
+    """
+    column, row = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    return _broadcast(reference(column, row, t), (xs.size, ys.size), "grid")
 
 
 def frame_state_2d_from(

@@ -15,13 +15,13 @@ comparing against NaN.  Both are invariant under scaling the coefficients by
 a nonzero constant.
 
 The controllers read both signals from the damped frames of
-:mod:`specadapt.adapt` (``Frame.frequency`` and ``Frame.tails``), per axis
-for tensor-product states, with the high-mode count and the split point of
-:func:`default_high_mode_count` and :func:`default_split_point`.  The
-coefficient-space forms here, for one-dimensional
-:class:`~specadapt.approx.Expansion` objects, are kept only for
-:func:`specadapt.adapt.initial_state` and the benchmark's cold set-up
-workload (``cold-orders``).
+:mod:`specadapt.adapt` (``Frame.frequency``, and ``Frame.tails`` over the
+memoized basis derivative ``Frame.dpsi_at``), per axis for tensor-product
+states, with :func:`default_high_mode_count` and
+:func:`default_split_point`.  The coefficient-space forms here, for
+one-dimensional :class:`~specadapt.approx.Expansion` objects, are kept
+only for :func:`specadapt.adapt.initial_state` and the benchmark's cold
+set-up workload (``cold-orders``).
 """
 
 from __future__ import annotations

@@ -596,8 +596,10 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
     """Frequency and exterior ratios from nodal values, with no memo.
 
     ``frame`` is a :class:`Frame` or a :func:`_direct_frame` build.  The
-    tails evaluate in the unit variable, as a frame does, or with
-    ``unit=False`` at the shifted x-nodes.
+    exterior ratios come from the derivative's own coefficients (a reverse
+    cumsum), independently of the frame's derivative memo.  The tails
+    evaluate in the unit variable, as a frame does, or with ``unit=False``
+    at the shifted x-nodes.
     """
     coeffs = frame.tomodal @ values
     squares = frame.gamma * coeffs * coeffs
@@ -623,16 +625,35 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
     return frequency, exterior
 
 
+def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
+    """The exterior ratios in the frame's own form, exp(-beta*s/2)*|G(s) c|/|G(0) c|.
+
+    Every G is built afresh from one basis evaluation at the unit-variable
+    shift, as a miss of :meth:`Frame.dpsi_at` builds it, so a memoized
+    reading must equal these bit for bit.
+    """
+    unit = adapt._unit_frame(frame.order, LAGUERRE)
+    coeffs = frame.tomodal @ values
+
+    def norm(offset: float) -> float:
+        psi = eval_weighted_all(unit.basis, unit.nodes + round(frame.beta * float(offset), 12))
+        g = unit.dpsi(psi) @ coeffs
+        return math.sqrt(g.dot(g))
+
+    whole = norm(0.0)
+    return [math.exp(-0.5 * frame.beta * float(s)) * (norm(s) / whole) for s in offsets]
+
+
 def _count_derivative_setups(monkeypatch) -> list:
-    """Record the frame of every exterior-indicator set-up."""
+    """Record the frame of every exterior-indicator denominator."""
     calls = []
-    original = Frame.derivative
+    original = Frame.derivative_norm
 
     def counted(frame, coeffs):
         calls.append(frame)
         return original(frame, coeffs)
 
-    monkeypatch.setattr(Frame, "derivative", counted)
+    monkeypatch.setattr(Frame, "derivative_norm", counted)
     return calls
 
 
@@ -650,7 +671,9 @@ def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     cfg = AdaptConfig()
     state = frame_state_from(moving_front, 29, 1.9, x_left=0.3, t=0.4)
     offsets = _search_offsets(state, cfg)
-    frequency, exterior = _scratch_indicators(state.frame, state.values, offsets)
+    frequency, oracle = _scratch_indicators(state.frame, state.values, offsets)
+    exterior = _memo_free_exterior(state.frame, state.values, offsets)
+    assert exterior == pytest.approx(oracle, rel=1e-12, abs=0)
     calls = _count_derivative_setups(monkeypatch)
     e = state.exterior(state.split_point())
     assert e == exterior[0]
@@ -667,10 +690,12 @@ def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     # a derived state sets up its own indicators from its own values
     for derived in (state.moved(2 * cfg.delta), state.rescaled(0.95 * state.beta)):
         calls.clear()
-        offsets = _search_offsets(derived, cfg)
-        frequency, exterior = _scratch_indicators(derived.frame, derived.values, offsets)
+        offsets = _search_offsets(derived, cfg)[:1]
+        frequency, oracle = _scratch_indicators(derived.frame, derived.values, offsets)
         assert derived.frequency() == frequency
-        assert derived.exterior(derived.split_point()) == exterior[0]
+        e = derived.exterior(derived.split_point())
+        assert e == _memo_free_exterior(derived.frame, derived.values, offsets)[0]
+        assert e == pytest.approx(oracle[0], rel=1e-12, abs=0)
         assert calls == [derived.frame]
 
 
@@ -691,7 +716,9 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     for axis, frame in ((0, fx), (1, fy)):
         control = adapt._AxisControl(state, axis)
         offsets = _search_offsets(control, cfg)
-        frequency, exterior = _scratch_indicators(frame, marginals[axis], offsets)
+        oracle = _scratch_indicators(frame, marginals[axis], offsets)[1]
+        exterior = _memo_free_exterior(frame, marginals[axis], offsets)
+        assert exterior == pytest.approx(oracle, rel=1e-12, abs=0)
         e = control.exterior(control.split_point())
         assert e == exterior[0]
         assert adapt._moving_distance(control, e, 1e-300, cfg) == cfg.d_max
@@ -760,12 +787,14 @@ def test_frame_state_readings_are_memoized(monkeypatch):
     state = frame_state_from(moving_front, 24, 2.0, x_left=0.3, t=0.2)
     frame = state.frame
     coeffs = frame.tomodal @ state.values
-    dcoeffs, whole = frame.derivative(coeffs)
+    whole = frame.derivative_norm(coeffs)
     split = state.split_point()
     scratch_frequency = frame.frequency(coeffs)
-    scratch_exterior = frame.tails(dcoeffs, whole, split - state.x_left)
+    scratch_exterior = frame.tails(coeffs, whole, split - state.x_left)
     other = split + 0.05
-    scratch_other = frame.tails(dcoeffs, whole, other - state.x_left)
+    scratch_other = frame.tails(coeffs, whole, other - state.x_left)
+    oracle = _scratch_indicators(frame, state.values, [split - state.x_left, other - state.x_left])[1]
+    assert [scratch_exterior, scratch_other] == pytest.approx(oracle, rel=1e-12, abs=0)
     tails = _count_calls(monkeypatch, Frame, "tails")
     frequency = _count_calls(monkeypatch, Frame, "frequency")
     assert state.frequency() == scratch_frequency
@@ -801,10 +830,13 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
     splits = (state.split_x(), state.split_y())
     scratch_exterior = []
     for frame, marginal, left, split in zip((fx, fy), marginals, lefts, splits):
-        set_up = frame.derivative(frame.tomodal @ marginal)
+        coeffs = frame.tomodal @ marginal
+        whole = frame.derivative_norm(coeffs)
         scratch_exterior.append(
-            (frame.tails(*set_up, split - left), frame.tails(*set_up, split + 0.05 - left))
+            (frame.tails(coeffs, whole, split - left), frame.tails(coeffs, whole, split + 0.05 - left))
         )
+        oracle = _scratch_indicators(frame, marginal, [split - left, split + 0.05 - left])[1]
+        assert list(scratch_exterior[-1]) == pytest.approx(oracle, rel=1e-12, abs=0)
     tails = _count_calls(monkeypatch, Frame, "tails")
     frequency = _count_calls(monkeypatch, FrameState2D, "_frequency_axis")
     for axis in (0, 1):
@@ -831,10 +863,10 @@ def test_run_2d_reads_each_reading_once_per_state(monkeypatch, mode):
         frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 12, 2.0, 12, 2.0),
         cfg, 0.05, 1.0, mode,
     )
-    assert len(records) == 21 and len(frequency) >= 42
+    assert len(records) == 21 and len(frequency) >= 42 and len(tails) >= 42
     # the calls hold their arguments, so no id is reused within one list
     assert len({(id(state), axis) for state, (axis,) in frequency}) == len(frequency)
-    assert len({(id(dcoeffs), offset) for _, (dcoeffs, _, offset) in tails}) == len(tails)
+    assert len({(id(coeffs), offset) for _, (coeffs, _, offset) in tails}) == len(tails)
 
 
 def _non_separable(x, y, t):
@@ -1046,12 +1078,88 @@ def test_resampling_memos_are_bounded():
     for k in range(200):
         state.exterior(split + 0.001 * k)
         state.rescaled(2.5 * (0.5 + 0.002 * k))
-    for memo in (unit.psi_at, unit.psi_on):
+        state.moved(0.001 * (k + 1))
+    for memo in (unit.psi_at, unit.psi_on, unit.dpsi_at):
         assert 0 < len(memo) <= adapt._MEMO_SIZE
         assert all(psi.shape == (129, 129) for psi in memo.values())
     # the most recent entries are the ones kept
-    assert round(2.5 * (split + 0.199), 12) in unit.psi_at
+    assert round(2.5 * (split + 0.199), 12) in unit.dpsi_at
     assert round(1.0 / (0.5 + 0.002 * 199), 12) in unit.psi_on
+    assert round(2.5 * 0.2, 12) in unit.psi_at
+
+
+def test_derivative_memo_drops_the_least_recently_used_entry(monkeypatch):
+    frame = Frame(23, 1.0)  # an order no other test uses
+    unit = frame._unit
+    assert list(unit.dpsi_at) == [0.0]
+    shifts = [0.01 * k for k in range(1, adapt._MEMO_SIZE)]
+    first = [frame.dpsi_at(s) for s in shifts]
+    assert len(unit.dpsi_at) == adapt._MEMO_SIZE
+    calls = _count_basis_evaluations(monkeypatch)
+    frame.dpsi_at(0.0)  # a hit makes the zero entry the most recent
+    frame.dpsi_at(0.64)
+    assert len(calls) == 1 and len(unit.dpsi_at) == adapt._MEMO_SIZE
+    assert round(shifts[0], 12) not in unit.dpsi_at
+    assert 0.0 in unit.dpsi_at and round(shifts[1], 12) in unit.dpsi_at
+    # a dropped entry is evaluated again, to the same bits
+    assert np.array_equal(frame.dpsi_at(shifts[0]), first[0])
+    assert len(calls) == 2 and round(shifts[1], 12) not in unit.dpsi_at
+
+
+def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
+    calls = _count_basis_evaluations(monkeypatch)
+    unit = adapt._UnitFrame(17, LAGUERRE)
+    assert len(calls) == 2  # the nodes and the refined nodes, as without the memo
+    psi = unit.psi_at[0.0]
+    expected = np.sqrt(unit.weights)[:, None] * (np.cumsum(psi, axis=0) - 0.5 * psi).T
+    assert list(unit.dpsi_at) == [0.0] and not psi.flags.writeable
+    np.testing.assert_allclose(unit.dpsi_at[0.0], expected, rtol=1e-12, atol=0)
+    assert not unit.dpsi_at[0.0].flags.writeable
+
+
+def test_hermite_frame_has_no_derivative_memo():
+    state = frame_state_from(widening_gauss, 20, 1.0, family=HERMITE)
+    unit = state.frame._unit
+    assert state.split_point() is None and state.exterior(state.split_point()) is None
+    records, _ = run_frames(
+        frame_resample_evolver(widening_gauss), state, AdaptConfig(), 0.1, 1.0, MODE_SCALE
+    )
+    assert all(r.ext is None for r in records)
+    assert unit.dpsi_at == {}
+    with pytest.raises(ValueError, match="Laguerre"):
+        state.frame.dpsi_at(0.1)
+    with pytest.raises(ValueError, match="Laguerre"):
+        state.exterior(1.0)
+    assert unit.dpsi_at == {}
+
+
+@pytest.mark.parametrize("order", [16, 128, 363])
+def test_derivative_memo_matches_a_scratch_build(order):
+    frame = Frame(order, 2.0)
+    basis = laguerre_basis(order, 1.0)
+    rule = quadrature(basis)
+    split = frame.split_rel
+    for shift in (0.0, split, split + 0.004, 0.7, 25.0):
+        psi = eval_weighted_all(basis, rule.nodes + round(2.0 * shift, 12))
+        expected = np.sqrt(rule.weights)[:, None] * (np.cumsum(psi, axis=0) - 0.5 * psi).T
+        np.testing.assert_allclose(frame.dpsi_at(shift), expected, rtol=1e-12, atol=0)
+
+
+def test_frame_state_error_rejects_a_misshaped_reference():
+    def f(x, t):
+        return np.exp(-x)
+
+    state = frame_state_from(f, 16, 1.0)
+    assert state.error(f, 0.0) < 1e-8
+    for wrong, shape in (
+        (lambda x, t: f(x, t)[:, None], r"\(34, 1\)"),
+        (lambda x, t: f(x, t)[:5], r"\(5,\)"),
+    ):
+        with pytest.raises(ValueError, match=shape + r".*refined-node shape \(34,\)"):
+            state.error(wrong, 0.0)
+    # a scalar reference broadcasts
+    full = lambda x, t: np.full(np.shape(x), 2.0)
+    assert state.error(lambda x, t: 2.0, 0.0) == state.error(full, 0.0) > 0.1
 
 
 def test_frame_rejects_bad_input_and_caches_nothing():
