@@ -34,19 +34,23 @@ SINUM 43, 2005).
 
 The frame engine memoizes at two lifetimes.  Each order builds its
 operators once, in the unit variable, and every :class:`Frame` of that
-order and family shares them.  The order also keeps, in three
+order and family shares them.  A Laguerre order also builds, on its first
+exterior reading, one stacked operator holding its weighted basis
+derivative at shift 0 and at its split point, so a state's whole exterior
+set-up is one matrix-vector product.  The order keeps, in three
 least-recently-used memos of fixed size, its basis at shifted and at
-rescaled nodes and (Laguerre only) its weighted basis derivative at
-shifted nodes, which is all the exterior indicator reads.  A state keeps what
-it derives from its own values (the damped coefficients, the exterior
-indicator's whole-domain derivative norm, in 2-d the marginals and the
-energy matrix and its total) for as long as the state lives; a moved or
-rescaled state starts with none of them.  It keeps its readings too: the
-frequency indicator and the exterior indicator at its own split point,
-per axis in 2-d, so the ladder, the mover and the per-step record read
-each of them once.  The exterior indicator at any other split is
-evaluated on every call.  State values are a read-only copy, so no memo
-can go stale.
+rescaled nodes and (Laguerre only) its weighted basis derivative at the
+mover's shifted sentinels.  A state keeps what it derives from its own
+values (the damped coefficients, the exterior indicator's whole-domain
+derivative norm, in 2-d the marginals and the energy matrix and its
+total) for as long as the state lives; a moved or rescaled state starts
+with none of them.  It keeps its readings too: the frequency indicator and
+the exterior indicator at its own split point, per axis in 2-d, so the
+ladder, the mover and the per-step record read each of them once.  The
+exterior indicator at any other split is evaluated on every call.  State
+values are a read-only copy, so no memo can go stale.  The state memos are
+plain instance attributes written on first read (:class:`_memoized`), so
+a read takes no lock.
 
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.  A 2-d reference is called on open grids
@@ -62,7 +66,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -416,14 +420,36 @@ def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
 
 
 # Entries per memo of one order.  A 2-d step with one order on both axes
-# reads 22 derivative shifts (0, the split, per axis a 20-candidate search),
-# 3 basis shifts (0, per axis a move) and per axis its ladder's ratios.
+# reads up to 40 derivative shifts (per axis a 20-candidate search; 0 and
+# the split are in the order's stacked pair, not in the memo), 3 basis
+# shifts (0, per axis a move) and per axis its ladder's ratios.
 _MEMO_SIZE = 64
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+class _memoized:
+    """A read-once attribute: the first read stores the value in the instance ``__dict__``.
+
+    Like :func:`functools.cached_property` without its lock (Python <= 3.11
+    takes an ``RLock`` on every first read).  It defines no ``__set__``, so
+    the stored value shadows it, and it writes past a frozen dataclass's
+    ``__setattr__``, which still refuses plain assignment.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 def _memo(cache: dict, key: float, evaluate) -> np.ndarray:
@@ -442,8 +468,9 @@ class _UnitFrame:
 
     A frame at beta has nodes y/beta, weights and gamma scaled by 1/beta
     and psi_l(beta*x) = psi_l(y), so its transform, its refined psi and
-    beta*split are those of this object.  It owns the memos.  A Hermite
-    order has no split and no derivative memo.
+    beta*split are those of this object.  It owns the memos.  A Laguerre
+    order builds :attr:`pair` on its first exterior reading; a Hermite
+    order has no split, no pair and no derivative memo.
     """
 
     def __init__(self, order: int, family: str):
@@ -455,18 +482,38 @@ class _UnitFrame:
         self.nodes, self.weights = rule.nodes, rule.weights
         self.mod_weights = modified_weights(rule)
         self.gamma = gamma_norms(basis)
-        psi = _read_only(eval_weighted_all(basis, rule.nodes))
+        self.psi = psi = _read_only(eval_weighted_all(basis, rule.nodes))
         self.tomodal = _read_only((psi * self.mod_weights) / self.gamma[:, None])
         self.split = default_split_point(order, rule.nodes) if family == LAGUERRE else None
         self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
         self.psi_refined = _read_only(eval_weighted_all(basis, refined.nodes))
         self.psi_at: dict = {0.0: psi}  # keyed by beta*shift
         self.psi_on: dict = {}  # keyed by beta/beta'
-        self.dpsi_at: dict = {} if self.split is None else {0.0: _read_only(self.dpsi(psi.copy()))}
+        self.dpsi_at: dict = {}  # keyed by beta*shift, Laguerre only
 
-    def dpsi(self, psi: np.ndarray) -> np.ndarray:
-        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], overwriting psi."""
-        g = np.cumsum(psi, axis=0)
+    @_memoized
+    def pair(self) -> np.ndarray:
+        """G at shift 0 stacked on G at s* = round(split, 12), (2(N+1), N+1), read-only.
+
+        G(0) comes from the build's own evaluation, so building the pair
+        costs one basis evaluation, at the split.  Each half is written in
+        place, with no stacking copy; column-major, so each write is a
+        contiguous row of G's transpose.  A Hermite order raises.
+        """
+        if self.split is None:
+            raise ValueError("only a Laguerre frame has an exterior indicator")
+        n = self.nodes.size
+        pair = np.empty((2 * n, n), order="F")
+        self.dpsi(self.psi.copy(), out=pair[:n])
+        self.dpsi(eval_weighted_all(self.basis, self.nodes + round(self.split, 12)), out=pair[n:])
+        return _read_only(pair)
+
+    def dpsi(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], overwriting psi.
+
+        G is written to ``out`` when given, an (N+1, N+1) array.
+        """
+        g = np.cumsum(psi, axis=0, out=None if out is None else out.T)
         psi *= 0.5
         g -= psi
         g *= np.sqrt(self.weights)
@@ -499,14 +546,17 @@ class Frame:
     memo of ``_MEMO_SIZE`` (N+1)^2 matrices: the damped functions at
     shifted nodes (:meth:`psi_at`, used by moves) and at another frame's
     nodes (:meth:`psi_on`, used by rescales), and their weighted derivative
-    at shifted nodes (:meth:`dpsi_at`, used by the exterior indicator).
-    All are keyed in the unit variable, so every ladder rung shares the
-    entry of the ratio 1/q, and every frame of the order shares the one at
-    its split.  Everything derived from a state's values is memoized on the
-    state, not here: the methods taking coefficients are stateless per
-    call.  So once a state has its derivative norm, each candidate of the
-    mover's search costs one memo lookup, one (N+1)^2 matrix-vector product
-    and one dot product.
+    at shifted nodes (:meth:`dpsi_at`, used by the mover's search).  All
+    are keyed in the unit variable, so every ladder rung shares the entry
+    of the ratio 1/q.  The derivative at shift 0 and at the split, which
+    every state reads, is one stacked operator of the order instead, built
+    on first use and shared by every frame of the order
+    (:meth:`split_reading`).  Everything derived from a state's values is
+    memoized on the state, not here: the methods taking coefficients are
+    stateless per call.  So a fresh state's exterior set-up is one
+    2(N+1) x (N+1) matrix-vector product, and each candidate of the
+    mover's search costs one memo lookup, one (N+1)^2 matrix-vector
+    product and one dot product.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes: past y = 1416.8 it underflows, and the columns of the
@@ -591,16 +641,27 @@ class Frame:
         m = default_high_mode_count(self.order)
         return min(1.0, float(math.sqrt(squares[self.order + 1 - m :].sum() / total)))
 
-    def derivative_norm(self, coeffs: np.ndarray) -> float:
-        """The exterior indicator's denominator for damped-frame coefficients: |G c| at shift 0."""
-        g = self.dpsi_at(0.0) @ coeffs
-        return math.sqrt(g.dot(g))
+    def split_reading(self, coeffs: np.ndarray) -> tuple[float, float | None]:
+        """The exterior set-up of damped-frame coefficients: (|G(0) c|, the split ratio).
+
+        One product with the order's stacked pair gives G(0) c and G(s*) c,
+        s* the unit split rounded to 12 decimals, so the ratio at the split
+        is exp(-s*/2)*|G(s*) c|/|G(0) c| (see :meth:`tails`).  The ratio is
+        None for a derivative-free state; a Hermite frame raises.
+        """
+        unit = self._unit
+        g = unit.pair @ coeffs
+        whole, tail = g[: self.order + 1], g[self.order + 1 :]
+        denominator = math.sqrt(whole.dot(whole))
+        if denominator <= 0.0:
+            return denominator, None
+        return denominator, math.exp(-0.5 * round(unit.split, 12)) * (math.sqrt(tail.dot(tail)) / denominator)
 
     def tails(self, coeffs: np.ndarray, denominator: float, offset: float) -> float | None:
         """Exterior derivative-tail ratio beyond ``offset`` from the origin.
 
-        ``denominator`` is the :meth:`derivative_norm` of ``coeffs``.  The
-        weighted norm of the derivative over (offset, inf), against the
+        ``denominator`` is |G(0) c|, the first item of :meth:`split_reading`.
+        The weighted norm of the derivative over (offset, inf), against the
         weight anchored at the basis origin, over its whole-domain value is
         exp(-beta*offset/2)*|G c|/|G(0) c| with G = dpsi_at(offset): the
         factors beta cancel.  Returns None for a derivative-free state.
@@ -618,10 +679,11 @@ class Frame:
         coefficients and ``exact_refined`` holds the reference at
         ``refined_nodes`` offsets plus the basis origin.
         """
-        approx = coeffs @ self._psi_refined
+        diff = coeffs @ self._psi_refined
+        diff -= exact_refined
         w = self.refined_weights
-        denominator = float(np.sum(w * exact_refined * exact_refined))
-        numerator = float(np.sum(w * (approx - exact_refined) ** 2))
+        denominator = float((w * exact_refined) @ exact_refined)
+        numerator = float((w * diff) @ diff)
         if denominator <= 0.0:
             return math.sqrt(numerator)
         return math.sqrt(numerator / denominator)
@@ -645,14 +707,15 @@ class FrameState:
     """Nodal values in a frame plus the basis origin.
 
     ``values`` is stored as a read-only float copy of shape (order+1,); the
-    caller's array is left as it was.  The damped coefficients, the exterior
-    indicator's denominator (:meth:`Frame.derivative_norm`), the frequency
-    indicator and the exterior indicator at :meth:`split_point` are computed
-    at most once, on first use, and kept for the state's lifetime.  So the
-    mover's search over n*delta pays for the denominator once, and each
-    candidate only for its own shifted numerator; the per-step record
-    re-reads the controllers' readings for free.  A moved or rescaled state
-    is a new state with an empty memo.
+    caller's array is left as it was.  The damped coefficients (read-only),
+    the frequency indicator and the exterior set-up are computed at most
+    once, on first use, and kept for the state's lifetime.  The set-up is
+    one product with the order's stacked pair (:meth:`Frame.split_reading`),
+    which gives both the exterior indicator's denominator and its reading
+    at :meth:`split_point`.  So the mover's search over n*delta pays for
+    the denominator once, and each candidate only for its own shifted
+    numerator; the per-step record re-reads the controllers' readings for
+    free.  A moved or rescaled state is a new state with an empty memo.
     """
 
     frame: Frame
@@ -665,21 +728,17 @@ class FrameState:
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
 
-    @cached_property
+    @_memoized
     def _coeffs(self) -> np.ndarray:
         return _read_only(self.frame.tomodal @ self.values)
 
-    @cached_property
-    def _derivative_norm(self) -> float:
-        return self.frame.derivative_norm(self._coeffs)
+    @_memoized
+    def _split_reading(self) -> tuple[float, float | None]:
+        return self.frame.split_reading(self._coeffs)
 
-    @cached_property
+    @_memoized
     def _frequency(self) -> float | None:
         return self.frame.frequency(self._coeffs)
-
-    @cached_property
-    def _split_exterior(self) -> float | None:
-        return self._ratio(self.split_point())
 
     @property
     def state(self) -> "FrameState":
@@ -712,11 +771,8 @@ class FrameState:
         if split is None:
             return None
         if split == self.split_point():
-            return self._split_exterior
-        return self._ratio(split)
-
-    def _ratio(self, split: float) -> float | None:
-        return self.frame.tails(self._coeffs, self._derivative_norm, split - self.x_left)
+            return self._split_reading[1]
+        return self.frame.tails(self._coeffs, self._split_reading[0], split - self.x_left)
 
     def rescaled(self, beta: float) -> "FrameState":
         new_frame = Frame(self.frame.order, beta, self.frame.family)
@@ -832,31 +888,31 @@ class FrameState2D:
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
 
-    @cached_property
+    @_memoized
     def _coeffs(self) -> np.ndarray:
         return _read_only(self.frame_x.tomodal @ self.values @ self.frame_y.tomodal.T)
 
-    @cached_property
+    @_memoized
     def _energy(self) -> np.ndarray:
         return _read_only(np.multiply.outer(self.frame_x.gamma, self.frame_y.gamma) * self._coeffs**2)
 
-    @cached_property
+    @_memoized
     def _energy_total(self) -> float:
         return float(self._energy.sum())
 
-    @cached_property
+    @_memoized
     def _marginal_x(self) -> FrameState:
         return FrameState(self.frame_x, self.marginal_x_values(), self.x_left)
 
-    @cached_property
+    @_memoized
     def _marginal_y(self) -> FrameState:
         return FrameState(self.frame_y, self.marginal_y_values(), self.y_left)
 
-    @cached_property
+    @_memoized
     def _frequency_x(self) -> float | None:
         return self._frequency_axis(0)
 
-    @cached_property
+    @_memoized
     def _frequency_y(self) -> float | None:
         return self._frequency_axis(1)
 
@@ -1004,8 +1060,7 @@ def _on_grid(reference, xs: np.ndarray, ys: np.ndarray, t: float) -> np.ndarray:
     The call gets an (len(xs), 1) column and a (1, len(ys)) row, and its
     result is broadcast to the grid shape.
     """
-    column, row = np.meshgrid(xs, ys, indexing="ij", sparse=True)
-    return _broadcast(reference(column, row, t), (xs.size, ys.size), "grid")
+    return _broadcast(reference(xs[:, None], ys[None, :], t), (xs.size, ys.size), "grid")
 
 
 def frame_state_2d_from(

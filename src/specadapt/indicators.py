@@ -15,10 +15,12 @@ comparing against NaN.  Both are invariant under scaling the coefficients by
 a nonzero constant.
 
 The controllers read both signals from the damped frames of
-:mod:`specadapt.adapt` (``Frame.frequency``, and ``Frame.tails`` over the
-memoized basis derivative ``Frame.dpsi_at``), per axis for tensor-product
-states, with :func:`default_high_mode_count` and
-:func:`default_split_point`.  The coefficient-space forms here, for
+:mod:`specadapt.adapt` (``Frame.frequency``; the exterior indicator at a
+state's own split from ``Frame.split_reading``, one product with the
+order's stacked basis derivative at shift 0 and at the split, and at the
+mover's shifted sentinels from ``Frame.tails`` over the memoized
+``Frame.dpsi_at``), per axis for tensor-product states, with
+:func:`default_high_mode_count` and :func:`default_split_point`.  The coefficient-space forms here, for
 one-dimensional :class:`~specadapt.approx.Expansion` objects, are kept
 only for :func:`specadapt.adapt.initial_state` and the benchmark's cold
 set-up workload (``cold-orders``).

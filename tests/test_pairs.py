@@ -1,0 +1,67 @@
+"""Tests of tools/pairs.py, the alternating-pairs benchmark comparison, on stand-in checkouts."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+END_TO_END = [
+    {"name": "steps_per_s", "unit": "1/s", "better": "higher"},
+    {"name": "step_ms_p50", "unit": "ms", "better": "lower"},
+]
+
+
+def _result(correct=True, **metrics) -> dict:
+    return {
+        "correct": correct, "attempted": 10, "failed": 0,
+        "metrics": {name: {"value": value, "unit": ""} for name, value in metrics.items()},
+    }
+
+
+def test_summarize_counts_wins_in_each_metric_direction():
+    base = [_result(steps_per_s=v, step_ms_p50=1.0 / v) for v in (100.0, 110.0, 90.0, 105.0, 95.0)]
+    change = [_result(steps_per_s=v, step_ms_p50=1.0 / v) for v in (120.0, 100.0, 130.0, 125.0, 95.0)]
+    rows = {row["metric"]: row for row in pairs.summarize(base, change, END_TO_END)}
+    speed, latency = rows["steps_per_s"], rows["step_ms_p50"]
+    assert speed["base"] == (95.0, 100.0, 105.0) and speed["change"] == (100.0, 120.0, 125.0)
+    # pair 2 is a loss and pair 5 a tie, which is no win
+    assert (speed["wins"], latency["wins"], speed["pairs"]) == (3, 3, 5)
+    assert speed["relative"] == pytest.approx(0.2)
+    assert speed["beyond_base_iqr"] and latency["beyond_base_iqr"]
+    # a shift smaller than the base's quartile distance is not beyond it
+    noisy = [_result(steps_per_s=v, step_ms_p50=1.0) for v in (50.0, 100.0, 150.0)]
+    row = pairs.summarize(noisy, change[:3], END_TO_END)[0]
+    assert row["wins"] == 1 and not row["beyond_base_iqr"]
+    assert pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def _checkout(root: Path, result: dict) -> Path:
+    """A stand-in checkout whose benchmark prints ``result`` as its result line."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(f"print('detail')\nprint({json.dumps(json.dumps(result))})\n")
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    return root
+
+
+def test_pairs_alternate_and_fail_on_an_incorrect_run(tmp_path, capsys):
+    good = _checkout(tmp_path / "good", _result(steps_per_s=100.0, step_ms_p50=0.5))
+    bad = _checkout(tmp_path / "bad", _result(correct=False, steps_per_s=200.0, step_ms_p50=0.1))
+    argv = ["--workload", "spread-scale", "--pairs", "2", "--seconds", "1"]
+    assert pairs.main(["--base", str(good), "--change", str(good)] + argv) == 0
+    captured = capsys.readouterr()
+    assert "base first" in captured.err and "change first" in captured.err
+    assert "steps_per_s" in captured.out and "0/2" in captured.out
+    assert pairs.main(["--base", str(good), "--change", str(bad)] + argv) == 1
+    assert "not correct" in capsys.readouterr().err
+    # a run with no result line fails too
+    (bad / "perfbench" / "run.py").write_text("import sys\nsys.exit(3)\n")
+    assert pairs.main(["--base", str(bad), "--change", str(good)] + argv) == 1
+    assert "no result" in capsys.readouterr().err

@@ -1,0 +1,118 @@
+"""Alternating benchmark pairs: one workload, two checkouts, N pairs.
+
+    python3 tools/pairs.py --base ../parent --change . --workload spread-scale \
+        --pairs 10 --seconds 30 --seed 100
+
+Pair i runs ``perfbench/run.py --workload W --seed (seed + i)`` once in each
+checkout, the base first on even i and the change first on odd i, so that a
+drift of the host's speed does not favour one side.  Each run is a fresh
+process of the checkout's own benchmark, with bytecode caches off so that
+neither checkout is written to.
+
+For every end-to-end metric of the change's ``BENCHMARK.json`` it prints
+each side's median and quartiles, the change's relative median shift, how
+many pairs the change won (a tie is no win), and whether the median shift
+exceeds the base's quartile distance.  It exits non-zero when any run fails
+or reports ``"correct": false``.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
+    """One run of ``checkout``'s benchmark; its result line, or RuntimeError."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds)]
+    if smoke:
+        command.append("--smoke")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=seconds + 300)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(f"{checkout}: no result (exit {proc.returncode}): {proc.stderr.strip()}") from None
+    if proc.returncode != 0 or result.get("correct") is not True:
+        raise RuntimeError(f"{checkout}: seed {seed} is not correct (exit {proc.returncode}): {lines[-1]}")
+    return result
+
+
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3); a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(base: list, change: list, end_to_end: list) -> list:
+    """One row per metric from paired result lines (``base[i]`` pairs ``change[i]``)."""
+    rows = []
+    for spec in end_to_end:
+        name, higher = spec["name"], spec["better"] == "higher"
+        b = [r["metrics"][name]["value"] for r in base]
+        c = [r["metrics"][name]["value"] for r in change]
+        bq, cq = quartiles(b), quartiles(c)
+        wins = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
+        shift = cq[1] - bq[1]
+        gain = shift if higher else -shift
+        rows.append({
+            "metric": name,
+            "base": bq,
+            "change": cq,
+            "relative": shift / bq[1] if bq[1] else float("nan"),
+            "wins": wins,
+            "pairs": len(b),
+            "beyond_base_iqr": gain > bq[2] - bq[0],
+        })
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument("--change", type=Path, required=True, help="checkout under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
+    parser.add_argument("--smoke", action="store_true", help="pass --smoke to the benchmark")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    results = {"base": [], "change": []}
+    try:
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                checkout = args.base if side == "base" else args.change
+                results[side].append(bench(checkout, args.workload, args.seed + i, args.seconds, args.smoke))
+            print(f"pair {i + 1}/{args.pairs} (seed {args.seed + i}, {order[0]} first) done", file=sys.stderr)
+    except (RuntimeError, subprocess.TimeoutExpired) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"{args.workload}: {args.pairs} alternating pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
+    print(f"{'metric':<12} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'shift':>8} {'wins':>6}")
+    for row in summarize(results["base"], results["change"], spec["end_to_end"]):
+        b, c = (f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (row["base"], row["change"]))
+        print(f"{row['metric']:<12} {b:>34} {c:>34} {row['relative']:>+8.2%} {row['wins']:>3}/{row['pairs']}"
+              f"{'  beyond base IQR' if row['beyond_base_iqr'] else ''}")
+    for side in ("base", "change"):
+        attempted = sum(r["attempted"] for r in results[side])
+        failed = sum(r["failed"] for r in results[side])
+        print(f"{side}: {failed} of {attempted} operations failed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
