@@ -76,6 +76,7 @@ from .basis import (
     _LOG_TINY,
     LAGUERRE,
     ScaledBasis,
+    _checked_order,
     eval_weighted_all,
     gamma_norms,
     modified_weights,
@@ -389,14 +390,13 @@ class AdaptState:
     """Reference indicator values of a starting expansion.
 
     ``f0``/``e0`` are the frequency and exterior-error baselines the
-    controllers compare against; ``x_right`` is the default split point
+    controllers compare against; ``e0`` is read at the default split point
     of the expansion's node set (None for a basis without one).
     """
 
     expansion: Expansion
     f0: float | None
     e0: float | None
-    x_right: float | None
 
 
 def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
@@ -406,12 +406,11 @@ def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
     as the frame engine does; ``cfg`` is accepted but not read.
     """
     basis = expansion.basis
-    x_right = None
+    e0 = None
     if basis.family == LAGUERRE:
         x_right = default_split_point(basis.order, quadrature(basis).nodes)
-    f0 = frequency_indicator(expansion)
-    e0 = None if x_right is None else exterior_error_indicator(expansion, x_right)
-    return AdaptState(expansion=expansion, f0=f0, e0=e0, x_right=x_right)
+        e0 = exterior_error_indicator(expansion, x_right)
+    return AdaptState(expansion=expansion, f0=frequency_indicator(expansion), e0=e0)
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +473,7 @@ class _UnitFrame:
     """
 
     def __init__(self, order: int, family: str):
-        self.basis = basis = ScaledBasis(family, 0.0, 1.0, 0.0, order)
+        self.basis = basis = ScaledBasis(family, 1.0, order)
         rule = quadrature(basis)
         if family == LAGUERRE and 0.5 * rule.nodes[-1] > _LOG_TINY:
             raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
@@ -533,14 +532,14 @@ class Frame:
     exponentially reweighted quadrature weights, and the nodal-to-modal
     transform of the frame's functions: the damped Laguerre functions
     psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the default) or the
-    Hermite functions psi_l = h_l(y) (HERMITE), with y = beta*x.  A Hermite
-    frame drops the sqrt(beta) of :func:`~.basis.hermite_basis`, so its
-    gamma is 1/beta as for Laguerre, and it has no split point
-    (``split_rel`` is None).  All entries are O(1)-safe in float64 because
-    the decay is built into every evaluation.  Instances are shared per
-    (order, beta, family) and cost O(N): the transform, the refined psi and
-    the memos belong to the order, built once at beta = 1 and shared by
-    every beta.
+    Hermite functions psi_l = h_l(y) (HERMITE), with y = beta*x.  The
+    Hermite psi_l are the functions of ``hermite_basis(N, beta)`` without
+    their factor sqrt(beta), so a Hermite frame's gamma is 1/beta as for
+    Laguerre; it has no split point (``split_rel`` is None).  All entries
+    are O(1)-safe in float64 because the decay is built into every
+    evaluation.  Instances are shared per (order, beta, family) and cost
+    O(N): the transform, the refined psi and the memos belong to the order,
+    built once at beta = 1 and shared by every beta.
 
     Three evaluations are memoized per order, each in a least-recently-used
     memo of ``_MEMO_SIZE`` (N+1)^2 matrices: the damped functions at
@@ -569,11 +568,12 @@ class Frame:
     _cache: dict = {}
 
     def __new__(cls, order: int, beta: float, family: str = LAGUERRE):
-        key = (int(order), float(beta), family)
+        order, beta = _checked_order(order), float(beta)
+        key = (order, beta, family)
         frame = cls._cache.get(key)
         if frame is None:
             frame = super().__new__(cls)
-            frame._build(int(order), float(beta), family)
+            frame._build(order, beta, family)
             cls._cache[key] = frame
         return frame
 
@@ -635,7 +635,7 @@ class Frame:
     def frequency(self, coeffs: np.ndarray) -> float | None:
         """High-mode energy fraction of damped-frame coefficients."""
         squares = self.gamma * coeffs * coeffs
-        total = float(squares.sum())
+        total = _finite_energy(float(squares.sum()))
         if total <= 0.0:
             return None
         m = default_high_mode_count(self.order)
@@ -687,6 +687,13 @@ class Frame:
         if denominator <= 0.0:
             return math.sqrt(numerator)
         return math.sqrt(numerator / denominator)
+
+
+def _finite_energy(total: float) -> float:
+    """The energy total of a state's coefficients; ValueError if it is not finite."""
+    if not math.isfinite(total):
+        raise ValueError(f"state energy is {total}: the values are not all finite")
+    return total
 
 
 def _split_at(left: float, frame: Frame) -> float | None:
@@ -898,7 +905,7 @@ class FrameState2D:
 
     @_memoized
     def _energy_total(self) -> float:
-        return float(self._energy.sum())
+        return _finite_energy(float(self._energy.sum()))
 
     @_memoized
     def _marginal_x(self) -> FrameState:

@@ -2,9 +2,9 @@
 
 An :class:`Expansion` is an immutable coefficient vector against a
 :class:`~specadapt.basis.ScaledBasis`.  The discrete transform uses the
-basis's own Gauss rule (or a caller-supplied Radau rule), so interpolating
-nodal values and evaluating back at the nodes round-trips exactly for
-anything the truncated basis can represent.
+basis's own Gauss rule, so interpolating nodal values and evaluating back
+at the nodes round-trips exactly for anything the truncated basis can
+represent.
 
 The adaptive controllers do not use this layer: they run on the damped
 frames of :mod:`specadapt.adapt`, which stay accurate at orders where plain
@@ -57,9 +57,8 @@ class Expansion:
 def interpolate(values, basis: ScaledBasis, rule: QuadratureRule | None = None) -> Expansion:
     """Discrete transform of nodal values into an Expansion.
 
-    ``values`` are samples at the nodes of ``rule`` (the basis's Gauss rule
-    by default; a Radau rule of the same basis is also exact through the
-    retained degrees).
+    ``values`` are samples at the nodes of ``rule``, the basis's Gauss rule
+    (computed when not given).
     """
     if rule is None:
         rule = quadrature(basis)

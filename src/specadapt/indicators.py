@@ -20,10 +20,15 @@ state's own split from ``Frame.split_reading``, one product with the
 order's stacked basis derivative at shift 0 and at the split, and at the
 mover's shifted sentinels from ``Frame.tails`` over the memoized
 ``Frame.dpsi_at``), per axis for tensor-product states, with
-:func:`default_high_mode_count` and :func:`default_split_point`.  The coefficient-space forms here, for
-one-dimensional :class:`~specadapt.approx.Expansion` objects, are kept
-only for :func:`specadapt.adapt.initial_state` and the benchmark's cold
-set-up workload (``cold-orders``).
+:func:`default_high_mode_count` and :func:`default_split_point`.  The
+coefficient-space forms here, for one-dimensional
+:class:`~specadapt.approx.Expansion` objects on a Laguerre or (frequency
+only) Hermite basis, are kept only for :func:`specadapt.adapt.initial_state`
+and the benchmark's cold set-up workload (``cold-orders``).  The exterior
+form differentiates the expansion itself: the derivative of
+``sum c_l L_l(beta*x)`` is ``-beta * sum c_{l+1} L^(1)_l(beta*x)``, which it
+evaluates in the Laguerre family of weight exponent 1 and integrates with
+the basis's own Gauss rule.
 """
 
 from __future__ import annotations
@@ -33,14 +38,7 @@ import math
 import numpy as np
 
 from .approx import Expansion
-from .basis import (
-    LAGUERRE,
-    derivative_coeffs,
-    eval_basis_all,
-    gamma_norms,
-    laguerre_basis,
-    quadrature,
-)
+from .basis import LAGUERRE, _laguerre_all, gamma_norms, quadrature
 
 __all__ = [
     "default_high_mode_count",
@@ -87,32 +85,22 @@ def _derivative_tail_norms(exp: Expansion, x_right: float) -> tuple[float, float
     if basis.family != LAGUERRE:
         raise ValueError("the exterior-error indicator needs a half-line basis")
     rule = quadrature(basis)
-    if not basis.x_left < x_right < rule.nodes[-1]:
-        raise ValueError("x_right must lie strictly between the smallest and largest node")
-    dc, dbasis = derivative_coeffs(exp.coeffs, basis)
+    if not 0.0 < x_right < rule.nodes[-1]:
+        raise ValueError("x_right must lie strictly between 0 and the largest node")
+    dc = -basis.beta * exp.coeffs[1:]
     if not np.any(dc):
         return None
-    # numerator: substitute x = x_right + y, so the tail integral becomes
-    # exp(-beta*(x_right-x_left)) times an integral against exp(-beta*y);
-    # for alpha = 0 an (N+1)-node rule in y is again exact, otherwise the
-    # extra (x_right - x_left + y)^alpha factor is not polynomial and a
-    # 4(N+1)-node rule is used (not exact for non-integer alpha)
-    if basis.alpha == 0.0:
-        y_rule = quadrature(laguerre_basis(basis.order, basis.beta))
-        factor = 1.0
-    else:
-        y_rule = quadrature(laguerre_basis(4 * (basis.order + 1) - 1, basis.beta))
-        factor = (x_right - basis.x_left + y_rule.nodes) ** basis.alpha
     # past order ~190 the plain derivative polynomials overflow at the far
     # nodes; the non-finite sums are reported below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # denominator: the basis's own rule integrates (dU)^2 (degree 2N-2) exactly
-        dvals = dc @ eval_basis_all(dbasis, rule.nodes)
+        # denominator: the basis's own rule integrates (dU)^2 (degree 2N-2)
+        # exactly; numerator: substituting x = x_right + y turns the tail
+        # integral into exp(-beta*x_right) times one against exp(-beta*y),
+        # which the same rule in y integrates exactly
+        dvals = dc @ _laguerre_all(basis.order - 1, 1.0, basis.beta * rule.nodes, 1.0)
         denom = float(np.sum(rule.weights * dvals**2))
-        shifted = dc @ eval_basis_all(dbasis, x_right + y_rule.nodes)
-        num = math.exp(-basis.beta * (x_right - basis.x_left)) * float(
-            np.sum(y_rule.weights * factor * shifted**2)
-        )
+        shifted = dc @ _laguerre_all(basis.order - 1, 1.0, basis.beta * (x_right + rule.nodes), 1.0)
+        num = math.exp(-basis.beta * x_right) * float(np.sum(rule.weights * shifted**2))
     # a ratio of infinities must not read as a valid indicator
     if not (math.isfinite(num) and math.isfinite(denom)):
         raise ValueError(f"derivative tail norms overflow float64 at order {basis.order}")

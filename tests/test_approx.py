@@ -70,11 +70,12 @@ def test_interpolate_exponential_at_matched_scale_is_below_1e8():
 
 
 def test_evaluate_trivial_cases_and_node_round_trip():
-    basis = laguerre_basis(9, 0.9, x_left=1.0)
+    # a basis at 0 evaluated at x - 1 is the basis on (1, inf)
+    basis = laguerre_basis(9, 0.9)
     zero = Expansion(basis, np.zeros(10))
-    assert evaluate(zero, 3.0) == 0.0
+    assert evaluate(zero, 3.0 - 1.0) == 0.0
     const = Expansion(basis, np.eye(10)[0])
-    assert evaluate(const, 7.7) == pytest.approx(1.0, rel=1e-14)
+    assert evaluate(const, 7.7 - 1.0) == pytest.approx(1.0, rel=1e-14)
     rng = np.random.default_rng(3)
     # node-value round trip for a decaying profile (far-node values of rough
     # data are reconstructed through cancellation of huge polynomial values,

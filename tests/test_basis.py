@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 from specadapt.basis import (
     ScaledBasis,
-    derivative_coeffs,
     eval_basis_all,
     eval_weighted_all,
     gamma_norms,
@@ -33,20 +33,21 @@ def test_laguerre_values_match_reference_implementation():
 
 
 def test_laguerre_scaled_translated_values():
-    # L_l(beta*(x-x_left)) with alpha=2.25: compare against scipy at mapped points
-    basis = laguerre_basis(8, 0.7, alpha=2.25, x_left=4.0)
+    # L_l(beta*(x-a)): a basis at 0 evaluated at x - a, against scipy at mapped points
+    basis = laguerre_basis(8, 0.7)
     x = np.array([4.0, 5.1, 12.0])
-    mine = eval_basis_all(basis, x)
+    mine = eval_basis_all(basis, x - 4.0)
     for l in range(9):
         np.testing.assert_allclose(
-            mine[l], eval_genlaguerre(l, 2.25, 0.7 * (x - 4.0)), rtol=1e-13, atol=1e-13
+            mine[l], eval_genlaguerre(l, 0.0, 0.7 * (x - 4.0)), rtol=1e-13, atol=1e-13
         )
 
 
 def test_laguerre_rejects_points_left_of_endpoint():
-    basis = laguerre_basis(4, 2.0, x_left=1.0)
+    basis = laguerre_basis(4, 2.0)
+    eval_basis_all(basis, 0.0)
     with pytest.raises(ValueError):
-        eval_basis_all(basis, 0.999)
+        eval_basis_all(basis, -0.001)
 
 
 def test_hermite_values_match_direct_normalized_polynomials():
@@ -83,15 +84,9 @@ def test_laguerre_recurrence_finite_at_large_order():
 
 
 def test_gamma_norms_closed_form():
-    # alpha=0, beta=2, l=3 -> Gamma(4)/(3! * 2) = 1/2
-    g = gamma_norms(laguerre_basis(5, 2.0))
-    assert g[3] == pytest.approx(0.5, rel=1e-15)
-    # general closed form without the ratio recurrence
-    basis = laguerre_basis(12, 0.7, alpha=1.5)
-    g = gamma_norms(basis)
-    for l in (0, 1, 7, 12):
-        closed = math.gamma(l + 2.5) / (math.factorial(l) * 0.7**2.5)
-        assert g[l] == pytest.approx(closed, rel=1e-13)
+    # Gamma(l+1)/(l! * beta) = 1/beta for every l, exactly
+    assert np.all(gamma_norms(laguerre_basis(5, 2.0)) == 0.5)
+    assert np.all(gamma_norms(laguerre_basis(12, 0.7)) == 1.0 / 0.7)
     assert np.all(gamma_norms(hermite_basis(9, 3.0)) == 1.0)
 
 
@@ -101,47 +96,18 @@ def test_gauss_laguerre_two_point_closed_form():
     np.testing.assert_allclose(rule.weights, [(2.0 + SQRT2) / 4.0, (2.0 - SQRT2) / 4.0], rtol=1e-14)
 
 
-def test_radau_laguerre_two_point_closed_form():
-    rule = quadrature(laguerre_basis(1, 1.0), "radau")
-    assert rule.nodes[0] == 0.0
-    np.testing.assert_allclose(rule.nodes, [0.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(rule.weights, [0.5, 0.5], rtol=1e-14)
-
-
-def test_radau_first_node_is_exactly_the_endpoint():
-    for alpha in (0.0, 1.0, 2.5):
-        rule = quadrature(laguerre_basis(17, 0.8, alpha=alpha, x_left=3.25), "radau")
-        assert rule.nodes[0] == 3.25
-
-
-@pytest.mark.parametrize("alpha,beta,x_left", [(0.0, 1.0, 0.0), (1.5, 0.7, 0.0), (0.0, 2.5, 4.0)])
-def test_gauss_moment_exactness_through_degree_2n_plus_1(alpha, beta, x_left):
+@pytest.mark.parametrize("beta", [1.0, 2.5])
+def test_gauss_moment_exactness_through_degree_2n_plus_1(beta):
     n = 9
-    rule = quadrature(laguerre_basis(n, beta, alpha=alpha, x_left=x_left))
-    # moments of (x-x_left)^k: integral = Gamma(alpha+k+1)/beta^(alpha+k+1)
+    rule = quadrature(laguerre_basis(n, beta))
+    # moments of x^k: integral = k!/beta^(k+1)
     for k in range(2 * n + 2):
-        exact = math.gamma(alpha + k + 1.0) / beta ** (alpha + k + 1.0)
-        approx = np.sum(rule.weights * (rule.nodes - x_left) ** k)
-        assert approx == pytest.approx(exact, rel=1e-10)
-
-
-def test_radau_moment_exactness_through_degree_2n_only():
-    n = 7
-    rule = quadrature(laguerre_basis(n, 1.0), "radau")
-    for k in range(2 * n + 1):
-        assert np.sum(rule.weights * rule.nodes**k) == pytest.approx(math.gamma(k + 1.0), rel=1e-10)
-    # degree 2n+1 must NOT be integrated exactly
-    k = 2 * n + 1
-    assert abs(np.sum(rule.weights * rule.nodes**k) / math.gamma(k + 1.0) - 1.0) > 1e-6
-
-
-def test_zeroth_moment_is_gamma_alpha_plus_one_over_beta_power():
-    rule = quadrature(laguerre_basis(6, 0.7, alpha=1.5))
-    assert np.sum(rule.weights) == pytest.approx(math.gamma(2.5) / 0.7**2.5, rel=1e-13)
+        exact = math.gamma(k + 1.0) / beta ** (k + 1.0)
+        assert np.sum(rule.weights * rule.nodes**k) == pytest.approx(exact, rel=1e-10)
 
 
 def test_discrete_orthogonality_laguerre():
-    basis = laguerre_basis(32, 0.7, alpha=1.5, x_left=2.0)
+    basis = laguerre_basis(32, 0.7)
     rule = quadrature(basis)
     vals = eval_basis_all(basis, rule.nodes)
     gram = (vals * rule.weights) @ vals.T
@@ -163,19 +129,17 @@ def test_hermite_rule_maps_by_one_over_beta():
     scaled = quadrature(hermite_basis(11, 2.0))
     np.testing.assert_allclose(scaled.nodes, unit.nodes / 2.0, rtol=1e-15)
     np.testing.assert_allclose(scaled.weights, unit.weights / 2.0, rtol=1e-15)
+    assert np.array_equal(modified_weights(scaled), scaled.weights)
 
 
 def test_halving_beta_doubles_nodes_and_scales_weights():
-    # nodes(beta/2) = 2*nodes(beta); weights and norms gain 2**(alpha+1)
-    for alpha in (0.0, 1.5):
-        coarse = laguerre_basis(14, 2.5, alpha=alpha)
-        fine = laguerre_basis(14, 1.25, alpha=alpha)
-        rc, rf = quadrature(coarse), quadrature(fine)
-        np.testing.assert_allclose(rf.nodes, 2.0 * rc.nodes, rtol=1e-15)
-        np.testing.assert_allclose(rf.weights, 2.0 ** (alpha + 1.0) * rc.weights, rtol=1e-15)
-        np.testing.assert_allclose(
-            gamma_norms(fine), 2.0 ** (alpha + 1.0) * gamma_norms(coarse), rtol=1e-15
-        )
+    # nodes(beta/2) = 2*nodes(beta); weights and norms double
+    coarse = laguerre_basis(14, 2.5)
+    fine = laguerre_basis(14, 1.25)
+    rc, rf = quadrature(coarse), quadrature(fine)
+    np.testing.assert_allclose(rf.nodes, 2.0 * rc.nodes, rtol=1e-15)
+    np.testing.assert_allclose(rf.weights, 2.0 * rc.weights, rtol=1e-15)
+    np.testing.assert_allclose(gamma_norms(fine), 2.0 * gamma_norms(coarse), rtol=1e-15)
 
 
 def test_quadrature_against_scipy_eigensolver_large_order():
@@ -183,12 +147,9 @@ def test_quadrature_against_scipy_eigensolver_large_order():
     # Jacobi matrix
     n = 129
     k = np.arange(n, dtype=float)
-    for alpha in (0.0, 1.5):
-        ours = quadrature(laguerre_basis(n - 1, 1.0, alpha=alpha)).nodes
-        diag = 2.0 * k + alpha + 1.0
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
-        ref = eigh_tridiagonal(diag, off, eigvals_only=True)
-        assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
+    ours = quadrature(laguerre_basis(n - 1, 1.0)).nodes
+    ref = eigh_tridiagonal(2.0 * k + 1.0, k[1:], eigvals_only=True)
+    assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
     ours = quadrature(hermite_basis(n - 1, 1.0)).nodes
     ref = eigh_tridiagonal(np.zeros(n), np.sqrt(k[1:] / 2.0), eigvals_only=True)
     assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
@@ -204,21 +165,15 @@ def test_quadrature_succeeds_at_order_256():
     assert np.all(quadrature(hermite_basis(100, 1.0)).weights > 0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.5])
-def test_laguerre_rule_matches_scipy_up_to_order_320(alpha):
+def test_laguerre_rule_matches_scipy_up_to_order_320():
     # scipy's plain weights underflow in the far tail; compare where they
     # are representable
     for order in (64, 128, 191, 256, 320):
-        rule = quadrature(laguerre_basis(order, 1.0, alpha=alpha))
-        nodes, weights = roots_genlaguerre(order + 1, alpha)
+        rule = quadrature(laguerre_basis(order, 1.0))
+        nodes, weights = roots_genlaguerre(order + 1, 0.0)
         np.testing.assert_allclose(rule.nodes, nodes, rtol=1e-11)
         kept = weights > 1e-300
         np.testing.assert_allclose(rule.weights[kept], weights[kept], rtol=1e-11)
-
-
-def test_radau_rejected_for_hermite():
-    with pytest.raises(ValueError):
-        quadrature(hermite_basis(4, 1.0), "radau")
 
 
 def test_hermite_rule_order_ceiling():
@@ -237,57 +192,12 @@ def test_hermite_rule_order_ceiling():
             quadrature(hermite_basis(order, 1.0))
 
 
-def test_laguerre_derivative_drops_order_and_shifts_family():
-    basis = laguerre_basis(6, 1.0)
-    # interpolant of f(x) = x is L_0 - L_1; derivative should be identically 1
-    coeffs = np.zeros(7)
-    coeffs[0], coeffs[1] = 1.0, -1.0
-    dc, dbasis = derivative_coeffs(coeffs, basis)
-    assert dbasis.alpha == 1.0 and dbasis.order == 5 and dbasis.beta == basis.beta
-    vals = dc @ eval_basis_all(dbasis, np.array([0.0, 0.7, 3.3]))
-    np.testing.assert_allclose(vals, 1.0, rtol=1e-14)
-
-
-def test_hermite_derivative_raises_order_by_one():
-    basis = hermite_basis(5, 1.0)
-    coeffs = np.zeros(6)
-    coeffs[3] = 1.0
-    dc, dbasis = derivative_coeffs(coeffs, basis)
-    assert dbasis.order == 6 and dbasis.family == "hermite"
-    expect = np.zeros(7)
-    expect[2] = math.sqrt(3.0 / 2.0)
-    expect[4] = -math.sqrt(4.0 / 2.0)
-    np.testing.assert_allclose(dc, expect, rtol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "basis",
-    [
-        laguerre_basis(12, 0.8, alpha=0.0, x_left=1.5),
-        laguerre_basis(12, 2.5, alpha=1.5),
-        hermite_basis(12, 1.3),
-    ],
-)
-def test_derivative_matches_finite_differences(basis):
-    rng = np.random.default_rng(7)
-    coeffs = rng.standard_normal(basis.order + 1)
-    dc, dbasis = derivative_coeffs(coeffs, basis)
-    if basis.family == "laguerre":
-        x = basis.x_left + np.array([0.5, 1.0, 2.5, 6.0])
-    else:
-        x = np.array([-2.0, -0.3, 0.4, 1.9])
-    h = 1e-6
-    fd = (coeffs @ eval_basis_all(basis, x + h) - coeffs @ eval_basis_all(basis, x - h)) / (2 * h)
-    exact = dc @ eval_basis_all(dbasis, x)
-    np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6)
-
-
 def test_weighted_eval_agrees_with_plain_values_times_half_weight():
-    basis = laguerre_basis(12, 0.8, alpha=1.5, x_left=2.0)
-    x = np.array([2.0, 2.4, 5.0, 11.0])
+    basis = laguerre_basis(12, 0.8)
+    x = np.array([2.0, 2.4, 5.0, 11.0]) - 2.0
     plain = eval_basis_all(basis, x)
     weighted = eval_weighted_all(basis, x)
-    y = 0.8 * (x - 2.0)
+    y = 0.8 * x
     np.testing.assert_allclose(weighted, plain * np.exp(-0.5 * y), rtol=1e-13, atol=1e-300)
 
 
@@ -311,11 +221,11 @@ def test_weighted_eval_hermite_matches_plain():
 
 
 def test_weighted_eval_scalar_and_rejects_left_of_endpoint():
-    basis = laguerre_basis(4, 2.0, x_left=1.0)
-    v = eval_weighted_all(basis, 1.5)
+    basis = laguerre_basis(4, 2.0)
+    v = eval_weighted_all(basis, 0.5)
     assert v.shape == (5,)
     with pytest.raises(ValueError):
-        eval_weighted_all(basis, 0.999)
+        eval_weighted_all(basis, -0.001)
 
 
 def test_modified_weights_integrate_unweighted_integrands():
@@ -326,15 +236,6 @@ def test_modified_weights_integrate_unweighted_integrands():
     for s in (1.2, 2.0):
         val = np.sum(what * np.exp(-s * rule.nodes))
         assert val == pytest.approx(1.0 / s, rel=1e-10)
-
-
-def test_modified_weights_radau_and_translation():
-    basis = laguerre_basis(25, 0.7, x_left=3.0)
-    rule = quadrature(basis, "radau")
-    what = modified_weights(rule)
-    # int_3^inf exp(-1.5(x-3)) dx = 1/1.5
-    val = np.sum(what * np.exp(-1.5 * (rule.nodes - 3.0)))
-    assert val == pytest.approx(1.0 / 1.5, rel=1e-10)
 
 
 def test_modified_weights_orthonormalize_weighted_functions():
@@ -348,39 +249,29 @@ def test_modified_weights_orthonormalize_weighted_functions():
     assert np.max(np.abs(gram - np.diag(g)) / np.max(g)) < 1e-11
 
 
-@pytest.mark.parametrize("kind,alpha", [("gauss", 0.0), ("gauss", 1.5), ("radau", 0.0)])
-def test_modified_weights_finite_and_exact_at_order_256(kind, alpha):
+def test_modified_weights_finite_and_exact_at_order_256():
     # the plain tail weights underflow to 0 here while exp(beta*x) overflows;
     # the modified weights must come out finite and still integrate dx
-    basis = laguerre_basis(256, 0.8, alpha=alpha, x_left=1.0)
-    rule = quadrature(basis, kind)
+    rule = quadrature(laguerre_basis(256, 0.8))
     assert np.any(rule.weights == 0.0)
     what = modified_weights(rule)
     assert np.all(np.isfinite(what)) and np.all(what > 0.0)
-    # int_1^inf (x-1)^alpha exp(-1.5(x-1)) dx = Gamma(alpha+1) / 1.5^(alpha+1)
-    d = rule.nodes - 1.0
-    val = np.sum(what * d**alpha * np.exp(-1.5 * d))
-    assert val == pytest.approx(math.gamma(alpha + 1.0) / 1.5 ** (alpha + 1.0), rel=1e-10)
-
-
-def test_modified_weights_reject_radau_with_alpha():
-    basis = laguerre_basis(6, 1.0, alpha=1.0)
-    rule = quadrature(basis, "radau")
-    with pytest.raises(ValueError):
-        modified_weights(rule)
-    assert np.all(modified_weights(quadrature(hermite_basis(6, 2.0))) > 0)
+    # int_0^inf exp(-1.5 x) dx = 1/1.5
+    assert np.sum(what * np.exp(-1.5 * rule.nodes)) == pytest.approx(1.0 / 1.5, rel=1e-10)
 
 
 def test_invalid_bases_rejected():
     with pytest.raises(ValueError):
-        ScaledBasis("laguerre", -1.5, 1.0, 0.0, 4)
+        ScaledBasis("laguerre", 0.0, 4)
     with pytest.raises(ValueError):
-        ScaledBasis("laguerre", 0.0, 0.0, 0.0, 4)
+        ScaledBasis("laguerre", 1.0, -1)
     with pytest.raises(ValueError):
-        ScaledBasis("laguerre", 0.0, 1.0, 0.0, -1)
-    with pytest.raises(ValueError):
-        ScaledBasis("hermite", 0.0, 1.0, 2.0, 4)
-    with pytest.raises(ValueError):
-        ScaledBasis("chebyshev", 0.0, 1.0, 0.0, 4)
-    with pytest.raises(ValueError):
-        derivative_coeffs(np.ones(1), laguerre_basis(0, 1.0))
+        ScaledBasis("chebyshev", 1.0, 4)
+    assert [f.name for f in dataclasses.fields(ScaledBasis)] == ["family", "beta", "order"]
+    # int() used to truncate: laguerre_basis(10.7, 1.0) built order 10
+    for order in (10.7, 12.0, True, np.float64(4.0), "8"):
+        for make in (laguerre_basis, hermite_basis):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                make(order, 1.0)
+    basis = laguerre_basis(np.int64(6), 1.0)
+    assert basis.order == 6 and type(basis.order) is int

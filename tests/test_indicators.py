@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import lagder, lagval
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -16,13 +17,7 @@ from specadapt.approx import (
     interpolate,
     relative_error,
 )
-from specadapt.basis import (
-    derivative_coeffs,
-    eval_basis_all,
-    hermite_basis,
-    laguerre_basis,
-    quadrature,
-)
+from specadapt.basis import hermite_basis, laguerre_basis, quadrature
 from specadapt.indicators import (
     _derivative_tail_norms,
     default_high_mode_count,
@@ -34,6 +29,12 @@ from specadapt.indicators import (
 
 def front(x, center=5.0, width=2.0):
     return expit(-(np.asarray(x, dtype=float) - center) / width)
+
+
+def squared_derivative(exp: Expansion):
+    """x -> (dU/dx)^2 exp(-beta*x) for a Laguerre expansion U, from numpy's lagder."""
+    beta, dc = exp.basis.beta, lagder(exp.coeffs)
+    return lambda x: float((beta * lagval(beta * x, dc)) ** 2 * math.exp(-beta * x))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +118,7 @@ def test_exterior_exponential_matches_adaptive_integration():
     basis = laguerre_basis(30, 1.0)
     exp = interpolate(np.exp(-quadrature(basis).nodes), basis)
     value = exterior_error_indicator(exp, 5.0)
-    dc, dbasis = derivative_coeffs(exp.coeffs, basis)
-    g = lambda x: float((dc @ eval_basis_all(dbasis, x)) ** 2 * math.exp(-x))
+    g = squared_derivative(exp)
     num = quad(g, 5.0, 40.0, limit=200)[0]
     den = quad(g, 0.0, 40.0, limit=200)[0]
     assert value**2 == pytest.approx(num / den, abs=1e-8)
@@ -135,11 +135,11 @@ def test_exterior_monotone_nonincreasing_in_split_point():
 
 
 def test_exterior_scale_invariance():
-    basis = laguerre_basis(14, 0.9, x_left=1.0)
+    basis = laguerre_basis(14, 0.9)
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(15)
-    e1 = exterior_error_indicator(Expansion(basis, coeffs), 4.0)
-    e2 = exterior_error_indicator(Expansion(basis, -3.7 * coeffs), 4.0)
+    e1 = exterior_error_indicator(Expansion(basis, coeffs), 3.0)
+    e2 = exterior_error_indicator(Expansion(basis, -3.7 * coeffs), 3.0)
     assert e1 == pytest.approx(e2, rel=1e-13)
 
 
@@ -148,38 +148,44 @@ def test_exterior_shifted_numerator_exact_for_plain_weight():
     # to quadrature exactness on random low-order expansions
     rng = np.random.default_rng(42)
     for _ in range(5):
-        basis = laguerre_basis(6, 1.3, x_left=0.5)
+        basis = laguerre_basis(6, 1.3)
         exp = Expansion(basis, rng.standard_normal(7))
         rule = quadrature(basis)
         x_right = 0.5 * (rule.nodes[2] + rule.nodes[3])
         num, _den = _derivative_tail_norms(exp, x_right)
-        dc, dbasis = derivative_coeffs(exp.coeffs, basis)
-        g = lambda x: float(
-            (dc @ eval_basis_all(dbasis, x)) ** 2 * math.exp(-1.3 * (x - 0.5))
-        )
-        ref = quad(g, x_right, 0.5 + 60.0 / 1.3, limit=400)[0]
+        ref = quad(squared_derivative(exp), x_right, 60.0 / 1.3, limit=400)[0]
         assert num == pytest.approx(ref, rel=1e-10)
 
 
-def test_exterior_nonzero_alpha_uses_refined_rule():
-    basis = laguerre_basis(8, 1.0, alpha=1.5)
+def test_exterior_matches_lagder_integrand_on_random_expansions():
+    # the whole ratio, numerator and denominator, against adaptive
+    # integration of numpy's derivative of the same coefficients
     rng = np.random.default_rng(7)
-    exp = Expansion(basis, rng.standard_normal(9))
-    rule = quadrature(basis)
-    x_right = float(rule.nodes[3])
-    value = exterior_error_indicator(exp, x_right)
-    dc, dbasis = derivative_coeffs(exp.coeffs, basis)
-    g = lambda x: float((dc @ eval_basis_all(dbasis, x)) ** 2 * x**1.5 * math.exp(-x))
-    num = quad(g, x_right, 80.0, limit=400)[0]
-    den = quad(g, 0.0, 80.0, limit=400)[0]
-    assert value == pytest.approx(math.sqrt(num / den), rel=1e-6)
+    basis = laguerre_basis(12, 0.8)
+    exp = Expansion(basis, rng.standard_normal(13))
+    g = squared_derivative(exp)
+    den = quad(g, 0.0, 250.0, limit=400)[0]
+    for split in (0.5, 1.0, 2.5, 6.0):
+        num = quad(g, split, 250.0, limit=400)[0]
+        assert exterior_error_indicator(exp, split) == pytest.approx(math.sqrt(num / den), rel=1e-9)
+
+
+def test_exterior_of_a_linear_function_is_the_weight_tail():
+    # L_0 - L_1 = beta*x has the constant derivative beta, so the ratio is
+    # sqrt(int_s^inf exp(-beta*x) dx / int_0^inf exp(-beta*x) dx) = exp(-beta*s/2)
+    basis = laguerre_basis(6, 1.3)
+    coeffs = np.zeros(7)
+    coeffs[0], coeffs[1] = 1.0, -1.0
+    for split in (0.3, 1.0, 4.0):
+        value = exterior_error_indicator(Expansion(basis, coeffs), split)
+        assert value == pytest.approx(math.exp(-0.65 * split), rel=1e-12)
 
 
 def test_exterior_split_validation():
-    basis = laguerre_basis(10, 1.0, x_left=2.0)
+    basis = laguerre_basis(10, 1.0)
     exp = Expansion(basis, np.ones(11))
     with pytest.raises(ValueError):
-        exterior_error_indicator(exp, 2.0)
+        exterior_error_indicator(exp, 0.0)
     with pytest.raises(ValueError):
         exterior_error_indicator(exp, 1e9)
     with pytest.raises(ValueError):

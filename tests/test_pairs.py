@@ -14,8 +14,8 @@ pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
 END_TO_END = [
-    {"name": "steps_per_s", "unit": "1/s", "better": "higher"},
-    {"name": "step_ms_p50", "unit": "ms", "better": "lower"},
+    {"name": "steps_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "step_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
 ]
 
 
@@ -43,6 +43,32 @@ def test_summarize_counts_wins_in_each_metric_direction():
     assert pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
 
 
+def _verdicts(base_values, change_values) -> tuple:
+    """(steps_per_s, step_ms_p50) verdicts with step_ms_p50 = 1/steps_per_s."""
+    base = [_result(steps_per_s=v, step_ms_p50=1.0 / v) for v in base_values]
+    change = [_result(steps_per_s=v, step_ms_p50=1.0 / v) for v in change_values]
+    return tuple(row["verdict"] for row in pairs.summarize(base, change, END_TO_END))
+
+
+def test_summarize_judges_each_metric_against_its_bound():
+    steady = (100.0, 101.0, 99.0, 100.5, 99.5)
+    assert _verdicts(steady, (95.0, 96.0, 94.0, 97.0, 93.0)) == ("within", "within")
+    # a 30 % slower median is worse in both directions than the 25 % bound
+    slow = tuple(0.7 * v for v in steady)
+    assert _verdicts(steady, slow) == ("worse", "worse")
+    # a base whose quartile distance is 40 % of its median cannot resolve
+    # a 25 % bound, even for an unchanged change...
+    noisy = (60.0, 80.0, 100.0, 120.0, 140.0)
+    assert _verdicts(noisy, noisy) == ("unresolved", "unresolved")
+    # ...unless every change run beats every base run
+    assert _verdicts(noisy, (150.0, 160.0, 155.0, 170.0, 165.0)) == ("within", "within")
+    # worse takes precedence over unresolved
+    assert _verdicts(noisy, tuple(0.5 * v for v in noisy)) == ("worse", "worse")
+    same = [_result(steps_per_s=1.0, step_ms_p50=1.0)] * 2
+    row = pairs.summarize(same, same, END_TO_END)[0]
+    assert row["bound"] == 0.25 and row["verdict"] == "within"
+
+
 def _checkout(root: Path, result: dict) -> Path:
     """A stand-in checkout whose benchmark prints ``result`` as its result line."""
     (root / "perfbench").mkdir(parents=True)
@@ -59,6 +85,7 @@ def test_pairs_alternate_and_fail_on_an_incorrect_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "base first" in captured.err and "change first" in captured.err
     assert "steps_per_s" in captured.out and "0/2" in captured.out
+    assert "within (25%)" in captured.out
     assert pairs.main(["--base", str(good), "--change", str(bad)] + argv) == 1
     assert "not correct" in capsys.readouterr().err
     # a run with no result line fails too

@@ -11,9 +11,18 @@ neither checkout is written to.
 
 For every end-to-end metric of the change's ``BENCHMARK.json`` it prints
 each side's median and quartiles, the change's relative median shift, how
-many pairs the change won (a tie is no win), and whether the median shift
-exceeds the base's quartile distance.  It exits non-zero when any run fails
-or reports ``"correct": false``.  Standard library only.
+many pairs the change won (a tie is no win), whether the median shift
+exceeds the base's quartile distance, and a verdict against the metric's
+``bound``:
+
+* ``worse``: the change's median is worse than the base's by more than the
+  bound, relative to the base's median;
+* ``unresolved``: otherwise, the base's quartile distance over its median
+  exceeds the bound, unless every change run beats every base run;
+* ``within``: neither.
+
+It exits non-zero when any run fails or reports ``"correct": false``.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -65,6 +74,13 @@ def summarize(base: list, change: list, end_to_end: list) -> list:
         wins = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
         shift = cq[1] - bq[1]
         gain = shift if higher else -shift
+        sweep = min(c) > max(b) if higher else max(c) < min(b)
+        if -gain > spec["bound"] * bq[1]:
+            verdict = "worse"
+        elif bq[2] - bq[0] > spec["bound"] * bq[1] and not sweep:
+            verdict = "unresolved"
+        else:
+            verdict = "within"
         rows.append({
             "metric": name,
             "base": bq,
@@ -73,6 +89,8 @@ def summarize(base: list, change: list, end_to_end: list) -> list:
             "wins": wins,
             "pairs": len(b),
             "beyond_base_iqr": gain > bq[2] - bq[0],
+            "bound": spec["bound"],
+            "verdict": verdict,
         })
     return rows
 
@@ -102,11 +120,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.workload}: {args.pairs} alternating pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
-    print(f"{'metric':<12} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'shift':>8} {'wins':>6}")
+    print(f"{'metric':<12} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'shift':>8} {'wins':>6}"
+          f"  {'verdict (bound)':<20}")
     for row in summarize(results["base"], results["change"], spec["end_to_end"]):
         b, c = (f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (row["base"], row["change"]))
+        verdict = f"{row['verdict']} ({row['bound']:.0%})"
         print(f"{row['metric']:<12} {b:>34} {c:>34} {row['relative']:>+8.2%} {row['wins']:>3}/{row['pairs']}"
-              f"{'  beyond base IQR' if row['beyond_base_iqr'] else ''}")
+              f"  {verdict:<20}{'  beyond base IQR' if row['beyond_base_iqr'] else ''}")
     for side in ("base", "change"):
         attempted = sum(r["attempted"] for r in results[side])
         failed = sum(r["failed"] for r in results[side])
