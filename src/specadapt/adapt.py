@@ -5,9 +5,9 @@ and applies the two controllers of the paper to every dimension of the
 state:
 
 * frequency-dependent SCALING: when the high-mode energy fraction rises past
-  ``nu * f0``, contract the scale factor by powers of ``q`` as long as each
-  contraction does not increase the frequency indicator (and the factor stays
-  above ``beta_min``);
+  ``nu * max(f0, floor)``, with ``floor`` the order's round-off level, contract
+  the scale factor by powers of ``q`` as long as each contraction does not
+  increase the frequency indicator (and the factor stays above ``beta_min``);
 * exterior-error-dependent MOVING: when the derivative-norm fraction beyond
   the sentinel point ``x_R`` rises past ``mu * e0``, translate the basis
   origin rightward by the smallest multiple of ``delta`` (capped at
@@ -266,13 +266,13 @@ def normalize_mode(mode) -> str:
 def _scaling_ladder(state, f, f0, cfg: AdaptConfig):
     """One scaling decision on an evolved state.
 
-    Returns ``(state, f0, accepted)``.  When the trigger ``f > nu*f0`` fires,
-    candidate factors ``q*beta, q^2*beta, ...`` are accepted while each keeps
-    the frequency indicator from rising and stays at or above ``beta_min``;
-    ``f0`` is refreshed only on acceptance, so a fruitless trigger leaves the
-    reference intact and re-fires on the next step.
+    Returns ``(state, f0, accepted)``.  When ``f > nu*max(f0, floor)`` (the
+    view's ``frequency_floor``, read only once ``f > nu*f0``), candidate factors
+    ``q*beta, q^2*beta, ...`` are accepted while each keeps the frequency
+    indicator from rising and stays at or above ``beta_min``; ``f0`` is refreshed
+    only on acceptance, so a fruitless trigger re-fires on the next step.
     """
-    if f is None or f0 is None or not f > cfg.nu * f0:
+    if f is None or f0 is None or not f > cfg.nu * f0 or not f > cfg.nu * state.frequency_floor:
         return state, f0, 0
     accepted = 0
     while True:
@@ -337,47 +337,55 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     rung, so a front that widens while it moves keeps firing the mover, and
     the frame runs past the front by several widths.
     A step must keep every view's beta and origin (adapting them is the
-    controllers' job), or ValueError is raised.
-    Emits the initial record plus one record per step.
+    controllers' job), or ValueError is raised.  A failing step or reading
+    names its time.  Emits the initial record plus one record per step.
     """
     mode = normalize_mode(mode)
-    f0 = [view.frequency() for view in views(state)]
-    e0 = [view.exterior(view.split_point()) for view in views(state)]
-    records = [measure(state, 0.0)]
+    try:
+        f0 = [view.frequency() for view in views(state)]
+        e0 = [view.exterior(view.split_point()) for view in views(state)]
+        records = [measure(state, 0.0)]
+    except ValueError as exc:
+        _name_time(exc, "controller reading", 0.0)
+        raise
     for n in range(_step_count(t_final, dt)):
-        t_prev = n * dt
+        t_prev, t = n * dt, (n + 1) * dt
         frames = [(view.beta, view.x_left) for view in views(state)]
         try:
             state = stepper(state, t_prev, dt)
         except Exception as exc:
-            note = f"evolution step failed at t = {_format_field(t_prev)}"
-            exc.args = (f"{note}: {exc.args[0]}" if exc.args else note,) + exc.args[1:]
+            _name_time(exc, "evolution step", t_prev)
             raise
         if [(view.beta, view.x_left) for view in views(state)] != frames:
             raise ValueError(
                 f"the evolution step at t = {_format_field(t_prev)} changed a frame's "
                 "beta or origin; the evolver must keep the frames it was given"
             )
-        if mode in (MODE_MOVE, MODE_MOVE_SCALE):
-            distances = [
-                _moving_distance(view, view.exterior(view.split_point()), e0[axis], cfg)
-                for axis, view in enumerate(views(state))
-            ]
-            for axis, d0 in enumerate(distances):
-                if d0 > 0.0:
-                    state = views(state)[axis].moved(d0).state
-        if mode in (MODE_SCALE, MODE_MOVE_SCALE):
-            for axis in range(len(f0)):
-                view = views(state)[axis]
-                view, f0[axis], _ = _scaling_ladder(view, view.frequency(), f0[axis], cfg)
-                state = view.state
-        records.append(measure(state, (n + 1) * dt))
+        try:
+            if mode in (MODE_MOVE, MODE_MOVE_SCALE):
+                distances = [
+                    _moving_distance(view, view.exterior(view.split_point()), e0[axis], cfg)
+                    for axis, view in enumerate(views(state))
+                ]
+                for axis, d0 in enumerate(distances):
+                    if d0 > 0.0:
+                        state = views(state)[axis].moved(d0).state
+            if mode in (MODE_SCALE, MODE_MOVE_SCALE):
+                for axis in range(len(f0)):
+                    view = views(state)[axis]
+                    view, f0[axis], _ = _scaling_ladder(view, view.frequency(), f0[axis], cfg)
+                    state = view.state
+            records.append(measure(state, t))
+        except ValueError as exc:
+            _name_time(exc, "controller reading", t)
+            raise
     return records, state
 
 
-def _single_view(state):
-    """A one-dimensional state is its own single control view."""
-    return (state,)
+def _name_time(exc: Exception, what: str, t: float) -> None:
+    """Prefix the message of ``exc`` with "``what`` failed at t = ``t``"."""
+    note = f"{what} failed at t = {_format_field(t)}"
+    exc.args = (f"{note}: {exc.args[0]}" if exc.args else note,) + exc.args[1:]
 
 
 # --------------------------------------------------------------------------
@@ -507,6 +515,13 @@ class _UnitFrame:
         self.dpsi(eval_weighted_all(self.basis, self.nodes + round(self.split, 12)), out=pair[n:])
         return _read_only(pair)
 
+    @_memoized
+    def frequency_floor(self) -> float:
+        """The largest frequency reading of a psi_l (l <= N-m) at the nodes, whose exact tail is zero."""
+        n, m = self.nodes.size, default_high_mode_count(self.nodes.size - 1)
+        squares = self.gamma[:, None] * (self.tomodal @ self.psi[: n - m].T) ** 2
+        return float(np.sqrt(squares[n - m :].sum(axis=0) / squares.sum(axis=0)).max())
+
     def dpsi(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], overwriting psi.
 
@@ -596,6 +611,11 @@ class Frame:
         self.refined_nodes = _read_only(unit.refined_nodes / beta)
         self.refined_weights = _read_only(unit.refined_weights * scale)
         self._psi_refined = unit.psi_refined
+
+    @property
+    def frequency_floor(self) -> float:
+        """The order's round-off floor of :meth:`frequency`, the same at every beta, built on first read."""
+        return self._unit.frequency_floor
 
     def psi_at(self, shift: float) -> np.ndarray:
         """The damped functions at the nodes shifted by ``shift``, (N+1, N+1).
@@ -767,6 +787,10 @@ class FrameState:
     def frequency(self) -> float | None:
         return self._frequency
 
+    @property
+    def frequency_floor(self) -> float:
+        return self.frame.frequency_floor
+
     def split_point(self) -> float | None:
         return _split_at(self.x_left, self.frame)
 
@@ -860,7 +884,8 @@ def run_frames(
             ext=state.exterior(state.split_point()),
         )
 
-    return _control_loop(initial, _single_view, evolver, cfg, dt, t_final, mode, measure)
+    # a one-dimensional state is its own single control view
+    return _control_loop(initial, lambda state: (state,), evolver, cfg, dt, t_final, mode, measure)
 
 
 # --------------------------------------------------------------------------
@@ -933,13 +958,12 @@ class FrameState2D:
         return self._coeffs
 
     def _frequency_axis(self, axis: int) -> float | None:
-        frame = self.frame_x if axis == 0 else self.frame_y
-        weights = self._energy
+        order = (self.frame_x if axis == 0 else self.frame_y).order
         total = self._energy_total
         if total <= 0.0:
             return None
-        m = default_high_mode_count(frame.order)
-        tail = weights[frame.order + 1 - m :, :] if axis == 0 else weights[:, frame.order + 1 - m :]
+        k = order + 1 - default_high_mode_count(order)
+        tail = self._energy[k:, :] if axis == 0 else self._energy[:, k:]
         return min(1.0, float(math.sqrt(tail.sum() / total)))
 
     def frequency_x(self) -> float | None:
@@ -995,16 +1019,16 @@ class FrameState2D:
         ``reference`` is called once, on open grids (see :func:`run_2d`),
         at the refined nodes of both frames.
         """
-        approx = self.frame_x._psi_refined.T @ self._coeffs @ self.frame_y._psi_refined
-        exact = _on_grid(
-            reference,
-            self.x_left + self.frame_x.refined_nodes,
-            self.y_left + self.frame_y.refined_nodes,
-            t,
-        )
-        wx, wy = self.frame_x.refined_weights, self.frame_y.refined_weights
-        denominator = float(wx @ (exact * exact) @ wy)
-        numerator = float(wx @ (approx - exact) ** 2 @ wy)
+        fx, fy = self.frame_x, self.frame_y
+        exact = _on_grid(reference, self.x_left + fx.refined_nodes, self.y_left + fy.refined_nodes, t)
+        wx, wy = fx.refined_weights, fy.refined_weights
+        # one buffer: the difference, its square, then exact's square
+        diff = fx._psi_refined.T @ self._coeffs @ fy._psi_refined
+        diff -= exact
+        diff *= diff
+        numerator = float(wx @ diff @ wy)
+        np.multiply(exact, exact, out=diff)
+        denominator = float(wx @ diff @ wy)
         if denominator <= 0.0:
             return math.sqrt(numerator)
         return math.sqrt(numerator / denominator)
@@ -1029,6 +1053,10 @@ class _AxisControl:
 
     def frequency(self) -> float | None:
         return self.state.frequency_x() if self.axis == 0 else self.state.frequency_y()
+
+    @property
+    def frequency_floor(self) -> float:
+        return (self.state.frame_x if self.axis == 0 else self.state.frame_y).frequency_floor
 
     def split_point(self) -> float:
         return self.state.split_x() if self.axis == 0 else self.state.split_y()

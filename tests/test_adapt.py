@@ -317,10 +317,20 @@ def test_non_finite_state_fails_loudly(drive):
 
 @pytest.mark.parametrize("mode", [MODE_NONE, MODE_MOVE, MODE_SCALE, MODE_MOVE_SCALE])
 def test_non_finite_state_fails_loudly_in_every_mode(mode):
+    # the failure names the time of the state that was read, as the records
+    # and the CSV write it: step 6 of dt = 0.01, and t = 0 for the initial state
     initial = frame_state_from(diffusive_front, 32, 2.5)
-    evolve = _nan_from(frame_resample_evolver(diffusive_front), 0.06)
-    with pytest.raises(ValueError, match="state energy is nan"):
-        run_frames(evolve, initial, AdaptConfig(), 0.01, 0.2, mode)
+    initial_2d = frame_state_2d_from(product_front, 8, 2.0, 8, 2.0)
+    drives = [
+        (run_frames, initial, _nan_from(frame_resample_evolver(diffusive_front), 0.06)),
+        (run_2d, initial_2d, _nan_from(frame_resample_evolver_2d(product_front), 0.06)),
+    ]
+    for drive, state, evolve in drives:
+        with pytest.raises(ValueError, match=rf"reading failed at t = {6 * 0.01:.17g}: state energy is nan"):
+            drive(evolve, state, AdaptConfig(), 0.01, 0.2, mode)
+        poisoned = evolve(state, 0.05, 0.01)
+        with pytest.raises(ValueError, match=r"reading failed at t = 0: state energy is nan"):
+            drive(evolve, poisoned, AdaptConfig(), 0.01, 0.2, mode)
 
 
 def test_expansion_evolver_must_keep_basis():
@@ -486,13 +496,29 @@ def test_record_count_is_steps_plus_initial():
 HERMITE_RUNGS = [0] * 11 + [3] + [11] * 7 + [15] * 4 + [16, 17, 18, 18, 19, 19, 20, 20]
 
 
-def test_hermite_run_scales_without_sentinel():
+def test_hermite_run_scales_without_sentinel(monkeypatch):
+    # The recorded readings of steps 24-30 sit at 1.5e-15 to 3.1e-15, below
+    # the order's round-off floor of 9.27e-15.  But the rungs of steps 23,
+    # 24, 25, 27 and 29 fire on the evolved state's reading before the
+    # ladder: 4.5e-11, 2.5e-12, 2.7e-14, 7.9e-14 and 1.1e-13, that is 2.9 to
+    # 4856 floors.  So the floor moves none of them.
+    ladder, triggers = adapt._scaling_ladder, []
+
+    def recorded_ladder(state, f, f0, cfg):
+        result = ladder(state, f, f0, cfg)
+        if result[2]:
+            triggers.append(f / state.frequency_floor)
+        return result
+
+    monkeypatch.setattr(adapt, "_scaling_ladder", recorded_ladder)
     initial = frame_state_from(widening_gauss, 24, 1.0, family=HERMITE)
     records, final = run_frames(
         frame_resample_evolver(widening_gauss), initial, AdaptConfig(), 0.1, 3.0, MODE_SCALE,
         reference=widening_gauss,
     )
     assert [round(math.log(r.beta) / math.log(0.95)) for r in records] == HERMITE_RUNGS
+    # 8 steps accept rungs; the nearest to the floor is step 25's, at 2.9 floors
+    assert len(triggers) == 8 and min(triggers) > 2.0
     assert final.beta == pytest.approx(0.95**20, rel=1e-13)
     assert all(r.ext is None for r in records)  # no exterior sentinel for this family
     assert all(r.x_left == 0.0 for r in records)
@@ -1197,6 +1223,50 @@ def test_frames_of_one_order_share_one_unit_frame():
     assert all(frame._unit is unit and frame.tomodal is unit.tomodal for frame in frames)
 
 
+@pytest.mark.parametrize("family, order", [(LAGUERRE, 16), (LAGUERRE, 48), (LAGUERRE, 128), (HERMITE, 24)])
+def test_frequency_floor_is_the_largest_non_tail_reading(family, order):
+    # each psi_l with l <= N-m has no exact tail: its reading is round-off,
+    # set by the rounded transform far more than by the product's order of
+    # summation (other orders move the floor by about 1 %)
+    unit = adapt._unit_frame(order, family)
+    m = order // 3
+    readings = [FrameState(Frame(order, 1.0, family), unit.psi[l]).frequency() for l in range(order + 1 - m)]
+    floor = Frame(order, 1.0, family).frequency_floor
+    assert floor == pytest.approx(max(readings), rel=0.05)
+    assert 1e-16 < floor < 1e-12
+    # one value per order, shared by every frame of it
+    assert all(Frame(order, beta, family).frequency_floor == floor for beta in (0.3, 2.5, 7.0))
+
+
+def test_frequency_floor_is_built_on_the_first_trigger_only():
+    # orders no other test uses, so the floor's memo starts empty
+    unit, unit_2d = adapt._unit_frame(35, LAGUERRE), adapt._unit_frame(43, LAGUERRE)
+
+    def frozen(x, t):
+        return diffusive_front(x, 0.0)
+
+    def frozen_2d(x, y, t):
+        return diffusive_front(x, 0.0) * diffusive_front(y, 0.0)
+
+    # set-up, readings, moves and rescales never build it, nor do steps that do not trigger
+    state = frame_state_from(frozen, 35, 2.5)
+    state.moved(0.1).rescaled(2.0).exterior(state.split_point())
+    run_frames(frame_resample_evolver(frozen), state, AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE)
+    run_2d(
+        frame_resample_evolver_2d(frozen_2d), frame_state_2d_from(frozen_2d, 43, 2.5, 43, 2.5),
+        AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE,
+    )
+    assert "frequency_floor" not in vars(unit) and "frequency_floor" not in vars(unit_2d)
+    # the first trigger builds it
+    records, _ = run_frames(frame_resample_evolver(diffusive_front), state, AdaptConfig(), 0.1, 1.0, MODE_SCALE)
+    assert records[-1].beta < 2.5 and "frequency_floor" in vars(unit)
+    records, _ = run_2d(
+        frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 43, 2.0, 43, 2.0),
+        AdaptConfig(), 0.1, 2.0, MODE_SCALE,
+    )
+    assert records[-1].beta < 2.0 and "frequency_floor" in vars(unit_2d)
+
+
 def test_resampling_memos_are_bounded():
     state = frame_state_from(moving_front, 128, 2.5, t=0.3)
     unit = state.frame._unit
@@ -1531,10 +1601,15 @@ TRANSLATED = {
     + [
         pytest.param(
             "ladder", 1000.0,
-            # 10 of 301 beta records differ (same final beta): the rungs
-            # compare frequency readings at the round-off floor, which the
-            # translation perturbs (ROADMAP item 1)
-            marks=pytest.mark.xfail(strict=True, reason="the ladder reads round-off (ROADMAP item 1)"),
+            # 9 of 301 beta records differ (steps 73-78, 84, 85, 92; same
+            # final beta), 10 without the order's round-off floor.  Samples
+            # near x = 1000 round on a 1.1e-13 grid, which perturbs readings
+            # that sit within one to two floors: at step 73 both runs
+            # trigger, but a rung's acceptance f' <= f compares two such
+            # readings, and at step 92 the reading is 1.9100e-14 against
+            # nu*floor = 1.9126e-14.  The floor covers the transform's
+            # rounding, not that of the sampled positions.
+            marks=pytest.mark.xfail(strict=True, reason="readings within two round-off floors tip on rounded samples"),
         )
     ],
 )
@@ -1570,14 +1645,110 @@ def test_translation_gives_the_same_decisions(case, a):
         assert np.all(lefts == 0.0) and len({r.beta for r in plain}) > 30
 
 
-@pytest.mark.xfail(strict=True, reason="the ladder compares frequency readings at the round-off floor")
+def _rungs(records, beta) -> list:
+    """The ladder's accepted rungs per record: beta = beta_0 * q**rungs, q = 0.95."""
+    return [round(math.log(r.beta / beta) / math.log(0.95)) for r in records]
+
+
+def _stretched(profile):
+    """lam -> profile(x/lam, t)."""
+    return lambda lam: lambda x, t: profile(np.asarray(x, dtype=float) / lam, t)
+
+
+# (lam -> profile at scale lam, family, order, beta, mode, dt, steps) of the
+# scale relation's runs; "ladder-written-out" is the ladder's front with its
+# centre and width written times lam, so its samples round differently
+SCALED = {
+    name: (_stretched(logistic_front(centre, width)), LAGUERRE, 64, 2.5, mode, dt, steps)
+    for name, (centre, width, mode, dt, steps) in TRANSLATED.items()
+}
+SCALED["ladder-written-out"] = (
+    lambda lam: logistic_front(lambda t: lam * 5.0, lambda t: lam * (2.0 + t)), LAGUERRE, 64, 2.5, MODE_SCALE, 0.04, 300,
+)
+SCALED["hermite"] = (_stretched(widening_gauss), HERMITE, 24, 1.0, MODE_SCALE, 0.1, 30)
+
+
+@pytest.mark.parametrize(
+    "case, lam",
+    [(case, lam) for case in sorted(SCALED) for lam in (2.0, 3.0) if (case, lam) != ("ladder-written-out", 3.0)]
+    + [
+        pytest.param(
+            "ladder-written-out", 3.0,
+            # 7 of 301 rung records differ (steps 73-78, 85), 9 without the
+            # floor: the trigger fires above the floor there, but the rung
+            # acceptance f' <= f compares two readings near it
+            marks=pytest.mark.xfail(strict=True, reason="the ladder's rung acceptance reads round-off"),
+        )
+    ],
+)
+def test_scaling_gives_the_same_decisions(case, lam):
+    # f(x/lam) at beta/lam, with delta and d_max times lam and beta_min over
+    # lam, decides as f at beta: every reading the controllers compare is
+    # dimensionless, the round-off floor of the ladder's trigger included
+    profile_at, family, order, beta, mode, dt, steps = SCALED[case]
+    cfg = AdaptConfig()
+    scaled_cfg = replace(cfg, delta=lam * cfg.delta, d_max=lam * cfg.d_max, beta_min=cfg.beta_min / lam)
+    histories = []
+    for f, b, c in ((profile_at(1.0), beta, cfg), (profile_at(lam), beta / lam, scaled_cfg)):
+        records, _ = run_frames(
+            frame_resample_evolver(f), frame_state_from(f, order, b, family=family), c, dt, steps * dt, mode
+        )
+        histories.append((records, _rungs(records, b)))
+    (plain, rungs), (scaled, scaled_rungs) = histories
+    assert len(plain) == steps + 1
+    assert scaled_rungs == rungs
+    assert all(abs(r.x_left / lam - p.x_left) <= 1e-13 * (1.0 + abs(p.x_left)) for r, p in zip(scaled, plain))
+    # each case exercises its controller: the mover on every step, or the ladder
+    if case == "moving":
+        assert np.all(np.diff([r.x_left for r in plain]) > 0.0)
+    else:
+        assert rungs[-1] >= 10
+
+
+# (f, order, beta, config, mode, dt, steps) of the product reduction's runs
+REDUCED = {
+    "bump-2d-scale": (
+        logistic_front(lambda t: 2.0 + t, lambda t: 2.0 + t), 48, 2.0,
+        AdaptConfig(mu=1.003, delta=0.005, d_max=0.1), MODE_SCALE, 0.005, 400,
+    ),
+    "bump-2d-move-scale": (
+        logistic_front(lambda t: 2.0 + t, lambda t: 2.0 + t), 48, 2.0,
+        AdaptConfig(mu=1.003, delta=0.005, d_max=0.1), MODE_MOVE_SCALE, 0.005, 400,
+    ),
+    "spread-scale": (
+        logistic_front(lambda t: 5.0, lambda t: 2.0 + t), 128, 2.5, AdaptConfig(), MODE_SCALE, 0.04, 300,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCED))
+def test_product_with_a_static_factor_reduces_to_one_dimension(case):
+    # run_2d on f(x)*g(y) with a static g decides on x as run_frames on f,
+    # and the y axis never acts
+    f, order, beta, cfg, mode, dt, steps = REDUCED[case]
+    g = logistic_front(lambda t: 2.0, lambda t: 2.0)
+
+    def product(x, y, t):
+        return f(x, t) * g(y, 0.0)
+
+    records, _ = run_frames(frame_resample_evolver(f), frame_state_from(f, order, beta), cfg, dt, steps * dt, mode)
+    records_2d, _ = run_2d(
+        frame_resample_evolver_2d(product), frame_state_2d_from(product, order, beta, order, beta),
+        cfg, dt, steps * dt, mode,
+    )
+    assert [(r.beta, r.x_left) for r in records_2d] == [(r.beta, r.x_left) for r in records]
+    assert all(r.extras["beta_y"] == beta and r.extras["yL"] == 0.0 for r in records_2d)
+    assert records[-1].beta < beta  # the relation is exercised on the ladder
+    if mode == MODE_MOVE_SCALE:
+        assert records[-1].x_left > 0.0
+
+
 def test_scaling_ladder_ignores_round_off_readings(monkeypatch):
     # A translating front at N=128, beta=2.5 keeps its frequency indicator
     # at the round-off floor (1.15e-14 to 2.22e-14 over these 200 steps),
-    # so the trigger f > nu*f0 compares two rounding errors.  It fires on
-    # 199 steps, and each evaluates a rescale candidate the ladder rejects;
-    # a rule that keeps the ladder off below the indicator's noise has to
-    # make this pass.
+    # so the trigger f > nu*f0 alone compares two rounding errors: it fired
+    # on 199 steps, and each evaluated a rescale candidate the ladder
+    # rejected.  The order's floor (5.69e-14 at N=128) keeps it off.
     rescales = _count_calls(monkeypatch, FrameState, "rescaled")
     front = logistic_front(lambda t: 5.0 + 5.0 * t, lambda t: 2.0)
     records, final = run_frames(

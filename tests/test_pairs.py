@@ -69,10 +69,16 @@ def test_summarize_judges_each_metric_against_its_bound():
     assert row["bound"] == 0.25 and row["verdict"] == "within"
 
 
-def _checkout(root: Path, result: dict) -> Path:
-    """A stand-in checkout whose benchmark prints ``result`` as its result line."""
+OUTCOME = {"final_beta": 2.5, "final_x_left": 4.768, "moves": 999, "cap_hits": 0, "accepted_rescales": 0, "frames_built": 2}
+
+
+def _checkout(root: Path, result: dict, outcome=OUTCOME) -> Path:
+    """A stand-in checkout whose benchmark prints a detail line with ``outcome``, then ``result``."""
+    detail = json.dumps({"workload": "front-move", "outcome": outcome})
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(f"print('detail')\nprint({json.dumps(json.dumps(result))})\n")
+    (root / "perfbench" / "run.py").write_text(
+        f"print('metric lines')\nprint({json.dumps(detail)})\nprint({json.dumps(json.dumps(result))})\n"
+    )
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     return root
 
@@ -86,9 +92,36 @@ def test_pairs_alternate_and_fail_on_an_incorrect_run(tmp_path, capsys):
     assert "base first" in captured.err and "change first" in captured.err
     assert "steps_per_s" in captured.out and "0/2" in captured.out
     assert "within (25%)" in captured.out
+    assert "decisions: equal on 2 of 2 seeds\n" in captured.out
     assert pairs.main(["--base", str(good), "--change", str(bad)] + argv) == 1
     assert "not correct" in capsys.readouterr().err
     # a run with no result line fails too
     (bad / "perfbench" / "run.py").write_text("import sys\nsys.exit(3)\n")
     assert pairs.main(["--base", str(bad), "--change", str(good)] + argv) == 1
     assert "no result" in capsys.readouterr().err
+
+
+def test_pairs_report_decision_changes_without_failing(tmp_path, capsys):
+    base = _checkout(tmp_path / "base", _result(steps_per_s=100.0, step_ms_p50=0.5))
+    # a cheaper change that builds fewer frames but decides alike
+    same = _checkout(tmp_path / "same", _result(steps_per_s=120.0, step_ms_p50=0.4), dict(OUTCOME, frames_built=1))
+    moved = _checkout(
+        tmp_path / "moved", _result(steps_per_s=120.0, step_ms_p50=0.4),
+        dict(OUTCOME, final_beta=2.375, accepted_rescales=1),
+    )
+    argv = ["--base", str(base), "--workload", "front-move", "--pairs", "3", "--seconds", "1"]
+    assert pairs.main(argv + ["--change", str(same)]) == 0
+    assert "decisions: equal on 3 of 3 seeds\n" in capsys.readouterr().out
+    assert pairs.main(argv + ["--change", str(moved)]) == 0
+    assert "decisions: equal on 0 of 3 seeds; differ in accepted_rescales, final_beta\n" in capsys.readouterr().out
+
+
+def test_decisions_compare_each_pair_and_flag_a_missing_outcome():
+    def side(*outcomes):
+        return [{"outcome": outcome} for outcome in outcomes]
+
+    lacking = {key: value for key, value in OUTCOME.items() if key != "cap_hits"}
+    base = side(OUTCOME, OUTCOME, OUTCOME, OUTCOME)
+    change = side(OUTCOME, dict(OUTCOME, moves=998), lacking, None)
+    assert pairs.decisions(base, change) == (1, ["cap_hits", "moves", "outcome"])
+    assert pairs.decisions(side(None), side(None)) == (0, ["outcome"])

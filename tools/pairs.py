@@ -21,6 +21,13 @@ exceeds the base's quartile distance, and a verdict against the metric's
   exceeds the bound, unless every change run beats every base run;
 * ``within``: neither.
 
+It then compares the controller outcome of each pair, as each side's detail
+line reports it (final beta and origin, moves, cap hits, accepted rescales;
+every key but ``frames_built``, which counts cache entries), and prints on
+how many seeds the two sides decided alike and which keys differ.  A
+difference is reported, not failed: a change may mean to move decisions,
+and one that does not will show it here before its timings do.
+
 It exits non-zero when any run fails or reports ``"correct": false``.
 Standard library only.
 """
@@ -37,7 +44,11 @@ from pathlib import Path
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """One run of ``checkout``'s benchmark; its result line, or RuntimeError."""
+    """One run of ``checkout``'s benchmark; its result line, or RuntimeError.
+
+    The result carries the detail line's ``outcome`` under that key (None
+    when the line before the result is not a JSON object).
+    """
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds)]
     if smoke:
@@ -52,6 +63,10 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool)
         raise RuntimeError(f"{checkout}: no result (exit {proc.returncode}): {proc.stderr.strip()}") from None
     if proc.returncode != 0 or result.get("correct") is not True:
         raise RuntimeError(f"{checkout}: seed {seed} is not correct (exit {proc.returncode}): {lines[-1]}")
+    try:
+        result["outcome"] = json.loads(lines[-2]).get("outcome")
+    except (IndexError, json.JSONDecodeError, AttributeError):
+        result["outcome"] = None
     return result
 
 
@@ -95,6 +110,24 @@ def summarize(base: list, change: list, end_to_end: list) -> list:
     return rows
 
 
+def decisions(base: list, change: list) -> tuple:
+    """(pairs whose outcomes are equal, sorted keys that differ in any pair).
+
+    ``frames_built`` is left out.  A key that one side lacks differs, and a
+    side with no outcome differs as the key ``outcome``.
+    """
+    equal, keys = 0, set()
+    for b, c in zip(base, change):
+        b, c = b.get("outcome"), c.get("outcome")
+        if b is None or c is None:
+            differ = {"outcome"}
+        else:
+            differ = {key for key in b.keys() | c.keys() if key != "frames_built" and b.get(key) != c.get(key)}
+        equal += not differ
+        keys |= differ
+    return equal, sorted(keys)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
@@ -127,6 +160,8 @@ def main(argv=None) -> int:
         verdict = f"{row['verdict']} ({row['bound']:.0%})"
         print(f"{row['metric']:<12} {b:>34} {c:>34} {row['relative']:>+8.2%} {row['wins']:>3}/{row['pairs']}"
               f"  {verdict:<20}{'  beyond base IQR' if row['beyond_base_iqr'] else ''}")
+    equal, keys = decisions(results["base"], results["change"])
+    print(f"decisions: equal on {equal} of {args.pairs} seeds" + (f"; differ in {', '.join(keys)}" if keys else ""))
     for side in ("base", "change"):
         attempted = sum(r["attempted"] for r in results[side])
         failed = sum(r["failed"] for r in results[side])
