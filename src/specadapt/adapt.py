@@ -40,11 +40,16 @@ derivative at shift 0 and at its split point, so a state's whole exterior
 set-up is one matrix-vector product.  The order keeps, in three
 least-recently-used memos of fixed size, its basis at shifted and at
 rescaled nodes and (Laguerre only) its weighted basis derivative at the
-mover's shifted sentinels.  A state keeps what it derives from its own
-values (the damped coefficients, the exterior indicator's whole-domain
-derivative norm, in 2-d the marginals and the energy matrix and its
-total) for as long as the state lives; a moved or rescaled state starts
-with none of them.  It keeps its readings too: the frequency indicator and
+mover's shifted sentinels.  A miss at rescaled nodes evaluates the basis.
+A miss at shifted nodes evaluates nothing: the Laguerre addition theorem
+shifts a basis the order stores, at its nodes or at its split point, by
+one product with a Toeplitz matrix (:func:`_shift`).  Such misses follow
+each accepted rung, which changes the unit shifts of the next move and of
+its search.  A state keeps what it derives from its own values (the
+damped coefficients, the exterior indicator's whole-domain derivative
+norm, in 2-d the marginals and the energy matrix and its total) for as
+long as the state lives; a moved or rescaled state starts with none of
+them.  It keeps its readings too: the frequency indicator and
 the exterior indicator at its own split point, per axis in 2-d, so the
 ladder, the mover and the per-step record read each of them once.  The
 exterior indicator at any other split is evaluated on every call.  State
@@ -429,7 +434,9 @@ def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
 # Entries per memo of one order.  A 2-d step with one order on both axes
 # reads up to 40 derivative shifts (per axis a 20-candidate search; 0 and
 # the split are in the order's stacked pair, not in the memo), 3 basis
-# shifts (0, per axis a move) and per axis its ladder's ratios.
+# shifts (0, per axis a move) and per axis its ladder's ratios.  A miss of
+# a shifted memo is one Toeplitz product on a stored basis (:func:`_shift`),
+# a miss of the rescaled memo one basis evaluation.
 _MEMO_SIZE = 64
 
 
@@ -467,6 +474,49 @@ def _memo(cache: dict, key: float, evaluate) -> np.ndarray:
     cache[key] = psi
     if len(cache) > _MEMO_SIZE:
         del cache[next(iter(cache))]
+    return psi
+
+
+# The longest unit shift that :func:`_shift` applies in one product.
+_PIECE = 16.0
+
+
+def _shift(psi: np.ndarray, s: float) -> np.ndarray:
+    """The damped Laguerre functions at y + s from their values ``psi[l, k]`` at y_k.
+
+    By the addition theorem L_l(y+s) = sum_{j<=l} L^(-1)_{l-j}(s) L_j(y)
+    (DLMF §18.18), psi_l(y+s) = exp(-s/2)*sum_{j<=l} t_{l-j} psi_j(y) with
+    t_m = L^(-1)_m(s), from t_0 = 1, t_1 = -s and
+    (m+1) t_{m+1} = (2m-s) t_m - (m-1) t_{m-1}.  So the shift is one
+    product with a lower-triangular Toeplitz matrix, with no evaluation of
+    the basis; a shift of 0 gives the identity, and back the bits of ``psi``.
+
+    Against an evaluation started at exp(64 - y/2), which stays a normal
+    float past y = 1416.8, one product at order 363 is accurate to 1.8e-14
+    over 16 unit lengths, 1.1e-14 over 24, 1.2e-14 over 64 and 1.3e-14 over
+    400; ``eval_weighted_all``, started at exp(-y/2), errs by 2.4e-12,
+    2.2e-4 and 2.4e-2 over the last three, at the nodes past that point.
+    The t_m grow like s^m/m! while exp(-s/2) shrinks, and at order 363 they
+    leave the float64 range past s = 1410, so a shift longer than
+    ``_PIECE`` = 16 is applied as equal pieces of at most 16.  A negative
+    or non-finite shift raises.
+    """
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"Laguerre basis evaluated left of its endpoint or at infinity: unit shift {s}")
+    pieces = max(1, math.ceil(s / _PIECE))
+    s /= pieces
+    n = psi.shape[0]
+    t = [1.0, -s]
+    for m in range(1, n - 1):
+        t.append(((2 * m - s) * t[m] - (m - 1) * t[m - 1]) / (m + 1))
+    padded = np.zeros(2 * n - 1)
+    padded[n - 1 :] = t[:n]
+    padded *= math.exp(-0.5 * s)
+    # toeplitz[l, j] = padded[n-1 + l - j]: exp(-s/2)*t_{l-j}, and 0 above the diagonal
+    toeplitz = np.ndarray((n, n), buffer=padded, offset=(n - 1) * padded.itemsize,
+                          strides=(padded.itemsize, -padded.itemsize))
+    for _ in range(pieces):
+        psi = toeplitz @ psi
     return psi
 
 
@@ -512,8 +562,17 @@ class _UnitFrame:
         n = self.nodes.size
         pair = np.empty((2 * n, n), order="F")
         self.dpsi(self.psi.copy(), out=pair[:n])
-        self.dpsi(eval_weighted_all(self.basis, self.nodes + round(self.split, 12)), out=pair[n:])
+        self.dpsi(self.psi_split.copy(), out=pair[n:])
         return _read_only(pair)
+
+    @_memoized
+    def psi_split(self) -> np.ndarray:
+        """The damped functions at the nodes shifted by s* = round(split, 12), read-only.
+
+        The base of the pair's G(s*) and of :meth:`dpsi_shifted` from s* on;
+        Laguerre only.
+        """
+        return _read_only(eval_weighted_all(self.basis, self.nodes + round(self.split, 12)))
 
     @_memoized
     def frequency_floor(self) -> float:
@@ -521,6 +580,17 @@ class _UnitFrame:
         n, m = self.nodes.size, default_high_mode_count(self.nodes.size - 1)
         squares = self.gamma[:, None] * (self.tomodal @ self.psi[: n - m].T) ** 2
         return float(np.sqrt(squares[n - m :].sum(axis=0) / squares.sum(axis=0)).max())
+
+    def dpsi_shifted(self, s: float) -> np.ndarray:
+        """G at the nodes shifted by ``s``, from the nearest stored base at or left of s.
+
+        That base is :attr:`psi_split` from s* on, so the mover's candidates
+        s* + beta*n*delta each take one short :func:`_shift`, and
+        :attr:`psi` before it.  No basis evaluation.
+        """
+        split = round(self.split, 12)
+        psi = _shift(self.psi_split, s - split) if s >= split else _shift(self.psi, s)
+        return self.dpsi(psi)
 
     def dpsi(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], overwriting psi.
@@ -562,15 +632,17 @@ class Frame:
     nodes (:meth:`psi_on`, used by rescales), and their weighted derivative
     at shifted nodes (:meth:`dpsi_at`, used by the mover's search).  All
     are keyed in the unit variable, so every ladder rung shares the entry
-    of the ratio 1/q.  The derivative at shift 0 and at the split, which
-    every state reads, is one stacked operator of the order instead, built
-    on first use and shared by every frame of the order
-    (:meth:`split_reading`).  Everything derived from a state's values is
-    memoized on the state, not here: the methods taking coefficients are
-    stateless per call.  So a fresh state's exterior set-up is one
-    2(N+1) x (N+1) matrix-vector product, and each candidate of the
-    mover's search costs one memo lookup, one (N+1)^2 matrix-vector
-    product and one dot product.
+    of the ratio 1/q.  A :meth:`psi_on` miss evaluates the basis; a miss
+    at shifted nodes (Laguerre only) shifts a basis the order stores by the
+    addition theorem, one (N+1)^3 product and no evaluation.  The
+    derivative at shift 0 and at the split, which every state reads, is
+    one stacked operator of the order instead, built on first use and
+    shared by every frame of the order (:meth:`split_reading`).
+    Everything derived from a state's values is memoized on the state, not
+    here: the methods taking coefficients are stateless per call.  So a
+    fresh state's exterior set-up is one 2(N+1) x (N+1) matrix-vector
+    product, and each candidate of the mover's search costs one memo
+    lookup, one (N+1)^2 matrix-vector product and one dot product.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes: past y = 1416.8 it underflows, and the columns of the
@@ -621,21 +693,31 @@ class Frame:
         """The damped functions at the nodes shifted by ``shift``, (N+1, N+1).
 
         That is psi at y + beta*shift.  It is memoized per order under
-        ``round(beta*shift, 12)`` and evaluated at that key, so offsets that
-        differ only by the rounding of origin arithmetic share one
-        evaluation, whose value does not depend on which came first.
+        ``round(beta*shift, 12)``, and a miss shifts the order's psi at the
+        nodes by that key (:func:`_shift`), with no basis evaluation.  So
+        offsets that differ only by the rounding of origin arithmetic share
+        one entry, whose value does not depend on which came first.  A
+        Hermite frame and a negative key raise.
         """
         unit = self._unit
+        if unit.split is None:
+            raise ValueError("only a Laguerre frame has a shifted basis")
         key = round(self.beta * float(shift), 12)
-        return _memo(unit.psi_at, key, lambda s: eval_weighted_all(unit.basis, unit.nodes + s))
+        return _memo(unit.psi_at, key, lambda s: _shift(unit.psi, s))
 
     def psi_on(self, frame: "Frame") -> np.ndarray:
         """The damped functions at the nodes of ``frame`` (same order and origin).
 
         That is psi at y*beta/beta'.  It is memoized per order under
-        ``round(beta/beta', 12)`` and evaluated at that key.
+        ``round(beta/beta', 12)`` and evaluated at that key.  A frame of
+        another order or family raises.
         """
         unit = self._unit
+        if frame._unit is not unit:
+            raise ValueError(
+                f"psi_on needs a frame of the same order and family: got {frame.family} order "
+                f"{frame.order} for {self.family} order {self.order}"
+            )
         key = round(self.beta / frame.beta, 12)
         return _memo(unit.psi_on, key, lambda r: eval_weighted_all(unit.basis, unit.nodes * r))
 
@@ -644,13 +726,16 @@ class Frame:
 
         With w the unit weights and d/dy L_l = -sum_{j<l} L_j, the
         derivative of sum_l c_l psi_l there is -beta*(G c)_k/sqrt(w_k).
-        Memoized and keyed as :meth:`psi_at`; a Hermite frame raises.
+        Memoized and keyed as :meth:`psi_at`.  A miss shifts the order's
+        psi at the split s* when the key is at least s*, and its psi at the
+        nodes otherwise (:meth:`_UnitFrame.dpsi_shifted`).  A Hermite frame
+        and a negative key raise.
         """
         unit = self._unit
         if unit.split is None:
             raise ValueError("only a Laguerre frame has a derivative memo")
         key = round(self.beta * float(shift), 12)
-        return _memo(unit.dpsi_at, key, lambda s: unit.dpsi(eval_weighted_all(unit.basis, unit.nodes + s)))
+        return _memo(unit.dpsi_at, key, unit.dpsi_shifted)
 
     def frequency(self, coeffs: np.ndarray) -> float | None:
         """High-mode energy fraction of damped-frame coefficients."""

@@ -72,15 +72,44 @@ def test_summarize_judges_each_metric_against_its_bound():
 OUTCOME = {"final_beta": 2.5, "final_x_left": 4.768, "moves": 999, "cap_hits": 0, "accepted_rescales": 0, "frames_built": 2}
 
 
+WORKLOADS = [{"name": "front-move"}, {"name": "bump-2d"}]
+
+
 def _checkout(root: Path, result: dict, outcome=OUTCOME) -> Path:
-    """A stand-in checkout whose benchmark prints a detail line with ``outcome``, then ``result``."""
+    """A stand-in checkout whose benchmark prints a detail line with ``outcome``, then ``result``.
+
+    Each run appends its ``--workload`` to the checkout's ``runs.txt``.
+    """
     detail = json.dumps({"workload": "front-move", "outcome": outcome})
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "with open('runs.txt', 'a') as log:\n"
+        "    log.write(sys.argv[sys.argv.index('--workload') + 1] + '\\n')\n"
         f"print('metric lines')\nprint({json.dumps(detail)})\nprint({json.dumps(json.dumps(result))})\n"
     )
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": WORKLOADS, "end_to_end": END_TO_END}))
     return root
+
+
+def test_pairs_run_every_workload_in_turn(tmp_path, capsys):
+    base = _checkout(tmp_path / "base", _result(steps_per_s=100.0, step_ms_p50=0.5))
+    change = _checkout(tmp_path / "change", _result(steps_per_s=120.0, step_ms_p50=0.4))
+    argv = ["--base", str(base), "--change", str(change), "--pairs", "2", "--seconds", "1"]
+    assert pairs.main(argv + ["--workload", "all"]) == 0
+    out = capsys.readouterr().out
+    # one table, one decisions line and one failure count per side for each workload, in order
+    tables = [line for line in out.splitlines() if "alternating pairs" in line]
+    assert tables == ["front-move: 2 alternating pairs, seeds 100..101", "bump-2d: 2 alternating pairs, seeds 100..101"]
+    assert out.count("steps_per_s ") == 2 and out.count("decisions: equal on 2 of 2 seeds\n") == 2
+    assert out.count("change: 0 of 20 operations failed") == 2
+    for checkout in (base, change):
+        assert (checkout / "runs.txt").read_text().split() == ["front-move"] * 2 + ["bump-2d"] * 2
+    # a single workload runs alone
+    (change / "runs.txt").unlink()
+    assert pairs.main(argv + ["--workload", "bump-2d"]) == 0
+    assert (change / "runs.txt").read_text().split() == ["bump-2d"] * 2
+    assert capsys.readouterr().out.count("alternating pairs") == 1
 
 
 def test_pairs_alternate_and_fail_on_an_incorrect_run(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Alternating benchmark pairs: one workload, two checkouts, N pairs.
+"""Alternating benchmark pairs: one workload (or all of them), two checkouts, N pairs.
 
     python3 tools/pairs.py --base ../parent --change . --workload spread-scale \
         --pairs 10 --seconds 30 --seed 100
@@ -7,7 +7,9 @@ Pair i runs ``perfbench/run.py --workload W --seed (seed + i)`` once in each
 checkout, the base first on even i and the change first on odd i, so that a
 drift of the host's speed does not favour one side.  Each run is a fresh
 process of the checkout's own benchmark, with bytecode caches off so that
-neither checkout is written to.
+neither checkout is written to.  ``--workload all`` runs every workload of
+the change's ``BENCHMARK.json`` in turn, in its order, and reports each one
+as it finishes.
 
 For every end-to-end metric of the change's ``BENCHMARK.json`` it prints
 each side's median and quartiles, the change's relative median shift, how
@@ -21,12 +23,13 @@ exceeds the base's quartile distance, and a verdict against the metric's
   exceeds the bound, unless every change run beats every base run;
 * ``within``: neither.
 
-It then compares the controller outcome of each pair, as each side's detail
-line reports it (final beta and origin, moves, cap hits, accepted rescales;
-every key but ``frames_built``, which counts cache entries), and prints on
-how many seeds the two sides decided alike and which keys differ.  A
-difference is reported, not failed: a change may mean to move decisions,
-and one that does not will show it here before its timings do.
+Per workload, it then compares the controller outcome of each pair, as
+each side's detail line reports it (final beta and origin, moves, cap hits,
+accepted rescales; every key but ``frames_built``, which counts cache
+entries), and prints on how many seeds the two sides decided alike and
+which keys differ.  A difference is reported, not failed: a change may mean
+to move decisions, and one that does not will show it here before its
+timings do.
 
 It exits non-zero when any run fails or reports ``"correct": false``.
 Standard library only.
@@ -128,34 +131,25 @@ def decisions(base: list, change: list) -> tuple:
     return equal, sorted(keys)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
-    parser.add_argument("--change", type=Path, required=True, help="checkout under test")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
-    parser.add_argument("--smoke", action="store_true", help="pass --smoke to the benchmark")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+def run_pairs(args, workload: str) -> dict:
+    """``args.pairs`` alternating pairs of ``workload``: the result lines per side."""
     results = {"base": [], "change": []}
-    try:
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                checkout = args.base if side == "base" else args.change
-                results[side].append(bench(checkout, args.workload, args.seed + i, args.seconds, args.smoke))
-            print(f"pair {i + 1}/{args.pairs} (seed {args.seed + i}, {order[0]} first) done", file=sys.stderr)
-    except (RuntimeError, subprocess.TimeoutExpired) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"{args.workload}: {args.pairs} alternating pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            checkout = args.base if side == "base" else args.change
+            results[side].append(bench(checkout, workload, args.seed + i, args.seconds, args.smoke))
+        print(f"{workload}: pair {i + 1}/{args.pairs} (seed {args.seed + i}, {order[0]} first) done",
+              file=sys.stderr)
+    return results
+
+
+def report(workload: str, results: dict, args, end_to_end: list) -> None:
+    """Print one workload's table, its decisions line and each side's failed operations."""
+    print(f"{workload}: {args.pairs} alternating pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':<12} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'shift':>8} {'wins':>6}"
           f"  {'verdict (bound)':<20}")
-    for row in summarize(results["base"], results["change"], spec["end_to_end"]):
+    for row in summarize(results["base"], results["change"], end_to_end):
         b, c = (f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in (row["base"], row["change"]))
         verdict = f"{row['verdict']} ({row['bound']:.0%})"
         print(f"{row['metric']:<12} {b:>34} {c:>34} {row['relative']:>+8.2%} {row['wins']:>3}/{row['pairs']}"
@@ -166,6 +160,29 @@ def main(argv=None) -> int:
         attempted = sum(r["attempted"] for r in results[side])
         failed = sum(r["failed"] for r in results[side])
         print(f"{side}: {failed} of {attempted} operations failed")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument("--change", type=Path, required=True, help="checkout under test")
+    parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json, or all of them")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
+    parser.add_argument("--smoke", action="store_true", help="pass --smoke to the benchmark")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]] if args.workload == "all" else [args.workload]
+    for workload in workloads:
+        try:
+            results = run_pairs(args, workload)
+        except (RuntimeError, subprocess.TimeoutExpired) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        report(workload, results, args, spec["end_to_end"])
     return 0
 
 
