@@ -19,43 +19,45 @@ state:
 There is one engine: nodal values in a :class:`Frame`.  The loop sees a
 state through its control views, one per dimension: a :class:`FrameState`
 behind :func:`run_frames` is its own single view, and a
-:class:`FrameState2D` behind :func:`run_2d` has one view per axis.  A frame
-evaluates everything through basis functions that carry their own decay,
-in the unit variable y = beta*(x - x_left): the damped Laguerre functions
-exp(-y/2) L_l(y) on the half-line, or the Hermite functions h_l(y) on the
-line.  Reconstructing values (or 2-d marginals) from raw polynomial
-coefficients amplifies roundoff like exp(y_max/2), while these forms stay
-O(1) at any order used here; the frame frequency indicator measures their
-coefficients, which is what makes evolving-solution spectra visible to the
-controller at large orders.  A Hermite frame has no sentinel point: its
-exterior indicator is None, the mover never fires, and only the scaling
-controller acts (the time-dependent Hermite scaling of Ma, Sun & Tang,
-SINUM 43, 2005).
+:class:`FrameState2D` behind :func:`run_2d` has one view per axis.  As in
+the paper, beta only places the nodes, and the indicators are defined by
+the numerical solution alone.  A frame holds its order's operators, built
+once in the unit variable y = beta*(x - x_left), plus the three things
+beta changes: the node positions, the refined-node positions and the
+split point.  A state computes every reading from its own coefficients
+and the unit operators, so the same unit-variable values read alike at
+every beta.  The basis functions carry their own decay: the damped
+Laguerre functions exp(-y/2) L_l(y) on the half-line, or the Hermite
+functions h_l(y) on the line.  Reconstructing values (or 2-d marginals)
+from raw polynomial coefficients amplifies roundoff like exp(y_max/2),
+while these forms stay O(1) at any order used here.  A Hermite frame has
+no sentinel point: its exterior indicator is None, the mover never fires,
+and only the scaling controller acts (the time-dependent Hermite scaling
+of Ma, Sun & Tang, SINUM 43, 2005).
 
 The frame engine memoizes at two lifetimes.  Each order builds its
-operators once, in the unit variable, and every :class:`Frame` of that
-order and family shares them.  A Laguerre order also builds, on its first
-exterior reading, one stacked operator holding its weighted basis
-derivative at shift 0 and at its split point, so a state's whole exterior
-set-up is one matrix-vector product.  The order keeps, in three
-least-recently-used memos of fixed size, its basis at shifted and at
-rescaled nodes and (Laguerre only) its weighted basis derivative at the
-mover's shifted sentinels.  A miss at rescaled nodes evaluates the basis.
-A miss at shifted nodes evaluates nothing: the Laguerre addition theorem
-shifts a basis the order stores, at its nodes or at its split point, by
-one product with a Toeplitz matrix (:func:`_shift`).  Such misses follow
-each accepted rung, which changes the unit shifts of the next move and of
-its search.  A state keeps what it derives from its own values (the
-damped coefficients, the exterior indicator's whole-domain derivative
-norm, in 2-d the marginals and the energy matrix and its total) for as
-long as the state lives; a moved or rescaled state starts with none of
-them.  It keeps its readings too: the frequency indicator and
-the exterior indicator at its own split point, per axis in 2-d, so the
-ladder, the mover and the per-step record read each of them once.  The
-exterior indicator at any other split is evaluated on every call.  State
-values are a read-only copy, so no memo can go stale.  The state memos are
-plain instance attributes written on first read (:class:`_memoized`), so
-a read takes no lock.
+operators once and every :class:`Frame` of that order and family shares
+them.  A Laguerre order also builds, on its first exterior reading, one
+stacked operator holding its weighted basis derivative at shift 0 and at
+its split point, so a state's whole exterior set-up is one matrix-vector
+product.  The order keeps, in three least-recently-used memos of fixed
+size, its basis at shifted and at rescaled nodes and (Laguerre only) its
+weighted basis derivative at the mover's shifted sentinels.  A miss at
+rescaled nodes evaluates the basis.  A miss at shifted nodes evaluates
+nothing: the Laguerre addition theorem shifts a basis the order stores,
+at its nodes or at its split point, by one product with a Toeplitz matrix
+(:func:`_shift`).  Such misses follow each accepted rung, which changes
+the unit shifts of the next move and of its search.  A state keeps what
+it derives from its own values (the coefficients, the exterior
+indicator's whole-domain derivative norm, in 2-d the marginals and the
+energy matrix) and its readings (the frequency indicator and the exterior
+indicator at its own split point, per axis in 2-d) for as long as it
+lives, so the ladder, the mover and the per-step record read each once;
+a moved or rescaled state starts with none of them.  The exterior
+indicator at any other split is evaluated on every call.  State values
+are a read-only copy, so no memo can go stale.  The state memos are plain
+instance attributes written on first read (:class:`_memoized`), so a read
+takes no lock.
 
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.  A 2-d reference is called on open grids
@@ -83,7 +85,6 @@ from .basis import (
     ScaledBasis,
     _checked_order,
     eval_weighted_all,
-    gamma_norms,
     modified_weights,
     quadrature,
 )
@@ -272,16 +273,16 @@ def _scaling_ladder(state, f, f0, cfg: AdaptConfig):
     """One scaling decision on an evolved state.
 
     Returns ``(state, f0, accepted)``.  When ``f > nu*max(f0, floor)`` (the
-    view's ``frequency_floor``, read only once ``f > nu*f0``), candidate factors
+    frame's ``frequency_floor``, read only once ``f > nu*f0``), candidate factors
     ``q*beta, q^2*beta, ...`` are accepted while each keeps the frequency
     indicator from rising and stays at or above ``beta_min``; ``f0`` is refreshed
     only on acceptance, so a fruitless trigger re-fires on the next step.
     """
-    if f is None or f0 is None or not f > cfg.nu * f0 or not f > cfg.nu * state.frequency_floor:
+    if f is None or f0 is None or not f > cfg.nu * f0 or not f > cfg.nu * state.frame.frequency_floor:
         return state, f0, 0
     accepted = 0
     while True:
-        beta_next = cfg.q * state.beta
+        beta_next = cfg.q * state.frame.beta
         if beta_next < cfg.beta_min:
             break
         candidate = state.rescaled(beta_next)
@@ -326,7 +327,7 @@ def _step_count(t_final: float, dt: float) -> int:
 def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     """The one driver: evolve, optionally move, optionally scale, record.
 
-    ``views(state)`` returns one control view per dimension: ``beta``,
+    ``views(state)`` returns one control view per dimension: ``frame``,
     ``x_left``, ``frequency()``, ``split_point()``, ``exterior(split)``,
     and ``moved(d)``/``rescaled(beta)``, which return a view whose
     ``.state`` is the whole new state.  Every moving distance is taken from
@@ -341,8 +342,8 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     Re-anchoring it after an accepted rescale lowers the baseline with every
     rung, so a front that widens while it moves keeps firing the mover, and
     the frame runs past the front by several widths.
-    A step must keep every view's beta and origin (adapting them is the
-    controllers' job), or ValueError is raised.  A failing step or reading
+    A step must keep every view's frame (its order, beta and family) and
+    origin (adapting them is the controllers' job), or ValueError is raised.  A failing step or reading
     names its time.  Emits the initial record plus one record per step.
     """
     mode = normalize_mode(mode)
@@ -355,16 +356,16 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
         raise
     for n in range(_step_count(t_final, dt)):
         t_prev, t = n * dt, (n + 1) * dt
-        frames = [(view.beta, view.x_left) for view in views(state)]
+        frames = [(view.frame, view.x_left) for view in views(state)]
         try:
             state = stepper(state, t_prev, dt)
         except Exception as exc:
             _name_time(exc, "evolution step", t_prev)
             raise
-        if [(view.beta, view.x_left) for view in views(state)] != frames:
+        if [(view.frame, view.x_left) for view in views(state)] != frames:
             raise ValueError(
-                f"the evolution step at t = {_format_field(t_prev)} changed a frame's "
-                "beta or origin; the evolver must keep the frames it was given"
+                f"the evolution step at t = {_format_field(t_prev)} changed a frame or an "
+                "origin; the evolver must keep the frames it was given"
             )
         try:
             if mode in (MODE_MOVE, MODE_MOVE_SCALE):
@@ -494,10 +495,8 @@ def _shift(psi: np.ndarray, s: float) -> np.ndarray:
     Against an evaluation started at exp(64 - y/2), which stays a normal
     float past y = 1416.8, one product at order 363 is accurate to 1.8e-14
     over 16 unit lengths, 1.1e-14 over 24, 1.2e-14 over 64 and 1.3e-14 over
-    400; ``eval_weighted_all``, started at exp(-y/2), errs by 2.4e-12,
-    2.2e-4 and 2.4e-2 over the last three, at the nodes past that point.
-    The t_m grow like s^m/m! while exp(-s/2) shrinks, and at order 363 they
-    leave the float64 range past s = 1410, so a shift longer than
+    400.  The t_m grow like s^m/m! while exp(-s/2) shrinks, and at order
+    363 they leave the float64 range past s = 1410, so a shift longer than
     ``_PIECE`` = 16 is applied as equal pieces of at most 16.  A negative
     or non-finite shift raises.
     """
@@ -523,11 +522,11 @@ def _shift(psi: np.ndarray, s: float) -> np.ndarray:
 class _UnitFrame:
     """The beta-free operators of one order, in the unit variable y = beta*x.
 
-    A frame at beta has nodes y/beta, weights and gamma scaled by 1/beta
-    and psi_l(beta*x) = psi_l(y), so its transform, its refined psi and
-    beta*split are those of this object.  It owns the memos.  A Laguerre
-    order builds :attr:`pair` on its first exterior reading; a Hermite
-    order has no split, no pair and no derivative memo.
+    A frame at beta has nodes y/beta and psi_l(beta*x) = psi_l(y), so its
+    transform, its refined psi and beta*split are those of this object;
+    every psi_l has norm 1 in y.  It owns the memos.  A Laguerre order
+    builds :attr:`pair` on its first exterior reading; a Hermite order has
+    no split, no pair and no derivative memo.
     """
 
     def __init__(self, order: int, family: str):
@@ -538,9 +537,8 @@ class _UnitFrame:
         refined = quadrature(replace(basis, order=2 * order + 1))
         self.nodes, self.weights = rule.nodes, rule.weights
         self.mod_weights = modified_weights(rule)
-        self.gamma = gamma_norms(basis)
         self.psi = psi = _read_only(eval_weighted_all(basis, rule.nodes))
-        self.tomodal = _read_only((psi * self.mod_weights) / self.gamma[:, None])
+        self.tomodal = _read_only(psi * self.mod_weights)
         self.split = default_split_point(order, rule.nodes) if family == LAGUERRE else None
         self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
         self.psi_refined = _read_only(eval_weighted_all(basis, refined.nodes))
@@ -578,7 +576,7 @@ class _UnitFrame:
     def frequency_floor(self) -> float:
         """The largest frequency reading of a psi_l (l <= N-m) at the nodes, whose exact tail is zero."""
         n, m = self.nodes.size, default_high_mode_count(self.nodes.size - 1)
-        squares = self.gamma[:, None] * (self.tomodal @ self.psi[: n - m].T) ** 2
+        squares = (self.tomodal @ self.psi[: n - m].T) ** 2
         return float(np.sqrt(squares[n - m :].sum(axis=0) / squares.sum(axis=0)).max())
 
     def dpsi_shifted(self, s: float) -> np.ndarray:
@@ -611,20 +609,19 @@ def _unit_frame(order: int, family: str) -> _UnitFrame:
 
 
 class Frame:
-    """Nodal operators of one (order, beta, family) frame.
+    """The nodes of one (order, beta, family) frame over its order's unit operators.
 
-    Holds the Gauss nodes as offsets from the basis origin, the plain and
-    exponentially reweighted quadrature weights, and the nodal-to-modal
-    transform of the frame's functions: the damped Laguerre functions
-    psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the default) or the
-    Hermite functions psi_l = h_l(y) (HERMITE), with y = beta*x.  The
-    Hermite psi_l are the functions of ``hermite_basis(N, beta)`` without
-    their factor sqrt(beta), so a Hermite frame's gamma is 1/beta as for
-    Laguerre; it has no split point (``split_rel`` is None).  All entries
-    are O(1)-safe in float64 because the decay is built into every
-    evaluation.  Instances are shared per (order, beta, family) and cost
-    O(N): the transform, the refined psi and the memos belong to the order,
-    built once at beta = 1 and shared by every beta.
+    beta only places the nodes: a frame holds its Gauss nodes as offsets
+    from the basis origin, the nodes of the doubled-order rule its error is
+    read on, and its split point (``split_rel``; None for Hermite).  All
+    else is the order's, built once in the unit variable y = beta*x and
+    shared by every beta: the weights, the nodal-to-modal transform
+    ``tomodal``, the refined psi and the memos.  The functions are the
+    damped Laguerre psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the
+    default) or the Hermite h_l(y) (HERMITE, ``hermite_basis`` without its
+    factor sqrt(beta)), O(1)-safe in float64.  States read in y (see
+    :class:`FrameState`).  Instances are shared per (order, beta, family)
+    and cost O(N).
 
     Three evaluations are memoized per order, each in a least-recently-used
     memo of ``_MEMO_SIZE`` (N+1)^2 matrices: the damped functions at
@@ -637,19 +634,13 @@ class Frame:
     addition theorem, one (N+1)^3 product and no evaluation.  The
     derivative at shift 0 and at the split, which every state reads, is
     one stacked operator of the order instead, built on first use and
-    shared by every frame of the order (:meth:`split_reading`).
-    Everything derived from a state's values is memoized on the state, not
-    here: the methods taking coefficients are stateless per call.  So a
-    fresh state's exterior set-up is one 2(N+1) x (N+1) matrix-vector
-    product, and each candidate of the mover's search costs one memo
-    lookup, one (N+1)^2 matrix-vector product and one dot product.
+    shared by every frame of the order.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
-    own nodes: past y = 1416.8 it underflows, and the columns of the
-    transform at the largest nodes first lose precision and then vanish.
-    Orders up to 363 fit; higher orders raise ValueError.  A Hermite frame
-    has the same ceiling, set by its refined rule of order 2N+1, which
-    stops at 727 (see :func:`~.basis.quadrature`).
+    own nodes, y < 1416.8, so orders past 363 raise ValueError (shifted,
+    rescaled and refined nodes may lie further out; see
+    :func:`~.basis.eval_weighted_all`).  A Hermite frame stops at 363 too,
+    where its refined rule reaches order 727 (see :func:`~.basis.quadrature`).
     """
 
     _cache: dict = {}
@@ -670,23 +661,17 @@ class Frame:
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError(f"scaling factor must be positive, got {beta}")
         self._unit = unit = _unit_frame(order, family)
-        scale = beta ** -1.0  # as basis.quadrature maps the unit rule
         self.family = family
         self.order = order
         self.beta = beta
         self.nodes = _read_only(unit.nodes / beta)
-        self.weights = _read_only(unit.weights * scale)
-        self.mod_weights = unit.mod_weights * scale
-        self.gamma = unit.gamma / beta
         self.tomodal = unit.tomodal
         self.split_rel = None if unit.split is None else unit.split / beta
         self.refined_nodes = _read_only(unit.refined_nodes / beta)
-        self.refined_weights = _read_only(unit.refined_weights * scale)
-        self._psi_refined = unit.psi_refined
 
     @property
     def frequency_floor(self) -> float:
-        """The order's round-off floor of :meth:`frequency`, the same at every beta, built on first read."""
+        """The order's round-off floor of the frequency indicator, one for every beta, built on first read."""
         return self._unit.frequency_floor
 
     def psi_at(self, shift: float) -> np.ndarray:
@@ -737,68 +722,20 @@ class Frame:
         key = round(self.beta * float(shift), 12)
         return _memo(unit.dpsi_at, key, unit.dpsi_shifted)
 
-    def frequency(self, coeffs: np.ndarray) -> float | None:
-        """High-mode energy fraction of damped-frame coefficients."""
-        squares = self.gamma * coeffs * coeffs
-        total = _finite_energy(float(squares.sum()))
-        if total <= 0.0:
-            return None
-        m = default_high_mode_count(self.order)
-        return min(1.0, float(math.sqrt(squares[self.order + 1 - m :].sum() / total)))
 
-    def split_reading(self, coeffs: np.ndarray) -> tuple[float, float | None]:
-        """The exterior set-up of damped-frame coefficients: (|G(0) c|, the split ratio).
+def _high_mode_fraction(energy: np.ndarray, order: int, axis: int = 0) -> float | None:
+    """The frequency indicator along ``axis`` (of order ``order``) of squared coefficients.
 
-        One product with the order's stacked pair gives G(0) c and G(s*) c,
-        s* the unit split rounded to 12 decimals, so the ratio at the split
-        is exp(-s*/2)*|G(s*) c|/|G(0) c| (see :meth:`tails`).  The ratio is
-        None for a derivative-free state; a Hermite frame raises.
-        """
-        unit = self._unit
-        g = unit.pair @ coeffs
-        whole, tail = g[: self.order + 1], g[self.order + 1 :]
-        denominator = math.sqrt(whole.dot(whole))
-        if denominator <= 0.0:
-            return denominator, None
-        return denominator, math.exp(-0.5 * round(unit.split, 12)) * (math.sqrt(tail.dot(tail)) / denominator)
-
-    def tails(self, coeffs: np.ndarray, denominator: float, offset: float) -> float | None:
-        """Exterior derivative-tail ratio beyond ``offset`` from the origin.
-
-        ``denominator`` is |G(0) c|, the first item of :meth:`split_reading`.
-        The weighted norm of the derivative over (offset, inf), against the
-        weight anchored at the basis origin, over its whole-domain value is
-        exp(-beta*offset/2)*|G c|/|G(0) c| with G = dpsi_at(offset): the
-        factors beta cancel.  Returns None for a derivative-free state.
-        """
-        if denominator <= 0.0:
-            return None
-        g = self.dpsi_at(offset) @ coeffs
-        return math.exp(-0.5 * self.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
-
-    def interpolant_error(self, coeffs: np.ndarray, exact_refined: np.ndarray) -> float:
-        """Weighted relative error of the interpolant over a doubled-order rule.
-
-        Sees between the frame's own nodes (where nodal comparison is blind
-        for freshly resampled states); ``coeffs`` are the damped-frame
-        coefficients and ``exact_refined`` holds the reference at
-        ``refined_nodes`` offsets plus the basis origin.
-        """
-        diff = coeffs @ self._psi_refined
-        diff -= exact_refined
-        w = self.refined_weights
-        denominator = float((w * exact_refined) @ exact_refined)
-        numerator = float((w * diff) @ diff)
-        if denominator <= 0.0:
-            return math.sqrt(numerator)
-        return math.sqrt(numerator / denominator)
-
-
-def _finite_energy(total: float) -> float:
-    """The energy total of a state's coefficients; ValueError if it is not finite."""
+    None for zero energy; ValueError if the energy is not finite.
+    """
+    total = float(energy.sum())
     if not math.isfinite(total):
         raise ValueError(f"state energy is {total}: the values are not all finite")
-    return total
+    if total <= 0.0:
+        return None
+    k = order + 1 - default_high_mode_count(order)
+    tail = energy[k:] if axis == 0 else energy[:, k:]
+    return min(1.0, float(math.sqrt(tail.sum() / total)))
 
 
 def _split_at(left: float, frame: Frame) -> float | None:
@@ -819,13 +756,16 @@ class FrameState:
     """Nodal values in a frame plus the basis origin.
 
     ``values`` is stored as a read-only float copy of shape (order+1,); the
-    caller's array is left as it was.  The damped coefficients (read-only),
-    the frequency indicator and the exterior set-up are computed at most
-    once, on first use, and kept for the state's lifetime.  The set-up is
-    one product with the order's stacked pair (:meth:`Frame.split_reading`),
-    which gives both the exterior indicator's denominator and its reading
-    at :meth:`split_point`.  So the mover's search over n*delta pays for
-    the denominator once, and each candidate only for its own shifted
+    caller's array is left as it was.  Every reading comes from the state's
+    coefficients and its order's unit operators, so the same unit-variable
+    values read alike at every beta; beta only places the points that a
+    reference or an off-split exterior reading needs.  The coefficients
+    (read-only), the frequency indicator and the exterior set-up are
+    computed at most once, on first use, and kept for the state's lifetime.
+    The set-up is one product with the order's stacked pair, which gives
+    both the exterior indicator's denominator and its reading at
+    :meth:`split_point`.  So the mover's search over n*delta pays for the
+    denominator once, and each candidate only for its own shifted
     numerator; the per-step record re-reads the controllers' readings for
     free.  A moved or rescaled state is a new state with an empty memo.
     """
@@ -846,11 +786,18 @@ class FrameState:
 
     @_memoized
     def _split_reading(self) -> tuple[float, float | None]:
-        return self.frame.split_reading(self._coeffs)
+        """(|G(0) c|, exp(-s*/2)*|G(s*) c|/|G(0) c|), s* = round(unit split, 12); a Hermite frame raises."""
+        unit = self.frame._unit
+        g = unit.pair @ self._coeffs
+        whole, tail = g[: self.frame.order + 1], g[self.frame.order + 1 :]
+        denominator = math.sqrt(whole.dot(whole))
+        if denominator <= 0.0:
+            return denominator, None
+        return denominator, math.exp(-0.5 * round(unit.split, 12)) * (math.sqrt(tail.dot(tail)) / denominator)
 
     @_memoized
     def _frequency(self) -> float | None:
-        return self.frame.frequency(self._coeffs)
+        return _high_mode_fraction(self._coeffs * self._coeffs, self.frame.order)
 
     @property
     def state(self) -> "FrameState":
@@ -872,10 +819,6 @@ class FrameState:
     def frequency(self) -> float | None:
         return self._frequency
 
-    @property
-    def frequency_floor(self) -> float:
-        return self.frame.frequency_floor
-
     def split_point(self) -> float | None:
         return _split_at(self.x_left, self.frame)
 
@@ -883,12 +826,19 @@ class FrameState:
         return self._exterior(split)
 
     def _exterior(self, split: float | None) -> float | None:
-        # also a 2-d state's per-axis reading, which the benchmark times as one call
+        # also a 2-d state's per-axis reading, which the benchmark times as one call.
+        # Off the own split the derivative's tail ratio is exp(-beta*offset/2)*|G c|/|G(0) c|
+        # with G = dpsi_at(offset), in which the derivative's factors beta cancel.
         if split is None:
             return None
         if split == self.split_point():
             return self._split_reading[1]
-        return self.frame.tails(self._coeffs, self._split_reading[0], split - self.x_left)
+        denominator = self._split_reading[0]
+        if denominator <= 0.0:
+            return None
+        offset = split - self.x_left
+        g = self.frame.dpsi_at(offset) @ self._coeffs
+        return math.exp(-0.5 * self.frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
 
     def rescaled(self, beta: float) -> "FrameState":
         new_frame = Frame(self.frame.order, beta, self.frame.family)
@@ -906,10 +856,22 @@ class FrameState:
         return FrameState(self.frame, values, self.x_left + distance)
 
     def error(self, reference, t: float) -> float:
-        """Weighted relative error against ``reference(x, t)``, broadcast to the refined nodes."""
+        """Weighted relative error against ``reference(x, t)``, broadcast to the refined nodes.
+
+        The unit weights' missing factor 1/beta cancels in the ratio; a zero
+        reference gives the absolute norm, in x.
+        """
+        unit = self.frame._unit
         nodes = self.x_left + self.frame.refined_nodes
         exact = _broadcast(reference(nodes, t), nodes.shape, "refined-node")
-        return self.frame.interpolant_error(self._coeffs, exact)
+        diff = self._coeffs @ unit.psi_refined
+        diff -= exact
+        w = unit.refined_weights
+        denominator = float((w * exact) @ exact)
+        numerator = float((w * diff) @ diff)
+        if denominator <= 0.0:
+            return math.sqrt(numerator / self.frame.beta)
+        return math.sqrt(numerator / denominator)
 
 
 def frame_state_from(
@@ -943,12 +905,13 @@ def run_frames(
     """Drive a frame state through the adaptive loop; returns (history, final state).
 
     ``evolver(state, t, dt)`` returns a :class:`FrameState` on the frame it
-    was given: a step that changes beta or the origin raises ValueError,
-    and a failing step propagates with the failure time attached.  The
-    recorded error is the interpolant's weighted relative error against
-    ``reference(x, t)`` over a doubled-order rule.  ``t_final < dt``
-    yields exactly the initial record.  The indicators use the default
-    rules (:func:`~.indicators.default_high_mode_count` and
+    was given: a step that changes the frame (its order, beta or family)
+    or the origin raises ValueError, and a failing step propagates with the
+    failure time attached.  The recorded error is the interpolant's
+    weighted relative error against ``reference(x, t)`` over a
+    doubled-order rule.  ``t_final < dt`` yields exactly the initial
+    record.  The indicators use the default rules
+    (:func:`~.indicators.default_high_mode_count` and
     :func:`~.indicators.default_split_point`).
 
     A Hermite state (``frame_state_from(..., family=HERMITE)``) is scaled
@@ -982,12 +945,14 @@ def run_frames(
 class FrameState2D:
     """Tensor-product nodal values with per-dimension frames and origins.
 
-    ``values`` is stored as a read-only float copy.  What the indicators
-    and the error derive from it is computed at most once, on first use,
-    and kept for the state's lifetime: the tensor transform
-    (:meth:`coefficients`, read-only), the energy matrix
-    gamma_x*gamma_y*c^2 and its total that both frequency indicators read,
-    and per axis the marginal as a :class:`FrameState`, which keeps that
+    ``values`` is stored as a read-only float copy.  As in
+    :class:`FrameState`, every reading is in the unit variables, so it does
+    not depend on either beta.  What the indicators and the error derive
+    from the values is computed at most once, on first use, and kept for
+    the state's lifetime: the tensor transform (:meth:`coefficients`,
+    read-only), the energy matrix c^2 that both frequency indicators read,
+    and per axis the marginal (the values integrated over the other axis
+    with its unit weights) as a :class:`FrameState`, which keeps that
     axis's exterior set-up and split reading.  The frequency readings are
     kept the same way, per axis.  A moved or rescaled state is a new state
     with an empty memo.
@@ -1011,27 +976,23 @@ class FrameState2D:
 
     @_memoized
     def _energy(self) -> np.ndarray:
-        return _read_only(np.multiply.outer(self.frame_x.gamma, self.frame_y.gamma) * self._coeffs**2)
-
-    @_memoized
-    def _energy_total(self) -> float:
-        return _finite_energy(float(self._energy.sum()))
+        return _read_only(self._coeffs * self._coeffs)
 
     @_memoized
     def _marginal_x(self) -> FrameState:
-        return FrameState(self.frame_x, self.marginal_x_values(), self.x_left)
+        return FrameState(self.frame_x, self.values @ self.frame_y._unit.mod_weights, self.x_left)
 
     @_memoized
     def _marginal_y(self) -> FrameState:
-        return FrameState(self.frame_y, self.marginal_y_values(), self.y_left)
+        return FrameState(self.frame_y, self.frame_x._unit.mod_weights @ self.values, self.y_left)
 
     @_memoized
     def _frequency_x(self) -> float | None:
-        return self._frequency_axis(0)
+        return _high_mode_fraction(self._energy, self.frame_x.order, 0)
 
     @_memoized
     def _frequency_y(self) -> float | None:
-        return self._frequency_axis(1)
+        return _high_mode_fraction(self._energy, self.frame_y.order, 1)
 
     def nodes_x(self) -> np.ndarray:
         return self.x_left + self.frame_x.nodes
@@ -1042,15 +1003,6 @@ class FrameState2D:
     def coefficients(self) -> np.ndarray:
         return self._coeffs
 
-    def _frequency_axis(self, axis: int) -> float | None:
-        order = (self.frame_x if axis == 0 else self.frame_y).order
-        total = self._energy_total
-        if total <= 0.0:
-            return None
-        k = order + 1 - default_high_mode_count(order)
-        tail = self._energy[k:, :] if axis == 0 else self._energy[:, k:]
-        return min(1.0, float(math.sqrt(tail.sum() / total)))
-
     def frequency_x(self) -> float | None:
         return self._frequency_x
 
@@ -1059,10 +1011,10 @@ class FrameState2D:
 
     def marginal_x_values(self) -> np.ndarray:
         """Nodal values of the y-integrated solution (reweighted quadrature)."""
-        return self.values @ self.frame_y.mod_weights
+        return self._marginal_x.values / self.frame_y.beta
 
     def marginal_y_values(self) -> np.ndarray:
-        return self.frame_x.mod_weights @ self.values
+        return self._marginal_y.values / self.frame_x.beta
 
     def split_x(self) -> float | None:
         return _split_at(self.x_left, self.frame_x)
@@ -1102,20 +1054,21 @@ class FrameState2D:
         """Weighted relative error against ``reference(x, y, t)`` on the doubled-order grid.
 
         ``reference`` is called once, on open grids (see :func:`run_2d`),
-        at the refined nodes of both frames.
+        at the refined nodes of both frames.  The weights are as in 1-d.
         """
         fx, fy = self.frame_x, self.frame_y
+        ux, uy = fx._unit, fy._unit
         exact = _on_grid(reference, self.x_left + fx.refined_nodes, self.y_left + fy.refined_nodes, t)
-        wx, wy = fx.refined_weights, fy.refined_weights
+        wx, wy = ux.refined_weights, uy.refined_weights
         # one buffer: the difference, its square, then exact's square
-        diff = fx._psi_refined.T @ self._coeffs @ fy._psi_refined
+        diff = ux.psi_refined.T @ self._coeffs @ uy.psi_refined
         diff -= exact
         diff *= diff
         numerator = float(wx @ diff @ wy)
         np.multiply(exact, exact, out=diff)
         denominator = float(wx @ diff @ wy)
         if denominator <= 0.0:
-            return math.sqrt(numerator)
+            return math.sqrt(numerator / (fx.beta * fy.beta))
         return math.sqrt(numerator / denominator)
 
 
@@ -1129,8 +1082,8 @@ class _AxisControl:
         self.axis = axis
 
     @property
-    def beta(self) -> float:
-        return (self.state.frame_x if self.axis == 0 else self.state.frame_y).beta
+    def frame(self) -> Frame:
+        return self.state.frame_x if self.axis == 0 else self.state.frame_y
 
     @property
     def x_left(self) -> float:
@@ -1138,10 +1091,6 @@ class _AxisControl:
 
     def frequency(self) -> float | None:
         return self.state.frequency_x() if self.axis == 0 else self.state.frequency_y()
-
-    @property
-    def frequency_floor(self) -> float:
-        return (self.state.frame_x if self.axis == 0 else self.state.frame_y).frequency_floor
 
     def split_point(self) -> float:
         return self.state.split_x() if self.axis == 0 else self.state.split_y()

@@ -147,11 +147,12 @@ def eval_weighted_all(basis: ScaledBasis, x) -> np.ndarray:
     For Laguerre this is exp(-y/2)*L_l(y) with y = beta*x.  Unlike the bare
     polynomials, which reach ~1e30 near the largest N=40 node, these stay
     O(1) over the whole node range, so nodal<->modal transforms built from
-    them are float64-safe as long as the starting envelope exp(-y/2) is a
-    normal float, i.e. y < 1416.8 (order 363 at the largest Gauss node; see
-    ``adapt.Frame``).
-    Hermite functions already carry their Gaussian envelope, so the plain
-    evaluation is returned unchanged.
+    them are float64-safe.  Past y = 1416.8 the recurrence's start
+    exp(-y/2) is subnormal and too coarse (an error of 3.7e-3 at order
+    363), so there it starts at 2^128*exp(-y/2), normal up to y = 1594.2,
+    and those columns are scaled back by 2^-128 at the end; below, the
+    arithmetic is the plain one.  Hermite functions already carry their
+    Gaussian envelope, so the plain evaluation is returned unchanged.
     """
     scalar = np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -159,7 +160,9 @@ def eval_weighted_all(basis: ScaledBasis, x) -> np.ndarray:
         out = math.sqrt(basis.beta) * _hermite_fn_all(basis.order, basis.beta * xa)
     else:
         y = _laguerre_arg(basis, xa)
-        out = _laguerre_all(basis.order, 0.0, y, np.exp(-0.5 * y))
+        far = 0.5 * y > _LOG_TINY
+        out = _laguerre_all(basis.order, 0.0, y, np.exp(np.where(far, 128 * math.log(2.0), 0.0) - 0.5 * y))
+        out[:, far] *= 2.0**-128
     return out[:, 0] if scalar else out
 
 

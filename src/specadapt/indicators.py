@@ -14,12 +14,12 @@ identically zero derivative) so callers can branch explicitly instead of
 comparing against NaN.  Both are invariant under scaling the coefficients by
 a nonzero constant.
 
-The controllers read both signals from the damped frames of
-:mod:`specadapt.adapt` (``Frame.frequency``; the exterior indicator at a
-state's own split from ``Frame.split_reading``, one product with the
-order's stacked basis derivative at shift 0 and at the split, and at the
-mover's shifted sentinels from ``Frame.tails`` over the memoized
-``Frame.dpsi_at``), per axis for tensor-product states, with
+The controllers read both signals from the states of :mod:`specadapt.adapt`,
+in the unit variable of their frames: the frequency indicator from a
+state's coefficients, the exterior indicator at its own split from one
+product with the order's stacked basis derivative at shift 0 and at the
+split, and at the mover's shifted sentinels from one product with the
+memoized ``Frame.dpsi_at``; per axis for tensor-product states, with
 :func:`default_high_mode_count` and :func:`default_split_point`.  The
 coefficient-space forms here, for one-dimensional
 :class:`~specadapt.approx.Expansion` objects on a Laguerre or (frequency

@@ -335,21 +335,33 @@ def test_non_finite_state_fails_loudly_in_every_mode(mode):
 
 
 def test_expansion_evolver_must_keep_basis():
-    # an evolver that changes a frame's beta or origin breaks the contract
-    # of both drivers, in every mode, at the step where it does so
+    # an evolver that changes a frame's order, beta or family, or an origin,
+    # breaks the contract of both drivers, in every mode, at the step where
+    # it does so
     initial = frame_state_from(diffusive_front, 16, 2.5)
     initial_2d = frame_state_2d_from(product_front, 8, 2.0, 8, 2.0)
     evolve = frame_resample_evolver(diffusive_front)
     evolve_2d = frame_resample_evolver_2d(product_front)
+
+    def hermite_x(s, t, dt):
+        frame = Frame(8, s.frame_x.beta, HERMITE)
+        return FrameState2D(frame, s.frame_y, evolve_2d(s, t, dt).values, s.x_left, s.y_left)
+
     cases = [
         (run_frames, initial, "0", lambda s, t, dt: evolve(s, t, dt).rescaled(0.5 * s.beta)),
         (run_frames, initial, r"0\.3\d*", lambda s, t, dt: evolve(s, t, dt).moved(0.1 if t > 0.25 else 0.0)),
+        (run_frames, initial, "0", lambda s, t, dt: frame_state_from(diffusive_front, 18, s.beta, s.x_left, t + dt)),
+        (run_frames, initial, "0", lambda s, t, dt: frame_state_from(diffusive_front, 16, s.beta, s.x_left, t + dt,
+                                                                     family=HERMITE)),
         (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).rescaled_y(0.95 * s.frame_y.beta)),
         (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).moved_y(0.1)),
+        (run_2d, initial_2d, "0", lambda s, t, dt: frame_state_2d_from(
+            product_front, 10, s.frame_x.beta, 8, s.frame_y.beta, s.x_left, s.y_left, t + dt)),
+        (run_2d, initial_2d, "0", hermite_x),
     ]
     for drive, state, t_fail, stepper in cases:
         for mode in (MODE_NONE, MODE_MOVE_SCALE):
-            with pytest.raises(ValueError, match=rf"at t = {t_fail} changed a frame's beta or origin"):
+            with pytest.raises(ValueError, match=rf"at t = {t_fail} changed a frame or an origin"):
                 drive(stepper, state, AdaptConfig(), 0.1, 1.0, mode)
 
 
@@ -508,7 +520,7 @@ def test_hermite_run_scales_without_sentinel(monkeypatch):
     def recorded_ladder(state, f, f0, cfg):
         result = ladder(state, f, f0, cfg)
         if result[2]:
-            triggers.append(f / state.frequency_floor)
+            triggers.append(f / state.frame.frequency_floor)
         return result
 
     monkeypatch.setattr(adapt, "_scaling_ladder", recorded_ladder)
@@ -671,13 +683,16 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
     """Frequency and exterior ratios from nodal values, with no memo.
 
     ``frame`` is a :class:`Frame` or a :func:`_direct_frame` build.  The
-    exterior ratios come from the derivative's own coefficients (a reverse
-    cumsum), independently of the frame's derivative memo.  The tails
-    evaluate in the unit variable, as a frame does, or with ``unit=False``
-    at the shifted x-nodes.
+    frequency is the ratio of the squared coefficients, each of whose
+    functions has the same norm.  The exterior ratios come from the
+    derivative's own coefficients (a reverse cumsum), independently of the
+    frame's derivative memo, and integrate with the frame's Gauss weights
+    in x.  The tails evaluate in the unit variable, as a frame does, or
+    with ``unit=False`` at the shifted x-nodes.
     """
     coeffs = frame.tomodal @ values
-    squares = frame.gamma * coeffs * coeffs
+    weights = quadrature(_basis(frame)).weights
+    squares = coeffs * coeffs
     m = frame.order // 3
     frequency = min(1.0, float(math.sqrt(squares[frame.order + 1 - m :].sum() / float(squares.sum()))))
     above = np.zeros_like(coeffs)
@@ -690,7 +705,7 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
         else:
             psi = eval_weighted_all(_basis(frame), frame.nodes + shift)
         dv = dcoeffs @ psi
-        return float(np.sum(frame.weights * dv * dv))
+        return float(np.sum(weights * dv * dv))
 
     whole = tail(0.0)
     exterior = [
@@ -730,16 +745,23 @@ def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
 
 
 def _count_derivative_setups(monkeypatch) -> list:
-    """Record the frame of every exterior set-up (the product with the order's pair)."""
+    """Record the frame of every exterior set-up (a state's product with the order's pair)."""
     calls = []
-    original = Frame.split_reading
+    memo = vars(FrameState)["_split_reading"]
+    original = memo.compute
 
-    def counted(frame, coeffs):
-        calls.append(frame)
-        return original(frame, coeffs)
+    def counted(state):
+        calls.append(state.frame)
+        return original(state)
 
-    monkeypatch.setattr(Frame, "split_reading", counted)
+    monkeypatch.setattr(memo, "compute", counted)
     return calls
+
+
+def _unit_marginals(state: FrameState2D) -> tuple:
+    """Each axis's marginal as a 2-d state reads it: the values integrated with the other axis's unit weights."""
+    wx, wy = (modified_weights(quadrature(laguerre_basis(f.order, 1.0))) for f in (state.frame_x, state.frame_y))
+    return state.values @ wy, wx @ state.values
 
 
 def _search_offsets(control, cfg: AdaptConfig) -> list:
@@ -790,13 +812,13 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     fx, fy = state.frame_x, state.frame_y
     coeffs = fx.tomodal @ state.values @ fy.tomodal.T
     assert np.array_equal(state.coefficients(), coeffs)
-    energy = np.multiply.outer(fx.gamma, fy.gamma) * coeffs**2
+    energy = coeffs * coeffs
     total = float(energy.sum())
     expected_frequency = (
         min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
         min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
     )
-    marginals = (state.values @ fy.mod_weights, fx.mod_weights @ state.values)
+    marginals = _unit_marginals(state)
     calls = _count_derivative_setups(monkeypatch)
     for axis, frame in ((0, fx), (1, fy)):
         control = adapt._AxisControl(state, axis)
@@ -933,13 +955,13 @@ def test_memo_arrays_stay_read_only():
 
 
 def _count_calls(monkeypatch, owner, name) -> list:
-    """Record ``(self, args)`` of every call to the method ``owner.name``."""
+    """Record the arguments of every call to ``owner.name``, ``self`` first for a method."""
     calls = []
     original = getattr(owner, name)
 
-    def counted(self, *args):
-        calls.append((self, args))
-        return original(self, *args)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -948,17 +970,15 @@ def _count_calls(monkeypatch, owner, name) -> list:
 def test_frame_state_readings_are_memoized(monkeypatch):
     state = frame_state_from(moving_front, 24, 2.0, x_left=0.3, t=0.2)
     frame = state.frame
-    coeffs = frame.tomodal @ state.values
-    whole, scratch_exterior = frame.split_reading(coeffs)
     split = state.split_point()
-    scratch_frequency = frame.frequency(coeffs)
     other = split + 0.05
-    scratch_other = frame.tails(coeffs, whole, other - state.x_left)
-    oracle = _scratch_indicators(frame, state.values, [split - state.x_left, other - state.x_left])[1]
+    offsets = [split - state.x_left, other - state.x_left]
+    scratch_frequency, oracle = _scratch_indicators(frame, state.values, offsets)
+    scratch_exterior, scratch_other = _memo_free_exterior(frame, state.values, offsets)
     assert [scratch_exterior, scratch_other] == pytest.approx(oracle, rel=1e-12, abs=0)
-    setups = _count_calls(monkeypatch, Frame, "split_reading")
-    tails = _count_calls(monkeypatch, Frame, "tails")
-    frequency = _count_calls(monkeypatch, Frame, "frequency")
+    setups = _count_derivative_setups(monkeypatch)
+    tails = _count_calls(monkeypatch, Frame, "dpsi_at")
+    frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     assert state.frequency() == scratch_frequency
     assert state.exterior(split) == scratch_exterior
     assert (len(frequency), len(setups), len(tails)) == (1, 1, 0)
@@ -981,25 +1001,24 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
     state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
     fx, fy = state.frame_x, state.frame_y
     coeffs = fx.tomodal @ state.values @ fy.tomodal.T
-    energy = np.multiply.outer(fx.gamma, fy.gamma) * coeffs**2
+    energy = coeffs * coeffs
     total = float(energy.sum())
     scratch_frequency = (
         min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
         min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
     )
-    marginals = (state.values @ fy.mod_weights, fx.mod_weights @ state.values)
+    marginals = _unit_marginals(state)
     lefts = (state.x_left, state.y_left)
     splits = (state.split_x(), state.split_y())
     scratch_exterior = []
     for frame, marginal, left, split in zip((fx, fy), marginals, lefts, splits):
-        coeffs = frame.tomodal @ marginal
-        whole, at_split = frame.split_reading(coeffs)
-        scratch_exterior.append((at_split, frame.tails(coeffs, whole, split + 0.05 - left)))
-        oracle = _scratch_indicators(frame, marginal, [split - left, split + 0.05 - left])[1]
-        assert list(scratch_exterior[-1]) == pytest.approx(oracle, rel=1e-12, abs=0)
-    setups = _count_calls(monkeypatch, Frame, "split_reading")
-    tails = _count_calls(monkeypatch, Frame, "tails")
-    frequency = _count_calls(monkeypatch, FrameState2D, "_frequency_axis")
+        offsets = [split - left, split + 0.05 - left]
+        scratch_exterior.append(_memo_free_exterior(frame, marginal, offsets))
+        oracle = _scratch_indicators(frame, marginal, offsets)[1]
+        assert scratch_exterior[-1] == pytest.approx(oracle, rel=1e-12, abs=0)
+    setups = _count_derivative_setups(monkeypatch)
+    tails = _count_calls(monkeypatch, Frame, "dpsi_at")
+    frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     for axis in (0, 1):
         control = adapt._AxisControl(state, axis)
         before = (len(frequency), len(setups), len(tails))
@@ -1010,7 +1029,7 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
         assert control.exterior(splits[axis] + 0.05) == scratch_exterior[axis][1]
         assert control.exterior(splits[axis] + 0.05) == scratch_exterior[axis][1]
         assert (len(setups), len(tails)) == (before[1] + 1, before[2] + 2)
-    assert state._energy_total == total
+    assert np.array_equal(state._energy, energy)
 
 
 @pytest.mark.parametrize("mode", [MODE_MOVE, MODE_SCALE, MODE_MOVE_SCALE])
@@ -1018,20 +1037,22 @@ def test_run_2d_reads_each_reading_once_per_state(monkeypatch, mode):
     # the controllers and the per-step record share each state's readings:
     # over a whole run, no state evaluates a frequency or an exterior twice
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
-    setups = _count_calls(monkeypatch, Frame, "split_reading")
-    tails = _count_calls(monkeypatch, Frame, "tails")
-    frequency = _count_calls(monkeypatch, FrameState2D, "_frequency_axis")
+    setups = _count_calls(monkeypatch, vars(FrameState)["_split_reading"], "compute")
+    exterior = _count_calls(monkeypatch, FrameState, "_exterior")
+    frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     records, _ = run_2d(
         frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 12, 2.0, 12, 2.0),
         cfg, 0.05, 1.0, mode,
     )
+    tails = [(state, split) for state, split in exterior if split != state.split_point()]
     assert len(records) == 21 and len(frequency) >= 42 and len(setups) >= 42
     assert len(tails) > 0 if mode != MODE_SCALE else len(tails) == 0
     # the calls hold their arguments, so no id is reused within one list:
-    # one set-up per axis of a state, and no shifted reading twice
-    assert len({(id(state), axis) for state, (axis,) in frequency}) == len(frequency)
-    assert len({id(coeffs) for _, (coeffs,) in setups}) == len(setups)
-    assert len({(id(coeffs), offset) for _, (coeffs, _, offset) in tails}) == len(tails)
+    # one frequency reading per axis of a state's energy, one set-up per
+    # marginal state, and no shifted reading twice
+    assert len({(id(energy), axis) for energy, _, axis in frequency}) == len(frequency)
+    assert len({id(state) for (state,) in setups}) == len(setups)
+    assert len({(id(state), split) for state, split in tails}) == len(tails)
 
 
 def _non_separable(x, y, t):
@@ -1057,13 +1078,16 @@ def test_open_grids_match_full_grid_sampling():
     assert np.array_equal(state.values, _non_separable(grid_x, grid_y, 0.3))
     evolved = frame_resample_evolver_2d(_non_separable)(state, 0.3, 0.1)
     assert np.array_equal(evolved.values, _non_separable(grid_x, grid_y, 0.4))
-    # an oracle error on the full refined grid with the outer weight grid
+    # an oracle error on the full refined grid with the outer grid of the
+    # doubled-order rules' weights in x
     fx, fy = state.frame_x, state.frame_y
     grid_x, grid_y = np.meshgrid(
         state.x_left + fx.refined_nodes, state.y_left + fy.refined_nodes, indexing="ij"
     )
-    approx = fx._psi_refined.T @ state.coefficients() @ fy._psi_refined
-    weights = np.multiply.outer(fx.refined_weights, fy.refined_weights)
+    approx = fx._unit.psi_refined.T @ state.coefficients() @ fy._unit.psi_refined
+    rx, ry = (quadrature(laguerre_basis(2 * f.order + 1, f.beta)) for f in (fx, fy))
+    assert np.array_equal(rx.nodes, fx.refined_nodes) and np.array_equal(ry.nodes, fy.refined_nodes)
+    weights = np.multiply.outer(rx.weights, ry.weights)
     for t in (0.3, 0.5):
         exact = _non_separable(grid_x, grid_y, t)
         oracle = math.sqrt(np.sum(weights * (approx - exact) ** 2) / np.sum(weights * exact**2))
@@ -1095,7 +1119,8 @@ def _alpha_one_tails(frame: Frame, values: np.ndarray, offsets) -> list:
     """
     coeffs = frame.tomodal @ values
     degrees = np.arange(frame.order)[:, None]
-    kept = frame.weights > 0.0
+    weights = quadrature(_basis(frame)).weights
+    kept = weights > 0.0
 
     def tail(shift: float) -> float:
         points = frame.nodes[kept] + shift
@@ -1104,7 +1129,7 @@ def _alpha_one_tails(frame: Frame, values: np.ndarray, offsets) -> list:
         dv = (-frame.beta * coeffs[1:]) @ damped_alpha_one - 0.5 * frame.beta * (
             coeffs @ eval_weighted_all(_basis(frame), points)
         )
-        return float(np.sum(frame.weights[kept] * dv * dv))
+        return float(np.sum(weights[kept] * dv * dv))
 
     whole = tail(0.0)
     return [math.exp(-0.5 * frame.beta * s) * math.sqrt(tail(s) / whole) for s in offsets]
@@ -1141,12 +1166,17 @@ def test_fresh_interpolant_error_is_small_and_seen_between_nodes():
     # a visibly wrong state has a visibly large interpolant error
     wrong = FrameState(state.frame, state.values * 1.5, state.x_left)
     assert wrong.error(diffusive_front, 0.0) > 0.1
+    # against a zero reference it is the interpolant's absolute norm in x
+    refined = quadrature(laguerre_basis(81, 2.5))
+    interpolant = (state.frame.tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), refined.nodes)
+    norm = math.sqrt(float(np.sum(refined.weights * interpolant**2)))
+    assert state.error(lambda x, t: 0.0, 0.0) == pytest.approx(norm, rel=1e-12)
 
 
 def test_frame_operators_finite_at_order_256():
     frame = Frame(256, 1.0)
-    assert np.all(np.isfinite(frame.mod_weights))
-    assert np.all(np.isfinite(frame.tomodal))
+    for operator in (frame._unit.mod_weights, frame.tomodal, frame._unit.psi_refined):
+        assert np.all(np.isfinite(operator))
 
 
 def test_frame_state_at_order_256_is_accurate():
@@ -1174,7 +1204,7 @@ def test_frame_order_ceiling():
     # a Hermite frame's refined rule of order 2N+1 stops at 727, so its
     # last order is 363 too
     frame = Frame(363, 1.0, HERMITE)
-    for operator in (frame.tomodal, frame._psi_refined):
+    for operator in (frame.tomodal, frame._unit.psi_refined):
         assert np.all(np.isfinite(operator))
         assert np.all(np.any(operator != 0.0, axis=0))
     state = frame_state_from(widening_gauss, 363, 1.0, family=HERMITE)
@@ -1190,6 +1220,7 @@ def _direct_frame(order: int, beta: float) -> SimpleNamespace:
     """A from-scratch (order, beta) frame in the x variable, sharing nothing."""
     basis = laguerre_basis(order, beta)
     rule = quadrature(basis)
+    refined = quadrature(laguerre_basis(2 * order + 1, beta))
     mod_weights = modified_weights(rule)
     gamma = gamma_norms(basis)
     return SimpleNamespace(
@@ -1197,11 +1228,12 @@ def _direct_frame(order: int, beta: float) -> SimpleNamespace:
         beta=beta,
         basis=basis,
         nodes=rule.nodes,
+        refined_nodes=refined.nodes,
         weights=rule.weights,
         mod_weights=mod_weights,
         gamma=gamma,
         tomodal=eval_weighted_all(basis, rule.nodes) * mod_weights / gamma[:, None],
-        psi_refined=eval_weighted_all(basis, quadrature(laguerre_basis(2 * order + 1, beta)).nodes),
+        psi_refined=eval_weighted_all(basis, refined.nodes),
     )
 
 
@@ -1209,12 +1241,18 @@ def _direct_frame(order: int, beta: float) -> SimpleNamespace:
 @pytest.mark.parametrize("beta", [0.2, 2.5, 2.5 * 0.95**7])
 def test_unit_frame_matches_direct_build(order, beta):
     frame = Frame(order, beta)
+    unit = frame._unit
     direct = _direct_frame(order, beta)
-    for name in ("nodes", "weights", "mod_weights", "gamma"):
+    # beta only places the nodes: the x-variable weights are the unit ones
+    # times beta**-1, bit for bit, and every norm gamma is 1/beta
+    for name in ("nodes", "refined_nodes"):
         actual, expected = getattr(frame, name), getattr(direct, name)
         assert np.all(np.abs(actual - expected) <= 1e-14 * np.abs(expected)), name
+    assert np.array_equal(unit.weights * beta**-1.0, direct.weights)
+    assert np.array_equal(unit.mod_weights * beta**-1.0, direct.mod_weights)
+    assert np.all(direct.gamma == 1.0 / beta)
     _assert_close(frame.tomodal, direct.tomodal, 1e-13)
-    _assert_close(frame._psi_refined, direct.psi_refined, 1e-13)
+    _assert_close(unit.psi_refined, direct.psi_refined, 1e-13)
     # Nodal values of a function of y = beta*x have indicators free of beta,
     # so they are compared with a from-scratch build at beta = 1, where x
     # and y coincide.  (The x-variable build at beta itself strays from it:
@@ -1233,6 +1271,37 @@ def test_unit_frame_matches_direct_build(order, beta):
                 assert a == pytest.approx(expected, rel=1e-12, abs=0)
                 compared += 1
     assert compared >= 7
+
+
+def _unit_profile(y):
+    return expit(-(y - 10.0) / 2.0) * (1.0 + 0.1 * np.sin(y))
+
+
+def test_readings_do_not_depend_on_beta():
+    # beta only places the nodes: the same unit-variable values, and a
+    # reference that returns the same refined-node values, read bit for bit
+    # alike at every beta
+    unit = adapt._unit_frame(48, LAGUERRE)
+    values, fixed = _unit_profile(unit.nodes), _unit_profile(unit.refined_nodes)
+    readings = set()
+    for beta in (0.3, 1.0, 2.5, 7.0, 2.5 * 0.95**7):
+        state = FrameState(Frame(48, beta), values, 0.4)
+        readings.add((state.frequency(), state.exterior(state.split_point()), state.error(lambda x, t: fixed, 0.0)))
+    assert len(readings) == 1
+    (frequency, exterior, error), = readings
+    assert 0.0 < frequency < 1.0 and 0.0 < exterior < 1.0 and 0.0 < error < 1e-3
+    ux, uy = adapt._unit_frame(24, LAGUERRE), adapt._unit_frame(20, LAGUERRE)
+    values = _unit_profile(ux.nodes)[:, None] * _unit_profile(0.5 * uy.nodes)[None, :] + np.outer(
+        np.exp(-0.2 * ux.nodes), np.exp(-0.1 * uy.nodes)
+    )
+    readings = set()
+    for beta_x, beta_y in ((1.0, 1.0), (2.5, 0.3), (7.0, 2.5 * 0.95**3)):
+        state = FrameState2D(Frame(24, beta_x), Frame(20, beta_y), values, 0.2, 0.1)
+        readings.add((
+            state.frequency_x(), state.frequency_y(),
+            state.exterior_x(state.split_x()), state.exterior_y(state.split_y()),
+        ))
+    assert len(readings) == 1
 
 
 def test_frames_of_one_order_share_one_unit_frame():
@@ -1416,11 +1485,22 @@ def test_derivative_memo_matches_a_scratch_build(order):
 def _damped_reference(order: int, y: np.ndarray) -> np.ndarray:
     """exp(-y/2) L_l(y), l <= order, by the recurrence started at exp(64 - y/2), then times exp(-64).
 
-    ``eval_weighted_all`` starts at exp(-y/2), which leaves the normal
-    float64 range past y = 1416.8 and there loses precision (7.9e-3 at
-    order 363 and shift s*); this start stays normal up to y = 1544.8.
+    A start exp(-y/2) leaves the normal float64 range past y = 1416.8 and
+    there loses precision (7.9e-3 at order 363 and shift s*);
+    ``eval_weighted_all`` starts those columns at 2^128*exp(-y/2) instead.
+    This start is another one, normal up to y = 1544.8.
     """
     return math.exp(-64.0) * _laguerre_all(order, 0.0, y, np.exp(64.0 - 0.5 * y))
+
+
+def test_rescaled_basis_is_accurate_past_the_normal_start(monkeypatch):
+    # at order 363 the ratio 1/0.95 puts the largest rescaled node at
+    # y = 1490.7, where exp(-y/2) is subnormal: a start there erred by 3.7e-3
+    frame, target = Frame(363, 1.0), Frame(363, 0.95)
+    monkeypatch.setattr(frame._unit, "psi_on", {})
+    ratio = round(1.0 / 0.95, 12)
+    assert 0.5 * frame._unit.nodes[-1] * ratio > adapt._LOG_TINY
+    _assert_close(frame.psi_on(target), _damped_reference(363, frame._unit.nodes * ratio), 1e-12)
 
 
 @pytest.mark.parametrize("order", [16, 48, 128, 256, 363])

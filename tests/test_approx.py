@@ -13,7 +13,15 @@ import pytest
 
 from specadapt.adapt import Frame, FrameState, FrameState2D, frame_state_2d_from, frame_state_from
 from specadapt.approx import Expansion, evaluate, interpolate, relative_error
-from specadapt.basis import HERMITE, eval_basis_all, gamma_norms, hermite_basis, laguerre_basis, quadrature
+from specadapt.basis import (
+    HERMITE,
+    eval_basis_all,
+    gamma_norms,
+    hermite_basis,
+    laguerre_basis,
+    modified_weights,
+    quadrature,
+)
 
 
 def fermi_dirac(x):
@@ -150,17 +158,19 @@ def test_move_identity_exponential_and_composition():
 
 
 def test_weighted_norm_trivial_and_quadrature_oracle():
-    # the frame energy sum(gamma * c^2), the frequency indicator's
-    # denominator, is the squared L2 norm of the interpolant
+    # the frame energy sum(c^2), the frequency indicator's denominator, is
+    # the squared L2 norm of the interpolant in the unit variable y = beta*x,
+    # that is beta times its squared norm in x
     frame = Frame(14, 1.0)
-    assert float(np.sum(frame.gamma * (frame.tomodal @ np.zeros(15)) ** 2)) == 0.0
-    ground = np.exp(-0.5 * frame.nodes)  # psi_0, with norm 1/beta
-    assert float(np.sum(frame.gamma * (frame.tomodal @ ground) ** 2)) == pytest.approx(1.0, rel=1e-14)
+    assert float(np.sum((frame.tomodal @ np.zeros(15)) ** 2)) == 0.0
+    ground = np.exp(-0.5 * frame.nodes)  # psi_0, with norm 1 in y
+    assert float(np.sum((frame.tomodal @ ground) ** 2)) == pytest.approx(1.0, rel=1e-14)
     rng = np.random.default_rng(5)
     frame = Frame(14, 0.8)
     values = rng.standard_normal(15)
-    energy = float(np.sum(frame.gamma * (frame.tomodal @ values) ** 2))
-    assert energy == pytest.approx(float(np.sum(frame.mod_weights * values**2)), rel=1e-11)
+    energy = float(np.sum((frame.tomodal @ values) ** 2))
+    mod_weights = modified_weights(quadrature(laguerre_basis(14, 0.8)))
+    assert energy == pytest.approx(0.8 * float(np.sum(mod_weights * values**2)), rel=1e-11)
 
 
 def test_relative_error_self_reference_is_zero():

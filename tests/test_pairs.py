@@ -75,12 +75,12 @@ OUTCOME = {"final_beta": 2.5, "final_x_left": 4.768, "moves": 999, "cap_hits": 0
 WORKLOADS = [{"name": "front-move"}, {"name": "bump-2d"}]
 
 
-def _checkout(root: Path, result: dict, outcome=OUTCOME) -> Path:
-    """A stand-in checkout whose benchmark prints a detail line with ``outcome``, then ``result``.
+def _checkout(root: Path, result: dict, outcome=OUTCOME, max_error=2.5e-14) -> Path:
+    """A stand-in checkout whose benchmark prints a detail line with ``outcome`` and ``max_error``, then ``result``.
 
     Each run appends its ``--workload`` to the checkout's ``runs.txt``.
     """
-    detail = json.dumps({"workload": "front-move", "outcome": outcome})
+    detail = json.dumps({"workload": "front-move", "outcome": outcome, "max_error": max_error})
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
         "import sys\n"
@@ -103,6 +103,8 @@ def test_pairs_run_every_workload_in_turn(tmp_path, capsys):
     assert tables == ["front-move: 2 alternating pairs, seeds 100..101", "bump-2d: 2 alternating pairs, seeds 100..101"]
     assert out.count("steps_per_s ") == 2 and out.count("decisions: equal on 2 of 2 seeds\n") == 2
     assert out.count("change: 0 of 20 operations failed") == 2
+    # each side's median accuracy sits under the decisions line
+    assert out.count("decisions: equal on 2 of 2 seeds\nmax_error median: base 2.5e-14, change 2.5e-14\n") == 2
     for checkout in (base, change):
         assert (checkout / "runs.txt").read_text().split() == ["front-move"] * 2 + ["bump-2d"] * 2
     # a single workload runs alone
@@ -136,13 +138,19 @@ def test_pairs_report_decision_changes_without_failing(tmp_path, capsys):
     same = _checkout(tmp_path / "same", _result(steps_per_s=120.0, step_ms_p50=0.4), dict(OUTCOME, frames_built=1))
     moved = _checkout(
         tmp_path / "moved", _result(steps_per_s=120.0, step_ms_p50=0.4),
-        dict(OUTCOME, final_beta=2.375, accepted_rescales=1),
+        dict(OUTCOME, final_beta=2.375, accepted_rescales=1), max_error=3.25e-9,
     )
     argv = ["--base", str(base), "--workload", "front-move", "--pairs", "3", "--seconds", "1"]
     assert pairs.main(argv + ["--change", str(same)]) == 0
     assert "decisions: equal on 3 of 3 seeds\n" in capsys.readouterr().out
     assert pairs.main(argv + ["--change", str(moved)]) == 0
-    assert "decisions: equal on 0 of 3 seeds; differ in accepted_rescales, final_beta\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "decisions: equal on 0 of 3 seeds; differ in accepted_rescales, final_beta\n" in out
+    assert "max_error median: base 2.5e-14, change 3.25e-09\n" in out
+    # a side whose detail lines carry no error reports none
+    lacking = _checkout(tmp_path / "lacking", _result(steps_per_s=100.0, step_ms_p50=0.5), max_error=None)
+    assert pairs.main(argv + ["--change", str(lacking)]) == 0
+    assert "max_error median: base 2.5e-14, change none\n" in capsys.readouterr().out
 
 
 def test_decisions_compare_each_pair_and_flag_a_missing_outcome():

@@ -29,7 +29,9 @@ accepted rescales; every key but ``frames_built``, which counts cache
 entries), and prints on how many seeds the two sides decided alike and
 which keys differ.  A difference is reported, not failed: a change may mean
 to move decisions, and one that does not will show it here before its
-timings do.
+timings do.  Under that line it prints each side's median ``max_error``
+(the detail line's largest recorded error), so that no speed is bought
+with accuracy unseen.
 
 It exits non-zero when any run fails or reports ``"correct": false``.
 Standard library only.
@@ -49,8 +51,9 @@ from pathlib import Path
 def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
     """One run of ``checkout``'s benchmark; its result line, or RuntimeError.
 
-    The result carries the detail line's ``outcome`` under that key (None
-    when the line before the result is not a JSON object).
+    The result carries the detail line's ``outcome`` and ``max_error``
+    under those keys (None when the line before the result is not a JSON
+    object, or lacks the key).
     """
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds)]
@@ -67,9 +70,10 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool)
     if proc.returncode != 0 or result.get("correct") is not True:
         raise RuntimeError(f"{checkout}: seed {seed} is not correct (exit {proc.returncode}): {lines[-1]}")
     try:
-        result["outcome"] = json.loads(lines[-2]).get("outcome")
+        detail = json.loads(lines[-2])
+        result["outcome"], result["max_error"] = detail.get("outcome"), detail.get("max_error")
     except (IndexError, json.JSONDecodeError, AttributeError):
-        result["outcome"] = None
+        result["outcome"] = result["max_error"] = None
     return result
 
 
@@ -131,6 +135,12 @@ def decisions(base: list, change: list) -> tuple:
     return equal, sorted(keys)
 
 
+def median_error(results: list) -> str:
+    """The median ``max_error`` of one side's runs, or "none" when no run reports one."""
+    errors = [r["max_error"] for r in results if r.get("max_error") is not None]
+    return f"{statistics.median(errors):.6g}" if errors else "none"
+
+
 def run_pairs(args, workload: str) -> dict:
     """``args.pairs`` alternating pairs of ``workload``: the result lines per side."""
     results = {"base": [], "change": []}
@@ -145,7 +155,7 @@ def run_pairs(args, workload: str) -> dict:
 
 
 def report(workload: str, results: dict, args, end_to_end: list) -> None:
-    """Print one workload's table, its decisions line and each side's failed operations."""
+    """Print one workload's table, its decisions and accuracy lines and each side's failed operations."""
     print(f"{workload}: {args.pairs} alternating pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':<12} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'shift':>8} {'wins':>6}"
           f"  {'verdict (bound)':<20}")
@@ -156,6 +166,7 @@ def report(workload: str, results: dict, args, end_to_end: list) -> None:
               f"  {verdict:<20}{'  beyond base IQR' if row['beyond_base_iqr'] else ''}")
     equal, keys = decisions(results["base"], results["change"])
     print(f"decisions: equal on {equal} of {args.pairs} seeds" + (f"; differ in {', '.join(keys)}" if keys else ""))
+    print(f"max_error median: base {median_error(results['base'])}, change {median_error(results['change'])}")
     for side in ("base", "change"):
         attempted = sum(r["attempted"] for r in results[side])
         failed = sum(r["failed"] for r in results[side])
