@@ -36,8 +36,10 @@ and only the scaling controller acts (the time-dependent Hermite scaling
 of Ma, Sun & Tang, SINUM 43, 2005).
 
 The frame engine memoizes at two lifetimes.  Each order builds its
-operators once and every :class:`Frame` of that order and family shares
-them.  A Laguerre order also builds, on its first exterior reading, one
+operators once, from one evaluation of its basis at its nodes, its
+refined nodes and (Laguerre only) its nodes shifted by its split point,
+and every :class:`Frame` of that order and family shares them.  A
+Laguerre order also builds from it, on its first exterior reading, one
 stacked operator holding its weighted basis derivative at shift 0 and at
 its split point, so a state's whole exterior set-up is one matrix-vector
 product.  The order keeps, in three least-recently-used memos of fixed
@@ -524,9 +526,13 @@ class _UnitFrame:
 
     A frame at beta has nodes y/beta and psi_l(beta*x) = psi_l(y), so its
     transform, its refined psi and beta*split are those of this object;
-    every psi_l has norm 1 in y.  It owns the memos.  A Laguerre order
-    builds :attr:`pair` on its first exterior reading; a Hermite order has
-    no split, no pair and no derivative memo.
+    every psi_l has norm 1 in y.  It owns the memos.  The build evaluates
+    the basis once, at the nodes (``psi``), the refined nodes
+    (``psi_refined``) and, Laguerre only, the nodes shifted by
+    s* = round(split, 12) (``psi_split``, the base of the pair's G(s*) and
+    of :meth:`dpsi_shifted` from s* on).  A Laguerre order builds
+    :attr:`pair` on its first exterior reading; a Hermite order has no
+    split, no ``psi_split``, no pair and no derivative memo.
     """
 
     def __init__(self, order: int, family: str):
@@ -537,11 +543,16 @@ class _UnitFrame:
         refined = quadrature(replace(basis, order=2 * order + 1))
         self.nodes, self.weights = rule.nodes, rule.weights
         self.mod_weights = modified_weights(rule)
-        self.psi = psi = _read_only(eval_weighted_all(basis, rule.nodes))
-        self.tomodal = _read_only(psi * self.mod_weights)
         self.split = default_split_point(order, rule.nodes) if family == LAGUERRE else None
         self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
-        self.psi_refined = _read_only(eval_weighted_all(basis, refined.nodes))
+        # one evaluation: columns are independent, so each part has its own evaluation's bits
+        n, m = rule.nodes.size, refined.nodes.size
+        at_split = () if self.split is None else (rule.nodes + round(self.split, 12),)
+        every = eval_weighted_all(basis, np.concatenate((rule.nodes, refined.nodes) + at_split))
+        self.psi = psi = _read_only(every[:, :n].copy())
+        self.psi_refined = _read_only(every[:, n : n + m].copy())
+        self.psi_split = _read_only(every[:, n + m :].copy()) if at_split else None
+        self.tomodal = _read_only(psi * self.mod_weights)
         self.psi_at: dict = {0.0: psi}  # keyed by beta*shift
         self.psi_on: dict = {}  # keyed by beta/beta'
         self.dpsi_at: dict = {}  # keyed by beta*shift, Laguerre only
@@ -550,10 +561,10 @@ class _UnitFrame:
     def pair(self) -> np.ndarray:
         """G at shift 0 stacked on G at s* = round(split, 12), (2(N+1), N+1), read-only.
 
-        G(0) comes from the build's own evaluation, so building the pair
-        costs one basis evaluation, at the split.  Each half is written in
-        place, with no stacking copy; column-major, so each write is a
-        contiguous row of G's transpose.  A Hermite order raises.
+        Both halves come from the build's one evaluation, so building the
+        pair evaluates nothing.  Each half is written in place, with no
+        stacking copy; column-major, so each write is a contiguous row of
+        G's transpose.  A Hermite order raises.
         """
         if self.split is None:
             raise ValueError("only a Laguerre frame has an exterior indicator")
@@ -562,15 +573,6 @@ class _UnitFrame:
         self.dpsi(self.psi.copy(), out=pair[:n])
         self.dpsi(self.psi_split.copy(), out=pair[n:])
         return _read_only(pair)
-
-    @_memoized
-    def psi_split(self) -> np.ndarray:
-        """The damped functions at the nodes shifted by s* = round(split, 12), read-only.
-
-        The base of the pair's G(s*) and of :meth:`dpsi_shifted` from s* on;
-        Laguerre only.
-        """
-        return _read_only(eval_weighted_all(self.basis, self.nodes + round(self.split, 12)))
 
     @_memoized
     def frequency_floor(self) -> float:
@@ -616,7 +618,8 @@ class Frame:
     read on, and its split point (``split_rel``; None for Hermite).  All
     else is the order's, built once in the unit variable y = beta*x and
     shared by every beta: the weights, the nodal-to-modal transform
-    ``tomodal``, the refined psi and the memos.  The functions are the
+    ``tomodal`` and the refined psi, from one basis evaluation per order
+    (:class:`_UnitFrame`), and the memos.  The functions are the
     damped Laguerre psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the
     default) or the Hermite h_l(y) (HERMITE, ``hermite_basis`` without its
     factor sqrt(beta)), O(1)-safe in float64.  States read in y (see
@@ -633,8 +636,8 @@ class Frame:
     at shifted nodes (Laguerre only) shifts a basis the order stores by the
     addition theorem, one (N+1)^3 product and no evaluation.  The
     derivative at shift 0 and at the split, which every state reads, is
-    one stacked operator of the order instead, built on first use and
-    shared by every frame of the order.
+    one stacked operator of the order instead, built on first use from the
+    order's one build evaluation and shared by every frame of the order.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes, y < 1416.8, so orders past 363 raise ValueError (shifted,

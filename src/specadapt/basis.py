@@ -287,24 +287,40 @@ def _laguerre_christoffel_log_sum(order: int, x: np.ndarray) -> np.ndarray:
     """log sum_{l<=order} p_l(x)^2 for the orthonormal Laguerre polynomials.
 
     Uses x p_l = b_{l+1} p_{l+1} + a_l p_l + b_l p_{l-1} with a_l = 2l+1,
-    b_l = l and p_0 = 1.  The sum grows like exp(x), so each node's column
-    is scaled down by _BIG whenever it exceeds _BIG, and the removed factor
-    is carried as a logarithm.
+    b_l = l and p_0 = 1.  The sum grows like exp(x), so a node's column is
+    scaled down by _BIG once |p| has passed _BIG, and the removed factor is
+    carried as a logarithm.  The test runs every 8 steps and after the
+    last, on the largest p^2 since the test before (fl(p^2) > _BIG^2
+    exactly when |p| > _BIG), and gives a per-step test's bits: scaling by
+    a power of two is exact, so a column scaled at a block's end equals one
+    scaled inside it.  No column passes _BIG twice in a block or overflows:
+    a step multiplies max(|p_l|, |p_{l-1}|) by at most
+    (x + 3l + 1)/(l + 1) <= max(x + 1, 3), so 8 steps by less than 2^96 for
+    x < 4095 (order 1000's largest node is about 3950), and |p| stays
+    below 2^428.
     """
     p_prev = np.zeros_like(x)
     p = np.ones_like(x)
-    total = p * p
+    total = np.ones_like(x)
     log_scale = np.zeros_like(x)
-    b = 0.0
+    step, square, peak = np.empty_like(x), np.empty_like(x), np.zeros_like(x)
     for l in range(order):
-        b_next = l + 1.0
-        p_prev, p = p, ((x - (2.0 * l + 1.0)) * p - b * p_prev) / b_next
-        b = b_next
-        total += p * p
-        big = np.abs(p) > _BIG
-        if big.any():
-            p[big] /= _BIG
-            p_prev[big] /= _BIG
-            total[big] /= _BIG * _BIG
-            log_scale[big] += math.log(_BIG)
+        # p_{l+1} = ((x - a_l) p_l - b_l p_{l-1}) / b_{l+1}, in place
+        np.subtract(x, 2.0 * l + 1.0, out=step)
+        step *= p
+        p_prev *= l
+        step -= p_prev
+        step /= l + 1.0
+        p_prev, p, step = p, step, p_prev
+        np.multiply(p, p, out=square)
+        total += square
+        np.maximum(peak, square, out=peak)
+        if l % 8 == 7 or l == order - 1:
+            big = peak > _BIG * _BIG
+            if big.any():
+                p[big] /= _BIG
+                p_prev[big] /= _BIG
+                total[big] /= _BIG * _BIG
+                log_scale[big] += math.log(_BIG)
+            peak.fill(0.0)
     return np.log(total) + 2.0 * log_scale

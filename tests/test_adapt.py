@@ -1111,28 +1111,36 @@ def test_open_grid_reference_results_broadcast_or_raise():
         state.error(wrong, 0.0)
 
 
-def _alpha_one_tails(frame: Frame, values: np.ndarray, offsets) -> list:
-    """The exterior ratios with the derivative taken in scipy's alpha = 1 family.
+def _alpha_one_tails(frame: Frame, profiles, offsets) -> list:
+    """Each profile's exterior ratios with the derivative taken in scipy's alpha = 1 family.
 
-    Nodes whose weight underflows to 0 are left out: they add nothing, and
-    the undamped polynomials overflow there.
+    One list per profile.  The alpha = 1 functions depend only on the
+    shift, so each shift evaluates them once for every profile.  Nodes
+    whose weight underflows to 0 are left out: they add nothing, and the
+    undamped polynomials overflow there.
     """
-    coeffs = frame.tomodal @ values
+    coeffs = [frame.tomodal @ values for values in profiles]
     degrees = np.arange(frame.order)[:, None]
     weights = quadrature(_basis(frame)).weights
     kept = weights > 0.0
 
-    def tail(shift: float) -> float:
+    def tails(shift: float) -> list:
         points = frame.nodes[kept] + shift
         y = frame.beta * points
         damped_alpha_one = np.exp(-0.5 * y) * eval_genlaguerre(degrees, 1.0, y)
-        dv = (-frame.beta * coeffs[1:]) @ damped_alpha_one - 0.5 * frame.beta * (
-            coeffs @ eval_weighted_all(_basis(frame), points)
-        )
-        return float(np.sum(weights[kept] * dv * dv))
+        damped = eval_weighted_all(_basis(frame), points)
+        sums = []
+        for c in coeffs:
+            dv = (-frame.beta * c[1:]) @ damped_alpha_one - 0.5 * frame.beta * (c @ damped)
+            sums.append(float(np.sum(weights[kept] * dv * dv)))
+        return sums
 
-    whole = tail(0.0)
-    return [math.exp(-0.5 * frame.beta * s) * math.sqrt(tail(s) / whole) for s in offsets]
+    whole = tails(0.0)
+    shifted = [tails(s) for s in offsets]
+    return [
+        [math.exp(-0.5 * frame.beta * s) * math.sqrt(at[i] / whole[i]) for s, at in zip(offsets, shifted)]
+        for i in range(len(coeffs))
+    ]
 
 
 @pytest.mark.parametrize("order", [16, 48, 128, 256, 363])
@@ -1151,8 +1159,8 @@ def test_frame_tails_match_alpha_one_derivative(order, beta):
     offsets = [frame.split_rel + n * 0.004 / beta for n in (0, 1, 10)]
     offsets += [y / beta for y in (0.5, 5.0, 20.0, 40.0)]
     compared = 0
-    for values in profiles:
-        for offset, expected in zip(offsets, _alpha_one_tails(frame, values, offsets)):
+    for values, tails in zip(profiles, _alpha_one_tails(frame, profiles, offsets)):
+        for offset, expected in zip(offsets, tails):
             if expected > 1e-12:
                 actual = FrameState(frame, values).exterior(offset)
                 assert actual == pytest.approx(expected, rel=1e-10, abs=0)
@@ -1390,10 +1398,10 @@ def test_derivative_memo_drops_the_least_recently_used_entry(monkeypatch):
     assert np.array_equal(frame.dpsi_at(shifts[1]), first[1])
     assert round(shifts[2], 12) not in unit.dpsi_at
     assert calls == []  # a miss shifts the order's basis, with no evaluation
-    # the memo's G(0) has the bits of the pair's, which the build's evaluation
-    # gave; the pair costs one evaluation, at the split
+    # the memo's G(0) has the bits of the pair's, which the build's one
+    # evaluation gave; the pair costs no evaluation
     assert np.array_equal(frame.dpsi_at(0.0), unit.pair[: frame.order + 1])
-    assert len(calls) == 1
+    assert calls == []
 
 
 def _scratch_g(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -1404,13 +1412,13 @@ def _scratch_g(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
     calls = _count_basis_evaluations(monkeypatch)
     unit = adapt._UnitFrame(17, LAGUERRE)
-    assert len(calls) == 2  # the nodes and the refined nodes, as without the memo
+    assert len(calls) == 1  # the nodes, the refined nodes and the split, in one
     psi = unit.psi_at[0.0]
     assert unit.psi is psi and not psi.flags.writeable
     assert unit.dpsi_at == {} and "pair" not in vars(unit)
     pair = unit.pair
-    assert len(calls) == 3  # G(0) comes from the build's evaluation, G(s*) costs one
-    assert unit.pair is pair and len(calls) == 3
+    assert len(calls) == 1  # G(0) and G(s*) both come from the build's evaluation
+    assert unit.pair is pair and len(calls) == 1
     assert pair.shape == (36, 18) and not pair.flags.writeable
     at_split = eval_weighted_all(unit.basis, unit.nodes + round(unit.split, 12))
     np.testing.assert_allclose(pair[:18], _scratch_g(unit.weights, psi), rtol=1e-12, atol=0)
@@ -1425,18 +1433,32 @@ def test_first_exterior_reading_builds_the_pair_with_one_evaluation(monkeypatch)
     calls = _count_basis_evaluations(monkeypatch)
     state = frame_state_from(moving_front, 40, 2.5, t=0.3)
     unit = state.frame._unit
-    assert len(calls) == 2 and "pair" not in vars(unit)
+    assert len(calls) == 1 and "pair" not in vars(unit)
     state.frequency()
     state.moved(0.01)
-    assert len(calls) == 2 and "pair" not in vars(unit)  # a move shifts the order's basis
+    assert len(calls) == 1 and "pair" not in vars(unit)  # a move shifts the order's basis
     e = state.exterior(state.split_point())
-    assert len(calls) == 3 and "pair" in vars(unit)
+    assert len(calls) == 1 and "pair" in vars(unit)  # the pair reuses the build's evaluation
     # every later state of the order, at any beta, reads through that pair
     for later in (frame_state_from(moving_front, 40, 2.5, t=0.5), frame_state_from(moving_front, 40, 1.7)):
         assert later.frame._unit is unit
         later.exterior(later.split_point())
-    assert len(calls) == 3 and unit.dpsi_at == {}
+    assert len(calls) == 1 and unit.dpsi_at == {}
     assert e == _memo_free_exterior(state.frame, state.values, [state.frame.split_rel])[0]
+
+
+@pytest.mark.parametrize("family, order", [(LAGUERRE, 16), (LAGUERRE, 128), (LAGUERRE, 363), (HERMITE, 24), (HERMITE, 200)])
+def test_build_evaluation_has_the_bits_of_separate_evaluations(family, order):
+    unit = adapt._unit_frame(order, family)
+    basis = unit.basis
+    parts = [(unit.psi, unit.nodes), (unit.psi_refined, unit.refined_nodes)]
+    if family == LAGUERRE:
+        parts.append((unit.psi_split, unit.nodes + round(unit.split, 12)))
+    else:
+        assert unit.psi_split is None
+    for psi, points in parts:
+        assert np.array_equal(psi, eval_weighted_all(basis, points))
+        assert psi.flags.c_contiguous and not psi.flags.writeable
 
 
 def test_hermite_frame_has_no_derivative_memo():
