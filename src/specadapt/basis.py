@@ -13,8 +13,10 @@ and for Laguerre the frame origin ``x_left`` that :mod:`specadapt.adapt`
 adds to every point, is what the rest of the package is about; a basis
 itself always starts at 0.  Gauss rules are computed once per (family,
 order) at unit scale and then mapped to the requested scale, so repeated
-calls during time stepping are cheap.  The nodes are the LAPACK eigenvalues
-of the symmetric tridiagonal Jacobi matrix (Golub & Welsch, 1969); the
+calls during time stepping are cheap.  The nodes are the eigenvalues of
+the symmetric tridiagonal Jacobi matrix (Golub & Welsch, 1969), from
+LAPACK's dsterf on its two diagonals in O(n^2); where numpy's LAPACK does
+not export dsterf, a dense ``eigvalsh`` gives the same bits in O(n^3).  The
 weights come from the Christoffel identity, in log form for Laguerre, so
 that the exponentially reweighted weights of :func:`modified_weights` stay
 finite where the plain tail weights underflow.
@@ -22,6 +24,7 @@ finite where the plain tail weights underflow.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -224,8 +227,11 @@ def quadrature(basis: ScaledBasis) -> QuadratureRule:
     """N+1-node Gauss rule for the basis's weighted measure.
 
     Unit-scale nodes/weights come from the Golub-Welsch eigenproblem and are
-    cached; the returned rule is the mapped copy x -> x/beta,
-    w -> w * beta**-1.  Hermite rules stop at order 727: past it
+    cached.  Its eigenvalues come from LAPACK's O(n^2) dsterf on the Jacobi
+    matrix's two diagonals, or, where numpy's LAPACK lacks dsterf, from a
+    dense O(n^3) ``eigvalsh`` that ends in the same dsterf and so gives the
+    same bits (see :func:`_jacobi_eigenvalues`).  The returned rule is the
+    mapped copy x -> x/beta, w -> w * beta**-1.  Hermite rules stop at order 727: past it
     exp(-y^2/2) at the largest node leaves the normal float64 range, and
     the rule raises ValueError before any function evaluation.
     """
@@ -237,7 +243,10 @@ def quadrature(basis: ScaledBasis) -> QuadratureRule:
 def _unit_rule(family: str, order: int):
     """Unit-scale (nodes, weights, damped weights) of an N+1-node Gauss rule.
 
-    Nodes are the eigenvalues of the Jacobi matrix.  Laguerre weights come
+    Nodes are the eigenvalues of the Jacobi matrix, from LAPACK's dsterf on
+    its two diagonals in O(n^2); where numpy's LAPACK has no dsterf, a dense
+    ``eigvalsh`` in O(n^3) gives the same bits, since it ends in the same
+    dsterf (:func:`_jacobi_eigenvalues`).  Laguerre weights come
     from the Christoffel identity w_j = 1/sum_l p_l(x_j)^2 over the
     orthonormal polynomials, carried in log form so that both the plain
     weights exp(-log_sum), which underflow in the far tail, and the damped
@@ -269,13 +278,73 @@ def _unit_rule(family: str, order: int):
 
 
 def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal (diag, off) matrix."""
+    """Ascending eigenvalues of the symmetric tridiagonal (diag, off) matrix.
+
+    Calls LAPACK's dsterf, the root-free QL/QR iteration of Pal, Walker
+    and Kahan, on the two diagonals in O(n^2), through numpy's own LAPACK
+    (see :func:`_dsterf`).  The bits equal those of
+    :func:`_dense_jacobi_eigenvalues`.  There numpy's ``eigvalsh`` runs
+    dsyevd, which does not rescale a matrix whose largest entry lies
+    between 1e-146 and 1e146, and whose O(n^3) reduction dsytrd leaves an
+    already tridiagonal matrix unchanged (every Householder tau is 0);
+    dsyevd then calls the same dsterf.  Where numpy's LAPACK exports no
+    dsterf, the dense path runs instead.  A nonzero INFO raises
+    ``np.linalg.LinAlgError``, as ``eigvalsh`` does.
+    """
+    routine = _dsterf()
+    if routine is None:
+        return _dense_jacobi_eigenvalues(diag, off)
+    # fresh float64 copies of the sizes dsterf reads, which it overwrites;
+    # E has at least one element
+    d = np.array(diag, dtype=np.float64)
+    e = np.zeros(max(d.size - 1, 1))
+    e[: d.size - 1] = off
+    info = ctypes.c_int64(0)
+    routine(ctypes.byref(ctypes.c_int64(d.size)), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsterf info {info.value})")
+    return d
+
+
+def _dense_jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """:func:`_jacobi_eigenvalues` by ``eigvalsh`` on the dense (n, n) matrix, in O(n^3)."""
     n = diag.size
     jacobi = np.zeros((n, n))
     jacobi.flat[:: n + 1] = diag
     jacobi.flat[1 :: n + 1] = off
     jacobi.flat[n :: n + 1] = off
     return np.linalg.eigvalsh(jacobi)
+
+
+# numpy's LAPACK symbols for dsterf with 64-bit integers, scipy-openblas's first
+_DSTERF_SYMBOLS = ("scipy_dsterf_64_", "dsterf_64_")
+
+
+@lru_cache(maxsize=None)
+def _dsterf():
+    """LAPACK's dsterf(N, D, E, INFO) from numpy's LAPACK, or None if not found.
+
+    Looked up once, on first use, in numpy's ``_umath_linalg`` extension,
+    whose LAPACK is loaded with it.  Only the ILP64 symbols (suffix
+    ``64_``) are accepted, so N and INFO are 64-bit integers.  D and E
+    are passed as plain addresses: the caller owns fresh C-contiguous
+    float64 arrays, and an ndpointer check would cost a small rule more
+    than the dense path.
+    """
+    int64_ref = ctypes.POINTER(ctypes.c_int64)
+    try:
+        lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError):
+        return None
+    for name in _DSTERF_SYMBOLS:
+        try:
+            routine = getattr(lapack, name)
+        except AttributeError:
+            continue
+        routine.argtypes = [int64_ref, ctypes.c_void_p, ctypes.c_void_p, int64_ref]
+        routine.restype = None
+        return routine
+    return None
 
 
 # |p_l| past which the Christoffel recurrence rescales a node's column; a

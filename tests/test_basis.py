@@ -10,9 +10,15 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
+import specadapt.basis as basis_module
 from specadapt.basis import (
+    HERMITE,
+    LAGUERRE,
     ScaledBasis,
+    _dense_jacobi_eigenvalues,
+    _jacobi_eigenvalues,
     _laguerre_christoffel_log_sum,
+    _unit_rule,
     eval_basis_all,
     eval_weighted_all,
     gamma_norms,
@@ -175,6 +181,104 @@ def test_laguerre_rule_matches_scipy_up_to_order_320():
         np.testing.assert_allclose(rule.nodes, nodes, rtol=1e-11)
         kept = weights > 1e-300
         np.testing.assert_allclose(rule.weights[kept], weights[kept], rtol=1e-11)
+
+
+# every n up to 59, then the order-N rules (n = N+1) and refined rules
+# (n = 2N+2) around the orders the library runs, and n = 1000
+JACOBI_SIZES = list(range(1, 60)) + [65, 66, 129, 130, 257, 258, 363, 364, 513, 514, 727, 728, 1000]
+
+
+def _jacobi_diagonals(family: str, n: int):
+    k = np.arange(n, dtype=float)
+    if family == LAGUERRE:
+        return 2.0 * k + 1.0, k[1:]
+    return np.zeros(n), np.sqrt(k[1:] / 2.0)
+
+
+@pytest.fixture
+def fresh_rules():
+    """Empty the rule and dsterf caches before and after the test."""
+    for cache in (basis_module._unit_rule, basis_module._dsterf):
+        cache.cache_clear()
+    yield
+    for cache in (basis_module._unit_rule, basis_module._dsterf):
+        cache.cache_clear()
+
+
+def _fail_to_load(name):
+    raise OSError(f"cannot open {name}")
+
+
+class _LapackWithoutDsterf:
+    """A loaded library that exports no dsterf symbol."""
+
+    def __init__(self, name):
+        pass
+
+    def __getattr__(self, symbol):
+        raise AttributeError(symbol)
+
+
+def _skip_without_dsterf():
+    if basis_module._dsterf() is None:
+        pytest.skip("numpy's LAPACK exports no ILP64 dsterf; only the dense path runs")
+
+
+@pytest.mark.parametrize("family", [LAGUERRE, HERMITE])
+def test_dsterf_eigenvalues_have_the_dense_bits(family):
+    _skip_without_dsterf()
+    for n in JACOBI_SIZES:
+        diag, off = _jacobi_diagonals(family, n)
+        fast = _jacobi_eigenvalues(diag, off)
+        assert np.array_equal(fast, _dense_jacobi_eigenvalues(diag, off)), n
+        # dsterf works on copies: the caller's diagonals are left as they were
+        for given, made in zip((diag, off), _jacobi_diagonals(family, n)):
+            assert np.array_equal(given, made), n
+
+
+def test_unit_rules_on_the_dense_fallback_have_the_dsterf_bits(monkeypatch, fresh_rules):
+    _skip_without_dsterf()
+    cases = [(family, order) for family in (LAGUERRE, HERMITE) for order in (8, 48, 128, 363)]
+    fast = {case: _unit_rule(*case) for case in cases}
+    _unit_rule.cache_clear()
+    basis_module._dsterf.cache_clear()
+    monkeypatch.setattr(basis_module.ctypes, "CDLL", _fail_to_load)
+    assert basis_module._dsterf() is None
+    for case in cases:
+        dense = _unit_rule(*case)
+        for fast_part, dense_part in zip(fast[case], dense):
+            assert np.array_equal(fast_part, dense_part), case
+
+
+@pytest.mark.parametrize("library", [_fail_to_load, _LapackWithoutDsterf], ids=["no-library", "no-symbol"])
+def test_failed_dsterf_lookup_falls_back_to_the_dense_path(monkeypatch, fresh_rules, library):
+    monkeypatch.setattr(basis_module.ctypes, "CDLL", library)
+    diag, off = _jacobi_diagonals(LAGUERRE, 65)
+    assert np.array_equal(_jacobi_eigenvalues(diag, off), _dense_jacobi_eigenvalues(diag, off))
+    assert basis_module._dsterf() is None
+    rule = quadrature(hermite_basis(48, 1.0))
+    assert np.all(np.diff(rule.nodes) > 0.0)
+
+
+def test_scipy_openblas_numpy_takes_the_dsterf_path():
+    # guards against losing the fast path silently: numpy's wheels built on
+    # scipy-openblas export scipy_dsterf_64_
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        pytest.skip("np.show_config(mode='dicts') needs numpy 1.26 or later")
+    lapack = config.get("Build Dependencies", {}).get("lapack", {}).get("name")
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack!r}, not scipy-openblas")
+    assert basis_module._dsterf() is not None
+
+
+def test_dsterf_failure_raises_like_eigvalsh():
+    _skip_without_dsterf()
+    diag, off = np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0])
+    for eigenvalues in (_jacobi_eigenvalues, _dense_jacobi_eigenvalues):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            eigenvalues(diag, off)
 
 
 def _christoffel_log_sum_checked_every_step(order: int, x: np.ndarray) -> np.ndarray:
