@@ -36,9 +36,10 @@ and only the scaling controller acts (the time-dependent Hermite scaling
 of Ma, Sun & Tang, SINUM 43, 2005).
 
 The frame engine memoizes at two lifetimes.  Each order builds its
-operators once, from one evaluation of its basis at its nodes, its
+operators once, from one recurrence pass of its basis at its nodes, its
 refined nodes and (Laguerre only) its nodes shifted by its split point,
-and every :class:`Frame` of that order and family shares them.  A
+which also gives the weights of its two Gauss rules, and every
+:class:`Frame` of that order and family shares them.  A
 Laguerre order also builds from it, on its first exterior reading, one
 stacked operator holding its weighted basis derivative at shift 0 and at
 its split point, so a state's whole exterior set-up is one matrix-vector
@@ -86,6 +87,8 @@ from .basis import (
     LAGUERRE,
     ScaledBasis,
     _checked_order,
+    _unit_nodes,
+    _unit_pass,
     eval_weighted_all,
     modified_weights,
     quadrature,
@@ -211,12 +214,15 @@ def history_to_csv(
 
     The fixed schema is ``t,error,beta,freq,ext,xL`` with 17-significant-digit
     decimals and empty fields for absent optionals; ``extra_columns`` names
-    are appended in order and read from each record's ``extras``.
+    are appended in order and read from each record's ``extras``.  Times
+    must be finite and nondecreasing, or ValueError is raised.
     """
     names = list(CSV_HEADER) + list(extra_columns)
     lines = [",".join(names)]
     previous_t = -math.inf
     for record in records:
+        if not math.isfinite(record.t):
+            raise ValueError(f"history times must be finite, got {record.t}")
         if record.t < previous_t:
             raise ValueError("history times must be nondecreasing")
         previous_t = record.t
@@ -526,32 +532,33 @@ class _UnitFrame:
 
     A frame at beta has nodes y/beta and psi_l(beta*x) = psi_l(y), so its
     transform, its refined psi and beta*split are those of this object;
-    every psi_l has norm 1 in y.  It owns the memos.  The build evaluates
-    the basis once, at the nodes (``psi``), the refined nodes
-    (``psi_refined``) and, Laguerre only, the nodes shifted by
-    s* = round(split, 12) (``psi_split``, the base of the pair's G(s*) and
-    of :meth:`dpsi_shifted` from s* on).  A Laguerre order builds
-    :attr:`pair` on its first exterior reading; a Hermite order has no
-    split, no ``psi_split``, no pair and no derivative memo.
+    every psi_l has norm 1 in y.  It owns the memos.  The build runs one
+    recurrence pass (:func:`~.basis._unit_pass`): it evaluates the basis at
+    the nodes (``psi``), the refined nodes (``psi_refined``) and, Laguerre
+    only, the nodes shifted by s* = round(split, 12) (``psi_split``, the
+    base of the pair's G(s*) and of :meth:`dpsi_shifted` from s* on), and
+    puts the order's Gauss rule and the refined one, where not cached yet,
+    into the rule cache that :func:`~.basis.quadrature` reads.  A Laguerre
+    order builds :attr:`pair` on its first exterior reading; a Hermite
+    order has no split, no ``psi_split``, no pair and no derivative memo.
     """
 
     def __init__(self, order: int, family: str):
         self.basis = basis = ScaledBasis(family, 1.0, order)
-        rule = quadrature(basis)
-        if family == LAGUERRE and 0.5 * rule.nodes[-1] > _LOG_TINY:
+        nodes = _unit_nodes(family, order)
+        if family == LAGUERRE and 0.5 * nodes[-1] > _LOG_TINY:
             raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
-        refined = quadrature(replace(basis, order=2 * order + 1))
+        self.split = default_split_point(order, nodes) if family == LAGUERRE else None
+        # one pass: the evaluations, and both rules into the rule cache
+        shift = None if self.split is None else round(self.split, 12)
+        psi, psi_refined, psi_split = _unit_pass(family, order, nodes, shift)
+        rule, refined = quadrature(basis), quadrature(replace(basis, order=2 * order + 1))
         self.nodes, self.weights = rule.nodes, rule.weights
         self.mod_weights = modified_weights(rule)
-        self.split = default_split_point(order, rule.nodes) if family == LAGUERRE else None
         self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
-        # one evaluation: columns are independent, so each part has its own evaluation's bits
-        n, m = rule.nodes.size, refined.nodes.size
-        at_split = () if self.split is None else (rule.nodes + round(self.split, 12),)
-        every = eval_weighted_all(basis, np.concatenate((rule.nodes, refined.nodes) + at_split))
-        self.psi = psi = _read_only(every[:, :n].copy())
-        self.psi_refined = _read_only(every[:, n : n + m].copy())
-        self.psi_split = _read_only(every[:, n + m :].copy()) if at_split else None
+        self.psi = psi = _read_only(psi)
+        self.psi_refined = _read_only(psi_refined)
+        self.psi_split = None if psi_split is None else _read_only(psi_split)
         self.tomodal = _read_only(psi * self.mod_weights)
         self.psi_at: dict = {0.0: psi}  # keyed by beta*shift
         self.psi_on: dict = {}  # keyed by beta/beta'
@@ -561,7 +568,7 @@ class _UnitFrame:
     def pair(self) -> np.ndarray:
         """G at shift 0 stacked on G at s* = round(split, 12), (2(N+1), N+1), read-only.
 
-        Both halves come from the build's one evaluation, so building the
+        Both halves come from the build's one pass, so building the
         pair evaluates nothing.  Each half is written in place, with no
         stacking copy; column-major, so each write is a contiguous row of
         G's transpose.  A Hermite order raises.
@@ -618,7 +625,7 @@ class Frame:
     read on, and its split point (``split_rel``; None for Hermite).  All
     else is the order's, built once in the unit variable y = beta*x and
     shared by every beta: the weights, the nodal-to-modal transform
-    ``tomodal`` and the refined psi, from one basis evaluation per order
+    ``tomodal`` and the refined psi, from one recurrence pass per order
     (:class:`_UnitFrame`), and the memos.  The functions are the
     damped Laguerre psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the
     default) or the Hermite h_l(y) (HERMITE, ``hermite_basis`` without its
@@ -637,7 +644,7 @@ class Frame:
     addition theorem, one (N+1)^3 product and no evaluation.  The
     derivative at shift 0 and at the split, which every state reads, is
     one stacked operator of the order instead, built on first use from the
-    order's one build evaluation and shared by every frame of the order.
+    order's one build pass and shared by every frame of the order.
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes, y < 1416.8, so orders past 363 raise ValueError (shifted,

@@ -19,7 +19,13 @@ LAPACK's dsterf on its two diagonals in O(n^2); where numpy's LAPACK does
 not export dsterf, a dense ``eigvalsh`` gives the same bits in O(n^3).  The
 weights come from the Christoffel identity, in log form for Laguerre, so
 that the exponentially reweighted weights of :func:`modified_weights` stay
-finite where the plain tail weights underflow.
+finite where the plain tail weights underflow.  One kernel,
+:func:`_basis_pass`, runs a family's three-term recurrence once over many
+columns: it gives a rule's Christoffel sums, and for a frame of order N
+(:func:`_unit_pass`) both Gauss rules' sums and the basis at the nodes,
+the refined nodes and the split-shifted nodes in the same loop.  Unit
+rules are kept in a least-recently-used cache of 128, which such a pass
+also fills.
 """
 
 from __future__ import annotations
@@ -163,10 +169,16 @@ def eval_weighted_all(basis: ScaledBasis, x) -> np.ndarray:
         out = math.sqrt(basis.beta) * _hermite_fn_all(basis.order, basis.beta * xa)
     else:
         y = _laguerre_arg(basis, xa)
-        far = 0.5 * y > _LOG_TINY
-        out = _laguerre_all(basis.order, 0.0, y, np.exp(np.where(far, 128 * math.log(2.0), 0.0) - 0.5 * y))
+        first, far = _damped_start(y)
+        out = _laguerre_all(basis.order, 0.0, y, first)
         out[:, far] *= 2.0**-128
     return out[:, 0] if scalar else out
+
+
+def _damped_start(y: np.ndarray):
+    """(exp(-y/2), or 2^128*exp(-y/2) where that is subnormal; the mask of the latter)."""
+    far = 0.5 * y > _LOG_TINY
+    return np.exp(np.where(far, 128 * math.log(2.0), 0.0) - 0.5 * y), far
 
 
 def modified_weights(rule: QuadratureRule) -> np.ndarray:
@@ -203,12 +215,17 @@ def _laguerre_all(n: int, alpha: float, y: np.ndarray, first) -> np.ndarray:
 def _hermite_fn_all(n: int, y: np.ndarray) -> np.ndarray:
     """Orthonormal Hermite functions h_l(y); bounded for all real y."""
     out = np.empty((n + 1,) + y.shape)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * y * y)
+    out[0] = _hermite_start(y)
     if n >= 1:
         out[1] = math.sqrt(2.0) * y * out[0]
     for k in range(1, n):
         out[k + 1] = math.sqrt(2.0 / (k + 1.0)) * y * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
+
+
+def _hermite_start(y: np.ndarray) -> np.ndarray:
+    """h_0(y) = pi^(-1/4)*exp(-y^2/2)."""
+    return math.pi ** -0.25 * np.exp(-0.5 * y * y)
 
 
 def gamma_norms(basis: ScaledBasis) -> np.ndarray:
@@ -226,12 +243,15 @@ def gamma_norms(basis: ScaledBasis) -> np.ndarray:
 def quadrature(basis: ScaledBasis) -> QuadratureRule:
     """N+1-node Gauss rule for the basis's weighted measure.
 
-    Unit-scale nodes/weights come from the Golub-Welsch eigenproblem and are
-    cached.  Its eigenvalues come from LAPACK's O(n^2) dsterf on the Jacobi
-    matrix's two diagonals, or, where numpy's LAPACK lacks dsterf, from a
-    dense O(n^3) ``eigvalsh`` that ends in the same dsterf and so gives the
-    same bits (see :func:`_jacobi_eigenvalues`).  The returned rule is the
-    mapped copy x -> x/beta, w -> w * beta**-1.  Hermite rules stop at order 727: past it
+    Unit-scale nodes/weights come from the Golub-Welsch eigenproblem and
+    are kept in a least-recently-used cache of 128 rules, which a frame
+    build also fills (:func:`_unit_pass`).  Its eigenvalues come from
+    LAPACK's O(n^2) dsterf on the Jacobi matrix's two diagonals, or, where
+    numpy's LAPACK lacks dsterf, from a dense O(n^3) ``eigvalsh`` that ends
+    in the same dsterf and so gives the same bits (see
+    :func:`_jacobi_eigenvalues`); the weights from one recurrence pass
+    (:func:`_basis_pass`).  The returned rule is the mapped copy
+    x -> x/beta, w -> w * beta**-1.  Hermite rules stop at order 727: past it
     exp(-y^2/2) at the largest node leaves the normal float64 range, and
     the rule raises ValueError before any function evaluation.
     """
@@ -239,42 +259,124 @@ def quadrature(basis: ScaledBasis) -> QuadratureRule:
     return QuadratureRule(basis, unit_nodes / basis.beta, unit_weights * basis.beta ** -1.0)
 
 
-@lru_cache(maxsize=128)
-def _unit_rule(family: str, order: int):
-    """Unit-scale (nodes, weights, damped weights) of an N+1-node Gauss rule.
+# Unit rules by (family, order), least recently used first; at most
+# _RULES_SIZE of them.
+_RULES_SIZE = 128
+_rules: dict = {}
 
-    Nodes are the eigenvalues of the Jacobi matrix, from LAPACK's dsterf on
-    its two diagonals in O(n^2); where numpy's LAPACK has no dsterf, a dense
-    ``eigvalsh`` in O(n^3) gives the same bits, since it ends in the same
-    dsterf (:func:`_jacobi_eigenvalues`).  Laguerre weights come
-    from the Christoffel identity w_j = 1/sum_l p_l(x_j)^2 over the
-    orthonormal polynomials, carried in log form so that both the plain
-    weights exp(-log_sum), which underflow in the far tail, and the damped
-    ones exp(x_j - log_sum), which stay O(1), are accurate.  For Hermite
-    functions the weights already integrate dx, so both entries coincide.
+
+def _keep_rule(key, rule) -> None:
+    """Store ``rule`` as the most recently used, dropping the least recently used past the bound."""
+    _rules[key] = rule
+    if len(_rules) > _RULES_SIZE:
+        del _rules[next(iter(_rules))]
+
+
+def _unit_rule(family: str, order: int):
+    """Unit-scale (nodes, weights, damped weights) of an N+1-node Gauss rule, cached.
+
+    Nodes are the eigenvalues of the Jacobi matrix (:func:`_unit_nodes`).
+    The weights come from the Christoffel identity w_j = 1/sum_l p_l(x_j)^2
+    over the orthonormal functions, one pass of their recurrence at the
+    nodes (:func:`_basis_pass`).  For Laguerre the sum is carried in log
+    form, so that both the plain weights exp(-log_sum), which underflow in
+    the far tail, and the damped ones exp(x_j - log_sum), which stay O(1),
+    are accurate.  For Hermite functions the weights already integrate dx,
+    so both entries coincide.  The arrays are read-only.
     """
-    n = order + 1
-    k = np.arange(n, dtype=float)
+    key = (family, order)
+    rule = _rules.pop(key, None)
+    if rule is None:
+        nodes = _unit_nodes(family, order)
+        first = np.ones_like(nodes) if family == LAGUERRE else _hermite_start(nodes)
+        sums = _basis_pass(family, nodes, first, nodes.size, [(order, nodes.size)])
+        rule = _rule_from_sums(family, nodes, *sums)
+    _keep_rule(key, rule)
+    return rule
+
+
+def _unit_nodes(family: str, order: int) -> np.ndarray:
+    """The unit nodes of the N+1-node Gauss rule: the cached rule's, or fresh ones, not cached.
+
+    A Hermite rule past order 727 raises ValueError here, before any
+    evaluation: h_0 = exp(-y^2/2) at its largest node, where the
+    recurrence starts, is subnormal, so the weights lose precision, and
+    from order 765 they are infinite.
+    """
+    rule = _rules.get((family, order))
+    if rule is not None:
+        return rule[0]
+    k = np.arange(order + 1, dtype=float)
     if family == LAGUERRE:
-        nodes = _jacobi_eigenvalues(2.0 * k + 1.0, k[1:])
-        log_sum = _laguerre_christoffel_log_sum(order, nodes)
-        weights = np.exp(-log_sum)
-        damped = np.exp(nodes - log_sum)
+        return _jacobi_eigenvalues(2.0 * k + 1.0, k[1:])
+    nodes = _jacobi_eigenvalues(np.zeros(order + 1), np.sqrt(k[1:] / 2.0))
+    if 0.5 * nodes[-1] ** 2 > _LOG_TINY:
+        raise ValueError(f"Hermite rule order {order} exceeds the ceiling of 727")
+    return nodes
+
+
+def _rule_from_sums(family: str, nodes: np.ndarray, total: np.ndarray, log_scale: np.ndarray):
+    """Read-only (nodes, weights, damped weights) from a rule's Christoffel sums (see :func:`_basis_pass`)."""
+    if family == LAGUERRE:
+        log_sum = np.log(total) + 2.0 * log_scale
+        weights, damped = np.exp(-log_sum), np.exp(nodes - log_sum)
     else:
-        nodes = _jacobi_eigenvalues(np.zeros(n), np.sqrt(k[1:] / 2.0))
-        # h_0 = exp(-y^2/2) at the largest node starts the recurrence; once
-        # it is subnormal the weights lose precision, and from order 765
-        # they are infinite
-        if 0.5 * nodes[-1] ** 2 > _LOG_TINY:
-            raise ValueError(f"Hermite rule order {order} exceeds the ceiling of 727")
-        # Function-space weights via the Christoffel identity
-        # w_j = 1 / sum_l h_l(x_j)^2; the textbook polynomial weights times
-        # exp(x_j^2) would overflow at large order.
-        h = _hermite_fn_all(order, nodes)
-        weights = damped = 1.0 / np.sum(h * h, axis=0)
+        weights = damped = 1.0 / total
     for array in (nodes, weights, damped):
         array.setflags(write=False)
     return nodes, weights, damped
+
+
+def _unit_pass(family: str, order: int, nodes: np.ndarray, shift: float | None):
+    """The unit basis of ``order`` at its nodes, its refined nodes and (Laguerre) nodes + ``shift``.
+
+    ``nodes`` are the order's unit nodes (:func:`_unit_nodes`); the refined
+    rule has order 2N+1.  One recurrence pass (:func:`_basis_pass`) gives
+    the three (N+1, k) evaluations, each with the bits of
+    :func:`eval_weighted_all` there, and the Christoffel sums of whichever
+    of the two rules is not cached yet, which it caches with the bits of
+    :func:`_unit_rule`.  The refined rule's columns come first, so that
+    they alone run on past l = N.  A Laguerre pass leaves a cached rule's
+    columns out and puts the evaluation's after the rules'; a Hermite
+    pass sums h_l^2 over the evaluation's own columns.  Returns (psi,
+    psi_refined, psi_split); psi_split is None without a shift.
+    """
+    refined_order = 2 * order + 1
+    refined_nodes = _unit_nodes(family, refined_order)
+    rules = (((family, refined_order), refined_nodes), ((family, order), nodes))
+    if family == LAGUERRE:
+        rules = [(key, points) for key, points in rules if key not in _rules]
+        at = (nodes, refined_nodes) + (() if shift is None else (nodes + shift,))
+        y = np.concatenate(at)
+        start, far = _damped_start(y)
+        x = np.concatenate([points for _, points in rules] + [y])
+        first = np.concatenate((np.ones(x.size - y.size), start))
+    else:
+        at = (refined_nodes, nodes)
+        x = np.concatenate(at)
+        first = _hermite_start(x)
+    rows, column = [], x.size - sum(points.size for points in at)
+    for points in at:
+        rows.append((slice(column, column + points.size), np.empty((order + 1, points.size))))
+        column += points.size
+    stops = [(order, x.size)]
+    if (family, refined_order) not in _rules:
+        stops.append((refined_order, refined_nodes.size))
+    total, log_scale = _basis_pass(family, x, first, sum(points.size for _, points in rules), stops, rows)
+    column = 0
+    for key, points in rules:
+        columns = slice(column, column + points.size)
+        if key not in _rules:
+            _keep_rule(key, _rule_from_sums(family, points, total[columns], log_scale[columns]))
+        column += points.size
+    psi = [out for _, out in rows]
+    if family == HERMITE:
+        return psi[1], psi[0], None
+    column = 0
+    for out in psi:
+        out[:, far[column : column + out.shape[1]]] *= 2.0**-128
+        column += out.shape[1]
+    return psi[0], psi[1], psi[2] if shift is not None else None
 
 
 def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -352,44 +454,77 @@ def _dsterf():
 _BIG = 2.0**332
 
 
-def _laguerre_christoffel_log_sum(order: int, x: np.ndarray) -> np.ndarray:
-    """log sum_{l<=order} p_l(x)^2 for the orthonormal Laguerre polynomials.
+def _basis_pass(family: str, x: np.ndarray, first: np.ndarray, summed: int, stops, rows=()):
+    """One run of the family's three-term recurrence over the columns ``x``, from row 0 ``first``.
 
-    Uses x p_l = b_{l+1} p_{l+1} + a_l p_l + b_l p_{l-1} with a_l = 2l+1,
-    b_l = l and p_0 = 1.  The sum grows like exp(x), so a node's column is
-    scaled down by _BIG once |p| has passed _BIG, and the removed factor is
-    carried as a logarithm.  The test runs every 8 steps and after the
-    last, on the largest p^2 since the test before (fl(p^2) > _BIG^2
-    exactly when |p| > _BIG), and gives a per-step test's bits: scaling by
-    a power of two is exact, so a column scaled at a block's end equals one
-    scaled inside it.  No column passes _BIG twice in a block or overflows:
-    a step multiplies max(|p_l|, |p_{l-1}|) by at most
-    (x + 3l + 1)/(l + 1) <= max(x + 1, 3), so 8 steps by less than 2^96 for
-    x < 4095 (order 1000's largest node is about 3950), and |p| stays
-    below 2^428.
+    Laguerre columns take q_{l+1} = ((2l+1-x) q_l - l q_{l-1})/(l+1), the
+    recurrence of exp(-x/2) L_l(x) and of q_l = (-1)^l p_l for the
+    orthonormal p_l (a_l = 2l+1, b_l = l); Hermite columns take that of the
+    orthonormal h_l.  ``stops`` lists (end, width) pairs, ends increasing
+    and widths not: columns [0, width) take the steps l < end, each phase
+    going on from the last, so a prefix of the columns runs on alone.
+    Rows 0..end of the first phase are written into ``rows``, (column
+    slice, (end+1, k) array) pairs.
+
+    The first ``summed`` columns also sum the squares of their values: it
+    returns (total, log_scale), with the sum total*exp(2*log_scale).  A
+    Laguerre sum grows like exp(x), so a column is scaled down by _BIG
+    once |q| has passed _BIG, and the removed factor is carried as a
+    logarithm.  The test runs every 8 steps and after each phase, on the
+    largest q^2 since the test before (fl(q^2) > _BIG^2 exactly when
+    |q| > _BIG), and gives a per-step test's bits: scaling by a power of
+    two is exact, so a column scaled at a block's end equals one scaled
+    inside it, and so does the sign convention, since negation is exact.
+    No column passes _BIG twice in a block or overflows: a step multiplies
+    max(|q_l|, |q_{l-1}|) by at most (x + 3l + 1)/(l + 1) <= max(x + 1, 3),
+    so 8 steps by less than 2^96 for x < 4095 (order 1000's largest node is
+    about 3950), and |q| stays below 2^428.  The evaluation columns, past
+    ``summed``, are never scaled.  Hermite values are bounded and are not
+    scaled; the running sum adds the rows in order, with the bits of
+    ``np.sum(h * h, axis=0)``.
     """
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    total = np.ones_like(x)
-    log_scale = np.zeros_like(x)
-    step, square, peak = np.empty_like(x), np.empty_like(x), np.zeros_like(x)
-    for l in range(order):
-        # p_{l+1} = ((x - a_l) p_l - b_l p_{l-1}) / b_{l+1}, in place
-        np.subtract(x, 2.0 * l + 1.0, out=step)
-        step *= p
-        p_prev *= l
-        step -= p_prev
-        step /= l + 1.0
-        p_prev, p, step = p, step, p_prev
-        np.multiply(p, p, out=square)
-        total += square
-        np.maximum(peak, square, out=peak)
-        if l % 8 == 7 or l == order - 1:
-            big = peak > _BIG * _BIG
-            if big.any():
-                p[big] /= _BIG
-                p_prev[big] /= _BIG
-                total[big] /= _BIG * _BIG
-                log_scale[big] += math.log(_BIG)
-            peak.fill(0.0)
-    return np.log(total) + 2.0 * log_scale
+    laguerre = family == LAGUERRE
+    buffers = [first.copy(), np.zeros_like(x), np.empty_like(x)]
+    total = first[:summed] * first[:summed]
+    log_scale, square, peak = np.zeros(summed), np.empty(summed), np.zeros(summed)
+    for columns, out in rows:
+        out[0] = first[columns]
+    begin = 0
+    for end, width in stops:
+        s = min(width, summed)
+        points, outs = x[:width], [out for _, out in rows]
+        t, sq, pk, ls = total[:s], square[:s], peak[:s], log_scale[:s]
+        # q_l, q_{l-1} and the next row: each buffer, its active and its
+        # summed columns, and its views of the written rows
+        q, prev, step = ((b, b[:width], b[:s], [b[columns] for columns, _ in rows]) for b in buffers)
+        for l in range(begin, end):
+            v, p = step[1], prev[1]
+            if laguerre:
+                np.subtract(2.0 * l + 1.0, points, out=v)
+                v *= q[1]
+                p *= l
+                v -= p
+                v /= l + 1.0
+            else:
+                np.multiply(points, math.sqrt(2.0 / (l + 1.0)), out=v)
+                v *= q[1]
+                p *= math.sqrt(l / (l + 1.0))
+                v -= p
+            prev, q, step = q, step, prev
+            for view, out in zip(q[3], outs):
+                out[l + 1] = view
+            if s:
+                np.multiply(q[2], q[2], out=sq)
+                t += sq
+                if laguerre:
+                    np.maximum(pk, sq, out=pk)
+                    if l % 8 == 7 or l == end - 1:
+                        big = pk > _BIG * _BIG
+                        if big.any():
+                            q[2][big] /= _BIG
+                            prev[2][big] /= _BIG
+                            t[big] /= _BIG * _BIG
+                            ls[big] += math.log(_BIG)
+                        pk.fill(0.0)
+        buffers, rows, begin = [q[0], prev[0], step[0]], (), end
+    return total, log_scale

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, expit
 
+import specadapt.basis as basis_module
 from specadapt import adapt
 from specadapt.adapt import (
     AdaptConfig,
@@ -168,6 +169,16 @@ def test_csv_rejects_decreasing_times():
     ]
     with pytest.raises(ValueError):
         history_to_csv(records)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_csv_rejects_non_finite_times(tmp_path, bad):
+    # a NaN compares false both ways, so it used to pass the order check and
+    # switch it off for the rows after it: [0, nan, -5] was written
+    records = [ExperimentRecord(t=t, beta=1.0, x_left=0.0) for t in (0.0, bad, -5.0)]
+    with pytest.raises(ValueError, match="finite"):
+        history_to_csv(records, tmp_path / "h.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_write_is_atomic_no_stray_tmp(tmp_path):
@@ -589,6 +600,24 @@ def _count_basis_evaluations(monkeypatch) -> list:
         return eval_weighted_all(basis, x)
 
     monkeypatch.setattr(adapt, "eval_weighted_all", counted)
+    return calls
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record, in order, every recurrence pass ("pass") and every eval_weighted_all call ("eval")."""
+    calls = []
+
+    def counted_pass(*args):
+        calls.append("pass")
+        return basis_pass(*args)
+
+    def counted_eval(basis, x):
+        calls.append("eval")
+        return eval_weighted_all(basis, x)
+
+    basis_pass = basis_module._basis_pass
+    monkeypatch.setattr(basis_module, "_basis_pass", counted_pass)
+    monkeypatch.setattr(adapt, "eval_weighted_all", counted_eval)
     return calls
 
 
@@ -1410,15 +1439,15 @@ def _scratch_g(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
-    calls = _count_basis_evaluations(monkeypatch)
+    calls = _count_passes(monkeypatch)
     unit = adapt._UnitFrame(17, LAGUERRE)
-    assert len(calls) == 1  # the nodes, the refined nodes and the split, in one
+    assert calls == ["pass"]  # the nodes, the refined nodes and the split, in one pass
     psi = unit.psi_at[0.0]
     assert unit.psi is psi and not psi.flags.writeable
     assert unit.dpsi_at == {} and "pair" not in vars(unit)
     pair = unit.pair
-    assert len(calls) == 1  # G(0) and G(s*) both come from the build's evaluation
-    assert unit.pair is pair and len(calls) == 1
+    assert calls == ["pass"]  # G(0) and G(s*) both come from the build's pass
+    assert unit.pair is pair and calls == ["pass"]
     assert pair.shape == (36, 18) and not pair.flags.writeable
     at_split = eval_weighted_all(unit.basis, unit.nodes + round(unit.split, 12))
     np.testing.assert_allclose(pair[:18], _scratch_g(unit.weights, psi), rtol=1e-12, atol=0)
@@ -1430,20 +1459,20 @@ def test_first_exterior_reading_builds_the_pair_with_one_evaluation(monkeypatch)
     # cold frame and unit caches, whichever tests ran before
     monkeypatch.setattr(Frame, "_cache", {})
     monkeypatch.setattr(adapt, "_unit_frame", lru_cache(maxsize=None)(adapt._UnitFrame))
-    calls = _count_basis_evaluations(monkeypatch)
+    calls = _count_passes(monkeypatch)
     state = frame_state_from(moving_front, 40, 2.5, t=0.3)
     unit = state.frame._unit
-    assert len(calls) == 1 and "pair" not in vars(unit)
+    assert calls == ["pass"] and "pair" not in vars(unit)
     state.frequency()
     state.moved(0.01)
-    assert len(calls) == 1 and "pair" not in vars(unit)  # a move shifts the order's basis
+    assert calls == ["pass"] and "pair" not in vars(unit)  # a move shifts the order's basis
     e = state.exterior(state.split_point())
-    assert len(calls) == 1 and "pair" in vars(unit)  # the pair reuses the build's evaluation
+    assert calls == ["pass"] and "pair" in vars(unit)  # the pair reuses the build's pass
     # every later state of the order, at any beta, reads through that pair
     for later in (frame_state_from(moving_front, 40, 2.5, t=0.5), frame_state_from(moving_front, 40, 1.7)):
         assert later.frame._unit is unit
         later.exterior(later.split_point())
-    assert len(calls) == 1 and unit.dpsi_at == {}
+    assert calls == ["pass"] and unit.dpsi_at == {}
     assert e == _memo_free_exterior(state.frame, state.values, [state.frame.split_rel])[0]
 
 

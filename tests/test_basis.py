@@ -15,9 +15,13 @@ from specadapt.basis import (
     HERMITE,
     LAGUERRE,
     ScaledBasis,
+    _basis_pass,
+    _damped_start,
     _dense_jacobi_eigenvalues,
+    _hermite_fn_all,
     _jacobi_eigenvalues,
-    _laguerre_christoffel_log_sum,
+    _unit_nodes,
+    _unit_pass,
     _unit_rule,
     eval_basis_all,
     eval_weighted_all,
@@ -195,14 +199,17 @@ def _jacobi_diagonals(family: str, n: int):
     return np.zeros(n), np.sqrt(k[1:] / 2.0)
 
 
+def _clear_rules():
+    basis_module._rules.clear()
+    basis_module._dsterf.cache_clear()
+
+
 @pytest.fixture
 def fresh_rules():
     """Empty the rule and dsterf caches before and after the test."""
-    for cache in (basis_module._unit_rule, basis_module._dsterf):
-        cache.cache_clear()
+    _clear_rules()
     yield
-    for cache in (basis_module._unit_rule, basis_module._dsterf):
-        cache.cache_clear()
+    _clear_rules()
 
 
 def _fail_to_load(name):
@@ -240,8 +247,7 @@ def test_unit_rules_on_the_dense_fallback_have_the_dsterf_bits(monkeypatch, fres
     _skip_without_dsterf()
     cases = [(family, order) for family in (LAGUERRE, HERMITE) for order in (8, 48, 128, 363)]
     fast = {case: _unit_rule(*case) for case in cases}
-    _unit_rule.cache_clear()
-    basis_module._dsterf.cache_clear()
+    _clear_rules()
     monkeypatch.setattr(basis_module.ctypes, "CDLL", _fail_to_load)
     assert basis_module._dsterf() is None
     for case in cases:
@@ -303,18 +309,121 @@ def _christoffel_log_sum_checked_every_step(order: int, x: np.ndarray) -> np.nda
     return np.log(total) + 2.0 * log_scale
 
 
+def _laguerre_nodes(order: int) -> np.ndarray:
+    k = np.arange(order + 1, dtype=float)
+    return eigh_tridiagonal(2.0 * k + 1.0, k[1:], eigvals_only=True)
+
+
+# points, found on a grid of step 0.02, where a column is scaled once too
+# few by a test of |p| at block ends alone (|p| passes 2^332 inside a block
+# and is back below it at the block's end, at order 363 or 1000) or by no
+# test after the last, partial block (at order 513 or 727)
+TIPPING = np.array([465.16, 465.24, 925.94, 926.28, 1386.46, 1846.82, 2307.34, 3227.94, 2400.32, 3334.44])
+
+
 @pytest.mark.parametrize("order", [1, 7, 8, 9, 16, 17, 180, 363, 513, 727, 1000])
 def test_christoffel_log_sum_checked_per_block_has_the_per_step_bits(order):
     # orders at the edges of the 8-step blocks, and far nodes up to 3950
-    k = np.arange(order + 1, dtype=float)
-    nodes = eigh_tridiagonal(2.0 * k + 1.0, k[1:], eigvals_only=True)
-    # points, found on a grid of step 0.02, where a column is scaled once too
-    # few by a test of |p| at block ends alone (|p| passes 2^332 inside a
-    # block and is back below it at the block's end, at order 363 or 1000)
-    # or by no test after the last, partial block (at order 513 or 727)
-    tipping = np.array([465.16, 465.24, 925.94, 926.28, 1386.46, 1846.82, 2307.34, 3227.94, 2400.32, 3334.44])
-    x = np.concatenate((nodes, tipping))
-    assert np.array_equal(_laguerre_christoffel_log_sum(order, x), _christoffel_log_sum_checked_every_step(order, x))
+    x = np.concatenate((_laguerre_nodes(order), TIPPING))
+    total, log_scale = _basis_pass(LAGUERRE, x, np.ones_like(x), x.size, [(order, x.size)])
+    assert np.array_equal(np.log(total) + 2.0 * log_scale, _christoffel_log_sum_checked_every_step(order, x))
+
+
+@pytest.mark.parametrize("order", list(range(1, 61)) + [128, 256, 363])
+def test_one_pass_has_the_bits_of_the_per_order_sums_and_evaluations(order):
+    # a frame build's layout: the refined rule's Christoffel columns, the
+    # order's, then the evaluation columns, which include far points whose
+    # damped start is subnormal; both rules' columns carry the tipping points
+    refined_order = 2 * order + 1
+    long = np.concatenate((_laguerre_nodes(refined_order), TIPPING))
+    short = np.concatenate((_laguerre_nodes(order), TIPPING))
+    points = np.concatenate((_laguerre_nodes(order), _laguerre_nodes(refined_order), [1500.0, 1594.0]))
+    start, far = _damped_start(points)
+    x = np.concatenate((long, short, points))
+    first = np.concatenate((np.ones(long.size + short.size), start))
+    psi = np.empty((order + 1, points.size))
+    rows = [(slice(long.size + short.size, x.size), psi)]
+    stops = [(order, x.size), (refined_order, long.size)]
+    total, log_scale = _basis_pass(LAGUERRE, x, first, long.size + short.size, stops, rows)
+    log_sums = np.log(total) + 2.0 * log_scale
+    assert np.array_equal(log_sums[: long.size], _christoffel_log_sum_checked_every_step(refined_order, long))
+    assert np.array_equal(log_sums[long.size :], _christoffel_log_sum_checked_every_step(order, short))
+    psi[:, far] *= 2.0**-128
+    assert np.array_equal(psi, eval_weighted_all(laguerre_basis(order, 1.0), points))
+
+
+def _three_call_build(family: str, order: int, shift: float | None):
+    """A unit build's rules and evaluations, each from its own recurrence.
+
+    The rules' weights are the Christoffel sums of each rule on its own (per
+    step, for Laguerre), and the evaluations come from one
+    ``eval_weighted_all`` over all points.
+    """
+    rules = []
+    for rule_order in (order, 2 * order + 1):
+        k = np.arange(rule_order + 1, dtype=float)
+        if family == LAGUERRE:
+            nodes = _jacobi_eigenvalues(2.0 * k + 1.0, k[1:])
+            log_sum = _christoffel_log_sum_checked_every_step(rule_order, nodes)
+            rules.append((nodes, np.exp(-log_sum), np.exp(nodes - log_sum)))
+        else:
+            nodes = _jacobi_eigenvalues(np.zeros(rule_order + 1), np.sqrt(k[1:] / 2.0))
+            h = _hermite_fn_all(rule_order, nodes)
+            weights = 1.0 / np.sum(h * h, axis=0)
+            rules.append((nodes, weights, weights))
+    parts = [rules[0][0], rules[1][0]] + ([] if shift is None else [rules[0][0] + shift])
+    every = eval_weighted_all(ScaledBasis(family, 1.0, order), np.concatenate(parts))
+    evaluations = np.split(every, np.cumsum([part.size for part in parts])[:-1], axis=1)
+    return rules, evaluations + [None] * (3 - len(evaluations))
+
+
+@pytest.mark.parametrize("family", [LAGUERRE, HERMITE])
+@pytest.mark.parametrize("order", list(range(1, 61)) + [128, 256, 363])
+def test_unit_pass_has_the_bits_of_the_three_call_build(fresh_rules, family, order):
+    nodes = _unit_nodes(family, order)
+    shift = round(float(nodes[(order + 2) // 3]), 12) if family == LAGUERRE else None
+    rules, evaluations = _three_call_build(family, order, shift)
+    for cached in ((), (order,), (2 * order + 1,)):
+        # the pass leaves a cached rule's columns out
+        _clear_rules()
+        for rule_order in cached:
+            _unit_rule(family, rule_order)
+        psi = _unit_pass(family, order, _unit_nodes(family, order), shift)
+        for made, expected in zip(psi, evaluations):
+            assert (made is None) == (expected is None)
+            if made is not None:
+                assert np.array_equal(made, expected), cached
+        for rule_order, expected in zip((order, 2 * order + 1), rules):
+            for made_part, expected_part in zip(basis_module._rules[family, rule_order], expected):
+                assert np.array_equal(made_part, expected_part), (cached, rule_order)
+                assert not made_part.flags.writeable
+
+
+def test_unit_pass_fills_the_rule_cache_that_quadrature_reads(monkeypatch, fresh_rules):
+    _unit_pass(LAGUERRE, 24, _unit_nodes(LAGUERRE, 24), 3.5)
+    kept = dict(basis_module._rules)
+    assert set(kept) == {(LAGUERRE, 24), (LAGUERRE, 49)}
+    passes = []
+    monkeypatch.setattr(basis_module, "_basis_pass", lambda *args: passes.append(args))
+    for order in (24, 49):
+        rule = quadrature(laguerre_basis(order, 2.0))
+        assert _unit_rule(LAGUERRE, order) is kept[LAGUERRE, order]
+        assert np.array_equal(rule.nodes, kept[LAGUERRE, order][0] / 2.0)
+    assert passes == []
+
+
+def test_rule_cache_keeps_the_128_most_recently_used(fresh_rules):
+    for order in range(130):
+        _unit_rule(LAGUERRE, order)
+    assert len(basis_module._rules) == 128
+    assert (LAGUERRE, 0) not in basis_module._rules and (LAGUERRE, 1) not in basis_module._rules
+    # a hit makes a rule the most recently used, so the next miss evicts order 3
+    oldest = basis_module._rules[LAGUERRE, 2]
+    assert _unit_rule(LAGUERRE, 2) is oldest
+    _unit_rule(HERMITE, 5)
+    assert len(basis_module._rules) == 128
+    assert (LAGUERRE, 2) in basis_module._rules and (LAGUERRE, 3) not in basis_module._rules
+    assert list(basis_module._rules)[-2:] == [(LAGUERRE, 2), (HERMITE, 5)]
 
 
 def test_hermite_rule_order_ceiling():
