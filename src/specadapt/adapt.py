@@ -332,7 +332,7 @@ def _step_count(t_final: float, dt: float) -> int:
     return int(math.floor(steps))
 
 
-def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
+def _control_loop(state, views, stepper, cfg, dt, t_final, mode, reference):
     """The one driver: evolve, optionally move, optionally scale, record.
 
     ``views(state)`` returns one control view per dimension: ``frame``,
@@ -341,7 +341,10 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     ``.state`` is the whole new state.  Every moving distance is taken from
     the same evolved state, then the moves are applied; the scaling ladders
     run one dimension after another (x first), each with the other
-    dimensions held fixed.
+    dimensions held fixed.  Each record is read from the views
+    (:func:`_record`): the standard columns from the first, with the
+    state's error against ``reference`` when one is given, and the extras
+    ``beta_y, freq_y, ext_y, yL`` from a second.
 
     Per dimension, ``f0``/``e0`` start from the initial state and ``f0`` is
     refreshed only on ladder acceptances.  ``e0`` is never refreshed.
@@ -358,7 +361,7 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
     try:
         f0 = [view.frequency() for view in views(state)]
         e0 = [view.exterior(view.split_point()) for view in views(state)]
-        records = [measure(state, 0.0)]
+        records = [_record(views(state), reference, 0.0)]
     except ValueError as exc:
         _name_time(exc, "controller reading", 0.0)
         raise
@@ -389,11 +392,28 @@ def _control_loop(state, views, stepper, cfg, dt, t_final, mode, measure):
                     view = views(state)[axis]
                     view, f0[axis], _ = _scaling_ladder(view, view.frequency(), f0[axis], cfg)
                     state = view.state
-            records.append(measure(state, t))
+            records.append(_record(views(state), reference, t))
         except ValueError as exc:
             _name_time(exc, "controller reading", t)
             raise
     return records, state
+
+
+def _record(views, reference, t: float) -> ExperimentRecord:
+    """The record at ``t``: the standard columns from the first view, the extras from a second."""
+    view = views[0]
+    error = None if reference is None else view.state.error(reference, t)
+    freq, ext = view.frequency(), view.exterior(view.split_point())
+    extras = {}
+    if len(views) > 1:
+        other = views[1]
+        extras = {
+            "beta_y": other.frame.beta,
+            "freq_y": other.frequency(),
+            "ext_y": other.exterior(other.split_point()),
+            "yL": other.x_left,
+        }
+    return ExperimentRecord(t, view.frame.beta, view.x_left, error, freq, ext, extras)
 
 
 def _name_time(exc: Exception, what: str, t: float) -> None:
@@ -879,9 +899,17 @@ class FrameState:
         w = unit.refined_weights
         denominator = float((w * exact) @ exact)
         numerator = float((w * diff) @ diff)
-        if denominator <= 0.0:
-            return math.sqrt(numerator / self.frame.beta)
-        return math.sqrt(numerator / denominator)
+        return _error_ratio(numerator, denominator, self.frame.beta)
+
+
+def _error_ratio(numerator: float, denominator: float, beta: float) -> float:
+    """sqrt(numerator/denominator), or sqrt(numerator/beta) for a zero reference; ValueError if a sum is not finite."""
+    if not (math.isfinite(numerator) and math.isfinite(denominator)):
+        raise ValueError(
+            f"error sums are not finite (numerator {numerator}, denominator {denominator}): "
+            "the reference or the state is not finite at a refined node"
+        )
+    return math.sqrt(numerator / (denominator if denominator > 0.0 else beta))
 
 
 def frame_state_from(
@@ -931,19 +959,8 @@ def run_frames(
     ``MODE_MOVE_SCALE`` there.
     """
 
-    def measure(state: FrameState, t: float) -> ExperimentRecord:
-        error = state.error(reference, t) if reference is not None else None
-        return ExperimentRecord(
-            t=t,
-            beta=state.beta,
-            x_left=state.x_left,
-            error=error,
-            freq=state.frequency(),
-            ext=state.exterior(state.split_point()),
-        )
-
     # a one-dimensional state is its own single control view
-    return _control_loop(initial, lambda state: (state,), evolver, cfg, dt, t_final, mode, measure)
+    return _control_loop(initial, lambda state: (state,), evolver, cfg, dt, t_final, mode, reference)
 
 
 # --------------------------------------------------------------------------
@@ -1077,9 +1094,7 @@ class FrameState2D:
         numerator = float(wx @ diff @ wy)
         np.multiply(exact, exact, out=diff)
         denominator = float(wx @ diff @ wy)
-        if denominator <= 0.0:
-            return math.sqrt(numerator / (fx.beta * fy.beta))
-        return math.sqrt(numerator / denominator)
+        return _error_ratio(numerator, denominator, fx.beta * fy.beta)
 
 
 class _AxisControl:
@@ -1200,24 +1215,7 @@ def run_2d(
     qualifies, and a separable one costs len(xs) + len(ys) evaluations
     instead of len(xs)*len(ys).
     """
-    def measure(state: FrameState2D, t: float) -> ExperimentRecord:
-        error = state.error(reference, t) if reference is not None else None
-        return ExperimentRecord(
-            t=t,
-            beta=state.frame_x.beta,
-            x_left=state.x_left,
-            error=error,
-            freq=state.frequency_x(),
-            ext=state.exterior_x(state.split_x()),
-            extras={
-                "beta_y": state.frame_y.beta,
-                "freq_y": state.frequency_y(),
-                "ext_y": state.exterior_y(state.split_y()),
-                "yL": state.y_left,
-            },
-        )
-
     def views(state: FrameState2D) -> tuple[_AxisControl, _AxisControl]:
         return _AxisControl(state, 0), _AxisControl(state, 1)
 
-    return _control_loop(initial, views, evolver, cfg, dt, t_final, mode, measure)
+    return _control_loop(initial, views, evolver, cfg, dt, t_final, mode, reference)

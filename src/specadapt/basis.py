@@ -20,12 +20,13 @@ not export dsterf, a dense ``eigvalsh`` gives the same bits in O(n^3).  The
 weights come from the Christoffel identity, in log form for Laguerre, so
 that the exponentially reweighted weights of :func:`modified_weights` stay
 finite where the plain tail weights underflow.  One kernel,
-:func:`_basis_pass`, runs a family's three-term recurrence once over many
-columns: it gives a rule's Christoffel sums, and for a frame of order N
-(:func:`_unit_pass`) both Gauss rules' sums and the basis at the nodes,
-the refined nodes and the split-shifted nodes in the same loop.  Unit
-rules are kept in a least-recently-used cache of 128, which such a pass
-also fills.
+:func:`_basis_pass`, is the only place that runs a family's three-term
+recurrence, once over many columns: it gives a rule's Christoffel sums,
+every evaluation (:func:`eval_weighted_all`, :func:`eval_basis_all`), and
+for a frame of order N (:func:`_unit_pass`) both Gauss rules' sums and the
+basis at the nodes, the refined nodes and the split-shifted nodes in the
+same loop.  Unit rules are kept in a least-recently-used cache of 128,
+which such a pass also fills.
 """
 
 from __future__ import annotations
@@ -128,26 +129,15 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _laguerre_arg(basis: ScaledBasis, x: np.ndarray) -> np.ndarray:
-    y = basis.beta * x
-    if np.any(y < 0.0):
-        raise ValueError("Laguerre basis evaluated left of its endpoint")
-    return y
-
-
 def eval_basis_all(basis: ScaledBasis, x) -> np.ndarray:
     """Evaluate all N+1 basis functions at x.
 
     Returns shape (N+1,) for scalar input and (N+1, len(x)) for 1-d input.
-    Laguerre evaluation requires ``x >= 0``.
+    Laguerre evaluation requires ``x >= 0``.  Only the coefficient layer
+    (:mod:`specadapt.approx`, :mod:`specadapt.indicators`) reads these
+    plain polynomials; the frames read :func:`eval_weighted_all`.
     """
-    scalar = np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if basis.family == LAGUERRE:
-        out = _laguerre_all(basis.order, 0.0, _laguerre_arg(basis, xa), 1.0)
-    else:
-        out = math.sqrt(basis.beta) * _hermite_fn_all(basis.order, basis.beta * xa)
-    return out[:, 0] if scalar else out
+    return _evaluate(basis, x, damped=False)
 
 
 def eval_weighted_all(basis: ScaledBasis, x) -> np.ndarray:
@@ -163,16 +153,32 @@ def eval_weighted_all(basis: ScaledBasis, x) -> np.ndarray:
     arithmetic is the plain one.  Hermite functions already carry their
     Gaussian envelope, so the plain evaluation is returned unchanged.
     """
+    return _evaluate(basis, x, damped=True)
+
+
+def _evaluate(basis: ScaledBasis, x, damped: bool) -> np.ndarray:
+    """The basis at x (Laguerre: ``damped`` or plain) by one :func:`_basis_pass` that sums no column.
+
+    Laguerre columns start at :func:`_damped_start`, whose far columns are
+    scaled back by 2^-128 at the end, or at 1; Hermite columns start at
+    h_0, and the result is scaled by sqrt(beta).
+    """
     scalar = np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    y = basis.beta * xa.ravel()
     if basis.family == HERMITE:
-        out = math.sqrt(basis.beta) * _hermite_fn_all(basis.order, basis.beta * xa)
+        first = _hermite_start(y)
+    elif np.any(y < 0.0):
+        raise ValueError("Laguerre basis evaluated left of its endpoint")
     else:
-        y = _laguerre_arg(basis, xa)
-        first, far = _damped_start(y)
-        out = _laguerre_all(basis.order, 0.0, y, first)
+        first, far = _damped_start(y) if damped else (np.ones_like(y), None)
+    out = np.empty((basis.order + 1, y.size))
+    _basis_pass(basis.family, y, first, 0, [(basis.order, y.size)], [(slice(None), out)])
+    if basis.family == HERMITE:
+        out *= math.sqrt(basis.beta)
+    elif damped:
         out[:, far] *= 2.0**-128
-    return out[:, 0] if scalar else out
+    return out[:, 0] if scalar else out.reshape((basis.order + 1,) + xa.shape)
 
 
 def _damped_start(y: np.ndarray):
@@ -195,32 +201,6 @@ def modified_weights(rule: QuadratureRule) -> np.ndarray:
     """
     basis = rule.basis
     return _unit_rule(basis.family, basis.order)[2] * basis.beta ** -1.0
-
-
-def _laguerre_all(n: int, alpha: float, y: np.ndarray, first) -> np.ndarray:
-    """first * L_l^(alpha)(y) for l = 0..n, by the three-term recurrence.
-
-    The library's bases have alpha = 0; alpha = 1 is the family of their
-    derivative (see :mod:`specadapt.indicators`).
-    """
-    out = np.empty((n + 1,) + y.shape)
-    out[0] = first
-    if n >= 1:
-        out[1] = (alpha + 1.0 - y) * out[0]
-    for k in range(1, n):
-        out[k + 1] = ((2.0 * k + alpha + 1.0 - y) * out[k] - (k + alpha) * out[k - 1]) / (k + 1.0)
-    return out
-
-
-def _hermite_fn_all(n: int, y: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite functions h_l(y); bounded for all real y."""
-    out = np.empty((n + 1,) + y.shape)
-    out[0] = _hermite_start(y)
-    if n >= 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for k in range(1, n):
-        out[k + 1] = math.sqrt(2.0 / (k + 1.0)) * y * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
 
 
 def _hermite_start(y: np.ndarray) -> np.ndarray:
@@ -333,24 +313,23 @@ def _unit_pass(family: str, order: int, nodes: np.ndarray, shift: float | None):
     ``nodes`` are the order's unit nodes (:func:`_unit_nodes`); the refined
     rule has order 2N+1.  One recurrence pass (:func:`_basis_pass`) gives
     the three (N+1, k) evaluations, each with the bits of
-    :func:`eval_weighted_all` there, and the Christoffel sums of whichever
-    of the two rules is not cached yet, which it caches with the bits of
-    :func:`_unit_rule`.  The refined rule's columns come first, so that
-    they alone run on past l = N.  A Laguerre pass leaves a cached rule's
-    columns out and puts the evaluation's after the rules'; a Hermite
-    pass sums h_l^2 over the evaluation's own columns.  Returns (psi,
-    psi_refined, psi_split); psi_split is None without a shift.
+    :func:`eval_weighted_all` there, and the Christoffel sums of both
+    rules, which it caches with the bits of :func:`_unit_rule` (a rule
+    already cached is computed again, to the same bits).  The refined
+    rule's columns come first, so that they alone run on past l = N.  A
+    Laguerre pass puts the evaluation's columns after the rules'; a
+    Hermite pass sums h_l^2 over the evaluation's own columns.  Returns
+    (psi, psi_refined, psi_split); psi_split is None without a shift.
     """
     refined_order = 2 * order + 1
     refined_nodes = _unit_nodes(family, refined_order)
-    rules = (((family, refined_order), refined_nodes), ((family, order), nodes))
+    n = refined_nodes.size
+    summed = n + nodes.size
     if family == LAGUERRE:
-        rules = [(key, points) for key, points in rules if key not in _rules]
         at = (nodes, refined_nodes) + (() if shift is None else (nodes + shift,))
-        y = np.concatenate(at)
-        start, far = _damped_start(y)
-        x = np.concatenate([points for _, points in rules] + [y])
-        first = np.concatenate((np.ones(x.size - y.size), start))
+        starts = [_damped_start(points) for points in at]
+        x = np.concatenate((refined_nodes, nodes) + at)
+        first = np.concatenate([np.ones(summed)] + [start for start, _ in starts])
     else:
         at = (refined_nodes, nodes)
         x = np.concatenate(at)
@@ -359,23 +338,15 @@ def _unit_pass(family: str, order: int, nodes: np.ndarray, shift: float | None):
     for points in at:
         rows.append((slice(column, column + points.size), np.empty((order + 1, points.size))))
         column += points.size
-    stops = [(order, x.size)]
-    if (family, refined_order) not in _rules:
-        stops.append((refined_order, refined_nodes.size))
-    total, log_scale = _basis_pass(family, x, first, sum(points.size for _, points in rules), stops, rows)
-    column = 0
-    for key, points in rules:
-        columns = slice(column, column + points.size)
-        if key not in _rules:
-            _keep_rule(key, _rule_from_sums(family, points, total[columns], log_scale[columns]))
-        column += points.size
+    stops = [(order, x.size), (refined_order, n)]
+    total, log_scale = _basis_pass(family, x, first, summed, stops, rows)
+    _keep_rule((family, refined_order), _rule_from_sums(family, refined_nodes, total[:n], log_scale[:n]))
+    _keep_rule((family, order), _rule_from_sums(family, nodes, total[n:], log_scale[n:]))
     psi = [out for _, out in rows]
     if family == HERMITE:
         return psi[1], psi[0], None
-    column = 0
-    for out in psi:
-        out[:, far[column : column + out.shape[1]]] *= 2.0**-128
-        column += out.shape[1]
+    for out, (_, far) in zip(psi, starts):
+        out[:, far] *= 2.0**-128
     return psi[0], psi[1], psi[2] if shift is not None else None
 
 
@@ -456,6 +427,9 @@ _BIG = 2.0**332
 
 def _basis_pass(family: str, x: np.ndarray, first: np.ndarray, summed: int, stops, rows=()):
     """One run of the family's three-term recurrence over the columns ``x``, from row 0 ``first``.
+
+    The library's only recurrence loop: rules, frame builds and
+    evaluations (one stop, one output, no summed column) all run it.
 
     Laguerre columns take q_{l+1} = ((2l+1-x) q_l - l q_{l-1})/(l+1), the
     recurrence of exp(-x/2) L_l(x) and of q_l = (-1)^l p_l for the

@@ -25,10 +25,11 @@ coefficient-space forms here, for one-dimensional
 :class:`~specadapt.approx.Expansion` objects on a Laguerre or (frequency
 only) Hermite basis, are kept only for :func:`specadapt.adapt.initial_state`
 and the benchmark's cold set-up workload (``cold-orders``).  The exterior
-form differentiates the expansion itself: the derivative of
-``sum c_l L_l(beta*x)`` is ``-beta * sum c_{l+1} L^(1)_l(beta*x)``, which it
-evaluates in the Laguerre family of weight exponent 1 and integrates with
-the basis's own Gauss rule.
+form differentiates the expansion itself: since ``d/dy L_l = -sum_{j<l}
+L_j``, the derivative of ``sum c_l L_l(beta*x)`` is ``sum d_j L_j(beta*x)``
+over j < N with ``d_j = -beta * sum_{m>j} c_m``, the same identity that
+the frames' derivative operator uses, and it is evaluated in the basis of
+order N-1 and integrated with the basis's own Gauss rule.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 import numpy as np
 
 from .approx import Expansion
-from .basis import LAGUERRE, _laguerre_all, gamma_norms, quadrature
+from .basis import LAGUERRE, eval_basis_all, gamma_norms, laguerre_basis, quadrature
 
 __all__ = [
     "default_high_mode_count",
@@ -87,19 +88,21 @@ def _derivative_tail_norms(exp: Expansion, x_right: float) -> tuple[float, float
     rule = quadrature(basis)
     if not 0.0 < x_right < rule.nodes[-1]:
         raise ValueError("x_right must lie strictly between 0 and the largest node")
-    dc = -basis.beta * exp.coeffs[1:]
+    # the derivative's coefficients at order N-1, d_j = -beta * sum_{m>j} c_m
+    dc = -basis.beta * np.cumsum(exp.coeffs[::-1])[::-1][1:]
     if not np.any(dc):
         return None
-    # past order ~190 the plain derivative polynomials overflow at the far
-    # nodes; the non-finite sums are reported below, not as warnings
+    lower = laguerre_basis(basis.order - 1, basis.beta)
+    # past order ~190 the plain polynomials overflow at the far nodes; the
+    # non-finite sums are reported below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         # denominator: the basis's own rule integrates (dU)^2 (degree 2N-2)
         # exactly; numerator: substituting x = x_right + y turns the tail
         # integral into exp(-beta*x_right) times one against exp(-beta*y),
         # which the same rule in y integrates exactly
-        dvals = dc @ _laguerre_all(basis.order - 1, 1.0, basis.beta * rule.nodes, 1.0)
+        dvals = dc @ eval_basis_all(lower, rule.nodes)
         denom = float(np.sum(rule.weights * dvals**2))
-        shifted = dc @ _laguerre_all(basis.order - 1, 1.0, basis.beta * (x_right + rule.nodes), 1.0)
+        shifted = dc @ eval_basis_all(lower, x_right + rule.nodes)
         num = math.exp(-basis.beta * x_right) * float(np.sum(rule.weights * shifted**2))
     # a ratio of infinities must not read as a valid indicator
     if not (math.isfinite(num) and math.isfinite(denom)):

@@ -38,7 +38,6 @@ from specadapt.approx import evaluate, interpolate, relative_error
 from specadapt.basis import (
     HERMITE,
     LAGUERRE,
-    _laguerre_all,
     eval_weighted_all,
     gamma_norms,
     hermite_basis,
@@ -47,6 +46,8 @@ from specadapt.basis import (
     quadrature,
 )
 from specadapt.indicators import frequency_indicator
+
+from oracles import laguerre_all
 
 
 def diffusive_front(x, t):
@@ -345,6 +346,40 @@ def test_non_finite_state_fails_loudly_in_every_mode(mode):
             drive(evolve, poisoned, AdaptConfig(), 0.01, 0.2, mode)
 
 
+def _poisoned_reference(reference, bad: float, t_bad: float):
+    """``reference``, with one value replaced by ``bad`` from ``t_bad`` on."""
+
+    def poisoned(*args):
+        values = np.array(reference(*args), dtype=float)
+        if args[-1] >= t_bad:
+            values.flat[5] = bad
+        return values
+
+    return poisoned
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_reference_fails_loudly(bad):
+    # a reference that is NaN or infinite at one refined node used to give
+    # error = nan, which the records and the CSV then carried
+    state = frame_state_from(diffusive_front, 16, 2.5)
+    state_2d = frame_state_2d_from(product_front, 8, 2.0, 8, 2.0)
+    for current, reference in ((state, diffusive_front), (state_2d, product_front)):
+        with pytest.raises(ValueError, match="error sums are not finite"):
+            current.error(_poisoned_reference(reference, bad, 0.0), 0.0)
+    # through both drivers, with and without the controllers, the failure
+    # names the time of the record
+    drives = [
+        (run_frames, state, diffusive_front, frame_resample_evolver(diffusive_front)),
+        (run_2d, state_2d, product_front, frame_resample_evolver_2d(product_front)),
+    ]
+    for drive, initial, reference, evolve in drives:
+        for mode in (MODE_NONE, MODE_MOVE_SCALE):
+            poisoned = _poisoned_reference(reference, bad, 0.055)
+            with pytest.raises(ValueError, match=rf"reading failed at t = {6 * 0.01:.17g}: error sums are not finite"):
+                drive(evolve, initial, AdaptConfig(), 0.01, 0.1, mode, reference=poisoned)
+
+
 def test_expansion_evolver_must_keep_basis():
     # an evolver that changes a frame's order, beta or family, or an origin,
     # breaks the contract of both drivers, in every mode, at the step where
@@ -604,11 +639,16 @@ def _count_basis_evaluations(monkeypatch) -> list:
 
 
 def _count_passes(monkeypatch) -> list:
-    """Record, in order, every recurrence pass ("pass") and every eval_weighted_all call ("eval")."""
+    """Record, in order, every build pass ("pass") and every eval_weighted_all call ("eval").
+
+    An evaluation runs the recurrence kernel too, but sums no columns, so a
+    kernel call that sums none is not counted as a pass.
+    """
     calls = []
 
     def counted_pass(*args):
-        calls.append("pass")
+        if args[3]:
+            calls.append("pass")
         return basis_pass(*args)
 
     def counted_eval(basis, x):
@@ -1541,7 +1581,7 @@ def _damped_reference(order: int, y: np.ndarray) -> np.ndarray:
     ``eval_weighted_all`` starts those columns at 2^128*exp(-y/2) instead.
     This start is another one, normal up to y = 1544.8.
     """
-    return math.exp(-64.0) * _laguerre_all(order, 0.0, y, np.exp(64.0 - 0.5 * y))
+    return math.exp(-64.0) * laguerre_all(order, 0.0, y, np.exp(64.0 - 0.5 * y))
 
 
 def test_rescaled_basis_is_accurate_past_the_normal_start(monkeypatch):

@@ -18,7 +18,6 @@ from specadapt.basis import (
     _basis_pass,
     _damped_start,
     _dense_jacobi_eigenvalues,
-    _hermite_fn_all,
     _jacobi_eigenvalues,
     _unit_nodes,
     _unit_pass,
@@ -31,6 +30,8 @@ from specadapt.basis import (
     modified_weights,
     quadrature,
 )
+
+from oracles import damped_laguerre_all, hermite_fn_all, laguerre_all
 
 SQRT2 = math.sqrt(2.0)
 
@@ -349,15 +350,15 @@ def test_one_pass_has_the_bits_of_the_per_order_sums_and_evaluations(order):
     assert np.array_equal(log_sums[: long.size], _christoffel_log_sum_checked_every_step(refined_order, long))
     assert np.array_equal(log_sums[long.size :], _christoffel_log_sum_checked_every_step(order, short))
     psi[:, far] *= 2.0**-128
-    assert np.array_equal(psi, eval_weighted_all(laguerre_basis(order, 1.0), points))
+    assert np.array_equal(psi, damped_laguerre_all(order, points))
 
 
 def _three_call_build(family: str, order: int, shift: float | None):
     """A unit build's rules and evaluations, each from its own recurrence.
 
     The rules' weights are the Christoffel sums of each rule on its own (per
-    step, for Laguerre), and the evaluations come from one
-    ``eval_weighted_all`` over all points.
+    step, for Laguerre), and the evaluations come from one per-step
+    recurrence over all points (:mod:`oracles`).
     """
     rules = []
     for rule_order in (order, 2 * order + 1):
@@ -368,11 +369,12 @@ def _three_call_build(family: str, order: int, shift: float | None):
             rules.append((nodes, np.exp(-log_sum), np.exp(nodes - log_sum)))
         else:
             nodes = _jacobi_eigenvalues(np.zeros(rule_order + 1), np.sqrt(k[1:] / 2.0))
-            h = _hermite_fn_all(rule_order, nodes)
+            h = hermite_fn_all(rule_order, nodes)
             weights = 1.0 / np.sum(h * h, axis=0)
             rules.append((nodes, weights, weights))
     parts = [rules[0][0], rules[1][0]] + ([] if shift is None else [rules[0][0] + shift])
-    every = eval_weighted_all(ScaledBasis(family, 1.0, order), np.concatenate(parts))
+    points = np.concatenate(parts)
+    every = damped_laguerre_all(order, points) if family == LAGUERRE else hermite_fn_all(order, points)
     evaluations = np.split(every, np.cumsum([part.size for part in parts])[:-1], axis=1)
     return rules, evaluations + [None] * (3 - len(evaluations))
 
@@ -384,7 +386,7 @@ def test_unit_pass_has_the_bits_of_the_three_call_build(fresh_rules, family, ord
     shift = round(float(nodes[(order + 2) // 3]), 12) if family == LAGUERRE else None
     rules, evaluations = _three_call_build(family, order, shift)
     for cached in ((), (order,), (2 * order + 1,)):
-        # the pass leaves a cached rule's columns out
+        # a rule already cached is computed again, to the same bits
         _clear_rules()
         for rule_order in cached:
             _unit_rule(family, rule_order)
@@ -476,6 +478,35 @@ def test_weighted_eval_scalar_and_rejects_left_of_endpoint():
     assert v.shape == (5,)
     with pytest.raises(ValueError):
         eval_weighted_all(basis, -0.001)
+
+
+# every order up to 39 and the orders the library runs, Hermite's ceiling included
+EVALUATION_ORDERS = list(range(40)) + [64, 128, 256, 363, 727]
+
+
+@pytest.mark.parametrize("family", [LAGUERRE, HERMITE])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.5])
+def test_evaluations_have_the_bits_of_the_per_step_recurrence(family, beta):
+    # both evaluations run the recurrence kernel; the oracles run it one
+    # written-out step at a time.  The points are the unit nodes, a
+    # stretched copy and extra columns, each over beta: for Laguerre the
+    # endpoint and far columns whose damped start is subnormal (y = 1500,
+    # 1594) or whose plain values overflow, for Hermite far columns on both
+    # sides; then an empty array, a scalar and a 0-d array
+    extra = [0.0, 1500.0, 1594.0, 3000.0] if family == LAGUERRE else [-40.0, 40.0, 1e6]
+    for order in EVALUATION_ORDERS:
+        basis = ScaledBasis(family, beta, order)
+        nodes = _unit_nodes(family, order)
+        for x in (np.concatenate((nodes, 1.05 * nodes, extra)) / beta, np.array([]), 0.7, np.array(3.0)):
+            y = beta * np.asarray(x, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if family == LAGUERRE:
+                    weighted, plain = damped_laguerre_all(order, y), laguerre_all(order, 0.0, y, 1.0)
+                else:
+                    weighted = plain = math.sqrt(beta) * hermite_fn_all(order, y)
+                for made, expected in ((eval_weighted_all(basis, x), weighted), (eval_basis_all(basis, x), plain)):
+                    assert made.shape == expected.shape == (order + 1,) + np.shape(x)
+                    assert np.array_equal(made, expected, equal_nan=True), (order, np.shape(x))
 
 
 def test_modified_weights_integrate_unweighted_integrands():

@@ -26,6 +26,8 @@ from specadapt.indicators import (
     frequency_indicator,
 )
 
+from oracles import laguerre_all
+
 
 def front(x, center=5.0, width=2.0):
     return expit(-(np.asarray(x, dtype=float) - center) / width)
@@ -179,6 +181,57 @@ def test_exterior_of_a_linear_function_is_the_weight_tail():
     for split in (0.3, 1.0, 4.0):
         value = exterior_error_indicator(Expansion(basis, coeffs), split)
         assert value == pytest.approx(math.exp(-0.65 * split), rel=1e-12)
+
+
+def _alpha_one_tail_norms(exp: Expansion, x_right: float) -> tuple[float, float]:
+    """:func:`_derivative_tail_norms` with the derivative in the Laguerre family of weight exponent 1.
+
+    The derivative of sum c_l L_l(beta*x) is -beta * sum c_{l+1} L^(1)_l(beta*x)
+    (DLMF 18.9.14), evaluated by the per-step recurrence and
+    integrated with the same rule and substitution.  ValueError where a sum
+    is not finite.
+    """
+    basis, rule = exp.basis, quadrature(exp.basis)
+    dc = -basis.beta * exp.coeffs[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dvals = dc @ laguerre_all(basis.order - 1, 1.0, basis.beta * rule.nodes, 1.0)
+        denom = float(np.sum(rule.weights * dvals**2))
+        shifted = dc @ laguerre_all(basis.order - 1, 1.0, basis.beta * (x_right + rule.nodes), 1.0)
+        num = math.exp(-basis.beta * x_right) * float(np.sum(rule.weights * shifted**2))
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        raise ValueError("not finite")
+    return num, denom
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+def test_exterior_derivative_agrees_with_the_alpha_one_family(beta):
+    # the library takes the derivative's coefficients d_j = -beta*sum_{m>j} c_m
+    # in the basis of order N-1.  On random coefficients both sums agree
+    # with the alpha = 1 form to 1e-7 wherever they are finite.  Past order
+    # ~175 the plain polynomials overflow at the far nodes, and on random
+    # coefficients and on an interpolated front both forms raise at the
+    # same orders.  The front's readings at the default split fall to
+    # round-off at high orders (1.7e-15 at N = 177, beta = 1),
+    # where the two forms' rounding differs by up to 1e-6 relative, so only
+    # whether they raise is compared there
+    rng = np.random.default_rng(3)
+    # every third order below 170, then every order through the overflow
+    for order in list(range(4, 170, 3)) + list(range(170, 221)):
+        basis = laguerre_basis(order, beta)
+        rule = quadrature(basis)
+        split = default_split_point(order, rule.nodes)
+        cases = ((rng.standard_normal(order + 1), True), (interpolate(front(rule.nodes), basis, rule).coeffs, False))
+        for coeffs, compared in cases:
+            exp = Expansion(basis, coeffs)
+            try:
+                expected = _alpha_one_tail_norms(exp, split)
+            except ValueError:
+                with pytest.raises(ValueError, match="overflow"):
+                    _derivative_tail_norms(exp, split)
+                continue
+            made = _derivative_tail_norms(exp, split)
+            if compared:
+                assert made == pytest.approx(expected, rel=1e-7, abs=0), order
 
 
 def test_exterior_split_validation():
