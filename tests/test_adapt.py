@@ -286,7 +286,7 @@ def _nan_from(evolve, t_nan: float):
             return state
         values = state.values.copy()
         values.flat[3] = math.nan
-        return replace(state, values=values)
+        return FrameState(state.frames, values, state.lefts)
 
     return poisoned
 
@@ -399,8 +399,8 @@ def test_expansion_evolver_must_keep_basis():
         (run_frames, initial, "0", lambda s, t, dt: frame_state_from(diffusive_front, 18, s.beta, s.x_left, t + dt)),
         (run_frames, initial, "0", lambda s, t, dt: frame_state_from(diffusive_front, 16, s.beta, s.x_left, t + dt,
                                                                      family=HERMITE)),
-        (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).rescaled_y(0.95 * s.frame_y.beta)),
-        (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).moved_y(0.1)),
+        (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).rescaled(0.95 * s.frame_y.beta, 1)),
+        (run_2d, initial_2d, "0", lambda s, t, dt: evolve_2d(s, t, dt).moved(0.1, 1)),
         (run_2d, initial_2d, "0", lambda s, t, dt: frame_state_2d_from(
             product_front, 10, s.frame_x.beta, 8, s.frame_y.beta, s.x_left, s.y_left, t + dt)),
         (run_2d, initial_2d, "0", hermite_x),
@@ -408,6 +408,20 @@ def test_expansion_evolver_must_keep_basis():
     for drive, state, t_fail, stepper in cases:
         for mode in (MODE_NONE, MODE_MOVE_SCALE):
             with pytest.raises(ValueError, match=rf"at t = {t_fail} changed a frame or an origin"):
+                drive(stepper, state, AdaptConfig(), 0.1, 1.0, mode)
+
+
+def test_evolver_must_keep_the_number_of_axes():
+    # a step that turns a 1-d state into a 2-d one, or back, used to escape
+    # as a bare AttributeError ("'FrameState2D' object has no attribute
+    # 'frame'", and the reverse for frame_x)
+    initial = frame_state_from(diffusive_front, 16, 2.5)
+    initial_2d = frame_state_2d_from(product_front, 16, 2.5, 8, 2.0)
+    to_2d = lambda s, t, dt: FrameState2D(s.frame, initial_2d.frame_y, initial_2d.values, s.x_left)
+    to_1d = lambda s, t, dt: FrameState(s.frame, initial.values, s.x_left)
+    for drive, state, stepper in ((run_frames, initial, to_2d), (run_2d, initial_2d, to_1d)):
+        for mode in (MODE_NONE, MODE_MOVE_SCALE):
+            with pytest.raises(ValueError, match=r"step at t = 0 changed a frame or an origin"):
                 drive(stepper, state, AdaptConfig(), 0.1, 1.0, mode)
 
 
@@ -433,10 +447,10 @@ def test_accepted_rescale_never_raises_frequency(monkeypatch):
     accepted = []
     ladder = adapt._scaling_ladder
 
-    def checked(state, f, f0, cfg):
-        result = ladder(state, f, f0, cfg)
+    def checked(state, axis, f, f0, cfg):
+        result = ladder(state, axis, f, f0, cfg)
         if result[2]:
-            assert result[0].frequency() <= f
+            assert result[0].frequency(axis) <= f
             accepted.append(result[2])
         return result
 
@@ -563,10 +577,10 @@ def test_hermite_run_scales_without_sentinel(monkeypatch):
     # 4856 floors.  So the floor moves none of them.
     ladder, triggers = adapt._scaling_ladder, []
 
-    def recorded_ladder(state, f, f0, cfg):
-        result = ladder(state, f, f0, cfg)
+    def recorded_ladder(state, axis, f, f0, cfg):
+        result = ladder(state, axis, f, f0, cfg)
         if result[2]:
-            triggers.append(f / state.frame.frequency_floor)
+            triggers.append(f / state.frames[axis].frequency_floor)
         return result
 
     monkeypatch.setattr(adapt, "_scaling_ladder", recorded_ladder)
@@ -726,17 +740,21 @@ def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
         "rescaled_x": eval_weighted_all(_basis(fx), tx.nodes).T @ cx,
         "rescaled_y": cy @ eval_weighted_all(_basis(fy), ty.nodes),
     }
-    args = {"moved_x": 0.01, "moved_y": 0.01, "rescaled_x": tx.beta, "rescaled_y": ty.beta}
+    args = {"moved_x": (0.01, 0), "moved_y": (0.01, 1), "rescaled_x": (tx.beta, 0), "rescaled_y": (ty.beta, 1)}
+
+    def derived(name):
+        return getattr(state, name[:-2])(*args[name]).values
+
     calls = _count_basis_evaluations(monkeypatch)
     results = []
     for repeat in range(2):
-        results.append({name: getattr(state, name)(args[name]).values for name in direct})
+        results.append({name: derived(name) for name in direct})
         assert len(calls) == (2 if repeat == 0 else 0)  # the rescales'; a move evaluates nothing
         calls.clear()
     # the moves' misses, rebuilt on cleared memos, give the same bits
     monkeypatch.setattr(fx._unit, "psi_at", {})
     monkeypatch.setattr(fy._unit, "psi_at", {})
-    rebuilt = {name: getattr(state, name)(args[name]).values for name in ("moved_x", "moved_y")}
+    rebuilt = {name: derived(name) for name in ("moved_x", "moved_y")}
     assert calls == []
     for values in results:
         for name, expected in direct.items():
@@ -833,20 +851,18 @@ def _unit_marginals(state: FrameState2D) -> tuple:
     return state.values @ wy, wx @ state.values
 
 
-def _search_offsets(control, cfg: AdaptConfig) -> list:
-    """The sentinel offsets a full mover search evaluates, as the state forms them."""
-    split = control.split_point()
+def _search_offsets(state, axis: int, cfg: AdaptConfig) -> list:
+    """The sentinel offsets a full mover search along ``axis`` evaluates, as the state forms them."""
+    split, left = state.split_point(axis), state.lefts[axis]
     n_max = int(math.floor(cfg.d_max / cfg.delta + 1e-12))
-    return [split - control.x_left] + [
-        (split + n * cfg.delta) - control.x_left for n in range(1, n_max + 1)
-    ]
+    return [split - left] + [(split + n * cfg.delta) - left for n in range(1, n_max + 1)]
 
 
 def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     # an order and scale no other test uses, so the frame's memos are cold
     cfg = AdaptConfig()
     state = frame_state_from(moving_front, 29, 1.9, x_left=0.3, t=0.4)
-    offsets = _search_offsets(state, cfg)
+    offsets = _search_offsets(state, 0, cfg)
     frequency, oracle = _scratch_indicators(state.frame, state.values, offsets)
     exterior = _memo_free_exterior(state.frame, state.values, offsets)
     assert exterior == pytest.approx(oracle, rel=1e-12, abs=0)
@@ -854,7 +870,7 @@ def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     e = state.exterior(state.split_point())
     assert e == exterior[0]
     # a baseline no candidate can meet runs the search to its cap
-    assert adapt._moving_distance(state, e, 1e-300, cfg) == cfg.d_max
+    assert adapt._moving_distance(state, 0, e, 1e-300, cfg) == cfg.d_max
     split = state.split_point()
     for n, expected in enumerate(exterior):
         assert state.exterior(split + n * cfg.delta) == expected
@@ -866,7 +882,7 @@ def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     # a derived state sets up its own indicators from its own values
     for derived in (state.moved(2 * cfg.delta), state.rescaled(0.95 * state.beta)):
         calls.clear()
-        offsets = _search_offsets(derived, cfg)[:1]
+        offsets = _search_offsets(derived, 0, cfg)[:1]
         frequency, oracle = _scratch_indicators(derived.frame, derived.values, offsets)
         assert derived.frequency() == frequency
         e = derived.exterior(derived.split_point())
@@ -880,7 +896,7 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
     fx, fy = state.frame_x, state.frame_y
     coeffs = fx.tomodal @ state.values @ fy.tomodal.T
-    assert np.array_equal(state.coefficients(), coeffs)
+    assert np.array_equal(state._coeffs, coeffs)
     energy = coeffs * coeffs
     total = float(energy.sum())
     expected_frequency = (
@@ -890,29 +906,28 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     marginals = _unit_marginals(state)
     calls = _count_derivative_setups(monkeypatch)
     for axis, frame in ((0, fx), (1, fy)):
-        control = adapt._AxisControl(state, axis)
-        offsets = _search_offsets(control, cfg)
+        offsets = _search_offsets(state, axis, cfg)
         oracle = _scratch_indicators(frame, marginals[axis], offsets)[1]
         exterior = _memo_free_exterior(frame, marginals[axis], offsets)
         assert exterior == pytest.approx(oracle, rel=1e-12, abs=0)
-        e = control.exterior(control.split_point())
+        e = state.exterior(state.split_point(axis), axis)
         assert e == exterior[0]
-        assert adapt._moving_distance(control, e, 1e-300, cfg) == cfg.d_max
-        split = control.split_point()
+        assert adapt._moving_distance(state, axis, e, 1e-300, cfg) == cfg.d_max
+        split = state.split_point(axis)
         for n, expected in enumerate(exterior):
-            assert control.exterior(split + n * cfg.delta) == expected
-        assert control.frequency() == expected_frequency[axis]
+            assert state.exterior(split + n * cfg.delta, axis) == expected
+        assert state.frequency(axis) == expected_frequency[axis]
         x_exterior = _scratch_indicators(frame, marginals[axis], offsets, unit=False)[1]
         assert exterior == pytest.approx(x_exterior, rel=1e-12, abs=0)
     assert calls == [fx, fy]
     # derived states set up their own indicators, one per axis again
-    for derived in (state.moved_x(0.01), state.moved_y(0.01), state.rescaled_x(1.5), state.rescaled_y(2.0)):
+    for derived in (state.moved(0.01, 0), state.moved(0.01, 1), state.rescaled(1.5, 0), state.rescaled(2.0, 1)):
         calls.clear()
-        derived.exterior_x(derived.split_x())
-        derived.exterior_y(derived.split_y())
+        derived.exterior(derived.split_point(0), 0)
+        derived.exterior(derived.split_point(1), 1)
         assert calls == [derived.frame_x, derived.frame_y]
         assert np.array_equal(
-            derived.coefficients(), derived.frame_x.tomodal @ derived.values @ derived.frame_y.tomodal.T
+            derived._coeffs, derived.frame_x.tomodal @ derived.values @ derived.frame_y.tomodal.T
         )
 
 
@@ -932,7 +947,7 @@ def test_frame_state_values_are_a_read_only_copy():
     with pytest.raises(ValueError):
         state_2d.values[0] = 1.0
     with pytest.raises(ValueError):
-        state_2d.coefficients()[0] = 1.0
+        state_2d._coeffs[0] = 1.0
     assert mine_2d.flags.writeable
 
 
@@ -946,9 +961,48 @@ def test_frame_state_rejects_values_of_the_wrong_shape():
         frame_resample_evolver(lambda x, t: 1.0)(FrameState(frame, values), 0.0, 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_frame_state_rejects_a_non_finite_origin(bad):
+    # an infinite origin used to run: every record had x_left = inf and
+    # ext = None (-inf read finite), and a NaN one failed only at its first
+    # move, as "unit shift nan"
+    frame, frame_y = Frame(12, 2.0), Frame(9, 1.5)
+    values = moving_front(frame.nodes, 0.2)
+    grid = np.ones((13, 10))
+    with pytest.raises(ValueError, match="origin of axis 0 must be finite"):
+        FrameState(frame, values, bad)
+    with pytest.raises(ValueError, match="origin of axis 0 must be finite"):
+        frame_state_from(moving_front, 12, 2.0, x_left=bad)
+    with pytest.raises(ValueError, match="origin of axis 0 must be finite"):
+        FrameState2D(frame, frame_y, grid, bad, 0.0)
+    with pytest.raises(ValueError, match="origin of axis 1 must be finite"):
+        FrameState2D(frame, frame_y, grid, 0.0, bad)
+    with pytest.raises(ValueError, match="origin of axis 1 must be finite"):
+        FrameState((frame, frame_y), grid, (0.0, bad))
+
+
+def test_frame_state_of_one_or_two_axes():
+    # one frame and origin, or a tuple of each; FrameState2D is the same state
+    frame, frame_y = Frame(12, 2.0), Frame(9, 1.5)
+    values = moving_front(frame.nodes, 0.2)
+    grid = np.outer(values, np.exp(-frame_y.nodes))
+    one = FrameState(frame, values, 0.3)
+    assert (one.frames, one.lefts, one.frame, one.x_left) == ((frame,), (0.3,), frame, 0.3)
+    assert FrameState((frame,), values, (0.3,)).frequency() == one.frequency()
+    two, shim = FrameState((frame, frame_y), grid, (0.3, 0.1)), FrameState2D(frame, frame_y, grid, 0.3, 0.1)
+    assert (two.frames, two.lefts) == (shim.frames, shim.lefts) == ((frame, frame_y), (0.3, 0.1))
+    for axis in (0, 1):
+        assert two.frequency(axis) == shim.frequency(axis)
+        assert two.exterior(two.split_point(axis), axis) == shim.exterior(shim.split_point(axis), axis)
+        assert type(shim.moved(0.01, axis)) is FrameState2D and type(two.rescaled(1.9, axis)) is FrameState
+    for frames, lefts in (((frame, frame_y), (0.0,)), ((frame, frame_y, frame), (0.0, 0.0, 0.0)), ((), ())):
+        with pytest.raises(ValueError, match="one or two axes"):
+            FrameState(frames, grid, lefts)
+
+
 def _memo_names(cls) -> list:
-    """The names of the read-once memos a state class defines."""
-    return [name for name, value in vars(cls).items() if isinstance(value, adapt._memoized)]
+    """The names of the read-once memos a state class defines or inherits."""
+    return [name for owner in cls.__mro__ for name, value in vars(owner).items() if isinstance(value, adapt._memoized)]
 
 
 def _exercised_states() -> tuple:
@@ -962,36 +1016,42 @@ def _exercised_states() -> tuple:
         state.error(moving_front, 0.2)
         state.moved(0.01)
         state.rescaled(1.9)
-        state_2d.coefficients()
-        state_2d.frequency_x()
-        state_2d.frequency_y()
-        state_2d.exterior_x(state_2d.split_x())
-        state_2d.exterior_y(state_2d.split_y() + 0.01)
+        state_2d._coeffs
+        state_2d.frequency(0)
+        state_2d.frequency(1)
+        state_2d.exterior(state_2d.split_point(0), 0)
+        state_2d.exterior(state_2d.split_point(1) + 0.01, 1)
         state_2d.error(product_front, 0.3)
     return state, state_2d
 
 
 def test_lock_free_memos_run_once_per_state(monkeypatch):
     runs = []
-    for cls in (FrameState, FrameState2D):
-        for name in _memo_names(cls):
-            memo = vars(cls)[name]
+    assert _memo_names(FrameState2D) == _memo_names(FrameState)  # the 2-d class adds none
+    for name in _memo_names(FrameState):
+        memo = vars(FrameState)[name]
 
-            def counted(owner, _compute=memo.compute, _name=name):
-                runs.append((owner, _name))  # holds the state, so no id is reused
-                return _compute(owner)
+        def counted(owner, _compute=memo.compute, _name=name):
+            runs.append((owner, _name))  # holds the state, so no id is reused
+            return _compute(owner)
 
-            monkeypatch.setattr(memo, "compute", counted)
+        monkeypatch.setattr(memo, "compute", counted)
     state, state_2d = _exercised_states()
     keys = [(id(owner), name) for owner, name in runs]
     assert len(keys) == len(set(keys))
-    assert sorted(name for owner, name in runs if owner is state) == sorted(_memo_names(FrameState))
-    assert sorted(name for owner, name in runs if owner is state_2d) == sorted(_memo_names(FrameState2D))
+    # a one-axis state is its own marginal and sets up its own exterior
+    # readings; a two-axis state reads them on its marginals
+    assert sorted(name for owner, name in runs if owner is state) == sorted(set(_memo_names(FrameState)) - {"_marginals"})
+    assert sorted(name for owner, name in runs if owner is state_2d) == sorted(
+        set(_memo_names(FrameState)) - {"_split_reading"}
+    )
     # each memo is a plain instance attribute once read, and the marginals
     # are the same states on every read
-    assert all(name in vars(state_2d) for name in _memo_names(FrameState2D))
-    assert state_2d._marginal_x is vars(state_2d)["_marginal_x"]
-    assert {name for owner, name in runs if owner is state_2d._marginal_x} == {"_coeffs", "_split_reading"}
+    assert all(name in vars(state_2d) for name in ("_coeffs", "_frequencies", "_marginals"))
+    marginal = state_2d.marginal(0)
+    assert state.marginal(0) is state and marginal is state_2d.marginal(0) is vars(state_2d)["_marginals"][0]
+    assert type(marginal) is FrameState and marginal.frames == state_2d.frames[:1]
+    assert {name for owner, name in runs if owner is marginal} == {"_coeffs", "_split_reading"}
 
 
 def test_memo_names_refuse_assignment():
@@ -1009,14 +1069,19 @@ def test_memo_names_refuse_assignment():
 
 def test_memo_arrays_stay_read_only():
     state, state_2d = _exercised_states()
+    targets = (state, state_2d, state_2d.marginal(0), state_2d.marginal(1))
     arrays = [
-        getattr(target, name)
-        for target in (state, state_2d, state_2d._marginal_x, state_2d._marginal_y)
+        vars(target)[name]
+        for target in targets
         for name in _memo_names(type(target))
-        if isinstance(getattr(target, name), np.ndarray)
+        if isinstance(vars(target).get(name), np.ndarray)
     ]
     arrays.append(state.frame._unit.pair)
-    assert len(arrays) == 6  # the 1-d coefficients, the 2-d ones and energy, two marginals', the pair
+    assert len(arrays) == 5  # the 1-d coefficients, the 2-d ones, two marginals', the pair
+    # the values of every state are read-only too, also where a move, a
+    # rescale or a marginal stores its own product without a copy
+    derived = (state.moved(0.01), state.rescaled(1.9), state_2d.moved(0.01, 1), state_2d.rescaled(2.0, 1))
+    arrays += [target.values for target in targets + derived]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -1078,7 +1143,7 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
     )
     marginals = _unit_marginals(state)
     lefts = (state.x_left, state.y_left)
-    splits = (state.split_x(), state.split_y())
+    splits = (state.split_point(0), state.split_point(1))
     scratch_exterior = []
     for frame, marginal, left, split in zip((fx, fy), marginals, lefts, splits):
         offsets = [split - left, split + 0.05 - left]
@@ -1089,16 +1154,17 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
     tails = _count_calls(monkeypatch, Frame, "dpsi_at")
     frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     for axis in (0, 1):
-        control = adapt._AxisControl(state, axis)
-        before = (len(frequency), len(setups), len(tails))
+        before = (len(setups), len(tails))
         for _ in range(3):
-            assert control.frequency() == scratch_frequency[axis]
-            assert control.exterior(control.split_point()) == scratch_exterior[axis][0]
-        assert (len(frequency), len(setups), len(tails)) == (before[0] + 1, before[1] + 1, before[2])
-        assert control.exterior(splits[axis] + 0.05) == scratch_exterior[axis][1]
-        assert control.exterior(splits[axis] + 0.05) == scratch_exterior[axis][1]
-        assert (len(setups), len(tails)) == (before[1] + 1, before[2] + 2)
-    assert np.array_equal(state._energy, energy)
+            assert state.frequency(axis) == scratch_frequency[axis]
+            assert state.exterior(state.split_point(axis), axis) == scratch_exterior[axis][0]
+        # the first frequency reading reads every axis from one energy matrix
+        assert (len(frequency), len(setups), len(tails)) == (2, before[0] + 1, before[1])
+        assert state.exterior(splits[axis] + 0.05, axis) == scratch_exterior[axis][1]
+        assert state.exterior(splits[axis] + 0.05, axis) == scratch_exterior[axis][1]
+        assert (len(setups), len(tails)) == (before[0] + 1, before[1] + 2)
+    assert [axis for _, _, axis in frequency] == [0, 1]
+    assert all(np.array_equal(read, energy) and read is frequency[0][0] for read, _, _ in frequency)
 
 
 @pytest.mark.parametrize("mode", [MODE_MOVE, MODE_SCALE, MODE_MOVE_SCALE])
@@ -1143,7 +1209,7 @@ def test_2d_references_are_called_on_open_grids():
 
 def test_open_grids_match_full_grid_sampling():
     state = frame_state_2d_from(_non_separable, 14, 1.5, 11, 2.0, x_left=0.2, y_left=0.1, t=0.3)
-    grid_x, grid_y = np.meshgrid(state.nodes_x(), state.nodes_y(), indexing="ij")
+    grid_x, grid_y = np.meshgrid(state.nodes(0), state.nodes(1), indexing="ij")
     assert np.array_equal(state.values, _non_separable(grid_x, grid_y, 0.3))
     evolved = frame_resample_evolver_2d(_non_separable)(state, 0.3, 0.1)
     assert np.array_equal(evolved.values, _non_separable(grid_x, grid_y, 0.4))
@@ -1153,7 +1219,7 @@ def test_open_grids_match_full_grid_sampling():
     grid_x, grid_y = np.meshgrid(
         state.x_left + fx.refined_nodes, state.y_left + fy.refined_nodes, indexing="ij"
     )
-    approx = fx._unit.psi_refined.T @ state.coefficients() @ fy._unit.psi_refined
+    approx = fx._unit.psi_refined.T @ state._coeffs @ fy._unit.psi_refined
     rx, ry = (quadrature(laguerre_basis(2 * f.order + 1, f.beta)) for f in (fx, fy))
     assert np.array_equal(rx.nodes, fx.refined_nodes) and np.array_equal(ry.nodes, fy.refined_nodes)
     weights = np.multiply.outer(rx.weights, ry.weights)
@@ -1375,8 +1441,8 @@ def test_readings_do_not_depend_on_beta():
     for beta_x, beta_y in ((1.0, 1.0), (2.5, 0.3), (7.0, 2.5 * 0.95**3)):
         state = FrameState2D(Frame(24, beta_x), Frame(20, beta_y), values, 0.2, 0.1)
         readings.add((
-            state.frequency_x(), state.frequency_y(),
-            state.exterior_x(state.split_x()), state.exterior_y(state.split_y()),
+            state.frequency(0), state.frequency(1),
+            state.exterior(state.split_point(0), 0), state.exterior(state.split_point(1), 1),
         ))
     assert len(readings) == 1
 
@@ -1664,7 +1730,7 @@ def test_frame_state_error_rejects_a_misshaped_reference():
         (lambda x, t: f(x, t)[:, None], r"\(34, 1\)"),
         (lambda x, t: f(x, t)[:5], r"\(5,\)"),
     ):
-        with pytest.raises(ValueError, match=shape + r".*refined-node shape \(34,\)"):
+        with pytest.raises(ValueError, match=shape + r".*refined-node grid shape \(34,\)"):
             state.error(wrong, 0.0)
     # a scalar reference broadcasts
     full = lambda x, t: np.full(np.shape(x), 2.0)
@@ -1735,7 +1801,7 @@ def test_run_2d_records_and_extras():
 def test_2d_marginal_matches_direct_integration():
     state = frame_state_2d_from(product_front, 16, 2.0, 16, 2.0)
     # the y-marginal at the x-nodes equals integrating the interpolant over y
-    marginal = state.marginal_x_values()
+    marginal = state.marginal(0).values / state.frame_y.beta
     y_rule = quadrature(laguerre_basis(16, 2.0))
     weights = y_rule.weights * np.exp(2.0 * y_rule.nodes)
     direct = state.values @ weights
@@ -1744,7 +1810,7 @@ def test_2d_marginal_matches_direct_integration():
 
 def test_2d_x_move_leaves_y_untouched():
     state = frame_state_2d_from(product_front, 12, 2.0, 12, 2.0)
-    moved = state.moved_x(0.25)
+    moved = state.moved(0.25, 0)
     assert moved.x_left == 0.25 and moved.y_left == 0.0
     assert moved.frame_y is state.frame_y
     # the represented function is unchanged where both frames resolve it
@@ -1767,13 +1833,13 @@ def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):
         evolved.append(evolve(state, t, dt))
         return evolved[-1]
 
-    def recorded_move(view, e, e0, cfg):
-        moves.append((len(evolved), view.axis, view.state, e0))
-        return moving_distance(view, e, e0, cfg)
+    def recorded_move(state, axis, e, e0, cfg):
+        moves.append((len(evolved), axis, state, e0))
+        return moving_distance(state, axis, e, e0, cfg)
 
-    def recorded_ladder(view, f, f0, cfg):
-        result = scaling_ladder(view, f, f0, cfg)
-        ladders.append((len(evolved), view.axis, view.state, result[0].state, result[2]))
+    def recorded_ladder(state, axis, f, f0, cfg):
+        result = scaling_ladder(state, axis, f, f0, cfg)
+        ladders.append((len(evolved), axis, state, result[0], result[2]))
         return result
 
     monkeypatch.setattr(adapt, "_moving_distance", recorded_move)
@@ -1794,7 +1860,7 @@ def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):
         assert ladder_y[2] is ladder_x[3]
     # every step compares against the e0 of the initial state, also after
     # steps where an axis's ladder accepted after its mover had fired
-    e0 = (state.exterior_x(state.split_x()), state.exterior_y(state.split_y()))
+    e0 = (state.exterior(state.split_point(0), 0), state.exterior(state.split_point(1), 1))
     assert all(e == e0[axis] for _, axis, _, e in moves)
     lefts = ([r.x_left for r in records], [r.extras["yL"] for r in records])
     for axis in (0, 1):

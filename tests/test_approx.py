@@ -221,15 +221,15 @@ def test_separable_2d_coefficients_are_outer_product():
     fx, fy = state.frame_x, state.frame_y
     cx = fx.tomodal @ g(fx.nodes)
     cy = fy.tomodal @ h(fy.nodes)
-    np.testing.assert_allclose(state.coefficients(), np.outer(cx, cy), rtol=1e-11, atol=1e-11)
+    np.testing.assert_allclose(state._coeffs, np.outer(cx, cy), rtol=1e-11, atol=1e-11)
 
 
 def test_rescale_2d_identity_and_commutation():
     state = frame_state_2d_from(bump_2d, 10, 2.0, 10, 1.0)
-    same = state.rescaled_x(2.0)
+    same = state.rescaled(2.0, 0)
     np.testing.assert_allclose(same.values, state.values, rtol=1e-11, atol=1e-11)
-    a = state.rescaled_x(1.4).rescaled_y(0.8)
-    b = state.rescaled_y(0.8).rescaled_x(1.4)
+    a = state.rescaled(1.4, 0).rescaled(0.8, 1)
+    b = state.rescaled(0.8, 1).rescaled(1.4, 0)
     assert (a.frame_x.beta, a.frame_y.beta) == (b.frame_x.beta, b.frame_y.beta) == (1.4, 0.8)
     np.testing.assert_allclose(a.values, b.values, rtol=1e-10, atol=1e-10)
 
@@ -242,9 +242,9 @@ def test_2d_bump_relative_error_below_1e9():
 def test_move_2d_translates_left_endpoints():
     f = separable(lambda x: np.exp(-x), lambda y: np.exp(-0.5 * y))
     state = frame_state_2d_from(f, 24, 1.0, 24, 1.0)
-    moved = state.moved_x(0.5).moved_y(0.25)
+    moved = state.moved(0.5, 0).moved(0.25, 1)
     assert moved.x_left == 0.5 and moved.y_left == 0.25
-    grid = np.meshgrid(moved.nodes_x(), moved.nodes_y(), indexing="ij")
+    grid = np.meshgrid(moved.nodes(0), moved.nodes(1), indexing="ij")
     np.testing.assert_allclose(moved.values, f(*grid), rtol=1e-7, atol=1e-7)
 
 
@@ -254,18 +254,19 @@ def test_marginal_x_separable_oracle():
     f = separable(lambda x: np.exp(-0.3 * x), lambda y: np.exp(-0.4 * y))
     state = frame_state_2d_from(f, 150, 1.0, 150, 1.0)
     np.testing.assert_allclose(
-        state.marginal_x_values(), 2.5 * np.exp(-0.3 * state.nodes_x()), rtol=1e-12, atol=0
+        state.marginal(0).values / state.frame_y.beta, 2.5 * np.exp(-0.3 * state.nodes(0)), rtol=1e-12, atol=0
     )
     # a zero state marginalizes to zero
     zero = FrameState2D(Frame(16, 1.0), Frame(8, 1.0), np.zeros((17, 9)))
-    assert np.max(np.abs(zero.marginal_x_values())) == 0.0
+    assert np.max(np.abs(zero.marginal(0).values)) == 0.0
 
 
 def test_marginal_y_proportionality_constant_is_the_x_integral():
     h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
     # the integral of e^{-2x} over (0, inf) is 1/2
     state = frame_state_2d_from(separable(lambda x: np.exp(-2.0 * x), h), 9, 1.0, 14, 1.3)
-    np.testing.assert_allclose(state.marginal_y_values(), 0.5 * h(state.nodes_y()), rtol=1e-8, atol=1e-8)
+    marginal = state.marginal(1).values / state.frame_x.beta
+    np.testing.assert_allclose(marginal, 0.5 * h(state.nodes(1)), rtol=1e-8, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +287,14 @@ def test_validation_errors():
     state_2d = FrameState2D(Frame(4, 1.0), Frame(5, 1.0), np.ones((5, 6)))
     memo = list(state.frame._unit.psi_at)
     for distance in (-0.5, -0.001, math.nan, math.inf):
-        for move in (state.moved, state_2d.moved_x, state_2d.moved_y):
+        for move in (state.moved, state_2d.moved, lambda d: state_2d.moved(d, 1)):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 move(distance)
     assert list(state.frame._unit.psi_at) == memo
     hermite = FrameState(Frame(4, 1.0, HERMITE), np.ones(5))
     hermite_2d = FrameState2D(Frame(4, 1.0, HERMITE), Frame(5, 1.0), np.ones((5, 6)))
-    for move in (hermite.moved, hermite_2d.moved_x):
+    for move in (hermite.moved, hermite_2d.moved):
         for distance in (0.0, 1.0):
             with pytest.raises(ValueError, match="Laguerre"):
                 move(distance)
-    assert hermite_2d.moved_y(0.5).y_left == 0.5
+    assert hermite_2d.moved(0.5, 1).y_left == 0.5

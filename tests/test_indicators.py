@@ -266,30 +266,30 @@ def test_frequency_2d_separable_factorization():
     h = lambda y: np.exp(-0.3 * y) * np.cos(y)
     state = frame_state_2d_from(separable(g, h), 12, 1.0, 10, 1.5)
     fx, fy = state.frame_x, state.frame_y
-    assert state.frequency_x() == pytest.approx(FrameState(fx, g(fx.nodes)).frequency(), abs=1e-12)
-    assert state.frequency_y() == pytest.approx(FrameState(fy, h(fy.nodes)).frequency(), abs=1e-12)
+    assert state.frequency(0) == pytest.approx(FrameState(fx, g(fx.nodes)).frequency(), abs=1e-12)
+    assert state.frequency(1) == pytest.approx(FrameState(fy, h(fy.nodes)).frequency(), abs=1e-12)
 
 
 def test_frequency_2d_zero_tail_and_undefined():
     fx = fy = Frame(9, 1.0)
     zero = FrameState2D(fx, fy, np.zeros((10, 10)))
-    assert zero.frequency_x() is None and zero.frequency_y() is None
-    assert zero.exterior_x(zero.split_x()) is None
+    assert zero.frequency(0) is None and zero.frequency(1) is None
+    assert zero.exterior(zero.split_point(0), 0) is None
     coeffs = np.zeros((10, 10))
     coeffs[:7, :] = 1.0  # x-high-mode count for N=9 is 3: rows 7..9 empty
     psi = fx.psi_at(0.0)
     state = FrameState2D(fx, fy, psi.T @ coeffs @ psi)
-    assert state.frequency_x() == pytest.approx(0.0, abs=1e-12)
-    assert state.frequency_y() > 0.1
+    assert state.frequency(0) == pytest.approx(0.0, abs=1e-12)
+    assert state.frequency(1) > 0.1
 
 
 def test_exterior_2d_separable_oracle():
     g = lambda x: front(x, center=4.0, width=1.0)
     state = frame_state_2d_from(separable(g, lambda y: np.exp(-y)), 16, 1.0, 8, 1.0)
     direct = FrameState(state.frame_x, g(state.frame_x.nodes))
-    split = state.split_x()
+    split = state.split_point(0)
     assert split == direct.split_point()
-    assert state.exterior_x(split) == pytest.approx(direct.exterior(split), abs=1e-8)
+    assert state.exterior(split, 0) == pytest.approx(direct.exterior(split), abs=1e-8)
 
 
 def test_exterior_2d_detects_outward_drift():
@@ -299,5 +299,5 @@ def test_exterior_2d_detects_outward_drift():
     for center in (2.0, 8.0):
         f = separable(lambda x: np.exp(-x), lambda y, c=center: front(y, c, 0.8))
         state = frame_state_2d_from(f, 16, 1.0, 16, 1.0)
-        values.append(state.exterior_y(state.split_y()))
+        values.append(state.exterior(state.split_point(1), 1))
     assert values[1] > 10.0 * values[0]

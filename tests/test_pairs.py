@@ -75,18 +75,22 @@ OUTCOME = {"final_beta": 2.5, "final_x_left": 4.768, "moves": 999, "cap_hits": 0
 WORKLOADS = [{"name": "front-move"}, {"name": "bump-2d"}]
 
 
-def _checkout(root: Path, result: dict, outcome=OUTCOME, max_error=2.5e-14) -> Path:
+def _checkout(root: Path, result: dict, outcome=OUTCOME, max_error=2.5e-14, traced=None) -> Path:
     """A stand-in checkout whose benchmark prints a detail line with ``outcome`` and ``max_error``, then ``result``.
 
-    Each run appends its ``--workload`` to the checkout's ``runs.txt``.
+    A run with ``--trace 1`` prints ``traced`` (default ``result``) as its
+    result.  Each run appends its ``--workload`` to the checkout's
+    ``runs.txt``, followed by " traced" for a traced run.
     """
     detail = json.dumps({"workload": "front-move", "outcome": outcome, "max_error": max_error})
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
         "import sys\n"
+        "traced = '--trace' in sys.argv and sys.argv[sys.argv.index('--trace') + 1] == '1'\n"
         "with open('runs.txt', 'a') as log:\n"
-        "    log.write(sys.argv[sys.argv.index('--workload') + 1] + '\\n')\n"
-        f"print('metric lines')\nprint({json.dumps(detail)})\nprint({json.dumps(json.dumps(result))})\n"
+        "    log.write(sys.argv[sys.argv.index('--workload') + 1] + (' traced' if traced else '') + '\\n')\n"
+        f"print('metric lines')\nprint({json.dumps(detail)})\n"
+        f"print({json.dumps(json.dumps(traced or result))} if traced else {json.dumps(json.dumps(result))})\n"
     )
     (root / "BENCHMARK.json").write_text(json.dumps({"workloads": WORKLOADS, "end_to_end": END_TO_END}))
     return root
@@ -105,12 +109,14 @@ def test_pairs_run_every_workload_in_turn(tmp_path, capsys):
     assert out.count("change: 0 of 20 operations failed") == 2
     # each side's median accuracy sits under the decisions line
     assert out.count("decisions: equal on 2 of 2 seeds\nmax_error median: base 2.5e-14, change 2.5e-14\n") == 2
+    # each workload's pairs are followed by one traced run per side
+    runs = ["front-move"] * 2 + ["front-move traced"] + ["bump-2d"] * 2 + ["bump-2d traced"]
     for checkout in (base, change):
-        assert (checkout / "runs.txt").read_text().split() == ["front-move"] * 2 + ["bump-2d"] * 2
+        assert (checkout / "runs.txt").read_text().splitlines() == runs
     # a single workload runs alone
     (change / "runs.txt").unlink()
     assert pairs.main(argv + ["--workload", "bump-2d"]) == 0
-    assert (change / "runs.txt").read_text().split() == ["bump-2d"] * 2
+    assert (change / "runs.txt").read_text().splitlines() == ["bump-2d"] * 2 + ["bump-2d traced"]
     assert capsys.readouterr().out.count("alternating pairs") == 1
 
 
@@ -162,3 +168,40 @@ def test_decisions_compare_each_pair_and_flag_a_missing_outcome():
     change = side(OUTCOME, dict(OUTCOME, moves=998), lacking, None)
     assert pairs.decisions(base, change) == (1, ["cap_hits", "moves", "outcome"])
     assert pairs.decisions(side(None), side(None)) == (0, ["outcome"])
+
+
+def _traced(**metrics) -> dict:
+    """A traced result line: each metric a (value, unit) pair."""
+    return {"correct": True, "attempted": 10, "failed": 0,
+            "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}}
+
+
+def test_pairs_report_traced_counts_without_failing(tmp_path, capsys):
+    counts = {"adapt.moved.calls": (999, "count"), "adapt.Frame.builds": (1, "count"), "adapt.moved.self_ms": (5.0, "ms")}
+    base = _checkout(tmp_path / "base", _result(steps_per_s=100.0, step_ms_p50=0.5), traced=_traced(**counts))
+    # self times differ on every run; only counts are compared
+    same = _checkout(tmp_path / "same", _result(steps_per_s=100.0, step_ms_p50=0.5),
+                     traced=_traced(**dict(counts, **{"adapt.moved.self_ms": (4.0, "ms")})))
+    more = _checkout(tmp_path / "more", _result(steps_per_s=100.0, step_ms_p50=0.5),
+                     traced=_traced(**dict(counts, **{"adapt.moved.calls": (1000, "count"), "adapt.extra.calls": (1, "count")})))
+    argv = ["--base", str(base), "--workload", "front-move", "--pairs", "2", "--seconds", "1", "--seed", "7"]
+    assert pairs.main(argv + ["--change", str(same)]) == 0
+    out = capsys.readouterr().out
+    assert "max_error median: base 2.5e-14, change 2.5e-14\ntraced counts (seed 7): equal in all 2 count metrics\n" in out
+    assert pairs.main(argv + ["--change", str(more)]) == 0
+    assert "traced counts (seed 7): 2 of 3 count metrics differ: adapt.extra.calls, adapt.moved.calls\n" in capsys.readouterr().out
+    # each side ran its traced run once, at the first seed, after its pairs
+    assert (more / "runs.txt").read_text().splitlines() == ["front-move"] * 2 + ["front-move traced"]
+    # result lines with no count metric say so
+    plain = _checkout(tmp_path / "plain", _result(steps_per_s=100.0, step_ms_p50=0.5))
+    assert pairs.main(["--base", str(plain), "--change", str(plain)] + argv[2:]) == 0
+    assert "traced counts (seed 7): no count metrics\n" in capsys.readouterr().out
+
+
+def test_traced_counts_compare_only_count_metrics():
+    base = _traced(a=(1, "count"), b=(2, "count"), c=(3.0, "ms"))
+    assert pairs.traced_counts(base, base) == (["a", "b"], [])
+    change = _traced(a=(1, "count"), b=(3, "count"), c=(4.0, "ms"))
+    assert pairs.traced_counts(base, change) == (["a", "b"], ["b"])
+    lacking = _traced(a=(1, "count"), c=(3.0, "ms"))
+    assert pairs.traced_counts(base, lacking) == (["a", "b"], ["b"])

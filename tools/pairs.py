@@ -31,7 +31,11 @@ which keys differ.  A difference is reported, not failed: a change may mean
 to move decisions, and one that does not will show it here before its
 timings do.  Under that line it prints each side's median ``max_error``
 (the detail line's largest recorded error), so that no speed is bought
-with accuracy unseen.
+with accuracy unseen.  Last, it runs the workload once traced on each side
+(``--trace 1 --seconds 1``, the first seed) and prints whether every
+count-unit metric of the two traced runs is equal, naming those that
+differ: call counts, values, builds, moves.  These are reported, not
+failed, like the decisions.
 
 It exits non-zero when any run fails or reports ``"correct": false``.
 Standard library only.
@@ -48,8 +52,8 @@ import sys
 from pathlib import Path
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """One run of ``checkout``'s benchmark; its result line, or RuntimeError.
+def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool, trace: bool = False) -> dict:
+    """One run of ``checkout``'s benchmark, traced when ``trace``; its result line, or RuntimeError.
 
     The result carries the detail line's ``outcome`` and ``max_error``
     under those keys (None when the line before the result is not a JSON
@@ -59,6 +63,8 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool)
                "--seconds", str(seconds)]
     if smoke:
         command.append("--smoke")
+    if trace:
+        command += ["--trace", "1"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=seconds + 300)
@@ -141,8 +147,22 @@ def median_error(results: list) -> str:
     return f"{statistics.median(errors):.6g}" if errors else "none"
 
 
+def traced_counts(base: dict, change: dict) -> tuple:
+    """(count-unit metric names of two traced result lines, those whose values differ).
+
+    A metric that one side lacks differs.
+    """
+    metrics = base["metrics"], change["metrics"]
+    names = sorted({name for side in metrics for name, metric in side.items() if metric.get("unit") == "count"})
+    differ = [name for name in names if metrics[0].get(name) != metrics[1].get(name)]
+    return names, differ
+
+
 def run_pairs(args, workload: str) -> dict:
-    """``args.pairs`` alternating pairs of ``workload``: the result lines per side."""
+    """``args.pairs`` alternating pairs of ``workload``, then one traced run per side.
+
+    Returns the result lines per side, and the traced ones under ``traced``.
+    """
     results = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -151,11 +171,13 @@ def run_pairs(args, workload: str) -> dict:
             results[side].append(bench(checkout, workload, args.seed + i, args.seconds, args.smoke))
         print(f"{workload}: pair {i + 1}/{args.pairs} (seed {args.seed + i}, {order[0]} first) done",
               file=sys.stderr)
+    results["traced"] = [bench(checkout, workload, args.seed, 1.0, args.smoke, trace=True)
+                         for checkout in (args.base, args.change)]
     return results
 
 
 def report(workload: str, results: dict, args, end_to_end: list) -> None:
-    """Print one workload's table, its decisions and accuracy lines and each side's failed operations."""
+    """Print one workload's table, its decisions, accuracy and traced-count lines and each side's failed operations."""
     print(f"{workload}: {args.pairs} alternating pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':<12} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34} {'shift':>8} {'wins':>6}"
           f"  {'verdict (bound)':<20}")
@@ -167,6 +189,14 @@ def report(workload: str, results: dict, args, end_to_end: list) -> None:
     equal, keys = decisions(results["base"], results["change"])
     print(f"decisions: equal on {equal} of {args.pairs} seeds" + (f"; differ in {', '.join(keys)}" if keys else ""))
     print(f"max_error median: base {median_error(results['base'])}, change {median_error(results['change'])}")
+    names, differ = traced_counts(*results["traced"])
+    if not names:
+        counts = "no count metrics"
+    elif differ:
+        counts = f"{len(differ)} of {len(names)} count metrics differ: {', '.join(differ)}"
+    else:
+        counts = f"equal in all {len(names)} count metrics"
+    print(f"traced counts (seed {args.seed}): {counts}")
     for side in ("base", "change"):
         attempted = sum(r["attempted"] for r in results[side])
         failed = sum(r["failed"] for r in results[side])
