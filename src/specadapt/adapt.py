@@ -24,12 +24,13 @@ time, as the paper applies them to each dimension.  :func:`run_frames` and
 :func:`run_2d` are the same loop; :class:`FrameState2D` only adds the
 two-axis constructor and per-axis names.  As in the paper, beta only
 places the nodes, and the indicators are defined by the numerical
-solution alone.  A frame holds its order's operators, built
-once in the unit variable y = beta*(x - x_left), plus the three things
-beta changes: the node positions, the refined-node positions and the
-split point.  A state computes every reading from its own coefficients
-and the unit operators, so the same unit-variable values read alike at
-every beta.  The basis functions carry their own decay: the damped
+solution alone.  A frame holds only the three things beta changes: the
+node positions, the refined-node positions and the split point.  Its
+order's operators are built once in the unit variable
+y = beta*(x - x_left) (:class:`_UnitFrame`).  A state computes every
+reading from its own coefficients and its orders' unit operators, so the
+same unit-variable values read alike at every beta.  The basis functions
+carry their own decay: the damped
 Laguerre functions exp(-y/2) L_l(y) on the half-line, or the Hermite
 functions h_l(y) on the line.  Reconstructing values (or 2-d marginals)
 from raw polynomial coefficients amplifies roundoff like exp(y_max/2),
@@ -38,23 +39,25 @@ no sentinel point: its exterior indicator is None, the mover never fires,
 and only the scaling controller acts (the time-dependent Hermite scaling
 of Ma, Sun & Tang, SINUM 43, 2005).
 
-The frame engine memoizes at two lifetimes.  Each order builds its
-operators once, from one recurrence pass of its basis at its nodes, its
-refined nodes and (Laguerre only) its nodes shifted by its split point,
-which also gives the weights of its two Gauss rules, and every
-:class:`Frame` of that order and family shares them.  A
-Laguerre order also builds from it, on its first exterior reading, one
-stacked operator holding its weighted basis derivative at shift 0 and at
-its split point, so a state's whole exterior set-up is one matrix-vector
-product.  The order keeps, in three least-recently-used memos of fixed
-size, its basis at shifted and at rescaled nodes and (Laguerre only) its
-weighted basis derivative at the mover's shifted sentinels.  A miss at
-rescaled nodes evaluates the basis.  A miss at shifted nodes evaluates
-nothing: the Laguerre addition theorem shifts a basis the order stores,
-at its nodes or at its split point, by one product with a Toeplitz matrix
-(:func:`_shift`).  Such misses follow each accepted rung, which changes
-the unit shifts of the next move and of its search.  A state keeps what
-it derives from its own values (the coefficients, the exterior
+The frame engine caches at two lifetimes.  Every operator of an order
+is an entry of the library's one least-recently-used store, under one
+byte budget (:func:`~.basis._stored`), and an evicted entry is rebuilt
+with the same bits.  An order builds its unit operators from one
+recurrence pass of its basis at its nodes, its refined nodes and
+(Laguerre only) its nodes shifted by its split point, which also gives
+the weights of its two Gauss rules and a stacked operator holding its
+weighted basis derivative at shift 0 and at its split point, so a
+state's whole exterior set-up is one matrix-vector product.  Its basis
+at shifted and at rescaled nodes and (Laguerre only) its weighted basis
+derivative at the mover's shifted sentinels are entries of their own.
+A miss at rescaled nodes evaluates the basis.  A miss at shifted nodes
+evaluates nothing: the Laguerre addition theorem shifts a basis the
+order stores, at its nodes or at its split point, by one product with a
+Toeplitz matrix (:func:`_shift`).  Such misses follow each accepted
+rung, which changes the unit shifts of the next move and of its search.
+A state built from values looks its orders' unit operators up once and
+passes them to every state it derives.  A state keeps what it derives
+from its own values (the coefficients, the exterior
 indicator's whole-domain derivative norm, in 2-d the marginals) and its
 readings (the frequency indicator of every axis, and the exterior
 indicator at its own split point, in 2-d on each marginal) for as long as
@@ -79,7 +82,6 @@ import math
 import os
 import tempfile
 from dataclasses import FrozenInstanceError, dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -90,6 +92,7 @@ from .basis import (
     LAGUERRE,
     ScaledBasis,
     _checked_order,
+    _stored,
     _unit_nodes,
     _unit_pass,
     eval_weighted_all,
@@ -284,12 +287,12 @@ def _scaling_ladder(state, axis: int, f, f0, cfg: AdaptConfig):
     """One scaling decision along ``axis`` of an evolved state.
 
     Returns ``(state, f0, accepted)``.  When ``f > nu*max(f0, floor)`` (the
-    frame's ``frequency_floor``, read only once ``f > nu*f0``), candidate factors
+    order's ``frequency_floor``, read only once ``f > nu*f0``), candidate factors
     ``q*beta, q^2*beta, ...`` are accepted while each keeps the frequency
     indicator from rising and stays at or above ``beta_min``; ``f0`` is refreshed
     only on acceptance, so a fruitless trigger re-fires on the next step.
     """
-    if f is None or f0 is None or not f > cfg.nu * f0 or not f > cfg.nu * state.frames[axis].frequency_floor:
+    if f is None or f0 is None or not f > cfg.nu * f0 or not f > cfg.nu * state.units[axis].frequency_floor:
         return state, f0, 0
     accepted = 0
     while True:
@@ -455,15 +458,6 @@ def initial_state(expansion: Expansion, cfg: AdaptConfig) -> AdaptState:
 # --------------------------------------------------------------------------
 
 
-# Entries per memo of one order.  A 2-d step with one order on both axes
-# reads up to 40 derivative shifts (per axis a 20-candidate search; 0 and
-# the split are in the order's stacked pair, not in the memo), 3 basis
-# shifts (0, per axis a move) and per axis its ladder's ratios.  A miss of
-# a shifted memo is one Toeplitz product on a stored basis (:func:`_shift`),
-# a miss of the rescaled memo one basis evaluation.
-_MEMO_SIZE = 64
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -488,17 +482,6 @@ class _memoized:
             return self
         value = instance.__dict__[self.name] = self.compute(instance)
         return value
-
-
-def _memo(cache: dict, key: float, evaluate) -> np.ndarray:
-    """``cache[key]``, or ``evaluate(key)`` on a miss; least recently used out first."""
-    psi = cache.pop(key, None)
-    if psi is None:
-        psi = _read_only(evaluate(key))
-    cache[key] = psi
-    if len(cache) > _MEMO_SIZE:
-        del cache[next(iter(cache))]
-    return psi
 
 
 # The longest unit shift that :func:`_shift` applies in one product.
@@ -547,15 +530,19 @@ class _UnitFrame:
 
     A frame at beta has nodes y/beta and psi_l(beta*x) = psi_l(y), so its
     transform, its refined psi and beta*split are those of this object;
-    every psi_l has norm 1 in y.  It owns the memos.  The build runs one
-    recurrence pass (:func:`~.basis._unit_pass`): it evaluates the basis at
-    the nodes (``psi``), the refined nodes (``psi_refined``) and, Laguerre
-    only, the nodes shifted by s* = round(split, 12) (``psi_split``, the
-    base of the pair's G(s*) and of :meth:`dpsi_shifted` from s* on), and
-    puts the order's Gauss rule and the refined one, where not cached yet,
-    into the rule cache that :func:`~.basis.quadrature` reads.  A Laguerre
-    order builds :attr:`pair` on its first exterior reading; a Hermite
-    order has no split, no ``psi_split``, no pair and no derivative memo.
+    every psi_l has norm 1 in y.  The build runs one recurrence pass
+    (:func:`~.basis._unit_pass`): it evaluates the basis at the nodes
+    (``psi``), the refined nodes (``psi_refined``) and, Laguerre only, the
+    nodes shifted by s* = round(split, 12) (``psi_split``, the base of
+    :meth:`dpsi_shifted` from s* on), and stores the order's Gauss rule and
+    the refined one, where not stored yet, for :func:`~.basis.quadrature`.
+    A Laguerre order also builds ``pair`` from that pass, G at shift 0
+    stacked on G at s*, (2(N+1), N+1), with no further evaluation.  A
+    Hermite order has no split, no ``psi_split``, no pair (None) and no
+    derivative entries.  The order's entries at shifted and rescaled nodes
+    are kept in the store beside it (:meth:`psi_at`, :meth:`psi_on`,
+    :meth:`dpsi_at`), keyed in the unit variable, so every ladder rung
+    shares the entry of the ratio 1/q.
     """
 
     def __init__(self, order: int, family: str):
@@ -564,37 +551,21 @@ class _UnitFrame:
         if family == LAGUERRE and 0.5 * nodes[-1] > _LOG_TINY:
             raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
         self.split = default_split_point(order, nodes) if family == LAGUERRE else None
-        # one pass: the evaluations, and both rules into the rule cache
+        # one pass: the evaluations, and both rules into the store
         shift = None if self.split is None else round(self.split, 12)
-        psi, psi_refined, psi_split = _unit_pass(family, order, nodes, shift)
+        self.psi, self.psi_refined, self.psi_split = _unit_pass(family, order, nodes, shift)
         rule, refined = quadrature(basis), quadrature(replace(basis, order=2 * order + 1))
         self.nodes, self.weights = rule.nodes, rule.weights
         self.mod_weights = modified_weights(rule)
         self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
-        self.psi = psi = _read_only(psi)
-        self.psi_refined = _read_only(psi_refined)
-        self.psi_split = None if psi_split is None else _read_only(psi_split)
-        self.tomodal = _read_only(psi * self.mod_weights)
-        self.psi_at: dict = {0.0: psi}  # keyed by beta*shift
-        self.psi_on: dict = {}  # keyed by beta/beta'
-        self.dpsi_at: dict = {}  # keyed by beta*shift, Laguerre only
-
-    @_memoized
-    def pair(self) -> np.ndarray:
-        """G at shift 0 stacked on G at s* = round(split, 12), (2(N+1), N+1), read-only.
-
-        Both halves come from the build's one pass, so building the
-        pair evaluates nothing.  Each half is written in place, with no
-        stacking copy; column-major, so each write is a contiguous row of
-        G's transpose.  A Hermite order raises.
-        """
-        if self.split is None:
-            raise ValueError("only a Laguerre frame has an exterior indicator")
-        n = self.nodes.size
-        pair = np.empty((2 * n, n), order="F")
-        self.dpsi(self.psi.copy(), out=pair[:n])
-        self.dpsi(self.psi_split.copy(), out=pair[n:])
-        return _read_only(pair)
+        self.tomodal = self.psi * self.mod_weights
+        # written in place, column-major, so each write is a contiguous row
+        # of G's transpose; dpsi overwrites its input, hence the copies
+        self.pair = None
+        if shift is not None:
+            self.pair = pair = np.empty((2 * order + 2, order + 1), order="F")
+            self.dpsi(self.psi.copy(), out=pair[: order + 1])
+            self.dpsi(self.psi_split.copy(), out=pair[order + 1 :])
 
     @_memoized
     def frequency_floor(self) -> float:
@@ -603,12 +574,59 @@ class _UnitFrame:
         squares = (self.tomodal @ self.psi[: n - m].T) ** 2
         return float(np.sqrt(squares[n - m :].sum(axis=0) / squares.sum(axis=0)).max())
 
+    def psi_at(self, frame: "Frame", shift: float) -> np.ndarray:
+        """The damped functions at the nodes of ``frame``, of this order, shifted by ``shift``, (N+1, N+1).
+
+        That is psi at y + beta*shift.  It is stored under
+        ``round(beta*shift, 12)``, and a miss shifts the order's psi at the
+        nodes by that key (:func:`_shift`), with no basis evaluation.  So
+        offsets that differ only by the rounding of origin arithmetic share
+        one entry, whose value does not depend on which came first.  A
+        Hermite order and a negative key raise.
+        """
+        if self.split is None:
+            raise ValueError("only a Laguerre frame has a shifted basis")
+        key = round(frame.beta * float(shift), 12)
+        return _stored(("psi_at", LAGUERRE, self.basis.order, key), _shift, self.psi, key)
+
+    def psi_on(self, frame: "Frame", target: "Frame") -> np.ndarray:
+        """The damped functions at the nodes of ``target``, read from ``frame`` (same origin).
+
+        That is psi at y*beta/beta'.  It is stored under
+        ``round(beta/beta', 12)`` and a miss evaluates the basis there.  A
+        target of another order or family than this one raises.
+        """
+        if (target.order, target.family) != (self.basis.order, self.basis.family):
+            raise ValueError(
+                f"psi_on needs a frame of the same order and family: got {target.family} order "
+                f"{target.order} for {self.basis.family} order {self.basis.order}"
+            )
+        key = round(frame.beta / target.beta, 12)
+        return _stored(("psi_on", self.basis.family, self.basis.order, key), _UnitFrame.psi_rescaled, self, key)
+
+    def psi_rescaled(self, ratio: float) -> np.ndarray:
+        """The damped functions at the nodes times ``ratio``, evaluated."""
+        return eval_weighted_all(self.basis, self.nodes * ratio)
+
+    def dpsi_at(self, frame: "Frame", shift: float) -> np.ndarray:
+        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) at y_k + beta*shift, (N+1, N+1).
+
+        With w the unit weights and d/dy L_l = -sum_{j<l} L_j, the
+        derivative of sum_l c_l psi_l there is -beta*(G c)_k/sqrt(w_k).
+        Stored and keyed as :meth:`psi_at`; a miss is
+        :meth:`dpsi_shifted`.  A Hermite order and a negative key raise.
+        """
+        if self.split is None:
+            raise ValueError("only a Laguerre frame has a derivative memo")
+        key = round(frame.beta * float(shift), 12)
+        return _stored(("dpsi_at", LAGUERRE, self.basis.order, key), _UnitFrame.dpsi_shifted, self, key)
+
     def dpsi_shifted(self, s: float) -> np.ndarray:
         """G at the nodes shifted by ``s``, from the nearest stored base at or left of s.
 
-        That base is :attr:`psi_split` from s* on, so the mover's candidates
+        That base is ``psi_split`` from s* on, so the mover's candidates
         s* + beta*n*delta each take one short :func:`_shift`, and
-        :attr:`psi` before it.  No basis evaluation.
+        ``psi`` before it.  No basis evaluation.
         """
         split = round(self.split, 12)
         psi = _shift(self.psi_split, s - split) if s >= split else _shift(self.psi, s)
@@ -626,40 +644,24 @@ class _UnitFrame:
         return g.T
 
 
-@lru_cache(maxsize=None)
 def _unit_frame(order: int, family: str) -> _UnitFrame:
-    """The one unit frame of ``order`` and ``family``; orders past the ceiling raise, uncached."""
-    return _UnitFrame(order, family)
+    """The unit frame of ``order`` and ``family`` from the store; orders past the ceiling raise and store nothing."""
+    return _stored(("unit", family, order), _UnitFrame, order, family)
 
 
 class Frame:
-    """The nodes of one (order, beta, family) frame over its order's unit operators.
+    """The nodes of one (order, beta, family) frame.
 
     beta only places the nodes: a frame holds its Gauss nodes as offsets
     from the basis origin, the nodes of the doubled-order rule its error is
-    read on, and its split point (``split_rel``; None for Hermite).  All
-    else is the order's, built once in the unit variable y = beta*x and
-    shared by every beta: the weights, the nodal-to-modal transform
-    ``tomodal`` and the refined psi, from one recurrence pass per order
-    (:class:`_UnitFrame`), and the memos.  The functions are the
-    damped Laguerre psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the
-    default) or the Hermite h_l(y) (HERMITE, ``hermite_basis`` without its
-    factor sqrt(beta)), O(1)-safe in float64.  States read in y (see
-    :class:`FrameState`).  Instances are shared per (order, beta, family)
-    and cost O(N).
-
-    Three evaluations are memoized per order, each in a least-recently-used
-    memo of ``_MEMO_SIZE`` (N+1)^2 matrices: the damped functions at
-    shifted nodes (:meth:`psi_at`, used by moves) and at another frame's
-    nodes (:meth:`psi_on`, used by rescales), and their weighted derivative
-    at shifted nodes (:meth:`dpsi_at`, used by the mover's search).  All
-    are keyed in the unit variable, so every ladder rung shares the entry
-    of the ratio 1/q.  A :meth:`psi_on` miss evaluates the basis; a miss
-    at shifted nodes (Laguerre only) shifts a basis the order stores by the
-    addition theorem, one (N+1)^3 product and no evaluation.  The
-    derivative at shift 0 and at the split, which every state reads, is
-    one stacked operator of the order instead, built on first use from the
-    order's one build pass and shared by every frame of the order.
+    read on, and its split point (``split_rel``; None for Hermite), O(N)
+    in all.  All else is its order's, built once in the unit variable
+    y = beta*x and shared by every beta (:class:`_UnitFrame`), and a state
+    carries it (see :class:`FrameState`).  The functions are the damped
+    Laguerre psi_l = exp(-y/2) L_l(y) (``family`` LAGUERRE, the default)
+    or the Hermite h_l(y) (HERMITE, ``hermite_basis`` without its factor
+    sqrt(beta)), O(1)-safe in float64.  Instances are shared per (order,
+    beta, family).
 
     The damping factor exp(-y/2) must stay a normal float64 at the frame's
     own nodes, y < 1416.8, so orders past 363 raise ValueError (shifted,
@@ -685,67 +687,13 @@ class Frame:
             raise ValueError("frame order must be at least 1")
         if not (math.isfinite(beta) and beta > 0.0):
             raise ValueError(f"scaling factor must be positive, got {beta}")
-        self._unit = unit = _unit_frame(order, family)
+        unit = _unit_frame(order, family)
         self.family = family
         self.order = order
         self.beta = beta
         self.nodes = _read_only(unit.nodes / beta)
-        self.tomodal = unit.tomodal
         self.split_rel = None if unit.split is None else unit.split / beta
         self.refined_nodes = _read_only(unit.refined_nodes / beta)
-
-    @property
-    def frequency_floor(self) -> float:
-        """The order's round-off floor of the frequency indicator, one for every beta, built on first read."""
-        return self._unit.frequency_floor
-
-    def psi_at(self, shift: float) -> np.ndarray:
-        """The damped functions at the nodes shifted by ``shift``, (N+1, N+1).
-
-        That is psi at y + beta*shift.  It is memoized per order under
-        ``round(beta*shift, 12)``, and a miss shifts the order's psi at the
-        nodes by that key (:func:`_shift`), with no basis evaluation.  So
-        offsets that differ only by the rounding of origin arithmetic share
-        one entry, whose value does not depend on which came first.  A
-        Hermite frame and a negative key raise.
-        """
-        unit = self._unit
-        if unit.split is None:
-            raise ValueError("only a Laguerre frame has a shifted basis")
-        key = round(self.beta * float(shift), 12)
-        return _memo(unit.psi_at, key, lambda s: _shift(unit.psi, s))
-
-    def psi_on(self, frame: "Frame") -> np.ndarray:
-        """The damped functions at the nodes of ``frame`` (same order and origin).
-
-        That is psi at y*beta/beta'.  It is memoized per order under
-        ``round(beta/beta', 12)`` and evaluated at that key.  A frame of
-        another order or family raises.
-        """
-        unit = self._unit
-        if frame._unit is not unit:
-            raise ValueError(
-                f"psi_on needs a frame of the same order and family: got {frame.family} order "
-                f"{frame.order} for {self.family} order {self.order}"
-            )
-        key = round(self.beta / frame.beta, 12)
-        return _memo(unit.psi_on, key, lambda r: eval_weighted_all(unit.basis, unit.nodes * r))
-
-    def dpsi_at(self, shift: float) -> np.ndarray:
-        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) at y_k + beta*shift, (N+1, N+1).
-
-        With w the unit weights and d/dy L_l = -sum_{j<l} L_j, the
-        derivative of sum_l c_l psi_l there is -beta*(G c)_k/sqrt(w_k).
-        Memoized and keyed as :meth:`psi_at`.  A miss shifts the order's
-        psi at the split s* when the key is at least s*, and its psi at the
-        nodes otherwise (:meth:`_UnitFrame.dpsi_shifted`).  A Hermite frame
-        and a negative key raise.
-        """
-        unit = self._unit
-        if unit.split is None:
-            raise ValueError("only a Laguerre frame has a derivative memo")
-        key = round(self.beta * float(shift), 12)
-        return _memo(unit.dpsi_at, key, unit.dpsi_shifted)
 
 
 def _high_mode_fraction(energy: np.ndarray, order: int, axis: int = 0) -> float | None:
@@ -823,7 +771,10 @@ class FrameState:
     Every reading comes from the state's coefficients and its orders' unit
     operators, so the same unit-variable values read alike at every beta;
     beta only places the points that a reference or an off-split exterior
-    reading needs.  The exterior indicator of an axis is that of its
+    reading needs.  The state carries those operators, ``units``, one
+    :class:`_UnitFrame` per axis: the constructor looks them up in the
+    store, and a moved or rescaled state and a marginal take them over, so
+    a step looks them up once and an evicted order lives on in its states.  The exterior indicator of an axis is that of its
     marginal, the values integrated over every other axis with its unit
     weights, a one-axis state (a one-axis state is its own).
 
@@ -857,19 +808,20 @@ class FrameState:
         for axis, left in enumerate(lefts):
             if not math.isfinite(left):
                 raise ValueError(f"the origin of axis {axis} must be finite, got {left}")
-        self._set(frames, values, lefts)
+        self._set(frames, values, lefts, tuple([_unit_frame(frame.order, frame.family) for frame in frames]))
 
-    def _set(self, frames: tuple, values: np.ndarray, lefts: tuple) -> None:
+    def _set(self, frames: tuple, values: np.ndarray, lefts: tuple, units: tuple) -> None:
         """Store checked fields; ``values`` is an array the state owns, made read-only here."""
         attributes = self.__dict__
-        attributes["frames"], attributes["lefts"], attributes["values"] = frames, lefts, _read_only(values)
+        attributes["frames"], attributes["lefts"], attributes["units"] = frames, lefts, units
+        attributes["values"] = _read_only(values)
         attributes["frame"], attributes["x_left"] = frames[0], lefts[0]
 
     @classmethod
-    def _of(cls, frames: tuple, values: np.ndarray, lefts: tuple) -> "FrameState":
+    def _of(cls, frames: tuple, values: np.ndarray, lefts: tuple, units: tuple) -> "FrameState":
         """A state on a fresh product of the library's own (a move, a rescale, a marginal): no check, no copy."""
         state = object.__new__(cls)
-        state._set(frames, values, lefts)
+        state._set(frames, values, lefts, units)
         return state
 
     def __setattr__(self, name, value):
@@ -880,9 +832,9 @@ class FrameState:
 
     @_memoized
     def _coeffs(self) -> np.ndarray:
-        coeffs = self.frame.tomodal @ self.values
-        for frame in self.frames[1:]:
-            coeffs = _apply(frame.tomodal, coeffs, 1)
+        coeffs = self.units[0].tomodal @ self.values
+        for unit in self.units[1:]:
+            coeffs = _apply(unit.tomodal, coeffs, 1)
         return _read_only(coeffs)
 
     @_memoized
@@ -897,7 +849,9 @@ class FrameState:
     @_memoized
     def _split_reading(self) -> tuple[float, float | None]:
         """(|G(0) c|, exp(-s*/2)*|G(s*) c|/|G(0) c|), s* = round(unit split, 12), of a one-axis state; Hermite raises."""
-        unit = self.frame._unit
+        unit = self.units[0]
+        if unit.pair is None:
+            raise ValueError("only a Laguerre frame has an exterior indicator")
         g = unit.pair @ self._coeffs
         whole, tail = g[: self.frame.order + 1], g[self.frame.order + 1 :]
         denominator = math.sqrt(whole.dot(whole))
@@ -928,8 +882,8 @@ class FrameState:
         marginals = self._marginals
         if marginals[axis] is None:
             other = 1 - axis
-            values = _apply(self.frames[other]._unit.mod_weights, self.values, other)
-            marginals[axis] = FrameState._of((self.frames[axis],), values, (self.lefts[axis],))
+            values = _apply(self.units[other].mod_weights, self.values, other)
+            marginals[axis] = FrameState._of((self.frames[axis],), values, (self.lefts[axis],), (self.units[axis],))
         return marginals[axis]
 
     def exterior(self, split: float | None, axis: int = 0) -> float | None:
@@ -949,7 +903,7 @@ class FrameState:
         if denominator <= 0.0:
             return None
         offset = split - self.x_left
-        g = self.frame.dpsi_at(offset) @ self._coeffs
+        g = self.units[0].dpsi_at(self.frame, offset) @ self._coeffs
         return math.exp(-0.5 * self.frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
 
     def moved(self, distance: float, axis: int = 0) -> "FrameState":
@@ -960,22 +914,22 @@ class FrameState:
         """
         frame = self.frames[axis]
         _check_move(frame, distance)
-        return self._resampled(axis, frame, frame.psi_at(distance), self.lefts[axis] + distance)
+        return self._resampled(axis, frame, self.units[axis].psi_at(frame, distance), self.lefts[axis] + distance)
 
     def rescaled(self, beta: float, axis: int = 0) -> "FrameState":
         """The state on the frame of ``axis`` with scaling factor ``beta``."""
         frame = self.frames[axis]
         new_frame = Frame(frame.order, beta, frame.family)
-        return self._resampled(axis, new_frame, frame.psi_on(new_frame), self.lefts[axis])
+        return self._resampled(axis, new_frame, self.units[axis].psi_on(frame, new_frame), self.lefts[axis])
 
     def _resampled(self, axis: int, frame: Frame, psi: np.ndarray, left: float) -> "FrameState":
         """The state with ``frame`` at ``left`` on ``axis``: that axis's coefficients against ``psi``."""
         if len(self.frames) == 1:  # the partial transform is the whole one, which the state keeps
-            return self._of((frame,), self._coeffs @ psi, (left,))
-        partial = _apply(self.frames[axis].tomodal, self.values, axis)
+            return self._of((frame,), self._coeffs @ psi, (left,), self.units)
+        partial = _apply(self.units[axis].tomodal, self.values, axis)
         frames, lefts = list(self.frames), list(self.lefts)
         frames[axis], lefts[axis] = frame, left
-        return self._of(tuple(frames), _apply(psi.T, partial, axis), tuple(lefts))
+        return self._of(tuple(frames), _apply(psi.T, partial, axis), tuple(lefts), self.units)
 
     def error(self, reference, t: float) -> float:
         """Weighted relative error against ``reference(*x, t)`` on the doubled-order grid.
@@ -986,15 +940,15 @@ class FrameState:
         ratio; a zero reference gives the absolute norm, in x.  ValueError
         if a sum is not finite.
         """
-        diff = self.frame._unit.psi_refined.T @ self._coeffs
-        for frame in self.frames[1:]:
-            diff = _apply(frame._unit.psi_refined.T, diff, 1)
+        diff = self.units[0].psi_refined.T @ self._coeffs
+        for unit in self.units[1:]:
+            diff = _apply(unit.psi_refined.T, diff, 1)
         points = [left + frame.refined_nodes for frame, left in zip(self.frames, self.lefts)]
         exact = _on_grid(reference, points, diff.shape, t, "refined-node grid")
         diff -= exact
         numerator, denominator = diff * diff, exact * exact
-        for frame in self.frames:
-            weights = frame._unit.refined_weights
+        for unit in self.units:
+            weights = unit.refined_weights
             numerator, denominator = weights @ numerator, weights @ denominator
         numerator, denominator = float(numerator), float(denominator)
         if not (math.isfinite(numerator) and math.isfinite(denominator)):
@@ -1073,14 +1027,16 @@ def frame_state_2d_from(
 
 
 def frame_resample_evolver_2d(reference) -> Callable:
-    """Tracking evolver for 2-d frame states: resample the reference on the node grid.
+    """Tracking evolver for two-axis frame states: resample the reference on the node grid.
 
-    ``reference`` is called on open grids (see :func:`run_2d`).
+    ``reference`` is called on open grids (see :func:`run_2d`).  The next
+    state is of the input's class, on its frames, origins and unit
+    operators, and holds a read-only copy of the samples.
     """
 
-    def evolve(state: FrameState2D, t: float, dt: float) -> FrameState2D:
+    def evolve(state: FrameState, t: float, dt: float) -> FrameState:
         values = _on_grid(reference, (state.nodes(0), state.nodes(1)), state.values.shape, t + dt, "grid")
-        return FrameState2D(state.frame_x, state.frame_y, values, state.x_left, state.y_left)
+        return state._of(state.frames, np.array(values, dtype=float), state.lefts, state.units)
 
     return evolve
 

@@ -25,8 +25,9 @@ recurrence, once over many columns: it gives a rule's Christoffel sums,
 every evaluation (:func:`eval_weighted_all`, :func:`eval_basis_all`), and
 for a frame of order N (:func:`_unit_pass`) both Gauss rules' sums and the
 basis at the nodes, the refined nodes and the split-shifted nodes in the
-same loop.  Unit rules are kept in a least-recently-used cache of 128,
-which such a pass also fills.
+same loop.  Every operator the library caches, these rules and the
+frames' operators of :mod:`specadapt.adapt` alike, is kept in one
+least-recently-used store under one byte budget (:func:`_stored`).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def eval_basis_all(basis: ScaledBasis, x) -> np.ndarray:
     """Evaluate all N+1 basis functions at x.
 
     Returns shape (N+1,) for scalar input and (N+1, len(x)) for 1-d input.
-    Laguerre evaluation requires ``x >= 0``.  Only the coefficient layer
+    Every point must be finite, and a Laguerre one ``>= 0``.  Only the coefficient layer
     (:mod:`specadapt.approx`, :mod:`specadapt.indicators`) reads these
     plain polynomials; the frames read :func:`eval_weighted_all`.
     """
@@ -161,11 +162,14 @@ def _evaluate(basis: ScaledBasis, x, damped: bool) -> np.ndarray:
 
     Laguerre columns start at :func:`_damped_start`, whose far columns are
     scaled back by 2^-128 at the end, or at 1; Hermite columns start at
-    h_0, and the result is scaled by sqrt(beta).
+    h_0, and the result is scaled by sqrt(beta).  A point x whose beta*x
+    is not finite raises ValueError.
     """
     scalar = np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     y = basis.beta * xa.ravel()
+    if not np.isfinite(y).all():
+        raise ValueError("basis evaluated at a non-finite point")
     if basis.family == HERMITE:
         first = _hermite_start(y)
     elif np.any(y < 0.0):
@@ -224,7 +228,7 @@ def quadrature(basis: ScaledBasis) -> QuadratureRule:
     """N+1-node Gauss rule for the basis's weighted measure.
 
     Unit-scale nodes/weights come from the Golub-Welsch eigenproblem and
-    are kept in a least-recently-used cache of 128 rules, which a frame
+    are kept in the library's one store (:func:`_stored`), which a frame
     build also fills (:func:`_unit_pass`).  Its eigenvalues come from
     LAPACK's O(n^2) dsterf on the Jacobi matrix's two diagonals, or, where
     numpy's LAPACK lacks dsterf, from a dense O(n^3) ``eigvalsh`` that ends
@@ -239,21 +243,46 @@ def quadrature(basis: ScaledBasis) -> QuadratureRule:
     return QuadratureRule(basis, unit_nodes / basis.beta, unit_weights * basis.beta ** -1.0)
 
 
-# Unit rules by (family, order), least recently used first; at most
-# _RULES_SIZE of them.
-_RULES_SIZE = 128
-_rules: dict = {}
+# The bytes of the arrays that the store may hold.
+_STORE_BYTES = 256 * 2**20
+
+# Every cached operator: key -> (value, bytes of its arrays), least
+# recently used first.  A key is (kind, family, order), plus a memo key
+# where one order keeps many entries of a kind.
+_store: dict = {}
+_store_bytes = 0
 
 
-def _keep_rule(key, rule) -> None:
-    """Store ``rule`` as the most recently used, dropping the least recently used past the bound."""
-    _rules[key] = rule
-    if len(_rules) > _RULES_SIZE:
-        del _rules[next(iter(_rules))]
+def _stored(key, build, *args):
+    """The value stored under ``key``, or ``build(*args)``, stored as the most recently used.
+
+    A hit moves the entry to the end; a miss makes the new value's arrays
+    read-only and then drops the least recently used entries, the new one
+    last, until the stored arrays take at most ``_STORE_BYTES``.  A failed
+    build stores nothing.  Every build is deterministic, so an evicted
+    entry is rebuilt with the same bits, and a caller that still holds
+    its value keeps it alive.
+    """
+    global _store_bytes
+    entry = _store.pop(key, None)
+    if entry is not None:
+        _store[key] = entry
+        return entry[0]
+    value = build(*args)
+    parts = (value,) if isinstance(value, np.ndarray) else value if isinstance(value, tuple) else vars(value).values()
+    arrays = {id(part): part for part in parts if isinstance(part, np.ndarray)}.values()
+    for array in arrays:
+        array.setflags(write=False)
+    size = sum(array.nbytes for array in arrays)
+    _store[key] = value, size
+    _store_bytes += size
+    while _store_bytes > _STORE_BYTES:
+        _store_bytes -= _store.pop(next(iter(_store)))[1]
+    return value
 
 
 def _unit_rule(family: str, order: int):
-    """Unit-scale (nodes, weights, damped weights) of an N+1-node Gauss rule, cached.
+    """Unit-scale (nodes, weights, damped weights) of an N+1-node Gauss rule, stored.
 
     Nodes are the eigenvalues of the Jacobi matrix (:func:`_unit_nodes`).
     The weights come from the Christoffel identity w_j = 1/sum_l p_l(x_j)^2
@@ -264,28 +293,27 @@ def _unit_rule(family: str, order: int):
     are accurate.  For Hermite functions the weights already integrate dx,
     so both entries coincide.  The arrays are read-only.
     """
-    key = (family, order)
-    rule = _rules.pop(key, None)
-    if rule is None:
-        nodes = _unit_nodes(family, order)
-        first = np.ones_like(nodes) if family == LAGUERRE else _hermite_start(nodes)
-        sums = _basis_pass(family, nodes, first, nodes.size, [(order, nodes.size)])
-        rule = _rule_from_sums(family, nodes, *sums)
-    _keep_rule(key, rule)
-    return rule
+    return _stored(("rule", family, order), _fresh_rule, family, order)
+
+
+def _fresh_rule(family: str, order: int):
+    """:func:`_unit_rule`'s value, computed."""
+    nodes = _unit_nodes(family, order)
+    first = np.ones_like(nodes) if family == LAGUERRE else _hermite_start(nodes)
+    return _rule_from_sums(family, nodes, *_basis_pass(family, nodes, first, nodes.size, [(order, nodes.size)]))
 
 
 def _unit_nodes(family: str, order: int) -> np.ndarray:
-    """The unit nodes of the N+1-node Gauss rule: the cached rule's, or fresh ones, not cached.
+    """The unit nodes of the N+1-node Gauss rule: the stored rule's, or fresh ones, not stored.
 
     A Hermite rule past order 727 raises ValueError here, before any
     evaluation: h_0 = exp(-y^2/2) at its largest node, where the
     recurrence starts, is subnormal, so the weights lose precision, and
     from order 765 they are infinite.
     """
-    rule = _rules.get((family, order))
-    if rule is not None:
-        return rule[0]
+    entry = _store.get(("rule", family, order))
+    if entry is not None:
+        return entry[0][0]
     k = np.arange(order + 1, dtype=float)
     if family == LAGUERRE:
         return _jacobi_eigenvalues(2.0 * k + 1.0, k[1:])
@@ -296,14 +324,12 @@ def _unit_nodes(family: str, order: int) -> np.ndarray:
 
 
 def _rule_from_sums(family: str, nodes: np.ndarray, total: np.ndarray, log_scale: np.ndarray):
-    """Read-only (nodes, weights, damped weights) from a rule's Christoffel sums (see :func:`_basis_pass`)."""
+    """(nodes, weights, damped weights) from a rule's Christoffel sums (see :func:`_basis_pass`)."""
     if family == LAGUERRE:
         log_sum = np.log(total) + 2.0 * log_scale
         weights, damped = np.exp(-log_sum), np.exp(nodes - log_sum)
     else:
         weights = damped = 1.0 / total
-    for array in (nodes, weights, damped):
-        array.setflags(write=False)
     return nodes, weights, damped
 
 
@@ -314,11 +340,11 @@ def _unit_pass(family: str, order: int, nodes: np.ndarray, shift: float | None):
     rule has order 2N+1.  One recurrence pass (:func:`_basis_pass`) gives
     the three (N+1, k) evaluations, each with the bits of
     :func:`eval_weighted_all` there, and the Christoffel sums of both
-    rules, which it caches with the bits of :func:`_unit_rule` (a rule
-    already cached is computed again, to the same bits).  The refined
-    rule's columns come first, so that they alone run on past l = N.  A
-    Laguerre pass puts the evaluation's columns after the rules'; a
-    Hermite pass sums h_l^2 over the evaluation's own columns.  Returns
+    rules, which it stores with the bits of :func:`_unit_rule` (a rule
+    already stored is kept).  The refined rule's columns come first, so
+    that they alone run on past l = N.  A Laguerre pass puts the
+    evaluation's columns after the rules'; a Hermite pass sums h_l^2 over
+    the evaluation's own columns.  Returns
     (psi, psi_refined, psi_split); psi_split is None without a shift.
     """
     refined_order = 2 * order + 1
@@ -340,8 +366,8 @@ def _unit_pass(family: str, order: int, nodes: np.ndarray, shift: float | None):
         column += points.size
     stops = [(order, x.size), (refined_order, n)]
     total, log_scale = _basis_pass(family, x, first, summed, stops, rows)
-    _keep_rule((family, refined_order), _rule_from_sums(family, refined_nodes, total[:n], log_scale[:n]))
-    _keep_rule((family, order), _rule_from_sums(family, nodes, total[n:], log_scale[n:]))
+    _stored(("rule", family, refined_order), _rule_from_sums, family, refined_nodes, total[:n], log_scale[:n])
+    _stored(("rule", family, order), _rule_from_sums, family, nodes, total[n:], log_scale[n:])
     psi = [out for _, out in rows]
     if family == HERMITE:
         return psi[1], psi[0], None

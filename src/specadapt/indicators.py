@@ -19,7 +19,7 @@ in the unit variable of their frames: the frequency indicator from a
 state's coefficients, the exterior indicator at its own split from one
 product with the order's stacked basis derivative at shift 0 and at the
 split, and at the mover's shifted sentinels from one product with the
-memoized ``Frame.dpsi_at``; per axis for tensor-product states, with
+stored ``_UnitFrame.dpsi_at``; per axis for tensor-product states, with
 :func:`default_high_mode_count` and :func:`default_split_point`.  The
 coefficient-space forms here, for one-dimensional
 :class:`~specadapt.approx.Expansion` objects on a Laguerre or (frequency

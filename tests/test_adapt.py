@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import math
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, replace
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -580,7 +582,7 @@ def test_hermite_run_scales_without_sentinel(monkeypatch):
     def recorded_ladder(state, axis, f, f0, cfg):
         result = ladder(state, axis, f, f0, cfg)
         if result[2]:
-            triggers.append(f / state.frames[axis].frequency_floor)
+            triggers.append(f / state.units[axis].frequency_floor)
         return result
 
     monkeypatch.setattr(adapt, "_scaling_ladder", recorded_ladder)
@@ -622,7 +624,7 @@ def test_hermite_frame_matches_the_coefficient_expansion(beta):
 def _eval_at(state, points) -> np.ndarray:
     """A Laguerre frame state's interpolant at physical points."""
     offsets = np.asarray(points, dtype=float) - state.x_left
-    return (state.frame.tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), offsets)
+    return (state.units[0].tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), offsets)
 
 
 def test_frame_state_rescale_preserves_function():
@@ -680,6 +682,24 @@ def _basis(frame):
     return laguerre_basis(frame.order, frame.beta)
 
 
+def _unit(frame):
+    """The unit operators of a frame's order, from the store."""
+    return adapt._unit_frame(frame.order, frame.family)
+
+
+def _empty_store(monkeypatch, budget: int | None = None) -> None:
+    """An empty operator store for the rest of the test, with ``budget`` bytes if given."""
+    monkeypatch.setattr(basis_module, "_store", {})
+    monkeypatch.setattr(basis_module, "_store_bytes", 0)
+    if budget is not None:
+        monkeypatch.setattr(basis_module, "_STORE_BYTES", budget)
+
+
+def _entries(kind: str, family: str, order: int) -> dict:
+    """The store's ``kind`` entries of an order by memo key, least recently used first."""
+    return {key[3]: value for key, (value, _) in basis_module._store.items() if key[:3] == (kind, family, order)}
+
+
 def _unit_psi(order: int, shift: float = 0.0, ratio: float = 1.0) -> np.ndarray:
     """The damped functions of ``order`` at ratio*y + shift, y the unit nodes.
 
@@ -699,7 +719,7 @@ def test_frame_resampling_is_exact_and_memoized(monkeypatch):
     # an order no other test uses, so the first calls are cold
     state = frame_state_from(moving_front, 37, 1.7, t=0.5)
     frame = state.frame
-    coeffs = frame.tomodal @ state.values
+    coeffs = state.units[0].tomodal @ state.values
     target = Frame(37, 1.7 * 0.95)
     moved_direct = coeffs @ _unit_psi(37, shift=round(1.7 * 0.012, 12))
     rescaled_direct = coeffs @ _unit_psi(37, ratio=round(1.7 / target.beta, 12))
@@ -708,9 +728,9 @@ def test_frame_resampling_is_exact_and_memoized(monkeypatch):
     assert len(calls) == 1  # the rescale's; a move's miss shifts the order's basis
     calls.clear()
     again = [state.moved(0.012).values, state.rescaled(target.beta).values]
-    # a miss does not depend on the memo's history: on a cleared memo it
+    # a miss does not depend on the store's history: in an empty store it
     # is rebuilt to the same bits
-    monkeypatch.setattr(frame._unit, "psi_at", {})
+    _empty_store(monkeypatch)
     rebuilt = state.moved(0.012).values
     assert calls == []
     for values in (first, again):
@@ -727,7 +747,7 @@ def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
     state = frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5)
     fx, fy = state.frame_x, state.frame_y
     tx, ty = Frame(11, 1.7 * 0.95), Frame(13, 2.3 * 0.95)
-    cx, cy = fx.tomodal @ state.values, (fy.tomodal @ state.values.T).T
+    cx, cy = _unit(fx).tomodal @ state.values, (_unit(fy).tomodal @ state.values.T).T
     direct = {
         "moved_x": _unit_psi(11, shift=round(1.7 * 0.01, 12)).T @ cx,
         "moved_y": cy @ _unit_psi(13, shift=round(2.3 * 0.01, 12)),
@@ -751,9 +771,8 @@ def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
         results.append({name: derived(name) for name in direct})
         assert len(calls) == (2 if repeat == 0 else 0)  # the rescales'; a move evaluates nothing
         calls.clear()
-    # the moves' misses, rebuilt on cleared memos, give the same bits
-    monkeypatch.setattr(fx._unit, "psi_at", {})
-    monkeypatch.setattr(fy._unit, "psi_at", {})
+    # the moves' misses, rebuilt in an empty store, give the same bits
+    _empty_store(monkeypatch)
     rebuilt = {name: derived(name) for name in ("moved_x", "moved_y")}
     assert calls == []
     for values in results:
@@ -777,7 +796,7 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
     in x.  The tails evaluate in the unit variable, as a frame does, or
     with ``unit=False`` at the shifted x-nodes.
     """
-    coeffs = frame.tomodal @ values
+    coeffs = (frame.tomodal if isinstance(frame, SimpleNamespace) else _unit(frame).tomodal) @ values
     weights = quadrature(_basis(frame)).weights
     squares = coeffs * coeffs
     m = frame.order // 3
@@ -808,13 +827,13 @@ def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
     ``offsets[0]`` is the frame's split.  Its ratio and the denominator come
     from one product with G(0) stacked on G(s*), s* = round(split, 12) in
     the unit variable, as a state reads its own split; every other offset
-    reads G at its unit-variable shift s, as a miss of :meth:`Frame.dpsi_at`
+    reads G at its unit-variable shift s, as a miss of :meth:`adapt._UnitFrame.dpsi_at`
     builds it: the basis at s* shifted by s - s* when s >= s*, else the
     basis at the nodes shifted by s (:func:`adapt._shift`).  Every base is
     evaluated afresh, so a memoized reading must equal these bit for bit.
     """
     unit = adapt._unit_frame(frame.order, LAGUERRE)
-    coeffs = frame.tomodal @ values
+    coeffs = unit.tomodal @ values
     split = round(unit.split, 12)
 
     def g(shift: float) -> np.ndarray:
@@ -895,7 +914,7 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
     state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
     fx, fy = state.frame_x, state.frame_y
-    coeffs = fx.tomodal @ state.values @ fy.tomodal.T
+    coeffs = _unit(fx).tomodal @ state.values @ _unit(fy).tomodal.T
     assert np.array_equal(state._coeffs, coeffs)
     energy = coeffs * coeffs
     total = float(energy.sum())
@@ -927,7 +946,7 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
         derived.exterior(derived.split_point(1), 1)
         assert calls == [derived.frame_x, derived.frame_y]
         assert np.array_equal(
-            derived._coeffs, derived.frame_x.tomodal @ derived.values @ derived.frame_y.tomodal.T
+            derived._coeffs, derived.units[0].tomodal @ derived.values @ derived.units[1].tomodal.T
         )
 
 
@@ -1076,7 +1095,7 @@ def test_memo_arrays_stay_read_only():
         for name in _memo_names(type(target))
         if isinstance(vars(target).get(name), np.ndarray)
     ]
-    arrays.append(state.frame._unit.pair)
+    arrays.append(state.units[0].pair)
     assert len(arrays) == 5  # the 1-d coefficients, the 2-d ones, two marginals', the pair
     # the values of every state are read-only too, also where a move, a
     # rescale or a marginal stores its own product without a copy
@@ -1111,7 +1130,7 @@ def test_frame_state_readings_are_memoized(monkeypatch):
     scratch_exterior, scratch_other = _memo_free_exterior(frame, state.values, offsets)
     assert [scratch_exterior, scratch_other] == pytest.approx(oracle, rel=1e-12, abs=0)
     setups = _count_derivative_setups(monkeypatch)
-    tails = _count_calls(monkeypatch, Frame, "dpsi_at")
+    tails = _count_calls(monkeypatch, adapt._UnitFrame, "dpsi_at")
     frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     assert state.frequency() == scratch_frequency
     assert state.exterior(split) == scratch_exterior
@@ -1134,7 +1153,7 @@ def test_frame_state_readings_are_memoized(monkeypatch):
 def test_frame_state_2d_readings_are_memoized(monkeypatch):
     state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
     fx, fy = state.frame_x, state.frame_y
-    coeffs = fx.tomodal @ state.values @ fy.tomodal.T
+    coeffs = _unit(fx).tomodal @ state.values @ _unit(fy).tomodal.T
     energy = coeffs * coeffs
     total = float(energy.sum())
     scratch_frequency = (
@@ -1151,7 +1170,7 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
         oracle = _scratch_indicators(frame, marginal, offsets)[1]
         assert scratch_exterior[-1] == pytest.approx(oracle, rel=1e-12, abs=0)
     setups = _count_derivative_setups(monkeypatch)
-    tails = _count_calls(monkeypatch, Frame, "dpsi_at")
+    tails = _count_calls(monkeypatch, adapt._UnitFrame, "dpsi_at")
     frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     for axis in (0, 1):
         before = (len(setups), len(tails))
@@ -1207,6 +1226,35 @@ def test_2d_references_are_called_on_open_grids():
     assert shapes == [((10, 1), (1, 7)), ((10, 1), (1, 7)), ((20, 1), (1, 14))]
 
 
+def test_resample_evolver_2d_takes_any_two_axis_state():
+    # it used to read frame_x, so a generic two-axis state failed at the
+    # first step with an AttributeError
+    frames, lefts = (Frame(9, 1.5), Frame(6, 2.0)), (0.2, 0.1)
+    generic = FrameState(frames, _non_separable(frames[0].nodes[:, None] + 0.2, frames[1].nodes + 0.1, 0.0), lefts)
+    shim = FrameState2D(*frames, generic.values, *lefts)
+    kept = np.ones((10, 7))
+
+    def cached(x, y, t):
+        return kept  # the reference's own array
+
+    for state in (generic, shim):
+        evolved = frame_resample_evolver_2d(_non_separable)(state, 0.0, 0.1)
+        assert type(evolved) is type(state)
+        assert (evolved.frames, evolved.lefts, evolved.units) == (state.frames, state.lefts, state.units)
+        grid = np.meshgrid(state.nodes(0), state.nodes(1), indexing="ij")
+        assert np.array_equal(evolved.values, _non_separable(*grid, 0.1))
+        # the samples are copied and made read-only; the reference's array is left as it was
+        copied = frame_resample_evolver_2d(cached)(state, 0.0, 0.1).values
+        assert copied is not kept and np.array_equal(copied, kept)
+        assert not copied.flags.writeable and kept.flags.writeable
+        records, final = run_2d(
+            frame_resample_evolver_2d(product_front), state, AdaptConfig(mu=1.003, delta=0.005, d_max=0.1),
+            0.1, 1.0, MODE_MOVE_SCALE, reference=product_front,
+        )
+        assert type(final) is type(state) and len(records) == 11
+    assert records[-1].x_left > 0.2  # the movers ran on the generic state too
+
+
 def test_open_grids_match_full_grid_sampling():
     state = frame_state_2d_from(_non_separable, 14, 1.5, 11, 2.0, x_left=0.2, y_left=0.1, t=0.3)
     grid_x, grid_y = np.meshgrid(state.nodes(0), state.nodes(1), indexing="ij")
@@ -1219,7 +1267,7 @@ def test_open_grids_match_full_grid_sampling():
     grid_x, grid_y = np.meshgrid(
         state.x_left + fx.refined_nodes, state.y_left + fy.refined_nodes, indexing="ij"
     )
-    approx = fx._unit.psi_refined.T @ state._coeffs @ fy._unit.psi_refined
+    approx = _unit(fx).psi_refined.T @ state._coeffs @ _unit(fy).psi_refined
     rx, ry = (quadrature(laguerre_basis(2 * f.order + 1, f.beta)) for f in (fx, fy))
     assert np.array_equal(rx.nodes, fx.refined_nodes) and np.array_equal(ry.nodes, fy.refined_nodes)
     weights = np.multiply.outer(rx.weights, ry.weights)
@@ -1254,7 +1302,7 @@ def _alpha_one_tails(frame: Frame, profiles, offsets) -> list:
     whose weight underflows to 0 are left out: they add nothing, and the
     undamped polynomials overflow there.
     """
-    coeffs = [frame.tomodal @ values for values in profiles]
+    coeffs = [_unit(frame).tomodal @ values for values in profiles]
     degrees = np.arange(frame.order)[:, None]
     weights = quadrature(_basis(frame)).weights
     kept = weights > 0.0
@@ -1311,14 +1359,14 @@ def test_fresh_interpolant_error_is_small_and_seen_between_nodes():
     assert wrong.error(diffusive_front, 0.0) > 0.1
     # against a zero reference it is the interpolant's absolute norm in x
     refined = quadrature(laguerre_basis(81, 2.5))
-    interpolant = (state.frame.tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), refined.nodes)
+    interpolant = (state.units[0].tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), refined.nodes)
     norm = math.sqrt(float(np.sum(refined.weights * interpolant**2)))
     assert state.error(lambda x, t: 0.0, 0.0) == pytest.approx(norm, rel=1e-12)
 
 
 def test_frame_operators_finite_at_order_256():
-    frame = Frame(256, 1.0)
-    for operator in (frame._unit.mod_weights, frame.tomodal, frame._unit.psi_refined):
+    unit = _unit(Frame(256, 1.0))
+    for operator in (unit.mod_weights, unit.tomodal, unit.psi_refined):
         assert np.all(np.isfinite(operator))
 
 
@@ -1331,9 +1379,9 @@ def test_frame_state_at_order_256_is_accurate():
 
 def test_frame_order_ceiling():
     # exp(-y/2) at the largest node leaves the normal float64 range at 364
-    frame = Frame(363, 1.0)
-    assert np.all(np.isfinite(frame.tomodal))
-    assert np.all(np.any(frame.tomodal != 0.0, axis=0))
+    tomodal = _unit(Frame(363, 1.0)).tomodal
+    assert np.all(np.isfinite(tomodal))
+    assert np.all(np.any(tomodal != 0.0, axis=0))
     state = frame_state_from(moving_front, 363, 2.5)
     records, _ = run_frames(
         frame_resample_evolver(moving_front), state, AdaptConfig(), 0.05, 0.15,
@@ -1346,17 +1394,17 @@ def test_frame_order_ceiling():
     assert len(Frame._cache) == before
     # a Hermite frame's refined rule of order 2N+1 stops at 727, so its
     # last order is 363 too
-    frame = Frame(363, 1.0, HERMITE)
-    for operator in (frame.tomodal, frame._unit.psi_refined):
+    unit = _unit(Frame(363, 1.0, HERMITE))
+    for operator in (unit.tomodal, unit.psi_refined):
         assert np.all(np.isfinite(operator))
         assert np.all(np.any(operator != 0.0, axis=0))
     state = frame_state_from(widening_gauss, 363, 1.0, family=HERMITE)
     assert state.error(widening_gauss, 0.0) <= 1e-8
     assert state.rescaled(0.95).error(widening_gauss, 0.0) <= 1e-8
-    before = (dict(Frame._cache), adapt._unit_frame.cache_info().currsize)
+    before = (dict(Frame._cache), list(basis_module._store))
     with pytest.raises(ValueError, match="order 729 exceeds the ceiling of 727"):
         Frame(364, 1.0, HERMITE)
-    assert (dict(Frame._cache), adapt._unit_frame.cache_info().currsize) == before
+    assert (dict(Frame._cache), list(basis_module._store)) == before
 
 
 def _direct_frame(order: int, beta: float) -> SimpleNamespace:
@@ -1384,7 +1432,7 @@ def _direct_frame(order: int, beta: float) -> SimpleNamespace:
 @pytest.mark.parametrize("beta", [0.2, 2.5, 2.5 * 0.95**7])
 def test_unit_frame_matches_direct_build(order, beta):
     frame = Frame(order, beta)
-    unit = frame._unit
+    unit = _unit(frame)
     direct = _direct_frame(order, beta)
     # beta only places the nodes: the x-variable weights are the unit ones
     # times beta**-1, bit for bit, and every norm gamma is 1/beta
@@ -1394,7 +1442,7 @@ def test_unit_frame_matches_direct_build(order, beta):
     assert np.array_equal(unit.weights * beta**-1.0, direct.weights)
     assert np.array_equal(unit.mod_weights * beta**-1.0, direct.mod_weights)
     assert np.all(direct.gamma == 1.0 / beta)
-    _assert_close(frame.tomodal, direct.tomodal, 1e-13)
+    _assert_close(unit.tomodal, direct.tomodal, 1e-13)
     _assert_close(unit.psi_refined, direct.psi_refined, 1e-13)
     # Nodal values of a function of y = beta*x have indicators free of beta,
     # so they are compared with a from-scratch build at beta = 1, where x
@@ -1448,11 +1496,15 @@ def test_readings_do_not_depend_on_beta():
 
 
 def test_frames_of_one_order_share_one_unit_frame():
-    before = adapt._unit_frame.cache_info().currsize
+    before = len(basis_module._store)
     frames = [Frame(41, 0.3 + 0.01 * k) for k in range(300)]
-    assert adapt._unit_frame.cache_info().currsize <= before + 1
+    assert len(basis_module._store) <= before + 3  # the unit frame and its two rules
     unit = adapt._unit_frame(41, LAGUERRE)
-    assert all(frame._unit is unit and frame.tomodal is unit.tomodal for frame in frames)
+    assert all(FrameState(frame, unit.psi[0]).units == (unit,) for frame in frames)
+    # a frame holds only what beta changes, O(N): no (N+1)^2 operator
+    for frame in frames:
+        arrays = [value for value in vars(frame).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 2 and all(array.shape in ((42,), (84,)) for array in arrays)
 
 
 @pytest.mark.parametrize("family, order", [(LAGUERRE, 16), (LAGUERRE, 48), (LAGUERRE, 128), (HERMITE, 24)])
@@ -1463,11 +1515,12 @@ def test_frequency_floor_is_the_largest_non_tail_reading(family, order):
     unit = adapt._unit_frame(order, family)
     m = order // 3
     readings = [FrameState(Frame(order, 1.0, family), unit.psi[l]).frequency() for l in range(order + 1 - m)]
-    floor = Frame(order, 1.0, family).frequency_floor
+    floor = unit.frequency_floor
     assert floor == pytest.approx(max(readings), rel=0.05)
     assert 1e-16 < floor < 1e-12
-    # one value per order, shared by every frame of it
-    assert all(Frame(order, beta, family).frequency_floor == floor for beta in (0.3, 2.5, 7.0))
+    # one value per order, read by the state of every frame of it
+    states = [FrameState(Frame(order, beta, family), unit.psi[0]) for beta in (0.3, 2.5, 7.0)]
+    assert all(state.units[0].frequency_floor == floor for state in states)
 
 
 def test_frequency_floor_is_built_on_the_first_trigger_only():
@@ -1499,44 +1552,179 @@ def test_frequency_floor_is_built_on_the_first_trigger_only():
     assert records[-1].beta < 2.0 and "frequency_floor" in vars(unit_2d)
 
 
-def test_resampling_memos_are_bounded():
+def test_resampling_memos_are_bounded(monkeypatch):
     state = frame_state_from(moving_front, 128, 2.5, t=0.3)
-    unit = state.frame._unit
     split = state.split_point()
+    # room for 64 of the order's (N+1)^2 entries: 200 of each kind overflow it
+    budget = 64 * 129 * 129 * 8
+    _empty_store(monkeypatch, budget)
     for k in range(200):
         state.exterior(split + 0.001 * k)
         state.rescaled(2.5 * (0.5 + 0.002 * k))
         state.moved(0.001 * (k + 1))
-    for memo in (unit.psi_at, unit.psi_on, unit.dpsi_at):
-        assert 0 < len(memo) <= adapt._MEMO_SIZE
-        assert all(psi.shape == (129, 129) for psi in memo.values())
+        assert basis_module._store_bytes <= budget
+    memos = [_entries(kind, LAGUERRE, 128) for kind in ("psi_at", "psi_on", "dpsi_at")]
+    assert sum(len(memo) for memo in memos) <= 64
+    for memo in memos:
+        assert 0 < len(memo) and all(psi.shape == (129, 129) for psi in memo.values())
     # the most recent entries are the ones kept
-    assert round(2.5 * (split + 0.199), 12) in unit.dpsi_at
-    assert round(1.0 / (0.5 + 0.002 * 199), 12) in unit.psi_on
-    assert round(2.5 * 0.2, 12) in unit.psi_at
+    assert round(2.5 * (split + 0.199), 12) in memos[2]
+    assert round(1.0 / (0.5 + 0.002 * 199), 12) in memos[1]
+    assert round(2.5 * 0.2, 12) in memos[0]
 
 
 def test_derivative_memo_drops_the_least_recently_used_entry(monkeypatch):
     frame = Frame(23, 1.0)  # an order no other test uses
-    unit = frame._unit
-    assert unit.dpsi_at == {}
-    shifts = [0.01 * k for k in range(1, adapt._MEMO_SIZE + 1)]
-    first = [frame.dpsi_at(s) for s in shifts]
-    assert len(unit.dpsi_at) == adapt._MEMO_SIZE
+    # the budget holds 64 of the order's (N+1)^2 entries; the unit frame,
+    # which the test holds, is the oldest entry and the first to go
+    _empty_store(monkeypatch, 64 * 24 * 24 * 8)
+    unit = _unit(frame)
+    assert _entries("dpsi_at", LAGUERRE, 23) == {}
+    shifts = [0.01 * k for k in range(1, 65)]
+    first = [unit.dpsi_at(frame, s) for s in shifts]
+    memo = _entries("dpsi_at", LAGUERRE, 23)
+    assert len(memo) == len(basis_module._store) == 64
     calls = _count_basis_evaluations(monkeypatch)
-    frame.dpsi_at(shifts[0])  # a hit makes the oldest entry the most recent
-    frame.dpsi_at(0.0)  # shift 0 lives in the order's pair, so here it is a miss
-    assert len(unit.dpsi_at) == adapt._MEMO_SIZE
-    assert round(shifts[1], 12) not in unit.dpsi_at
-    assert round(shifts[0], 12) in unit.dpsi_at and round(shifts[2], 12) in unit.dpsi_at
+    unit.dpsi_at(frame, shifts[0])  # a hit makes the oldest entry the most recent
+    unit.dpsi_at(frame, 0.0)  # shift 0 lives in the order's pair, so here it is a miss
+    memo = _entries("dpsi_at", LAGUERRE, 23)
+    assert len(memo) == 64
+    assert round(shifts[1], 12) not in memo
+    assert round(shifts[0], 12) in memo and round(shifts[2], 12) in memo
     # a dropped entry is built again, to the same bits
-    assert np.array_equal(frame.dpsi_at(shifts[1]), first[1])
-    assert round(shifts[2], 12) not in unit.dpsi_at
+    assert np.array_equal(unit.dpsi_at(frame, shifts[1]), first[1])
+    assert round(shifts[2], 12) not in _entries("dpsi_at", LAGUERRE, 23)
     assert calls == []  # a miss shifts the order's basis, with no evaluation
     # the memo's G(0) has the bits of the pair's, which the build's one
     # evaluation gave; the pair costs no evaluation
-    assert np.array_equal(frame.dpsi_at(0.0), unit.pair[: frame.order + 1])
+    assert np.array_equal(unit.dpsi_at(frame, 0.0), unit.pair[: frame.order + 1])
     assert calls == []
+
+
+def _checked_store(monkeypatch) -> None:
+    """Check the store after every lookup: within its budget, its count exact, its arrays read-only."""
+    stored = basis_module._stored
+
+    def checked(*args):
+        value = stored(*args)
+        total = 0
+        for entry, size in basis_module._store.values():
+            arrays = entry if isinstance(entry, tuple) else [entry] if isinstance(entry, np.ndarray) else vars(entry).values()
+            arrays = {id(a): a for a in arrays if isinstance(a, np.ndarray)}.values()
+            assert size == sum(a.nbytes for a in arrays) and not any(a.flags.writeable for a in arrays)
+            total += size
+        assert total == basis_module._store_bytes <= basis_module._STORE_BYTES
+        return value
+
+    monkeypatch.setattr(basis_module, "_stored", checked)
+    monkeypatch.setattr(adapt, "_stored", checked)
+
+
+def _sweep_order(order: int) -> None:
+    """A set-up, its readings and a few steps' moves, searches and rescales at ``order``, filling its memos."""
+    state = frame_state_from(moving_front, order, 2.5, t=0.3)
+    state.error(moving_front, 0.3)
+    split = state.split_point()
+    for k in range(4):
+        state.exterior(split + 0.004 * (k + 1))
+        state = state.moved(0.01).rescaled(state.beta * 0.95)
+        state.frequency()
+
+
+def test_store_stays_within_its_budget_over_an_order_sweep(monkeypatch):
+    # 300 kB: each order's unit frame, rules and memo entries fill it
+    # several times over from order 24 on
+    default = basis_module._STORE_BYTES
+    _empty_store(monkeypatch, 300_000)
+    monkeypatch.setattr(Frame, "_cache", {})
+    _checked_store(monkeypatch)
+    for order in range(8, 61, 4):
+        _sweep_order(order)
+        assert ("psi_on", LAGUERRE, order, round(1 / 0.95, 12)) in basis_module._store
+    assert ("unit", LAGUERRE, 8) not in basis_module._store
+    # the default budget keeps every order of the sweep
+    _empty_store(monkeypatch, default)
+    for order in range(8, 61, 4):
+        _sweep_order(order)
+    assert all(("unit", LAGUERRE, order) in basis_module._store for order in range(8, 61, 4))
+
+
+def _operator_digest(unit, frame) -> str:
+    """sha256 over an order's unit operators, its rules and a shifted, a rescaled and a derivative entry."""
+    digest = hashlib.sha256()
+    order, family = unit.basis.order, unit.basis.family
+    arrays = [getattr(unit, name) for name in (
+        "nodes", "weights", "mod_weights", "refined_nodes", "refined_weights",
+        "psi", "psi_refined", "psi_split", "tomodal", "pair",
+    )]
+    arrays += list(basis_module._unit_rule(family, order)) + list(basis_module._unit_rule(family, 2 * order + 1))
+    arrays += [unit.psi_at(frame, 0.3), unit.psi_on(frame, Frame(order, 0.95 * frame.beta)), unit.dpsi_at(frame, 1.7)]
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr((unit.split, unit.frequency_floor)).encode())
+    return digest.hexdigest()
+
+
+def test_an_evicted_order_rebuilds_bit_for_bit(monkeypatch):
+    frame = Frame(48, 2.0)
+    _empty_store(monkeypatch)
+    unit = _unit(frame)
+    before = _operator_digest(unit, frame)
+    # a budget of 100 kB and a sweep of other orders evict order 48 and every entry of it
+    monkeypatch.setattr(basis_module, "_STORE_BYTES", 100_000)
+    for order in (20, 24, 28):
+        _sweep_order(order)
+    assert not any(key[1:3] == (LAGUERRE, 48) for key in basis_module._store)
+    rebuilt = _unit(frame)
+    assert rebuilt is not unit
+    assert _operator_digest(rebuilt, frame) == before
+
+
+def test_a_cached_frame_does_not_keep_an_evicted_order_alive(monkeypatch):
+    _empty_store(monkeypatch)
+    monkeypatch.setattr(Frame, "_cache", {})
+    state = frame_state_from(moving_front, 44, 2.0)
+    frame, reference = state.frame, weakref.ref(state.units[0])
+    state = state.moved(0.01).rescaled(1.9)
+    # a live state keeps its order's operators, evicted or not: a budget of
+    # 100 kB, less than order 44's unit frame, and one insert evict them
+    monkeypatch.setattr(basis_module, "_STORE_BYTES", 100_000)
+    frame_state_from(moving_front, 20, 2.0)
+    assert ("unit", LAGUERRE, 44) not in basis_module._store
+    gc.collect()
+    assert reference() is state.units[0]
+    assert state.exterior(state.split_point()) is not None
+    # the frame in the cache does not
+    del state
+    gc.collect()
+    assert Frame(44, 2.0) is frame and reference() is None
+    assert _unit(frame) is not None
+
+
+def test_histories_do_not_depend_on_the_store_budget(monkeypatch):
+    # a budget of 20 kB evicts on almost every insert: every operator is
+    # rebuilt on its next read, with the same bits
+    def front(x, t):
+        return expit(-(np.asarray(x, dtype=float) - 5.0 - 5.0 * t) / (2.0 + t))
+
+    def run():
+        records, _ = run_frames(
+            frame_resample_evolver(front), frame_state_from(front, 24, 2.0), AdaptConfig(),
+            0.01, 0.5, MODE_MOVE_SCALE, reference=front,
+        )
+        records_2d, _ = run_2d(
+            frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 14, 2.0, 14, 2.0),
+            AdaptConfig(mu=1.003, delta=0.005, d_max=0.1), 0.05, 3.0, MODE_MOVE_SCALE, reference=product_front,
+        )
+        return history_to_csv(records), history_to_csv(records_2d, extra_columns=("beta_y", "freq_y", "ext_y", "yL"))
+
+    default = run()
+    _empty_store(monkeypatch, 20_000)
+    monkeypatch.setattr(Frame, "_cache", {})
+    assert run() == default
+    # the runs moved and rescaled
+    rows = [line.split(",") for text in default for line in text.splitlines()[1:]]
+    assert len({row[2] for row in rows}) > 2 and len({row[5] for row in rows}) > 2
 
 
 def _scratch_g(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -1545,40 +1733,43 @@ def _scratch_g(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
+    _empty_store(monkeypatch)
     calls = _count_passes(monkeypatch)
-    unit = adapt._UnitFrame(17, LAGUERRE)
-    assert calls == ["pass"]  # the nodes, the refined nodes and the split, in one pass
-    psi = unit.psi_at[0.0]
-    assert unit.psi is psi and not psi.flags.writeable
-    assert unit.dpsi_at == {} and "pair" not in vars(unit)
-    pair = unit.pair
-    assert calls == ["pass"]  # G(0) and G(s*) both come from the build's pass
-    assert unit.pair is pair and calls == ["pass"]
+    unit = adapt._unit_frame(17, LAGUERRE)
+    # the nodes, the refined nodes and the split in one pass, which also
+    # gives G(0) and G(s*)
+    assert calls == ["pass"]
+    psi, pair = unit.psi, unit.pair
+    assert not psi.flags.writeable
     assert pair.shape == (36, 18) and not pair.flags.writeable
     at_split = eval_weighted_all(unit.basis, unit.nodes + round(unit.split, 12))
     np.testing.assert_allclose(pair[:18], _scratch_g(unit.weights, psi), rtol=1e-12, atol=0)
     np.testing.assert_allclose(pair[18:], _scratch_g(unit.weights, at_split), rtol=1e-12, atol=0)
-    assert unit.dpsi_at == {}
+    # the basis at shift 0 gives back the bits of the build's psi
+    assert np.array_equal(unit.psi_at(Frame(17, 1.0), 0.0), psi)
+    assert calls == ["pass"]
+    assert _entries("dpsi_at", LAGUERRE, 17) == {}
 
 
-def test_first_exterior_reading_builds_the_pair_with_one_evaluation(monkeypatch):
-    # cold frame and unit caches, whichever tests ran before
+def test_the_order_build_gives_the_pair_with_one_evaluation(monkeypatch):
+    # an empty store and frame cache, whichever tests ran before
     monkeypatch.setattr(Frame, "_cache", {})
-    monkeypatch.setattr(adapt, "_unit_frame", lru_cache(maxsize=None)(adapt._UnitFrame))
+    _empty_store(monkeypatch)
     calls = _count_passes(monkeypatch)
     state = frame_state_from(moving_front, 40, 2.5, t=0.3)
-    unit = state.frame._unit
-    assert calls == ["pass"] and "pair" not in vars(unit)
+    unit = state.units[0]
+    pair = unit.pair
+    assert calls == ["pass"] and pair.shape == (82, 41)  # the pair comes from the build's pass
     state.frequency()
     state.moved(0.01)
-    assert calls == ["pass"] and "pair" not in vars(unit)  # a move shifts the order's basis
+    assert calls == ["pass"]  # a move shifts the order's basis
     e = state.exterior(state.split_point())
-    assert calls == ["pass"] and "pair" in vars(unit)  # the pair reuses the build's pass
+    assert calls == ["pass"] and unit.pair is pair
     # every later state of the order, at any beta, reads through that pair
     for later in (frame_state_from(moving_front, 40, 2.5, t=0.5), frame_state_from(moving_front, 40, 1.7)):
-        assert later.frame._unit is unit
+        assert later.units[0] is unit
         later.exterior(later.split_point())
-    assert calls == ["pass"] and unit.dpsi_at == {}
+    assert calls == ["pass"] and _entries("dpsi_at", LAGUERRE, 40) == {}
     assert e == _memo_free_exterior(state.frame, state.values, [state.frame.split_rel])[0]
 
 
@@ -1598,25 +1789,25 @@ def test_build_evaluation_has_the_bits_of_separate_evaluations(family, order):
 
 def test_hermite_frame_has_no_derivative_memo():
     state = frame_state_from(widening_gauss, 20, 1.0, family=HERMITE)
-    unit = state.frame._unit
+    unit = state.units[0]
     assert state.split_point() is None and state.exterior(state.split_point()) is None
     records, _ = run_frames(
         frame_resample_evolver(widening_gauss), state, AdaptConfig(), 0.1, 1.0, MODE_SCALE
     )
     assert all(r.ext is None for r in records)
-    assert unit.dpsi_at == {} and "pair" not in vars(unit)
+    assert unit.pair is None and unit.psi_split is None
+    before = list(basis_module._store)
     with pytest.raises(ValueError, match="Laguerre"):
-        state.frame.dpsi_at(0.1)
+        unit.dpsi_at(state.frame, 0.1)
     with pytest.raises(ValueError, match="Laguerre"):
         state.exterior(1.0)
-    with pytest.raises(ValueError, match="Laguerre"):
-        unit.pair
-    assert unit.dpsi_at == {} and "pair" not in vars(unit)
+    assert list(basis_module._store) == before
 
 
 @pytest.mark.parametrize("order", [16, 128, 363])
 def test_derivative_memo_matches_a_scratch_build(order):
     frame = Frame(order, 2.0)
+    unit = _unit(frame)
     basis = laguerre_basis(order, 1.0)
     rule = quadrature(basis)
     split = frame.split_rel
@@ -1625,12 +1816,12 @@ def test_derivative_memo_matches_a_scratch_build(order):
         # a miss shifts a stored basis, which moves the rounding of the tiny
         # entries: at orders 128 and 363 entries below 1e-8 differ by up to
         # 4.4e-11 and 1.1e-7 relative, and by at most 2.1e-18 absolute
-        _assert_close(frame.dpsi_at(shift), _scratch_g(rule.weights, psi), 1e-11)
+        _assert_close(unit.dpsi_at(frame, shift), _scratch_g(rule.weights, psi), 1e-11)
         if order == 16:  # every entry still agrees to 1e-12 relative (1.5e-13)
-            np.testing.assert_allclose(frame.dpsi_at(shift), _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(unit.dpsi_at(frame, shift), _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
     # the order's pair stacks the same G at shift 0 and at the unit split
-    pair = frame._unit.pair
-    for half, shift in ((pair[: order + 1], 0.0), (pair[order + 1 :], round(frame._unit.split, 12))):
+    pair = unit.pair
+    for half, shift in ((pair[: order + 1], 0.0), (pair[order + 1 :], round(unit.split, 12))):
         psi = eval_weighted_all(basis, rule.nodes + shift)
         np.testing.assert_allclose(half, _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
     # and a state's split reading agrees with the reverse-cumsum oracle
@@ -1654,10 +1845,11 @@ def test_rescaled_basis_is_accurate_past_the_normal_start(monkeypatch):
     # at order 363 the ratio 1/0.95 puts the largest rescaled node at
     # y = 1490.7, where exp(-y/2) is subnormal: a start there erred by 3.7e-3
     frame, target = Frame(363, 1.0), Frame(363, 0.95)
-    monkeypatch.setattr(frame._unit, "psi_on", {})
+    unit = _unit(frame)
+    _empty_store(monkeypatch)
     ratio = round(1.0 / 0.95, 12)
-    assert 0.5 * frame._unit.nodes[-1] * ratio > adapt._LOG_TINY
-    _assert_close(frame.psi_on(target), _damped_reference(363, frame._unit.nodes * ratio), 1e-12)
+    assert 0.5 * unit.nodes[-1] * ratio > adapt._LOG_TINY
+    _assert_close(unit.psi_on(frame, target), _damped_reference(363, unit.nodes * ratio), 1e-12)
 
 
 @pytest.mark.parametrize("order", [16, 48, 128, 256, 363])
@@ -1666,14 +1858,13 @@ def test_shifted_memos_match_a_direct_evaluation(order, monkeypatch):
     # distance a frame reads, each entry stays within 1e-11 of the direct
     # evaluation (measured: 1.0e-12 at order 363, shift 0.008)
     frame = Frame(order, 1.0)
-    unit = frame._unit
-    for memo in ("psi_at", "dpsi_at"):
-        monkeypatch.setattr(unit, memo, {})
+    unit = _unit(frame)
+    _empty_store(monkeypatch)
     split = round(unit.split, 12)
     for shift in (0.008, 1.4, split, split + 0.008, split + 0.2, 50.0):
         psi = _damped_reference(order, unit.nodes + round(shift, 12))
-        _assert_close(frame.psi_at(shift), psi, 1e-11)
-        _assert_close(frame.dpsi_at(shift), _scratch_g(unit.weights, psi), 1e-11)
+        _assert_close(unit.psi_at(frame, shift), psi, 1e-11)
+        _assert_close(unit.dpsi_at(frame, shift), _scratch_g(unit.weights, psi), 1e-11)
     assert not unit.psi_split.flags.writeable
     # a shift past 16 unit lengths is applied in equal pieces: 50 as 4 of 12.5
     pieces = unit.psi
@@ -1685,39 +1876,42 @@ def test_shifted_memos_match_a_direct_evaluation(order, monkeypatch):
         with pytest.raises(ValueError, match="left of its endpoint"):
             adapt._shift(unit.psi, bad)
     # a small negative shift keeps every node right of 0, but is still refused
-    for read in (frame.psi_at, frame.dpsi_at):
+    for read in (unit.psi_at, unit.dpsi_at):
         with pytest.raises(ValueError, match="left of its endpoint"):
-            read(-0.001)
+            read(frame, -0.001)
 
 
 def test_shifted_memos_reject_a_negative_shift():
     frame = Frame(20, 1.0)
-    unit = frame._unit
-    before = (list(unit.psi_at), list(unit.dpsi_at))
+    unit = _unit(frame)
+    before = list(basis_module._store)
     for shift in (-1.0, -30.0):
-        for read in (frame.psi_at, frame.dpsi_at):
+        for read in (unit.psi_at, unit.dpsi_at):
             with pytest.raises(ValueError, match="left of its endpoint"):
-                read(shift)
-    assert (list(unit.psi_at), list(unit.dpsi_at)) == before
+                read(frame, shift)
+    assert list(basis_module._store) == before
 
 
 def test_hermite_frame_has_no_shifted_basis():
     # the addition theorem is Laguerre's; a move already refuses a Hermite frame
     frame = Frame(20, 1.0, HERMITE)
+    unit = _unit(frame)
+    before = list(basis_module._store)
     for shift in (0.0, 0.1):
         with pytest.raises(ValueError, match="Laguerre"):
-            frame.psi_at(shift)
-    assert list(frame._unit.psi_at) == [0.0]
+            unit.psi_at(frame, shift)
+    assert list(basis_module._store) == before
 
 
 def test_psi_on_rejects_a_frame_of_another_order_or_family():
-    frame = Frame(10, 1.0)
-    before = list(frame._unit.psi_on)
-    for other in (Frame(12, 2.0), Frame(10, 2.0, HERMITE)):
+    frame, others = Frame(10, 1.0), (Frame(12, 2.0), Frame(10, 2.0, HERMITE))
+    unit = _unit(frame)
+    before = list(basis_module._store)
+    for other in others:
         with pytest.raises(ValueError, match="same order and family"):
-            frame.psi_on(other)
-    assert list(frame._unit.psi_on) == before
-    assert frame.psi_on(Frame(10, 2.0)).shape == (11, 11)
+            unit.psi_on(frame, other)
+    assert list(basis_module._store) == before
+    assert unit.psi_on(frame, Frame(10, 2.0)).shape == (11, 11)
 
 
 def test_frame_state_error_rejects_a_misshaped_reference():
@@ -1738,7 +1932,7 @@ def test_frame_state_error_rejects_a_misshaped_reference():
 
 
 def test_frame_rejects_bad_input_and_caches_nothing():
-    before = (dict(Frame._cache), adapt._unit_frame.cache_info().currsize)
+    before = (dict(Frame._cache), list(basis_module._store))
     for beta in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             Frame(32, beta)
@@ -1750,7 +1944,7 @@ def test_frame_rejects_bad_input_and_caches_nothing():
     for order in (12.5, 32.0, True, np.float64(32.0)):
         with pytest.raises(ValueError, match="order must be an integer"):
             Frame(order, 1.0)
-    assert (dict(Frame._cache), adapt._unit_frame.cache_info().currsize) == before
+    assert (dict(Frame._cache), list(basis_module._store)) == before
     assert Frame(np.int64(32), 1.0) is Frame(32, 1.0)
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import specadapt.basis as basis_module
 from specadapt.adapt import Frame, FrameState, FrameState2D, frame_state_2d_from, frame_state_from
 from specadapt.approx import Expansion, evaluate, interpolate, relative_error
 from specadapt.basis import (
@@ -162,13 +163,13 @@ def test_weighted_norm_trivial_and_quadrature_oracle():
     # the squared L2 norm of the interpolant in the unit variable y = beta*x,
     # that is beta times its squared norm in x
     frame = Frame(14, 1.0)
-    assert float(np.sum((frame.tomodal @ np.zeros(15)) ** 2)) == 0.0
+    tomodal = FrameState(frame, np.zeros(15)).units[0].tomodal  # one for every beta
+    assert float(np.sum((tomodal @ np.zeros(15)) ** 2)) == 0.0
     ground = np.exp(-0.5 * frame.nodes)  # psi_0, with norm 1 in y
-    assert float(np.sum((frame.tomodal @ ground) ** 2)) == pytest.approx(1.0, rel=1e-14)
+    assert float(np.sum((tomodal @ ground) ** 2)) == pytest.approx(1.0, rel=1e-14)
     rng = np.random.default_rng(5)
-    frame = Frame(14, 0.8)
     values = rng.standard_normal(15)
-    energy = float(np.sum((frame.tomodal @ values) ** 2))
+    energy = float(np.sum((tomodal @ values) ** 2))
     mod_weights = modified_weights(quadrature(laguerre_basis(14, 0.8)))
     assert energy == pytest.approx(0.8 * float(np.sum(mod_weights * values**2)), rel=1e-11)
 
@@ -219,8 +220,8 @@ def test_separable_2d_coefficients_are_outer_product():
     h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
     state = frame_state_2d_from(separable(g, h), 12, 1.0, 9, 1.5)
     fx, fy = state.frame_x, state.frame_y
-    cx = fx.tomodal @ g(fx.nodes)
-    cy = fy.tomodal @ h(fy.nodes)
+    cx = state.units[0].tomodal @ g(fx.nodes)
+    cy = state.units[1].tomodal @ h(fy.nodes)
     np.testing.assert_allclose(state._coeffs, np.outer(cx, cy), rtol=1e-11, atol=1e-11)
 
 
@@ -282,15 +283,15 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         interpolate(np.zeros(6), basis)
     # moves: only a Laguerre origin moves, rightward by a finite distance,
-    # and a rejected move leaves the order's memo as it was
+    # and a rejected move leaves the operator store as it was
     state = FrameState(Frame(4, 1.0), np.ones(5))
     state_2d = FrameState2D(Frame(4, 1.0), Frame(5, 1.0), np.ones((5, 6)))
-    memo = list(state.frame._unit.psi_at)
+    memo = list(basis_module._store)
     for distance in (-0.5, -0.001, math.nan, math.inf):
         for move in (state.moved, state_2d.moved, lambda d: state_2d.moved(d, 1)):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 move(distance)
-    assert list(state.frame._unit.psi_at) == memo
+    assert list(basis_module._store) == memo
     hermite = FrameState(Frame(4, 1.0, HERMITE), np.ones(5))
     hermite_2d = FrameState2D(Frame(4, 1.0, HERMITE), Frame(5, 1.0), np.ones((5, 6)))
     for move in (hermite.moved, hermite_2d.moved):

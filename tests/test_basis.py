@@ -201,16 +201,20 @@ def _jacobi_diagonals(family: str, n: int):
 
 
 def _clear_rules():
-    basis_module._rules.clear()
+    """Empty the operator store and the dsterf lookup."""
+    basis_module._store.clear()
+    basis_module._store_bytes = 0
     basis_module._dsterf.cache_clear()
 
 
 @pytest.fixture
-def fresh_rules():
-    """Empty the rule and dsterf caches before and after the test."""
-    _clear_rules()
+def fresh_rules(monkeypatch):
+    """An empty operator store and dsterf lookup for the test; the session's store is put back after it."""
+    monkeypatch.setattr(basis_module, "_store", {})
+    monkeypatch.setattr(basis_module, "_store_bytes", 0)
+    basis_module._dsterf.cache_clear()
     yield
-    _clear_rules()
+    basis_module._dsterf.cache_clear()
 
 
 def _fail_to_load(name):
@@ -386,7 +390,7 @@ def test_unit_pass_has_the_bits_of_the_three_call_build(fresh_rules, family, ord
     shift = round(float(nodes[(order + 2) // 3]), 12) if family == LAGUERRE else None
     rules, evaluations = _three_call_build(family, order, shift)
     for cached in ((), (order,), (2 * order + 1,)):
-        # a rule already cached is computed again, to the same bits
+        # a rule already stored is kept; either way it has the same bits
         _clear_rules()
         for rule_order in cached:
             _unit_rule(family, rule_order)
@@ -396,36 +400,44 @@ def test_unit_pass_has_the_bits_of_the_three_call_build(fresh_rules, family, ord
             if made is not None:
                 assert np.array_equal(made, expected), cached
         for rule_order, expected in zip((order, 2 * order + 1), rules):
-            for made_part, expected_part in zip(basis_module._rules[family, rule_order], expected):
+            for made_part, expected_part in zip(basis_module._store["rule", family, rule_order][0], expected):
                 assert np.array_equal(made_part, expected_part), (cached, rule_order)
                 assert not made_part.flags.writeable
 
 
 def test_unit_pass_fills_the_rule_cache_that_quadrature_reads(monkeypatch, fresh_rules):
     _unit_pass(LAGUERRE, 24, _unit_nodes(LAGUERRE, 24), 3.5)
-    kept = dict(basis_module._rules)
-    assert set(kept) == {(LAGUERRE, 24), (LAGUERRE, 49)}
+    kept = {key: value for key, (value, _) in basis_module._store.items()}
+    assert set(kept) == {("rule", LAGUERRE, 24), ("rule", LAGUERRE, 49)}
     passes = []
     monkeypatch.setattr(basis_module, "_basis_pass", lambda *args: passes.append(args))
     for order in (24, 49):
         rule = quadrature(laguerre_basis(order, 2.0))
-        assert _unit_rule(LAGUERRE, order) is kept[LAGUERRE, order]
-        assert np.array_equal(rule.nodes, kept[LAGUERRE, order][0] / 2.0)
+        assert _unit_rule(LAGUERRE, order) is kept["rule", LAGUERRE, order]
+        assert np.array_equal(rule.nodes, kept["rule", LAGUERRE, order][0] / 2.0)
     assert passes == []
 
 
-def test_rule_cache_keeps_the_128_most_recently_used(fresh_rules):
+def test_rule_cache_keeps_the_128_most_recently_used(monkeypatch, fresh_rules):
+    # a Laguerre rule of order k holds three arrays of k+1 floats, so this
+    # budget holds the rules of orders 2..129, the 128 most recent
+    monkeypatch.setattr(basis_module, "_STORE_BYTES", sum(24 * (k + 1) for k in range(2, 130)))
     for order in range(130):
         _unit_rule(LAGUERRE, order)
-    assert len(basis_module._rules) == 128
-    assert (LAGUERRE, 0) not in basis_module._rules and (LAGUERRE, 1) not in basis_module._rules
+        assert basis_module._store_bytes <= basis_module._STORE_BYTES
+    rules = basis_module._store
+    assert len(rules) == 128
+    assert ("rule", LAGUERRE, 0) not in rules and ("rule", LAGUERRE, 1) not in rules
     # a hit makes a rule the most recently used, so the next miss evicts order 3
-    oldest = basis_module._rules[LAGUERRE, 2]
+    oldest = rules["rule", LAGUERRE, 2][0]
     assert _unit_rule(LAGUERRE, 2) is oldest
+    # a Hermite rule's weights are its damped weights, one array counted
+    # once: order 5 holds two arrays of 6 floats, the bytes of Laguerre order 3
     _unit_rule(HERMITE, 5)
-    assert len(basis_module._rules) == 128
-    assert (LAGUERRE, 2) in basis_module._rules and (LAGUERRE, 3) not in basis_module._rules
-    assert list(basis_module._rules)[-2:] == [(LAGUERRE, 2), (HERMITE, 5)]
+    assert rules["rule", HERMITE, 5][1] == 2 * 6 * 8
+    assert len(rules) == 128 and basis_module._store_bytes == basis_module._STORE_BYTES
+    assert ("rule", LAGUERRE, 2) in rules and ("rule", LAGUERRE, 3) not in rules
+    assert list(rules)[-2:] == [("rule", LAGUERRE, 2), ("rule", HERMITE, 5)]
 
 
 def test_hermite_rule_order_ceiling():
@@ -507,6 +519,19 @@ def test_evaluations_have_the_bits_of_the_per_step_recurrence(family, beta):
                 for made, expected in ((eval_weighted_all(basis, x), weighted), (eval_basis_all(basis, x), plain)):
                     assert made.shape == expected.shape == (order + 1,) + np.shape(x)
                     assert np.array_equal(made, expected, equal_nan=True), (order, np.shape(x))
+
+
+@pytest.mark.parametrize("family", [LAGUERRE, HERMITE])
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_evaluations_reject_a_non_finite_point(family, point):
+    # a NaN point used to give a NaN column, and an infinite one a
+    # RuntimeWarning and then NaN; a Laguerre basis at -inf raised as left
+    # of its endpoint
+    basis = ScaledBasis(family, 1.5, 12)
+    for evaluate in (eval_weighted_all, eval_basis_all):
+        for x in (point, np.array([0.5, point, 2.0]), np.array([[0.5], [point]])):
+            with pytest.raises(ValueError, match="non-finite point"):
+                evaluate(basis, x)
 
 
 def test_modified_weights_integrate_unweighted_integrands():

@@ -277,7 +277,7 @@ def test_frequency_2d_zero_tail_and_undefined():
     assert zero.exterior(zero.split_point(0), 0) is None
     coeffs = np.zeros((10, 10))
     coeffs[:7, :] = 1.0  # x-high-mode count for N=9 is 3: rows 7..9 empty
-    psi = fx.psi_at(0.0)
+    psi = zero.units[0].psi
     state = FrameState2D(fx, fy, psi.T @ coeffs @ psi)
     assert state.frequency(0) == pytest.approx(0.0, abs=1e-12)
     assert state.frequency(1) > 0.1
