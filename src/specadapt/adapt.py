@@ -68,6 +68,18 @@ are read-only, so no memo can go stale.  The state memos are plain
 instance attributes written on first read (:class:`_memoized`), so a read
 takes no lock.
 
+A 1-d controlled step computes, besides its evolver's values and the
+reference: the evolved state's coefficients (``tomodal @ values``) and
+exterior set-up (``pair @ c``); in a moving mode, one shifted derivative
+(``dpsi_at(s) @ c``) per mover candidate, then the move (``c @ psi_at(d)``)
+and the moved state's coefficients; the frequency reading (the energy
+c*c, its total and its tail); the error's refined interpolant
+(``psi_refined.T @ c``); and the recorded exterior reading (``pair @ c``
+of the final state).  A rung of the ladder adds a rescale
+(``c @ psi_on``) and its coefficients.  Each reading takes its order's
+constants from the unit frame (``size``, ``high_start``, ``split_shift``,
+``split_decay``), and the 2-d frequency readings share one energy total.
+
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.  A 2-d reference is called on open grids
 (see :func:`run_2d`).
@@ -361,6 +373,7 @@ def _control_loop(state, stepper, cfg, dt, t_final, mode, reference):
     the initial record plus one record per step.
     """
     mode = normalize_mode(mode)
+    moving, scaling = mode in (MODE_MOVE, MODE_MOVE_SCALE), mode in (MODE_SCALE, MODE_MOVE_SCALE)
     axes = range(len(state.frames))
     try:
         f0 = [state.frequency(axis) for axis in axes]
@@ -371,19 +384,19 @@ def _control_loop(state, stepper, cfg, dt, t_final, mode, reference):
         raise
     for n in range(_step_count(t_final, dt)):
         t_prev, t = n * dt, (n + 1) * dt
-        kept = state.frames, state.lefts
+        frames, lefts = state.frames, state.lefts
         try:
             state = stepper(state, t_prev, dt)
         except Exception as exc:
             _name_time(exc, "evolution step", t_prev)
             raise
-        if (state.frames, state.lefts) != kept:
+        if state.frames != frames or state.lefts != lefts:
             raise ValueError(
                 f"the evolution step at t = {_format_field(t_prev)} changed a frame or an "
                 "origin; the evolver must keep the frames it was given"
             )
         try:
-            if mode in (MODE_MOVE, MODE_MOVE_SCALE):
+            if moving:
                 distances = [
                     _moving_distance(state, axis, state.exterior(state.split_point(axis), axis), e0[axis], cfg)
                     for axis in axes
@@ -391,7 +404,7 @@ def _control_loop(state, stepper, cfg, dt, t_final, mode, reference):
                 for axis, d0 in enumerate(distances):
                     if d0 > 0.0:
                         state = state.moved(d0, axis)
-            if mode in (MODE_SCALE, MODE_MOVE_SCALE):
+            if scaling:
                 for axis in axes:
                     state, f0[axis], _ = _scaling_ladder(state, axis, state.frequency(axis), f0[axis], cfg)
             records.append(_record(state, reference, t))
@@ -487,6 +500,9 @@ class _memoized:
 # The longest unit shift that :func:`_shift` applies in one product.
 _PIECE = 16.0
 
+# The rows of the block in which :meth:`_UnitFrame.dpsi` halves its input.
+_ROWS = 32
+
 
 def _shift(psi: np.ndarray, s: float) -> np.ndarray:
     """The damped Laguerre functions at y + s from their values ``psi[l, k]`` at y_k.
@@ -543,6 +559,13 @@ class _UnitFrame:
     are kept in the store beside it (:meth:`psi_at`, :meth:`psi_on`,
     :meth:`dpsi_at`), keyed in the unit variable, so every ladder rung
     shares the entry of the ratio 1/q.
+
+    The build also keeps the constants the readings of every state of the
+    order use, so no reading recomputes them: ``size`` (N+1),
+    ``high_start`` (N+1-M, the first of the M =
+    :func:`~.indicators.default_high_mode_count` high modes),
+    ``split_shift`` (s*) and ``split_decay`` (exp(-s*/2)); the last two
+    are None on a Hermite order.
     """
 
     def __init__(self, order: int, family: str):
@@ -551,28 +574,31 @@ class _UnitFrame:
         if family == LAGUERRE and 0.5 * nodes[-1] > _LOG_TINY:
             raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
         self.split = default_split_point(order, nodes) if family == LAGUERRE else None
+        # the constants every reading of a state of this order uses
+        self.size = order + 1
+        self.high_start = order + 1 - default_high_mode_count(order)
+        self.split_shift = shift = None if self.split is None else round(self.split, 12)
+        self.split_decay = None if shift is None else math.exp(-0.5 * shift)
         # one pass: the evaluations, and both rules into the store
-        shift = None if self.split is None else round(self.split, 12)
         self.psi, self.psi_refined, self.psi_split = _unit_pass(family, order, nodes, shift)
         rule, refined = quadrature(basis), quadrature(replace(basis, order=2 * order + 1))
         self.nodes, self.weights = rule.nodes, rule.weights
         self.mod_weights = modified_weights(rule)
         self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
         self.tomodal = self.psi * self.mod_weights
-        # written in place, column-major, so each write is a contiguous row
-        # of G's transpose; dpsi overwrites its input, hence the copies
+        # written in place, column-major, so each write is a contiguous row of G's transpose
         self.pair = None
         if shift is not None:
             self.pair = pair = np.empty((2 * order + 2, order + 1), order="F")
-            self.dpsi(self.psi.copy(), out=pair[: order + 1])
-            self.dpsi(self.psi_split.copy(), out=pair[order + 1 :])
+            self.dpsi(self.psi, out=pair[: order + 1])
+            self.dpsi(self.psi_split, out=pair[order + 1 :])
 
     @_memoized
     def frequency_floor(self) -> float:
         """The largest frequency reading of a psi_l (l <= N-m) at the nodes, whose exact tail is zero."""
-        n, m = self.nodes.size, default_high_mode_count(self.nodes.size - 1)
-        squares = (self.tomodal @ self.psi[: n - m].T) ** 2
-        return float(np.sqrt(squares[n - m :].sum(axis=0) / squares.sum(axis=0)).max())
+        k = self.high_start
+        squares = (self.tomodal @ self.psi[:k].T) ** 2
+        return float(np.sqrt(squares[k:].sum(axis=0) / squares.sum(axis=0)).max())
 
     def psi_at(self, frame: "Frame", shift: float) -> np.ndarray:
         """The damped functions at the nodes of ``frame``, of this order, shifted by ``shift``, (N+1, N+1).
@@ -628,18 +654,20 @@ class _UnitFrame:
         s* + beta*n*delta each take one short :func:`_shift`, and
         ``psi`` before it.  No basis evaluation.
         """
-        split = round(self.split, 12)
+        split = self.split_shift
         psi = _shift(self.psi_split, s - split) if s >= split else _shift(self.psi, s)
         return self.dpsi(psi)
 
     def dpsi(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], overwriting psi.
+        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], which is left as it was.
 
-        G is written to ``out`` when given, an (N+1, N+1) array.
+        G is written to ``out`` when given, an (N+1, N+1) array.  The halves
+        psi_l/2 are subtracted ``_ROWS`` rows at a time, so the only
+        temporary is one block of rows.
         """
         g = np.cumsum(psi, axis=0, out=None if out is None else out.T)
-        psi *= 0.5
-        g -= psi
+        for row in range(0, psi.shape[0], _ROWS):
+            g[row : row + _ROWS] -= 0.5 * psi[row : row + _ROWS]
         g *= np.sqrt(self.weights)
         return g.T
 
@@ -696,36 +724,24 @@ class Frame:
         self.refined_nodes = _read_only(unit.refined_nodes / beta)
 
 
-def _high_mode_fraction(energy: np.ndarray, order: int, axis: int = 0) -> float | None:
-    """The frequency indicator along ``axis`` (of order ``order``) of squared coefficients.
+def _high_mode_fraction(energy: np.ndarray, total: float, start: int, axis: int) -> float:
+    """The frequency indicator along ``axis`` of squared coefficients of positive sum ``total``.
 
-    None for zero energy; ValueError if the energy is not finite.
+    ``start`` is the axis's first high mode (:attr:`_UnitFrame.high_start`).
     """
-    total = float(energy.sum())
-    if not math.isfinite(total):
-        raise ValueError(f"state energy is {total}: the values are not all finite")
-    if total <= 0.0:
-        return None
-    k = order + 1 - default_high_mode_count(order)
-    tail = energy[k:] if axis == 0 else energy[:, k:]
-    return min(1.0, float(math.sqrt(tail.sum() / total)))
-
-
-def _check_move(frame: Frame, distance: float) -> None:
-    """Only a Laguerre origin moves, and only rightward by a finite distance."""
-    if frame.family != LAGUERRE:
-        raise ValueError("only a Laguerre frame has a movable origin")
-    if not (math.isfinite(distance) and distance >= 0.0):
-        raise ValueError(f"move distance must be finite and nonnegative, got {distance}")
+    tail = energy[start:] if axis == 0 else energy[:, start:]
+    return min(1.0, math.sqrt(np.add.reduce(tail, None) / total))
 
 
 def _apply(matrix: np.ndarray, array: np.ndarray, axis: int) -> np.ndarray:
     """``matrix`` applied along ``axis`` (0 or 1) of ``array``: the sum over j of matrix[k, j] array[.., j, ..].
 
     That is ``matrix @ array`` along axis 0 and ``array @ matrix.T`` along
-    axis 1; a vector ``matrix`` (weights) removes the axis.
+    axis 1; a vector ``matrix`` (weights) removes the axis.  Like every
+    product of a state, it calls :func:`numpy.dot`, which runs the same
+    BLAS routine on the same operands as ``@`` with less dispatch work.
     """
-    return matrix @ array if axis == 0 else array @ matrix.T
+    return np.dot(matrix, array) if axis == 0 else np.dot(array, matrix.T)
 
 
 def _on_grid(reference, points: Sequence[np.ndarray], shape: tuple, t: float, name: str) -> np.ndarray:
@@ -737,12 +753,7 @@ def _on_grid(reference, points: Sequence[np.ndarray], shape: tuple, t: float, na
     """
     if len(points) == 2:
         points = (points[0][:, None], points[1][None, :])
-    return _broadcast(reference(*points, t), shape, name)
-
-
-def _broadcast(values, shape: tuple, name: str) -> np.ndarray:
-    """A reference's result broadcast to ``shape``, or ValueError naming both."""
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(reference(*points, t), dtype=float)
     if values.shape == shape:
         return values
     try:
@@ -802,20 +813,20 @@ class FrameState:
                     f"frames and {len(lefts)} origins"
                 )
         values = np.array(values, dtype=float)
-        expected = tuple([frame.order + 1 for frame in frames])
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} != {expected}")
-        for axis, left in enumerate(lefts):
-            if not math.isfinite(left):
-                raise ValueError(f"the origin of axis {axis} must be finite, got {left}")
-        self._set(frames, values, lefts, tuple([_unit_frame(frame.order, frame.family) for frame in frames]))
+        units = tuple([_unit_frame(frame.order, frame.family) for frame in frames])
+        if values.shape != tuple([unit.size for unit in units]):
+            raise ValueError(f"values shape {values.shape} != {tuple([unit.size for unit in units])}")
+        if not all(map(math.isfinite, lefts)):
+            axis = [math.isfinite(left) for left in lefts].index(False)
+            raise ValueError(f"the origin of axis {axis} must be finite, got {lefts[axis]}")
+        self._set(frames, values, lefts, units)
 
     def _set(self, frames: tuple, values: np.ndarray, lefts: tuple, units: tuple) -> None:
         """Store checked fields; ``values`` is an array the state owns, made read-only here."""
+        values.setflags(write=False)
         attributes = self.__dict__
         attributes["frames"], attributes["lefts"], attributes["units"] = frames, lefts, units
-        attributes["values"] = _read_only(values)
-        attributes["frame"], attributes["x_left"] = frames[0], lefts[0]
+        attributes["values"], attributes["frame"], attributes["x_left"] = values, frames[0], lefts[0]
 
     @classmethod
     def _of(cls, frames: tuple, values: np.ndarray, lefts: tuple, units: tuple) -> "FrameState":
@@ -832,15 +843,23 @@ class FrameState:
 
     @_memoized
     def _coeffs(self) -> np.ndarray:
-        coeffs = self.units[0].tomodal @ self.values
+        coeffs = np.dot(self.units[0].tomodal, self.values)
         for unit in self.units[1:]:
             coeffs = _apply(unit.tomodal, coeffs, 1)
-        return _read_only(coeffs)
+        coeffs.setflags(write=False)
+        return coeffs
 
     @_memoized
     def _frequencies(self) -> list:
+        """The frequency reading of every axis, from one energy matrix and its one total; None for zero energy."""
         energy = self._coeffs * self._coeffs
-        return [_high_mode_fraction(energy, frame.order, axis) for axis, frame in enumerate(self.frames)]
+        # the sums are ``x.sum()``, called as the reduction that method wraps in Python
+        total = float(np.add.reduce(energy, None))
+        if not math.isfinite(total):
+            raise ValueError(f"state energy is {total}: the values are not all finite")
+        if total <= 0.0:
+            return [None] * len(self.units)
+        return [_high_mode_fraction(energy, total, unit.high_start, axis) for axis, unit in enumerate(self.units)]
 
     @_memoized
     def _marginals(self) -> list:
@@ -852,12 +871,12 @@ class FrameState:
         unit = self.units[0]
         if unit.pair is None:
             raise ValueError("only a Laguerre frame has an exterior indicator")
-        g = unit.pair @ self._coeffs
-        whole, tail = g[: self.frame.order + 1], g[self.frame.order + 1 :]
+        g = np.dot(unit.pair, self._coeffs)
+        whole, tail = g[: unit.size], g[unit.size :]
         denominator = math.sqrt(whole.dot(whole))
         if denominator <= 0.0:
             return denominator, None
-        return denominator, math.exp(-0.5 * round(unit.split, 12)) * (math.sqrt(tail.dot(tail)) / denominator)
+        return denominator, unit.split_decay * (math.sqrt(tail.dot(tail)) / denominator)
 
     @property
     def beta(self) -> float:
@@ -887,24 +906,23 @@ class FrameState:
         return marginals[axis]
 
     def exterior(self, split: float | None, axis: int = 0) -> float | None:
-        """The exterior indicator of ``axis`` at ``split``, read on its marginal; None for Hermite."""
-        return (self if len(self.frames) == 1 else self.marginal(axis))._exterior(split)
+        """The exterior indicator of ``axis`` at ``split``, read on its marginal; None for Hermite.
 
-    def _exterior(self, split: float | None) -> float | None:
-        # The reading of a one-axis state.  :meth:`exterior` calls it on the
-        # marginal, not the wrapped public method, so a traced call counts once.
-        # Off the own split the derivative's tail ratio is exp(-beta*offset/2)*|G c|/|G(0) c|
-        # with G = dpsi_at(offset), in which the derivative's factors beta cancel.
+        Off the marginal's own split the derivative's tail ratio is
+        exp(-beta*offset/2)*|G c|/|G(0) c| with G = dpsi_at(offset), in which
+        the derivative's factors beta cancel.
+        """
         if split is None:
             return None
-        if split == self.split_point():
-            return self._split_reading[1]
-        denominator = self._split_reading[0]
+        state = self if len(self.frames) == 1 else self.marginal(axis)
+        if split == state.split_point():
+            return state._split_reading[1]
+        denominator = state._split_reading[0]
         if denominator <= 0.0:
             return None
-        offset = split - self.x_left
-        g = self.units[0].dpsi_at(self.frame, offset) @ self._coeffs
-        return math.exp(-0.5 * self.frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
+        offset = split - state.x_left
+        g = np.dot(state.units[0].dpsi_at(state.frame, offset), state._coeffs)
+        return math.exp(-0.5 * state.frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
 
     def moved(self, distance: float, axis: int = 0) -> "FrameState":
         """The state on the frame whose origin along ``axis`` is ``distance`` to the right.
@@ -913,7 +931,10 @@ class FrameState:
         along a Hermite axis.
         """
         frame = self.frames[axis]
-        _check_move(frame, distance)
+        if frame.family != LAGUERRE:
+            raise ValueError("only a Laguerre frame has a movable origin")
+        if not (math.isfinite(distance) and distance >= 0.0):
+            raise ValueError(f"move distance must be finite and nonnegative, got {distance}")
         return self._resampled(axis, frame, self.units[axis].psi_at(frame, distance), self.lefts[axis] + distance)
 
     def rescaled(self, beta: float, axis: int = 0) -> "FrameState":
@@ -925,7 +946,7 @@ class FrameState:
     def _resampled(self, axis: int, frame: Frame, psi: np.ndarray, left: float) -> "FrameState":
         """The state with ``frame`` at ``left`` on ``axis``: that axis's coefficients against ``psi``."""
         if len(self.frames) == 1:  # the partial transform is the whole one, which the state keeps
-            return self._of((frame,), self._coeffs @ psi, (left,), self.units)
+            return self._of((frame,), np.dot(self._coeffs, psi), (left,), self.units)
         partial = _apply(self.units[axis].tomodal, self.values, axis)
         frames, lefts = list(self.frames), list(self.lefts)
         frames[axis], lefts[axis] = frame, left
@@ -940,7 +961,7 @@ class FrameState:
         ratio; a zero reference gives the absolute norm, in x.  ValueError
         if a sum is not finite.
         """
-        diff = self.units[0].psi_refined.T @ self._coeffs
+        diff = np.dot(self.units[0].psi_refined.T, self._coeffs)
         for unit in self.units[1:]:
             diff = _apply(unit.psi_refined.T, diff, 1)
         points = [left + frame.refined_nodes for frame, left in zip(self.frames, self.lefts)]
@@ -949,7 +970,7 @@ class FrameState:
         numerator, denominator = diff * diff, exact * exact
         for unit in self.units:
             weights = unit.refined_weights
-            numerator, denominator = weights @ numerator, weights @ denominator
+            numerator, denominator = np.dot(weights, numerator), np.dot(weights, denominator)
         numerator, denominator = float(numerator), float(denominator)
         if not (math.isfinite(numerator) and math.isfinite(denominator)):
             raise ValueError(

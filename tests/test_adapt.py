@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -1182,8 +1183,10 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
         assert state.exterior(splits[axis] + 0.05, axis) == scratch_exterior[axis][1]
         assert state.exterior(splits[axis] + 0.05, axis) == scratch_exterior[axis][1]
         assert (len(setups), len(tails)) == (before[0] + 1, before[1] + 2)
-    assert [axis for _, _, axis in frequency] == [0, 1]
-    assert all(np.array_equal(read, energy) and read is frequency[0][0] for read, _, _ in frequency)
+    # one fraction per axis, of one energy matrix and its one total
+    assert [(start, axis) for _, _, start, axis in frequency] == [(fx.order + 1 - fx.order // 3, 0), (fy.order + 1 - fy.order // 3, 1)]
+    assert all(np.array_equal(read, energy) and read is frequency[0][0] for read, _, _, _ in frequency)
+    assert [read_total for _, read_total, _, _ in frequency] == [total, total]
 
 
 @pytest.mark.parametrize("mode", [MODE_MOVE, MODE_SCALE, MODE_MOVE_SCALE])
@@ -1192,21 +1195,21 @@ def test_run_2d_reads_each_reading_once_per_state(monkeypatch, mode):
     # over a whole run, no state evaluates a frequency or an exterior twice
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
     setups = _count_calls(monkeypatch, vars(FrameState)["_split_reading"], "compute")
-    exterior = _count_calls(monkeypatch, FrameState, "_exterior")
+    exterior = _count_calls(monkeypatch, FrameState, "exterior")
     frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     records, _ = run_2d(
         frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 12, 2.0, 12, 2.0),
         cfg, 0.05, 1.0, mode,
     )
-    tails = [(state, split) for state, split in exterior if split != state.split_point()]
+    tails = [(state, split, axis) for state, split, axis in exterior if split != state.split_point(axis)]
     assert len(records) == 21 and len(frequency) >= 42 and len(setups) >= 42
     assert len(tails) > 0 if mode != MODE_SCALE else len(tails) == 0
     # the calls hold their arguments, so no id is reused within one list:
     # one frequency reading per axis of a state's energy, one set-up per
     # marginal state, and no shifted reading twice
-    assert len({(id(energy), axis) for energy, _, axis in frequency}) == len(frequency)
+    assert len({(id(energy), axis) for energy, _, _, axis in frequency}) == len(frequency)
     assert len({id(state) for (state,) in setups}) == len(setups)
-    assert len({(id(state), split) for state, split in tails}) == len(tails)
+    assert len({(id(state), split, axis) for state, split, axis in tails}) == len(tails)
 
 
 def _non_separable(x, y, t):
@@ -1647,6 +1650,44 @@ def test_store_stays_within_its_budget_over_an_order_sweep(monkeypatch):
     for order in range(8, 61, 4):
         _sweep_order(order)
     assert all(("unit", LAGUERRE, order) in basis_module._store for order in range(8, 61, 4))
+
+
+@pytest.mark.parametrize("family", [LAGUERRE, HERMITE])
+@pytest.mark.parametrize("order", [1, 2, 24, 128, 363])
+def test_unit_frame_constants_are_their_formulas(family, order):
+    # the per-order constants every reading uses, computed once at the build
+    unit = adapt._unit_frame(order, family)
+    assert (unit.size, unit.high_start) == (order + 1, order + 1 - max(1, order // 3))
+    if family == HERMITE:
+        assert unit.split is None and unit.split_shift is None and unit.split_decay is None
+        return
+    shift = round(unit.split, 12)
+    assert unit.split_shift.hex() == shift.hex()
+    assert unit.split_decay.hex() == math.exp(-0.5 * shift).hex()
+
+
+@pytest.mark.parametrize("order", [24, 128, 256, 363])
+def test_dpsi_leaves_its_input_and_holds_no_full_size_temporary(order):
+    unit = adapt._unit_frame(order, LAGUERRE)
+    psi = np.array(unit.psi_split)
+    # the former in-place form: cumulative sums, minus the halved input
+    expected = np.cumsum(psi, axis=0)
+    expected -= 0.5 * psi
+    expected *= np.sqrt(unit.weights)
+    out = np.empty((order + 1, order + 1), order="F")
+    tracemalloc.start()
+    try:
+        g = unit.dpsi(psi, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(psi, unit.psi_split)
+    assert np.array_equal(g, expected.T) and np.shares_memory(g, out)
+    # three blocks of rows at most: 37 % of psi's size at order 256, 26 % at 363
+    assert peak < 3 * adapt._ROWS * (order + 1) * psi.itemsize, (peak, psi.nbytes)
+    # the Laguerre pair holds G at shift 0 and at the split, from unchanged bases
+    assert np.array_equal(unit.pair[order + 1 :], expected.T)
+    assert np.array_equal(unit.pair[: order + 1], unit.dpsi(np.array(unit.psi)))
 
 
 def _operator_digest(unit, frame) -> str:
