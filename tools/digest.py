@@ -103,7 +103,7 @@ def run(checkout: Path, case: str, seed: int, smoke: bool) -> str:
         command.append("--smoke")
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", **{name: "1" for name in THREAD_VARS})
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, timeout=600)
-    lines = proc.stdout.split()
+    lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) != 2 or not lines[1].startswith(str(src)):
         raise RuntimeError(f"{checkout}: {case} at seed {seed} failed (exit {proc.returncode}): "
                            f"{proc.stderr.strip() or proc.stdout.strip()}")
@@ -121,7 +121,8 @@ def main(argv=None) -> int:
     if args.history:
         import specadapt
 
-        print(history(args.history[0], int(args.history[1]), args.smoke), Path(specadapt.__file__).resolve())
+        print(history(args.history[0], int(args.history[1]), args.smoke))
+        print(Path(specadapt.__file__).resolve())
         return 0
     if args.base is None or args.change is None:
         parser.error("--base and --change are required")
