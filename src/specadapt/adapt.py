@@ -57,16 +57,19 @@ Toeplitz matrix (:func:`_shift`).  Such misses follow each accepted
 rung, which changes the unit shifts of the next move and of its search.
 A state built from values looks its orders' unit operators up once and
 passes them to every state it derives.  A state keeps what it derives
-from its own values (the coefficients, the exterior
-indicator's whole-domain derivative norm, in 2-d the marginals) and its
-readings (the frequency indicator of every axis, and the exterior
-indicator at its own split point, in 2-d on each marginal) for as long as
-it lives, so the ladder, the mover and the per-step record read each once;
-a moved or rescaled state starts with none of them.  The exterior
-indicator at any other split is evaluated on every call.  State values
-are read-only, so no memo can go stale.  The state memos are plain
-instance attributes written on first read (:class:`_memoized`), so a read
-takes no lock.
+from its own values for as long as it lives: its coefficients, the
+frequency indicator of every axis, and one exterior set-up per axis.  A
+set-up holds the coefficients the axis's exterior readings use (on one
+axis the state's own, on two those of the axis's marginal values, the
+values integrated over the other axis), their whole-domain derivative
+norm and the reading at the axis's own split point.  So the ladder, the
+mover and the per-step record read each once, no reading builds a
+marginal state, and a moved or rescaled state starts with none of them.
+The exterior indicator at any other split is evaluated on every call.
+State values are read-only, so no memo can go stale.  The state memos are
+plain instance attributes written on first read (:class:`_memoized`), and
+the set-ups fill a list of one entry per axis that every state starts with
+empty, so a read takes no lock.
 
 A 1-d controlled step computes, besides its evolver's values and the
 reference: the evolved state's coefficients (``tomodal @ values``) and
@@ -79,6 +82,9 @@ of the final state).  A rung of the ladder adds a rescale
 (``c @ psi_on``) and its coefficients.  Each reading takes its order's
 constants from the unit frame (``size``, ``high_start``, ``split_shift``,
 ``split_decay``), and the 2-d frequency readings share one energy total.
+A 2-d state's exterior set-up of an axis first takes that axis's marginal
+values (``values @ w`` with the other axis's unit weights) and their
+coefficients (``tomodal @ marginal``), then the same ``pair @ c``.
 
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.  A 2-d reference is called on open grids
@@ -785,21 +791,26 @@ class FrameState:
     reading needs.  The state carries those operators, ``units``, one
     :class:`_UnitFrame` per axis: the constructor looks them up in the
     store, and a moved or rescaled state and a marginal take them over, so
-    a step looks them up once and an evicted order lives on in its states.  The exterior indicator of an axis is that of its
-    marginal, the values integrated over every other axis with its unit
-    weights, a one-axis state (a one-axis state is its own).
+    a step looks them up once and an evicted order lives on in its states.
+
+    The exterior indicator of an axis is that of its marginal values, the
+    values integrated over every other axis with its unit weights (on one
+    axis, the values themselves).  :meth:`marginal` returns them as a
+    one-axis state, whose readings equal the axis's, but no reading builds
+    one.
 
     What the readings derive from the values is computed at most once, on
     first use, and kept for the state's lifetime: the coefficients (the
     tensor transform, read-only), the frequency readings of every axis
-    (from one energy matrix c^2), per axis the marginal, and on a one-axis
-    state the exterior set-up.
-    The set-up is one product with the order's stacked pair, which gives
-    both the exterior indicator's denominator and its reading at
-    :meth:`split_point`.  So the mover's search over n*delta pays for the
-    denominator once, and each candidate only for its own shifted
-    numerator; the per-step record re-reads the controllers' readings for
-    free.  A moved or rescaled state is a new state with an empty memo.
+    (from one energy matrix c^2) and, per axis, the exterior set-up
+    (:meth:`_set_up`).  The set-up is the coefficients c of the axis's
+    marginal values (on one axis the state's own) and one product with the
+    order's stacked pair, which gives both the exterior indicator's
+    denominator and its reading at :meth:`split_point`.  So the mover's
+    search over n*delta pays for the denominator once, and each candidate
+    only for its own shifted numerator; the per-step record re-reads the
+    controllers' readings for free.  A moved or rescaled state is a new
+    state with an empty memo.
     """
 
     def __init__(self, frames, values, lefts=0.0):
@@ -827,6 +838,7 @@ class FrameState:
         attributes = self.__dict__
         attributes["frames"], attributes["lefts"], attributes["units"] = frames, lefts, units
         attributes["values"], attributes["frame"], attributes["x_left"] = values, frames[0], lefts[0]
+        attributes["_exteriors"] = [None] * len(frames)  # per axis, its exterior set-up once read
 
     @classmethod
     def _of(cls, frames: tuple, values: np.ndarray, lefts: tuple, units: tuple) -> "FrameState":
@@ -861,22 +873,23 @@ class FrameState:
             return [None] * len(self.units)
         return [_high_mode_fraction(energy, total, unit.high_start, axis) for axis, unit in enumerate(self.units)]
 
-    @_memoized
-    def _marginals(self) -> list:
-        return [None] * len(self.frames)
+    def _set_up(self, axis: int) -> tuple:
+        """The exterior set-up of ``axis``, stored as its entry of ``_exteriors``; a Hermite axis raises.
 
-    @_memoized
-    def _split_reading(self) -> tuple[float, float | None]:
-        """(|G(0) c|, exp(-s*/2)*|G(s*) c|/|G(0) c|), s* = round(unit split, 12), of a one-axis state; Hermite raises."""
-        unit = self.units[0]
+        It is (c, |G(0) c|, exp(-s*/2)*|G(s*) c|/|G(0) c|), s* = round(unit
+        split, 12), with c the coefficients the axis's readings use: the
+        state's own on one axis, those of :meth:`_marginal_values` on two.
+        """
+        unit = self.units[axis]
         if unit.pair is None:
             raise ValueError("only a Laguerre frame has an exterior indicator")
-        g = np.dot(unit.pair, self._coeffs)
+        coeffs = self._coeffs if len(self.frames) == 1 else _read_only(np.dot(unit.tomodal, self._marginal_values(axis)))
+        g = np.dot(unit.pair, coeffs)
         whole, tail = g[: unit.size], g[unit.size :]
         denominator = math.sqrt(whole.dot(whole))
-        if denominator <= 0.0:
-            return denominator, None
-        return denominator, unit.split_decay * (math.sqrt(tail.dot(tail)) / denominator)
+        reading = None if denominator <= 0.0 else unit.split_decay * (math.sqrt(tail.dot(tail)) / denominator)
+        setup = self._exteriors[axis] = coeffs, denominator, reading
+        return setup
 
     @property
     def beta(self) -> float:
@@ -894,35 +907,40 @@ class FrameState:
         split = self.frames[axis].split_rel
         return None if split is None else self.lefts[axis] + split
 
+    def _marginal_values(self, axis: int) -> np.ndarray:
+        """The values of a two-axis state integrated over the other axis with its unit weights."""
+        other = 1 - axis
+        return _apply(self.units[other].mod_weights, self.values, other)
+
     def marginal(self, axis: int = 0) -> "FrameState":
-        """The one-axis state of the values integrated over every other axis with its unit weights."""
+        """The one-axis state of the values integrated over every other axis with its unit weights.
+
+        A one-axis state is its own marginal.  No reading goes through a
+        marginal state: its exterior readings equal those of ``axis``.
+        """
         if len(self.frames) == 1:
             return self
-        marginals = self._marginals
-        if marginals[axis] is None:
-            other = 1 - axis
-            values = _apply(self.units[other].mod_weights, self.values, other)
-            marginals[axis] = FrameState._of((self.frames[axis],), values, (self.lefts[axis],), (self.units[axis],))
-        return marginals[axis]
+        return FrameState._of((self.frames[axis],), self._marginal_values(axis), (self.lefts[axis],), (self.units[axis],))
 
     def exterior(self, split: float | None, axis: int = 0) -> float | None:
-        """The exterior indicator of ``axis`` at ``split``, read on its marginal; None for Hermite.
+        """The exterior indicator of ``axis`` at ``split``, from the axis's set-up; None for Hermite.
 
-        Off the marginal's own split the derivative's tail ratio is
+        A Hermite axis has no split point, and any other split raises
+        ValueError.  Off the axis's own split the derivative's tail ratio is
         exp(-beta*offset/2)*|G c|/|G(0) c| with G = dpsi_at(offset), in which
         the derivative's factors beta cancel.
         """
         if split is None:
             return None
-        state = self if len(self.frames) == 1 else self.marginal(axis)
-        if split == state.split_point():
-            return state._split_reading[1]
-        denominator = state._split_reading[0]
+        coeffs, denominator, reading = self._exteriors[axis] or self._set_up(axis)
+        frame, left = self.frames[axis], self.lefts[axis]
+        if split == left + frame.split_rel:  # split_point(axis)'s own form: the readings' bits depend on it
+            return reading
         if denominator <= 0.0:
             return None
-        offset = split - state.x_left
-        g = np.dot(state.units[0].dpsi_at(state.frame, offset), state._coeffs)
-        return math.exp(-0.5 * state.frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
+        offset = split - left
+        g = np.dot(self.units[axis].dpsi_at(frame, offset), coeffs)
+        return math.exp(-0.5 * frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
 
     def moved(self, distance: float, axis: int = 0) -> "FrameState":
         """The state on the frame whose origin along ``axis`` is ``distance`` to the right.

@@ -852,16 +852,15 @@ def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
 
 
 def _count_derivative_setups(monkeypatch) -> list:
-    """Record the frame of every exterior set-up (a state's product with the order's pair)."""
+    """Record the frame of every exterior set-up (a product with the order's pair), one per axis set up."""
     calls = []
-    memo = vars(FrameState)["_split_reading"]
-    original = memo.compute
+    original = FrameState._set_up
 
-    def counted(state):
-        calls.append(state.frame)
-        return original(state)
+    def counted(state, axis):
+        calls.append(state.frames[axis])
+        return original(state, axis)
 
-    monkeypatch.setattr(memo, "compute", counted)
+    monkeypatch.setattr(FrameState, "_set_up", counted)
     return calls
 
 
@@ -1056,29 +1055,40 @@ def test_lock_free_memos_run_once_per_state(monkeypatch):
             return _compute(owner)
 
         monkeypatch.setattr(memo, "compute", counted)
+    setups = _count_calls(monkeypatch, FrameState, "_set_up")
     state, state_2d = _exercised_states()
     keys = [(id(owner), name) for owner, name in runs]
     assert len(keys) == len(set(keys))
-    # a one-axis state is its own marginal and sets up its own exterior
-    # readings; a two-axis state reads them on its marginals
-    assert sorted(name for owner, name in runs if owner is state) == sorted(set(_memo_names(FrameState)) - {"_marginals"})
-    assert sorted(name for owner, name in runs if owner is state_2d) == sorted(
-        set(_memo_names(FrameState)) - {"_split_reading"}
-    )
-    # each memo is a plain instance attribute once read, and the marginals
-    # are the same states on every read
-    assert all(name in vars(state_2d) for name in ("_coeffs", "_frequencies", "_marginals"))
+    # each state runs every memo once and sets up each axis once, and no
+    # other state runs either: no reading goes through a marginal (or any
+    # derived) state
+    for owner in (state, state_2d):
+        assert sorted(name for read, name in runs if read is owner) == sorted(_memo_names(FrameState))
+    assert all(owner is state or owner is state_2d for owner, _ in runs)
+    assert [(owner, axis) for owner, axis in setups] == [(state, 0), (state_2d, 0), (state_2d, 1)]
+    # each memo is a plain instance attribute once read; the exterior
+    # set-ups are a list with one entry per axis, which a one-axis state
+    # takes from its own coefficients and a two-axis one from its marginal
+    # values
+    for owner in (state, state_2d):
+        assert all(name in vars(owner) for name in _memo_names(FrameState))
+        assert len(owner._exteriors) == len(owner.frames) and all(type(entry) is tuple for entry in owner._exteriors)
+    assert state._exteriors[0][0] is state._coeffs
+    # a marginal is a thin operation: a new one-axis state on every call,
+    # on the values the set-up reads, with no memo filled and no set-up
     marginal = state_2d.marginal(0)
-    assert state.marginal(0) is state and marginal is state_2d.marginal(0) is vars(state_2d)["_marginals"][0]
+    assert state.marginal(0) is state and marginal is not state_2d.marginal(0)
     assert type(marginal) is FrameState and marginal.frames == state_2d.frames[:1]
-    assert {name for owner, name in runs if owner is marginal} == {"_coeffs", "_split_reading"}
+    assert marginal.lefts == state_2d.lefts[:1] and marginal.units == state_2d.units[:1]
+    assert np.array_equal(marginal.values, state_2d._marginal_values(0))
+    assert not set(vars(marginal)) & set(_memo_names(FrameState)) and marginal._exteriors == [None]
 
 
 def test_memo_names_refuse_assignment():
     fresh = frame_state_from(moving_front, 24, 2.0, t=0.2)
     fresh_2d = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, t=0.3)
     for target in (fresh, fresh_2d, *_exercised_states()):
-        for name in _memo_names(type(target)):
+        for name in _memo_names(type(target)) + ["_exteriors"]:
             before = vars(target).get(name)
             with pytest.raises(FrozenInstanceError):
                 setattr(target, name, None)
@@ -1096,6 +1106,10 @@ def test_memo_arrays_stay_read_only():
         for name in _memo_names(type(target))
         if isinstance(vars(target).get(name), np.ndarray)
     ]
+    # the exterior set-ups' coefficients: the 1-d state's own, and one per
+    # axis of the marginal values of the 2-d state
+    assert state._exteriors[0][0] is state._coeffs
+    arrays += [coeffs for coeffs, _, _ in state_2d._exteriors]
     arrays.append(state.units[0].pair)
     assert len(arrays) == 5  # the 1-d coefficients, the 2-d ones, two marginals', the pair
     # the values of every state are read-only too, also where a move, a
@@ -1194,7 +1208,7 @@ def test_run_2d_reads_each_reading_once_per_state(monkeypatch, mode):
     # the controllers and the per-step record share each state's readings:
     # over a whole run, no state evaluates a frequency or an exterior twice
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
-    setups = _count_calls(monkeypatch, vars(FrameState)["_split_reading"], "compute")
+    setups = _count_calls(monkeypatch, FrameState, "_set_up")
     exterior = _count_calls(monkeypatch, FrameState, "exterior")
     frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     records, _ = run_2d(
@@ -1206,9 +1220,9 @@ def test_run_2d_reads_each_reading_once_per_state(monkeypatch, mode):
     assert len(tails) > 0 if mode != MODE_SCALE else len(tails) == 0
     # the calls hold their arguments, so no id is reused within one list:
     # one frequency reading per axis of a state's energy, one set-up per
-    # marginal state, and no shifted reading twice
+    # axis of a state, and no shifted reading twice
     assert len({(id(energy), axis) for energy, _, _, axis in frequency}) == len(frequency)
-    assert len({id(state) for (state,) in setups}) == len(setups)
+    assert len({(id(state), axis) for state, axis in setups}) == len(setups)
     assert len({(id(state), split, axis) for state, split, axis in tails}) == len(tails)
 
 
@@ -2034,13 +2048,69 @@ def test_run_2d_records_and_extras():
 
 
 def test_2d_marginal_matches_direct_integration():
-    state = frame_state_2d_from(product_front, 16, 2.0, 16, 2.0)
-    # the y-marginal at the x-nodes equals integrating the interpolant over y
-    marginal = state.marginal(0).values / state.frame_y.beta
-    y_rule = quadrature(laguerre_basis(16, 2.0))
-    weights = y_rule.weights * np.exp(2.0 * y_rule.nodes)
-    direct = state.values @ weights
-    assert np.allclose(marginal, direct, rtol=0, atol=1e-12)
+    state = frame_state_2d_from(product_front, 16, 2.0, 16, 2.0, x_left=0.1, y_left=0.2)
+    # each marginal at its axis's nodes equals integrating the interpolant
+    # over the other axis; it is a one-axis state on that axis's frame,
+    # origin and unit operators
+    rule = quadrature(laguerre_basis(16, 2.0))
+    weights = rule.weights * np.exp(2.0 * rule.nodes)
+    for axis, direct in ((0, state.values @ weights), (1, weights @ state.values)):
+        marginal = state.marginal(axis)
+        assert (marginal.frames, marginal.lefts) == ((state.frames[axis],), (state.lefts[axis],))
+        assert marginal.units == (state.units[axis],)
+        assert np.allclose(marginal.values / state.frames[1 - axis].beta, direct, rtol=0, atol=1e-12)
+
+
+def test_2d_exterior_readings_are_those_of_the_one_axis_marginal_state():
+    # a two-axis state sets up each axis's exterior readings from its
+    # marginal values, with no marginal state: on evolved, moved and
+    # rescaled states, the reading at the split and at every candidate of
+    # the mover's search equals, bit for bit, that of a one-axis state built
+    # on those values with the public constructor
+    cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
+    n_max = int(math.floor(cfg.d_max / cfg.delta + 1e-12))
+    initial = frame_state_2d_from(product_front, 11, 1.7, 13, 2.2, x_left=0.1, y_left=0.2)
+    evolved = frame_resample_evolver_2d(product_front)(initial, 0.0, 0.3)
+    derived = (evolved.moved(0.02, 0), evolved.moved(0.035, 1), evolved.rescaled(1.5, 0), evolved.rescaled(2.0, 1))
+    for state in (evolved, *derived):
+        marginals = _unit_marginals(state)
+        for axis in (0, 1):
+            assert np.array_equal(state.marginal(axis).values, marginals[axis])
+            oracle = FrameState(state.frames[axis], marginals[axis], state.lefts[axis])
+            split = state.split_point(axis)
+            assert split == oracle.split_point()
+            readings = [state.exterior(split + n * cfg.delta, axis) for n in range(n_max + 1)]
+            assert None not in readings
+            assert readings == [oracle.exterior(split + n * cfg.delta) for n in range(n_max + 1)]
+
+
+def _gauss_front(x, y, t):
+    """A front translating in x times a Gaussian centred at y = 0 that widens."""
+    return expit(-(np.asarray(x, dtype=float) - 2.0 - t) / 2.0) * np.exp(-0.5 * (np.asarray(y, dtype=float) / (1.0 + 0.5 * t)) ** 2)
+
+
+def test_run_2d_on_a_laguerre_by_hermite_state():
+    # the y axis is Hermite: it has no sentinel, so ext_y is None, its
+    # mover never fires and only its ladder acts, while the x axis moves
+    cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
+    frames = (Frame(24, 2.0), Frame(20, 2.0, HERMITE))
+    initial = FrameState(frames, _gauss_front(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0), (0.0, 0.0))
+    records, final = run_2d(
+        frame_resample_evolver_2d(_gauss_front), initial, cfg, 0.02, 2.0, MODE_MOVE_SCALE, reference=_gauss_front
+    )
+    assert len(records) == 101
+    assert all(r.ext is not None and r.extras["ext_y"] is None for r in records)
+    assert all(r.extras["yL"] == 0.0 for r in records) and final.lefts[1] == 0.0
+    lefts = [r.x_left for r in records]
+    assert lefts[-1] > 1.5 and all(later >= earlier for earlier, later in zip(lefts, lefts[1:]))
+    assert final.frames[1].family == HERMITE and final.frames[1].beta < 2.0
+    # measured: the error starts at 2.0e-3 and peaks at 2.2e-3 on the first
+    # step, while beta_y = 2 is too large for the Gaussian; the y ladder
+    # then brings it down, to 2.6e-9 from step 5 on
+    assert max(r.error for r in records) < 3e-3 and max(r.error for r in records[5:]) < 1e-8
+    with pytest.raises(ValueError, match="only a Laguerre frame has an exterior indicator"):
+        final.exterior(1.0, 1)
+    assert final.exterior(None, 1) is None
 
 
 def test_2d_x_move_leaves_y_untouched():

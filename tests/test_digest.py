@@ -33,7 +33,7 @@ def test_record_digest_sees_every_bit_of_every_field():
 
 
 def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
-    # a copy whose mover moves one delta further than it should: the two
+    # a copy whose mover moves one delta further than it should: the three
     # moving cases step other histories, the scaling one the same
     mutant = tmp_path / "mutant"
     shutil.copytree(ROOT / "src", mutant / "src", ignore=shutil.ignore_patterns("__pycache__"))
@@ -44,7 +44,8 @@ def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
     assert digest.main(["--base", str(ROOT), "--change", str(mutant), "--seeds", "3", "--smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" (")[0] for line in lines] == [
-        "front seed 3: DIFFER", "spread seed 3: equal", "product seed 3: DIFFER", "histories: equal in 1 of 3",
+        "front seed 3: DIFFER", "spread seed 3: equal", "product seed 3: DIFFER", "mixed seed 3: DIFFER",
+        "histories: equal in 1 of 4",
     ]
 
 

@@ -2,15 +2,20 @@
 
     python3 tools/digest.py --base ../parent --change . --seeds 4242 9001
 
-Three short stepping histories, modelled on the benchmark's stepping
-workloads, run on each checkout's own library (``<checkout>/src``):
+Four short stepping histories, three modelled on the benchmark's
+stepping workloads, run on each checkout's own library
+(``<checkout>/src``):
 
 * ``front``: a 1-D translating logistic front in ``move-scale`` mode, N=128,
   β=2.5, dt=0.001, 1000 steps;
 * ``spread``: a 1-D spreading logistic front in ``scale`` mode, N=128,
   β=2.5, dt=0.04, 1000 steps;
 * ``product``: a 2-D drifting, widening product of two logistic fronts
-  through ``run_2d`` in ``move-scale`` mode, 48×48, β=2, dt=0.005, 1000 steps.
+  through ``run_2d`` in ``move-scale`` mode, 48×48, β=2, dt=0.005, 1000 steps;
+* ``mixed``: the same ``run_2d`` on a Laguerre × Hermite state, a logistic
+  front drifting and widening in x times a Gaussian widening about y = 0,
+  48×48, β=2, dt=0.005, 1000 steps.  The Hermite axis has no sentinel
+  point, so its exterior reading is None and only its ladder acts.
 
 Each seed jitters the profiles' speeds and widths by up to 5 %.  Every
 case and seed runs in a fresh process of each checkout, with one BLAS
@@ -36,12 +41,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-CASES = ("front", "spread", "product")
+CASES = ("front", "spread", "product", "mixed")
 
 # case -> (order, beta, dt, steps) of a full and of a smoke run
 SIZES = {
-    "full": {"front": (128, 2.5, 0.001, 1000), "spread": (128, 2.5, 0.04, 1000), "product": (48, 2.0, 0.005, 1000)},
-    "smoke": {"front": (16, 2.5, 0.01, 20), "spread": (16, 2.5, 0.05, 20), "product": (8, 2.0, 0.05, 10)},
+    "full": {"front": (128, 2.5, 0.001, 1000), "spread": (128, 2.5, 0.04, 1000), "product": (48, 2.0, 0.005, 1000),
+             "mixed": (48, 2.0, 0.005, 1000)},
+    "smoke": {"front": (16, 2.5, 0.01, 20), "spread": (16, 2.5, 0.05, 20), "product": (8, 2.0, 0.05, 10),
+              "mixed": (8, 2.0, 0.05, 10)},
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -64,7 +71,7 @@ def history(case: str, seed: int, smoke: bool) -> str:
     """The record digest of one case's history on the library on ``sys.path``."""
     import numpy as np
 
-    from specadapt import adapt
+    from specadapt import adapt, basis
 
     def logistic(z):
         return 0.5 * (1.0 - np.tanh(0.5 * z))
@@ -72,12 +79,20 @@ def history(case: str, seed: int, smoke: bool) -> str:
     rng = random.Random(f"{case}:{seed}")
     a, b = (1.0 + 0.05 * (2.0 * rng.random() - 1.0) for _ in range(2))
     order, beta, dt, steps = SIZES["smoke" if smoke else "full"][case]
-    if case == "product":
-        def profile(x, y, t):
-            return (logistic((x - 2.0 - a * t) / (2.0 + a * t))
-                    * logistic((y - 2.0 - 0.8 * b * t) / (2.0 + 0.8 * b * t)))
+    if case in ("product", "mixed"):
+        if case == "product":
+            def profile(x, y, t):
+                return (logistic((x - 2.0 - a * t) / (2.0 + a * t))
+                        * logistic((y - 2.0 - 0.8 * b * t) / (2.0 + 0.8 * b * t)))
 
-        initial = adapt.frame_state_2d_from(profile, order, beta, order, beta)
+            initial = adapt.frame_state_2d_from(profile, order, beta, order, beta)
+        else:
+            def profile(x, y, t):
+                return logistic((x - 2.0 - a * t) / (2.0 + a * t)) * np.exp(-0.5 * (y / (1.0 + 0.5 * b * t)) ** 2)
+
+            frames = (adapt.Frame(order, beta), adapt.Frame(order, beta, basis.HERMITE))
+            values = profile(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0)
+            initial = adapt.FrameState(frames, values, (0.0, 0.0))
         cfg = adapt.AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
         records, _ = adapt.run_2d(adapt.frame_resample_evolver_2d(profile), initial, cfg, dt, steps * dt,
                                   adapt.MODE_MOVE_SCALE, reference=profile)
