@@ -1,6 +1,6 @@
 """Adaptive controllers for scaled spectral expansions.
 
-One control loop, :func:`_control_loop`, drives a pluggable evolution step
+One control loop, :func:`run_frames`, drives a pluggable evolution step
 and applies the two controllers of the paper to every dimension of the
 state:
 
@@ -20,9 +20,10 @@ There is one engine: nodal values in a :class:`Frame` per axis, held by one
 state class, :class:`FrameState`, of one or two axes.  Each of its readings
 and operations is written once and takes the axis it applies to, and the
 loop and both controllers act on a ``(state, axis)`` pair, one axis at a
-time, as the paper applies them to each dimension.  :func:`run_frames` and
-:func:`run_2d` are the same loop; :class:`FrameState2D` only adds the
-two-axis constructor and per-axis names.  As in the paper, beta only
+time, as the paper applies them to each dimension.  :func:`run_2d` is a
+second name of :func:`run_frames`, one resampling evolver serves both
+sizes (:func:`frame_resample_evolver`), and :class:`FrameState2D` only adds
+the two-axis constructor and per-axis names.  As in the paper, beta only
 places the nodes, and the indicators are defined by the numerical
 solution alone.  A frame holds only the three things beta changes: the
 node positions, the refined-node positions and the split point.  Its
@@ -32,8 +33,8 @@ reading from its own coefficients and its orders' unit operators, so the
 same unit-variable values read alike at every beta.  The basis functions
 carry their own decay: the damped
 Laguerre functions exp(-y/2) L_l(y) on the half-line, or the Hermite
-functions h_l(y) on the line.  Reconstructing values (or 2-d marginals)
-from raw polynomial coefficients amplifies roundoff like exp(y_max/2),
+functions h_l(y) on the line.  Reconstructing values (or 2-d marginal
+values) from raw polynomial coefficients amplifies roundoff like exp(y_max/2),
 while these forms stay O(1) at any order used here.  A Hermite frame has
 no sentinel point: its exterior indicator is None, the mover never fires,
 and only the scaling controller acts (the time-dependent Hermite scaling
@@ -63,8 +64,9 @@ set-up holds the coefficients the axis's exterior readings use (on one
 axis the state's own, on two those of the axis's marginal values, the
 values integrated over the other axis), their whole-domain derivative
 norm and the reading at the axis's own split point.  So the ladder, the
-mover and the per-step record read each once, no reading builds a
-marginal state, and a moved or rescaled state starts with none of them.
+mover and the per-step record read each once, the marginal values are
+never a state of their own, and a moved or rescaled state starts with
+none of them.
 The exterior indicator at any other split is evaluated on every call.
 State values are read-only, so no memo can go stale.  The state memos are
 plain instance attributes written on first read (:class:`_memoized`), and
@@ -87,8 +89,9 @@ values (``values @ w`` with the other axis's unit weights) and their
 coefficients (``tomodal @ marginal``), then the same ``pair @ c``.
 
 Reference values for the recorded error are optional: without one, a run is
-blind, exactly like a real solver.  A 2-d reference is called on open grids
-(see :func:`run_2d`).
+blind, exactly like a real solver.  Every reference, of one axis or two,
+is called once per sampling on open grids and broadcast to the grid
+shape (see :func:`run_frames`).
 
 The coefficient-space :class:`~.approx.Expansion` is not part of the
 engine; :func:`initial_state` reads the controllers' baselines of one.
@@ -136,7 +139,6 @@ __all__ = [
     "MODE_NONE",
     "MODE_SCALE",
     "frame_resample_evolver",
-    "frame_resample_evolver_2d",
     "frame_state_2d_from",
     "frame_state_from",
     "history_to_csv",
@@ -356,15 +358,19 @@ def _step_count(t_final: float, dt: float) -> int:
     return int(math.floor(steps))
 
 
-def _control_loop(state, stepper, cfg, dt, t_final, mode, reference):
-    """The one driver: evolve, optionally move, optionally scale, record.
+def run_frames(evolver, initial: FrameState, cfg: AdaptConfig, dt: float, t_final: float, mode=MODE_NONE,
+               reference=None) -> tuple[list[ExperimentRecord], FrameState]:
+    """The one driver: evolve, optionally move, optionally scale, record; returns (history, final state).
 
-    ``state`` is a :class:`FrameState` of one or two axes, and the
+    ``initial`` is a :class:`FrameState` of one or two axes, and the
     controllers act on one axis at a time through its per-axis readings
     and operations.  Every moving distance is taken from the same evolved
     state, then the moves are applied; the scaling ladders run one axis
     after another (x first), each with the other axes held fixed.  Each
-    record is read from the state (:func:`_record`).
+    record is read from the state (:func:`_record`): the standard columns
+    carry axis 0, and a two-axis run exports axis 1 through the extras
+    ``beta_y, freq_y, ext_y, yL``.  ``t_final < dt`` yields exactly the
+    initial record.  :func:`run_2d` is this function under a second name.
 
     Per axis, ``f0``/``e0`` start from the initial state and ``f0`` is
     refreshed only on ladder acceptances.  ``e0`` is never refreshed.
@@ -372,14 +378,35 @@ def _control_loop(state, stepper, cfg, dt, t_final, mode, reference):
     ``mu`` per move and stalls the tracking of a translating front.
     Re-anchoring it after an accepted rescale lowers the baseline with every
     rung, so a front that widens while it moves keeps firing the mover, and
-    the frame runs past the front by several widths.
-    A step must keep the state's frames (their number, order, beta and
-    family) and origins (adapting them is the controllers' job), or
-    ValueError is raised.  A failing step or reading names its time.  Emits
-    the initial record plus one record per step.
+    the frame runs past the front by several widths.  The indicators use
+    the default rules (:func:`~.indicators.default_high_mode_count` and
+    :func:`~.indicators.default_split_point`).
+
+    ``evolver(state, t, dt)`` returns a :class:`FrameState` on the frames
+    it was given: a step that changes a frame (its order, beta or family),
+    an origin or the number of axes raises ValueError.  A failing step or
+    reading propagates with its time attached.
+
+    The recorded error is the interpolant's weighted relative error against
+    ``reference(*x, t)`` over a doubled-order rule.  The library calls every
+    reference on open grids, as ``np.meshgrid(xs, ys, indexing="ij",
+    sparse=True)`` gives them: on one axis the points themselves, on two
+    ``x`` as a (len(xs), 1) column and ``y`` as a (1, len(ys)) row, over the
+    node grid (Nx+1, Ny+1) when sampling and over the doubled-order grid
+    when recording the error.  The result must broadcast to the grid
+    shape, or ValueError names that shape.  Any elementwise numpy
+    expression qualifies, and a separable one costs len(xs) + len(ys)
+    evaluations instead of len(xs)*len(ys).
+
+    A Hermite axis (``frame_state_from(..., family=HERMITE)``) is scaled
+    only: it has no sentinel point, so its exterior reading is None on
+    every record and its mover never fires.  ``MODE_MOVE`` alone is
+    unsupported on fronts that widen: the origin runs past the front (see
+    ``MODE_MOVE``); use ``MODE_MOVE_SCALE`` there.
     """
     mode = normalize_mode(mode)
     moving, scaling = mode in (MODE_MOVE, MODE_MOVE_SCALE), mode in (MODE_SCALE, MODE_MOVE_SCALE)
+    state = initial
     axes = range(len(state.frames))
     try:
         f0 = [state.frequency(axis) for axis in axes]
@@ -392,7 +419,7 @@ def _control_loop(state, stepper, cfg, dt, t_final, mode, reference):
         t_prev, t = n * dt, (n + 1) * dt
         frames, lefts = state.frames, state.lefts
         try:
-            state = stepper(state, t_prev, dt)
+            state = evolver(state, t_prev, dt)
         except Exception as exc:
             _name_time(exc, "evolution step", t_prev)
             raise
@@ -418,6 +445,9 @@ def _control_loop(state, stepper, cfg, dt, t_final, mode, reference):
             _name_time(exc, "controller reading", t)
             raise
     return records, state
+
+
+run_2d = run_frames
 
 
 def _record(state, reference, t: float) -> ExperimentRecord:
@@ -784,20 +814,20 @@ class FrameState:
 
     Every reading and operation is written once and takes the ``axis`` it
     applies to (axis 0 by default): :meth:`frequency`, :meth:`split_point`,
-    :meth:`exterior`, :meth:`marginal`, :meth:`moved` and :meth:`rescaled`.
+    :meth:`exterior`, :meth:`moved` and :meth:`rescaled`.
     Every reading comes from the state's coefficients and its orders' unit
     operators, so the same unit-variable values read alike at every beta;
     beta only places the points that a reference or an off-split exterior
     reading needs.  The state carries those operators, ``units``, one
     :class:`_UnitFrame` per axis: the constructor looks them up in the
-    store, and a moved or rescaled state and a marginal take them over, so
-    a step looks them up once and an evicted order lives on in its states.
+    store, and a moved, rescaled or resampled state
+    (:func:`frame_resample_evolver`) takes them over, so a run looks them up
+    only when it builds a frame and an evicted order lives on in its states.
 
     The exterior indicator of an axis is that of its marginal values, the
     values integrated over every other axis with its unit weights (on one
-    axis, the values themselves).  :meth:`marginal` returns them as a
-    one-axis state, whose readings equal the axis's, but no reading builds
-    one.
+    axis, the values themselves): the readings of a one-axis state on those
+    values, though no such state is built.
 
     What the readings derive from the values is computed at most once, on
     first use, and kept for the state's lifetime: the coefficients (the
@@ -842,7 +872,7 @@ class FrameState:
 
     @classmethod
     def _of(cls, frames: tuple, values: np.ndarray, lefts: tuple, units: tuple) -> "FrameState":
-        """A state on a fresh product of the library's own (a move, a rescale, a marginal): no check, no copy."""
+        """A state on a fresh array of the library's own (a move, a rescale, a resampling): no check, no copy."""
         state = object.__new__(cls)
         state._set(frames, values, lefts, units)
         return state
@@ -912,16 +942,6 @@ class FrameState:
         other = 1 - axis
         return _apply(self.units[other].mod_weights, self.values, other)
 
-    def marginal(self, axis: int = 0) -> "FrameState":
-        """The one-axis state of the values integrated over every other axis with its unit weights.
-
-        A one-axis state is its own marginal.  No reading goes through a
-        marginal state: its exterior readings equal those of ``axis``.
-        """
-        if len(self.frames) == 1:
-            return self
-        return FrameState._of((self.frames[axis],), self._marginal_values(axis), (self.lefts[axis],), (self.units[axis],))
-
     def exterior(self, split: float | None, axis: int = 0) -> float | None:
         """The exterior indicator of ``axis`` at ``split``, from the axis's set-up; None for Hermite.
 
@@ -974,7 +994,7 @@ class FrameState:
         """Weighted relative error against ``reference(*x, t)`` on the doubled-order grid.
 
         ``reference`` is called once, at the refined nodes of every axis, on
-        open grids (see :func:`run_2d`), and its result is broadcast to the
+        open grids (see :func:`run_frames`), and its result is broadcast to the
         grid shape.  The unit weights' missing factors 1/beta cancel in the
         ratio; a zero reference gives the absolute norm, in x.  ValueError
         if a sum is not finite.
@@ -1007,8 +1027,9 @@ class FrameState2D(FrameState):
     ``y_left``, :meth:`nodes_x`/:meth:`nodes_y` and one-line aliases of the
     generic readings and operations (``error`` is the generic method
     itself).  It overrides none of the generic methods, so a wrapper on one
-    of them also sees every 2-d call.  The aliases and this class go once
-    the benchmark reads the generic names.
+    of them also sees every 2-d call, and it runs through the same
+    :func:`run_frames` and :func:`frame_resample_evolver` as any state.  The
+    aliases and this class go once the benchmark reads the generic names.
     """
 
     def __init__(self, frame_x: Frame, frame_y: Frame, values, x_left: float = 0.0, y_left: float = 0.0):
@@ -1034,18 +1055,28 @@ class FrameState2D(FrameState):
 def frame_state_from(
     reference, order: int, beta: float, x_left: float = 0.0, t: float = 0.0, family: str = LAGUERRE
 ) -> FrameState:
-    """Sample ``reference(x, t)`` at the nodes of the ``family`` frame."""
+    """Sample ``reference(x, t)`` at the nodes of the ``family`` frame.
+
+    The result is broadcast to the node grid's shape, (order+1,), or
+    ValueError names that shape (see :func:`run_frames`).
+    """
     frame = Frame(order, beta, family)
-    values = np.asarray(reference(x_left + frame.nodes, t), dtype=float)
+    values = _on_grid(reference, (x_left + frame.nodes,), (frame.order + 1,), t, "grid")
     return FrameState(frame, values, x_left)
 
 
 def frame_resample_evolver(reference) -> Callable:
-    """Tracking evolver for frame states: resample the reference at the nodes."""
+    """Tracking evolver for frame states of one or two axes: resample the reference on the node grid.
+
+    ``reference`` is called on open grids (see :func:`run_frames`).  The
+    next state is of the input's class, on its frames, origins and unit
+    operators, and holds a read-only copy of the samples.
+    """
 
     def evolve(state: FrameState, t: float, dt: float) -> FrameState:
-        values = np.asarray(reference(state.x_left + state.frame.nodes, t + dt), dtype=float)
-        return FrameState(state.frame, values, state.x_left)
+        points = [state.nodes(axis) for axis in range(len(state.frames))]
+        values = _on_grid(reference, points, state.values.shape, t + dt, "grid")
+        return state._of(state.frames, np.array(values, dtype=float), state.lefts, state.units)
 
     return evolve
 
@@ -1056,87 +1087,10 @@ def frame_state_2d_from(
 ) -> FrameState2D:
     """Sample ``reference(x, y, t)`` on the tensor node grid.
 
-    ``reference`` is called on open grids (see :func:`run_2d`): an
+    ``reference`` is called on open grids (see :func:`run_frames`): an
     (order_x+1, 1) column of x nodes and a (1, order_y+1) row of y nodes.
     """
     frame_x = Frame(order_x, beta_x)
     frame_y = Frame(order_y, beta_y)
     values = _on_grid(reference, (x_left + frame_x.nodes, y_left + frame_y.nodes), (order_x + 1, order_y + 1), t, "grid")
     return FrameState2D(frame_x, frame_y, values, x_left, y_left)
-
-
-def frame_resample_evolver_2d(reference) -> Callable:
-    """Tracking evolver for two-axis frame states: resample the reference on the node grid.
-
-    ``reference`` is called on open grids (see :func:`run_2d`).  The next
-    state is of the input's class, on its frames, origins and unit
-    operators, and holds a read-only copy of the samples.
-    """
-
-    def evolve(state: FrameState, t: float, dt: float) -> FrameState:
-        values = _on_grid(reference, (state.nodes(0), state.nodes(1)), state.values.shape, t + dt, "grid")
-        return state._of(state.frames, np.array(values, dtype=float), state.lefts, state.units)
-
-    return evolve
-
-
-def run_frames(
-    evolver,
-    initial: FrameState,
-    cfg: AdaptConfig,
-    dt: float,
-    t_final: float,
-    mode=MODE_NONE,
-    reference=None,
-) -> tuple[list[ExperimentRecord], FrameState]:
-    """Drive a frame state through the adaptive loop; returns (history, final state).
-
-    ``evolver(state, t, dt)`` returns a :class:`FrameState` on the frames it
-    was given: a step that changes a frame (its order, beta or family), an
-    origin or the number of axes raises ValueError, and a failing step
-    propagates with the failure time attached.  The recorded error is the
-    interpolant's weighted relative error against ``reference(x, t)`` over a
-    doubled-order rule.  ``t_final < dt`` yields exactly the initial
-    record.  The indicators use the default rules
-    (:func:`~.indicators.default_high_mode_count` and
-    :func:`~.indicators.default_split_point`).
-
-    A Hermite state (``frame_state_from(..., family=HERMITE)``) is scaled
-    only: it has no sentinel point, so ``ext`` is None on every record and
-    the mover never fires.  ``MODE_MOVE`` alone is unsupported on fronts
-    that widen: the origin runs past the front (see ``MODE_MOVE``); use
-    ``MODE_MOVE_SCALE`` there.
-    """
-    return _control_loop(initial, evolver, cfg, dt, t_final, mode, reference)
-
-
-def run_2d(
-    evolver,
-    initial: FrameState2D,
-    cfg: AdaptConfig,
-    dt: float,
-    t_final: float,
-    mode=MODE_NONE,
-    reference=None,
-) -> tuple[list[ExperimentRecord], FrameState2D]:
-    """:func:`run_frames` for a two-axis state: the same loop, axis by axis.
-
-    Both moving decisions are taken from the same evolved state and then
-    applied; the scaling ladders run per axis with the other axis's factor
-    held fixed (x first).  Each axis keeps the exterior baseline of the
-    initial state.  Standard record columns carry axis 0; axis 1 is
-    exported through the extras ``beta_y, freq_y, ext_y, yL``.  Returns
-    (history, final state).  As in :func:`run_frames`, the evolver must
-    keep both frames and origins, and ``MODE_MOVE`` alone is unsupported on
-    fronts that widen (see ``MODE_MOVE``).
-
-    The library calls every 2-d ``reference(x, y, t)`` on open grids, as
-    ``np.meshgrid(xs, ys, indexing="ij", sparse=True)`` gives them: ``x``
-    is a (len(xs), 1) column and ``y`` a (1, len(ys)) row, over the node
-    grid (Nx+1, Ny+1) when sampling and over the doubled-order grid when
-    recording the error.  The result must broadcast to the grid shape, or
-    ValueError names that shape.  Any elementwise numpy expression
-    qualifies, and a separable one costs len(xs) + len(ys) evaluations
-    instead of len(xs)*len(ys).
-    """
-    return _control_loop(initial, evolver, cfg, dt, t_final, mode, reference)

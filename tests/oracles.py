@@ -1,10 +1,13 @@
-"""Per-step three-term recurrences: the independent oracles of the library's recurrence kernel.
+"""Independent oracles that tests hold the library to.
 
-Each step is written out on its own, in the arithmetic of the textbook
-recurrences (DLMF §18.9 for Laguerre, the orthonormal Hermite-function
-recurrence), with no blocking, no shared buffers and no summed columns,
-so that a test can hold ``specadapt.basis._basis_pass`` and every
-evaluation made through it to these bits.
+* Per-step three-term recurrences, the oracles of the library's recurrence
+  kernel.  Each step is written out on its own, in the arithmetic of the
+  textbook recurrences (DLMF §18.9 for Laguerre, the orthonormal
+  Hermite-function recurrence), with no blocking, no shared buffers and no
+  summed columns, so that a test can hold ``specadapt.basis._basis_pass``
+  and every evaluation made through it to these bits.
+* :func:`marginal_state`, the one-axis state whose readings a two-axis
+  state reads along an axis.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from specadapt.adapt import FrameState
 
 # exp(-s) leaves float64's normal range for s above this
 LOG_TINY = -math.log(np.finfo(float).tiny)
@@ -51,3 +56,15 @@ def hermite_fn_all(order: int, y) -> np.ndarray:
     for k in range(1, order):
         out[k + 1] = math.sqrt(2.0 / (k + 1.0)) * y * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
+
+
+def marginal_state(state: FrameState, axis: int) -> FrameState:
+    """The one-axis state of a two-axis ``state``'s values integrated over the other axis.
+
+    The integral is the product with the other axis's damped unit weights
+    (``mod_weights``), which lack that axis's factor 1/beta.  The state is
+    built with the public constructor on ``axis``'s frame and origin.
+    """
+    weights = state.units[1 - axis].mod_weights
+    values = state.values @ weights if axis == 0 else weights @ state.values
+    return FrameState(state.frames[axis], values, state.lefts[axis])

@@ -28,7 +28,6 @@ from specadapt.adapt import (
     MODE_NONE,
     MODE_SCALE,
     frame_resample_evolver,
-    frame_resample_evolver_2d,
     frame_state_2d_from,
     frame_state_from,
     history_to_csv,
@@ -50,7 +49,7 @@ from specadapt.basis import (
 )
 from specadapt.indicators import frequency_indicator
 
-from oracles import laguerre_all
+from oracles import laguerre_all, marginal_state
 
 
 def diffusive_front(x, t):
@@ -221,7 +220,7 @@ def test_nonpositive_steps_rejected():
         run_frames(evolve, state, AdaptConfig(), 5e-324, 1.0)
     with pytest.raises(ValueError, match="dt"):
         run_2d(
-            frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 6, 2.0, 6, 2.0),
+            frame_resample_evolver(product_front), frame_state_2d_from(product_front, 6, 2.0, 6, 2.0),
             AdaptConfig(), math.inf, 1.0,
         )
 
@@ -313,7 +312,7 @@ def _drive_frames(wrap):
 
 def _drive_2d(wrap):
     initial = frame_state_2d_from(product_front, 8, 2.0, 8, 2.0)
-    evolve = wrap(frame_resample_evolver_2d(product_front))
+    evolve = wrap(frame_resample_evolver(product_front))
     return run_2d(evolve, initial, AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE)
 
 
@@ -339,7 +338,7 @@ def test_non_finite_state_fails_loudly_in_every_mode(mode):
     initial_2d = frame_state_2d_from(product_front, 8, 2.0, 8, 2.0)
     drives = [
         (run_frames, initial, _nan_from(frame_resample_evolver(diffusive_front), 0.06)),
-        (run_2d, initial_2d, _nan_from(frame_resample_evolver_2d(product_front), 0.06)),
+        (run_2d, initial_2d, _nan_from(frame_resample_evolver(product_front), 0.06)),
     ]
     for drive, state, evolve in drives:
         with pytest.raises(ValueError, match=rf"reading failed at t = {6 * 0.01:.17g}: state energy is nan"):
@@ -374,7 +373,7 @@ def test_non_finite_reference_fails_loudly(bad):
     # names the time of the record
     drives = [
         (run_frames, state, diffusive_front, frame_resample_evolver(diffusive_front)),
-        (run_2d, state_2d, product_front, frame_resample_evolver_2d(product_front)),
+        (run_2d, state_2d, product_front, frame_resample_evolver(product_front)),
     ]
     for drive, initial, reference, evolve in drives:
         for mode in (MODE_NONE, MODE_MOVE_SCALE):
@@ -390,7 +389,7 @@ def test_expansion_evolver_must_keep_basis():
     initial = frame_state_from(diffusive_front, 16, 2.5)
     initial_2d = frame_state_2d_from(product_front, 8, 2.0, 8, 2.0)
     evolve = frame_resample_evolver(diffusive_front)
-    evolve_2d = frame_resample_evolver_2d(product_front)
+    evolve_2d = frame_resample_evolver(product_front)
 
     def hermite_x(s, t, dt):
         frame = Frame(8, s.frame_x.beta, HERMITE)
@@ -976,8 +975,9 @@ def test_frame_state_rejects_values_of_the_wrong_shape():
     for wrong in (values[:, None], values[None, :], values[:-1], np.float64(1.0)):
         with pytest.raises(ValueError, match=r"values shape .* != \(13,\)"):
             FrameState(frame, wrong)
-    with pytest.raises(ValueError, match="values shape"):
-        frame_resample_evolver(lambda x, t: 1.0)(FrameState(frame, values), 0.0, 0.1)
+    # the evolver samples by the broadcast rule, so it names the grid shape
+    with pytest.raises(ValueError, match=r"shape \(12,\), which does not broadcast to the grid shape \(13,\)"):
+        frame_resample_evolver(lambda x, t: values[:-1])(FrameState(frame, values), 0.0, 0.1)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -1060,8 +1060,7 @@ def test_lock_free_memos_run_once_per_state(monkeypatch):
     keys = [(id(owner), name) for owner, name in runs]
     assert len(keys) == len(set(keys))
     # each state runs every memo once and sets up each axis once, and no
-    # other state runs either: no reading goes through a marginal (or any
-    # derived) state
+    # other state runs either: no reading goes through a derived state
     for owner in (state, state_2d):
         assert sorted(name for read, name in runs if read is owner) == sorted(_memo_names(FrameState))
     assert all(owner is state or owner is state_2d for owner, _ in runs)
@@ -1074,14 +1073,10 @@ def test_lock_free_memos_run_once_per_state(monkeypatch):
         assert all(name in vars(owner) for name in _memo_names(FrameState))
         assert len(owner._exteriors) == len(owner.frames) and all(type(entry) is tuple for entry in owner._exteriors)
     assert state._exteriors[0][0] is state._coeffs
-    # a marginal is a thin operation: a new one-axis state on every call,
-    # on the values the set-up reads, with no memo filled and no set-up
-    marginal = state_2d.marginal(0)
-    assert state.marginal(0) is state and marginal is not state_2d.marginal(0)
-    assert type(marginal) is FrameState and marginal.frames == state_2d.frames[:1]
-    assert marginal.lefts == state_2d.lefts[:1] and marginal.units == state_2d.units[:1]
-    assert np.array_equal(marginal.values, state_2d._marginal_values(0))
-    assert not set(vars(marginal)) & set(_memo_names(FrameState)) and marginal._exteriors == [None]
+    # a two-axis set-up holds, bit for bit, the coefficients of the one-axis
+    # state on the axis's marginal values, which no reading builds
+    for axis in (0, 1):
+        assert np.array_equal(state_2d._exteriors[axis][0], marginal_state(state_2d, axis)._coeffs)
 
 
 def test_memo_names_refuse_assignment():
@@ -1099,7 +1094,7 @@ def test_memo_names_refuse_assignment():
 
 def test_memo_arrays_stay_read_only():
     state, state_2d = _exercised_states()
-    targets = (state, state_2d, state_2d.marginal(0), state_2d.marginal(1))
+    targets = (state, state_2d, marginal_state(state_2d, 0), marginal_state(state_2d, 1))
     arrays = [
         vars(target)[name]
         for target in targets
@@ -1113,8 +1108,10 @@ def test_memo_arrays_stay_read_only():
     arrays.append(state.units[0].pair)
     assert len(arrays) == 5  # the 1-d coefficients, the 2-d ones, two marginals', the pair
     # the values of every state are read-only too, also where a move, a
-    # rescale or a marginal stores its own product without a copy
-    derived = (state.moved(0.01), state.rescaled(1.9), state_2d.moved(0.01, 1), state_2d.rescaled(2.0, 1))
+    # rescale or the resampling evolver stores its own array without a copy
+    derived = (state.moved(0.01), state.rescaled(1.9), state_2d.moved(0.01, 1), state_2d.rescaled(2.0, 1),
+               frame_resample_evolver(moving_front)(state, 0.2, 0.1),
+               frame_resample_evolver(product_front)(state_2d, 0.3, 0.1))
     arrays += [target.values for target in targets + derived]
     for array in arrays:
         assert not array.flags.writeable
@@ -1212,7 +1209,7 @@ def test_run_2d_reads_each_reading_once_per_state(monkeypatch, mode):
     exterior = _count_calls(monkeypatch, FrameState, "exterior")
     frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     records, _ = run_2d(
-        frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 12, 2.0, 12, 2.0),
+        frame_resample_evolver(product_front), frame_state_2d_from(product_front, 12, 2.0, 12, 2.0),
         cfg, 0.05, 1.0, mode,
     )
     tails = [(state, split, axis) for state, split, axis in exterior if split != state.split_point(axis)]
@@ -1238,7 +1235,7 @@ def test_2d_references_are_called_on_open_grids():
         return _non_separable(x, y, t)
 
     state = frame_state_2d_from(recording, 9, 1.5, 6, 2.0)
-    evolved = frame_resample_evolver_2d(recording)(state, 0.0, 0.1)
+    evolved = frame_resample_evolver(recording)(state, 0.0, 0.1)
     evolved.error(recording, 0.1)
     assert shapes == [((10, 1), (1, 7)), ((10, 1), (1, 7)), ((20, 1), (1, 14))]
 
@@ -1255,17 +1252,17 @@ def test_resample_evolver_2d_takes_any_two_axis_state():
         return kept  # the reference's own array
 
     for state in (generic, shim):
-        evolved = frame_resample_evolver_2d(_non_separable)(state, 0.0, 0.1)
+        evolved = frame_resample_evolver(_non_separable)(state, 0.0, 0.1)
         assert type(evolved) is type(state)
         assert (evolved.frames, evolved.lefts, evolved.units) == (state.frames, state.lefts, state.units)
         grid = np.meshgrid(state.nodes(0), state.nodes(1), indexing="ij")
         assert np.array_equal(evolved.values, _non_separable(*grid, 0.1))
         # the samples are copied and made read-only; the reference's array is left as it was
-        copied = frame_resample_evolver_2d(cached)(state, 0.0, 0.1).values
+        copied = frame_resample_evolver(cached)(state, 0.0, 0.1).values
         assert copied is not kept and np.array_equal(copied, kept)
         assert not copied.flags.writeable and kept.flags.writeable
         records, final = run_2d(
-            frame_resample_evolver_2d(product_front), state, AdaptConfig(mu=1.003, delta=0.005, d_max=0.1),
+            frame_resample_evolver(product_front), state, AdaptConfig(mu=1.003, delta=0.005, d_max=0.1),
             0.1, 1.0, MODE_MOVE_SCALE, reference=product_front,
         )
         assert type(final) is type(state) and len(records) == 11
@@ -1276,7 +1273,7 @@ def test_open_grids_match_full_grid_sampling():
     state = frame_state_2d_from(_non_separable, 14, 1.5, 11, 2.0, x_left=0.2, y_left=0.1, t=0.3)
     grid_x, grid_y = np.meshgrid(state.nodes(0), state.nodes(1), indexing="ij")
     assert np.array_equal(state.values, _non_separable(grid_x, grid_y, 0.3))
-    evolved = frame_resample_evolver_2d(_non_separable)(state, 0.3, 0.1)
+    evolved = frame_resample_evolver(_non_separable)(state, 0.3, 0.1)
     assert np.array_equal(evolved.values, _non_separable(grid_x, grid_y, 0.4))
     # an oracle error on the full refined grid with the outer grid of the
     # doubled-order rules' weights in x
@@ -1306,9 +1303,52 @@ def test_open_grid_reference_results_broadcast_or_raise():
     with pytest.raises(ValueError, match=r"\(3, 3\).*grid shape \(9, 7\)"):
         frame_state_2d_from(wrong, 8, 1.5, 6, 2.0)
     with pytest.raises(ValueError, match=r"\(3, 3\).*grid shape \(9, 7\)"):
-        frame_resample_evolver_2d(wrong)(state, 0.0, 0.1)
+        frame_resample_evolver(wrong)(state, 0.0, 0.1)
     with pytest.raises(ValueError, match=r"\(3, 3\).*grid shape \(18, 14\)"):
         state.error(wrong, 0.0)
+
+
+def test_one_axis_reference_results_broadcast_or_raise():
+    # a one-axis reference follows the rule of a two-axis one: a constant
+    # fills the node grid, and a result that does not broadcast names its shape
+    state = frame_state_from(lambda x, t: 2.0, 8, 1.5)
+    assert state.values.shape == (9,) and np.all(state.values == 2.0)
+    evolved = frame_resample_evolver(lambda x, t: 3.0)(state, 0.0, 0.1)
+    assert evolved.values.shape == (9,) and np.all(evolved.values == 3.0)
+    assert evolved.values.flags.owndata and not evolved.values.flags.writeable
+    wrong = lambda x, t: np.ones(3)
+    with pytest.raises(ValueError, match=r"\(3,\).*grid shape \(9,\)"):
+        frame_state_from(wrong, 8, 1.5)
+    with pytest.raises(ValueError, match=r"\(3,\).*grid shape \(9,\)"):
+        frame_resample_evolver(wrong)(state, 0.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "families", [(LAGUERRE,), (LAGUERRE, LAGUERRE), (LAGUERRE, HERMITE)], ids=["1d", "2d", "laguerre-hermite"]
+)
+def test_resample_evolver_keeps_the_state_it_was_given(families):
+    # one evolver for every state: the next state is of the input's class,
+    # on its frames and origins, and takes over its unit operators
+    frames = tuple(Frame(9 + axis, 1.5 + 0.5 * axis, family) for axis, family in enumerate(families))
+    lefts = (0.2, -0.3)[: len(frames)]
+    if len(frames) == 1:
+        def reference(x, t):
+            return np.exp(-x - t)
+    else:
+        def reference(x, y, t):
+            return np.exp(-x - t) * np.exp(-0.5 * y * y)
+
+    def sampled(frames, lefts, t):
+        points = [left + frame.nodes for frame, left in zip(frames, lefts)]
+        return reference(*np.meshgrid(*points, indexing="ij", sparse=True), t)
+
+    initial = FrameState(frames, sampled(frames, lefts, 0.0), lefts)
+    for state in (initial, initial.moved(0.01), initial.rescaled(1.4)):
+        evolved = frame_resample_evolver(reference)(state, 0.3, 0.1)
+        assert type(evolved) is type(state)
+        assert (evolved.frames, evolved.lefts) == (state.frames, state.lefts)
+        assert evolved.units is state.units
+        assert np.array_equal(evolved.values, sampled(state.frames, state.lefts, 0.4))
 
 
 def _alpha_one_tails(frame: Frame, profiles, offsets) -> list:
@@ -1555,7 +1595,7 @@ def test_frequency_floor_is_built_on_the_first_trigger_only():
     state.moved(0.1).rescaled(2.0).exterior(state.split_point())
     run_frames(frame_resample_evolver(frozen), state, AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE)
     run_2d(
-        frame_resample_evolver_2d(frozen_2d), frame_state_2d_from(frozen_2d, 43, 2.5, 43, 2.5),
+        frame_resample_evolver(frozen_2d), frame_state_2d_from(frozen_2d, 43, 2.5, 43, 2.5),
         AdaptConfig(), 0.1, 1.0, MODE_MOVE_SCALE,
     )
     assert "frequency_floor" not in vars(unit) and "frequency_floor" not in vars(unit_2d)
@@ -1563,7 +1603,7 @@ def test_frequency_floor_is_built_on_the_first_trigger_only():
     records, _ = run_frames(frame_resample_evolver(diffusive_front), state, AdaptConfig(), 0.1, 1.0, MODE_SCALE)
     assert records[-1].beta < 2.5 and "frequency_floor" in vars(unit)
     records, _ = run_2d(
-        frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 43, 2.0, 43, 2.0),
+        frame_resample_evolver(product_front), frame_state_2d_from(product_front, 43, 2.0, 43, 2.0),
         AdaptConfig(), 0.1, 2.0, MODE_SCALE,
     )
     assert records[-1].beta < 2.0 and "frequency_floor" in vars(unit_2d)
@@ -1768,7 +1808,7 @@ def test_histories_do_not_depend_on_the_store_budget(monkeypatch):
             0.01, 0.5, MODE_MOVE_SCALE, reference=front,
         )
         records_2d, _ = run_2d(
-            frame_resample_evolver_2d(product_front), frame_state_2d_from(product_front, 14, 2.0, 14, 2.0),
+            frame_resample_evolver(product_front), frame_state_2d_from(product_front, 14, 2.0, 14, 2.0),
             AdaptConfig(mu=1.003, delta=0.005, d_max=0.1), 0.05, 3.0, MODE_MOVE_SCALE, reference=product_front,
         )
         return history_to_csv(records), history_to_csv(records_2d, extra_columns=("beta_y", "freq_y", "ext_y", "yL"))
@@ -1776,7 +1816,14 @@ def test_histories_do_not_depend_on_the_store_budget(monkeypatch):
     default = run()
     _empty_store(monkeypatch, 20_000)
     monkeypatch.setattr(Frame, "_cache", {})
+    builds = _count_calls(monkeypatch, adapt._UnitFrame, "__init__")
     assert run() == default
+    # the 1-d order's unit frame (36.4 kB) is dropped at its own insert, so
+    # every lookup rebuilds it; a state passes its unit operators on, so
+    # only the public constructor and a new frame look it up: 8 builds,
+    # where an evolver that built each state with the public constructor
+    # made 58
+    assert sum(order == 24 for _, order, _ in builds) <= 8
     # the runs moved and rescaled
     rows = [line.split(",") for text in default for line in text.splitlines()[1:]]
     assert len({row[2] for row in rows}) > 2 and len({row[5] for row in rows}) > 2
@@ -2031,7 +2078,7 @@ def product_front(x, y, t):
 def test_run_2d_records_and_extras():
     state = frame_state_2d_from(product_front, 12, 2.0, 14, 2.5)
     records, final = run_2d(
-        frame_resample_evolver_2d(product_front),
+        frame_resample_evolver(product_front),
         state,
         AdaptConfig(mu=1.003, delta=0.005, d_max=0.1),
         0.05,
@@ -2049,15 +2096,16 @@ def test_run_2d_records_and_extras():
 
 def test_2d_marginal_matches_direct_integration():
     state = frame_state_2d_from(product_front, 16, 2.0, 16, 2.0, x_left=0.1, y_left=0.2)
-    # each marginal at its axis's nodes equals integrating the interpolant
-    # over the other axis; it is a one-axis state on that axis's frame,
-    # origin and unit operators
+    # the marginal values that a set-up reads, at its axis's nodes, equal
+    # integrating the interpolant over the other axis; they are those of the
+    # one-axis oracle state on that axis's frame, origin and unit operators
     rule = quadrature(laguerre_basis(16, 2.0))
     weights = rule.weights * np.exp(2.0 * rule.nodes)
     for axis, direct in ((0, state.values @ weights), (1, weights @ state.values)):
-        marginal = state.marginal(axis)
+        marginal = marginal_state(state, axis)
         assert (marginal.frames, marginal.lefts) == ((state.frames[axis],), (state.lefts[axis],))
         assert marginal.units == (state.units[axis],)
+        assert np.array_equal(state._marginal_values(axis), marginal.values)
         assert np.allclose(marginal.values / state.frames[1 - axis].beta, direct, rtol=0, atol=1e-12)
 
 
@@ -2066,17 +2114,17 @@ def test_2d_exterior_readings_are_those_of_the_one_axis_marginal_state():
     # marginal values, with no marginal state: on evolved, moved and
     # rescaled states, the reading at the split and at every candidate of
     # the mover's search equals, bit for bit, that of a one-axis state built
-    # on those values with the public constructor
+    # on those values with the public constructor (the oracle state)
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
     n_max = int(math.floor(cfg.d_max / cfg.delta + 1e-12))
     initial = frame_state_2d_from(product_front, 11, 1.7, 13, 2.2, x_left=0.1, y_left=0.2)
-    evolved = frame_resample_evolver_2d(product_front)(initial, 0.0, 0.3)
+    evolved = frame_resample_evolver(product_front)(initial, 0.0, 0.3)
     derived = (evolved.moved(0.02, 0), evolved.moved(0.035, 1), evolved.rescaled(1.5, 0), evolved.rescaled(2.0, 1))
     for state in (evolved, *derived):
         marginals = _unit_marginals(state)
         for axis in (0, 1):
-            assert np.array_equal(state.marginal(axis).values, marginals[axis])
-            oracle = FrameState(state.frames[axis], marginals[axis], state.lefts[axis])
+            oracle = marginal_state(state, axis)
+            assert np.array_equal(oracle.values, marginals[axis])
             split = state.split_point(axis)
             assert split == oracle.split_point()
             readings = [state.exterior(split + n * cfg.delta, axis) for n in range(n_max + 1)]
@@ -2096,7 +2144,7 @@ def test_run_2d_on_a_laguerre_by_hermite_state():
     frames = (Frame(24, 2.0), Frame(20, 2.0, HERMITE))
     initial = FrameState(frames, _gauss_front(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0), (0.0, 0.0))
     records, final = run_2d(
-        frame_resample_evolver_2d(_gauss_front), initial, cfg, 0.02, 2.0, MODE_MOVE_SCALE, reference=_gauss_front
+        frame_resample_evolver(_gauss_front), initial, cfg, 0.02, 2.0, MODE_MOVE_SCALE, reference=_gauss_front
     )
     assert len(records) == 101
     assert all(r.ext is not None and r.extras["ext_y"] is None for r in records)
@@ -2131,7 +2179,7 @@ def test_2d_x_move_leaves_y_untouched():
 
 def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):
     evolved, moves, ladders = [], [], []
-    evolve = frame_resample_evolver_2d(product_front)
+    evolve = frame_resample_evolver(product_front)
     moving_distance, scaling_ladder = adapt._moving_distance, adapt._scaling_ladder
 
     def recorded_evolve(state, t, dt):
@@ -2217,7 +2265,7 @@ def test_move_scale_keeps_the_front_covered(name, mode, cfg):
         frame_resample_evolver(front), frame_state_from(front, 48, 2.0), cfg, 0.005, t_final, mode
     )
     _, final_2d = run_2d(
-        frame_resample_evolver_2d(front_2d), frame_state_2d_from(front_2d, 48, 2.0, 48, 2.0),
+        frame_resample_evolver(front_2d), frame_state_2d_from(front_2d, 48, 2.0, 48, 2.0),
         cfg, 0.005, t_final, mode,
     )
     for x_left in (final.x_left, final_2d.x_left, final_2d.y_left):
@@ -2374,7 +2422,7 @@ def _assert_reduces_to_one_dimension(case: str, axis: int) -> None:
 
     records, _ = run_frames(frame_resample_evolver(f), frame_state_from(f, order, beta), cfg, dt, steps * dt, mode)
     records_2d, _ = run_2d(
-        frame_resample_evolver_2d(product), frame_state_2d_from(product, order, beta, order, beta),
+        frame_resample_evolver(product), frame_state_2d_from(product, order, beta, order, beta),
         cfg, dt, steps * dt, mode,
     )
     histories = (

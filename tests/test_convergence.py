@@ -38,7 +38,6 @@ from specadapt.adapt import (
     MODE_SCALE,
     AdaptConfig,
     frame_resample_evolver,
-    frame_resample_evolver_2d,
     frame_state_2d_from,
     frame_state_from,
     run_2d,
@@ -90,7 +89,7 @@ def _max_error(name: str, order: int, mode: str) -> float:
 
 def _max_error_2d(order: int, mode: str) -> float:
     initial = frame_state_2d_from(product, order, 2.5, order, 2.5)
-    records, _ = run_2d(frame_resample_evolver_2d(product), initial, AdaptConfig(), 0.004, 4.0, mode, reference=product)
+    records, _ = run_2d(frame_resample_evolver(product), initial, AdaptConfig(), 0.004, 4.0, mode, reference=product)
     return max(record.error for record in records)
 
 

@@ -34,9 +34,11 @@ def test_record_digest_sees_every_bit_of_every_field():
 
 def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
     # a copy whose mover moves one delta further than it should: the three
-    # moving cases step other histories, the scaling one the same
+    # moving cases step other histories, the scaling one the same; the copy
+    # takes the benchmark's workloads along, as the tool runs a checkout's own
     mutant = tmp_path / "mutant"
-    shutil.copytree(ROOT / "src", mutant / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, mutant / part, ignore=shutil.ignore_patterns("__pycache__"))
     source = mutant / "src" / "specadapt" / "adapt.py"
     text = source.read_text()
     assert text.count("return n * cfg.delta") == 1
@@ -44,7 +46,7 @@ def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
     assert digest.main(["--base", str(ROOT), "--change", str(mutant), "--seeds", "3", "--smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" (")[0] for line in lines] == [
-        "front seed 3: DIFFER", "spread seed 3: equal", "product seed 3: DIFFER", "mixed seed 3: DIFFER",
+        "front-move seed 3: DIFFER", "spread-scale seed 3: equal", "bump-2d seed 3: DIFFER", "mixed seed 3: DIFFER",
         "histories: equal in 1 of 4",
     ]
 
@@ -52,4 +54,4 @@ def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
 def test_digest_fails_on_a_checkout_without_its_library(tmp_path, capsys):
     # the history must come from the checkout's own src, never from an installed copy
     assert digest.main(["--base", str(tmp_path), "--change", str(ROOT), "--seeds", "3", "--smoke"]) == 1
-    assert f"{tmp_path}: front at seed 3 failed" in capsys.readouterr().err
+    assert f"{tmp_path}: front-move at seed 3 failed" in capsys.readouterr().err

@@ -31,7 +31,7 @@ def test_every_traced_method_is_in_its_class_dict():
 
 
 def test_the_2d_state_overrides_no_generic_method():
-    for name in ("frequency", "exterior", "moved", "rescaled", "split_point", "marginal"):
+    for name in ("frequency", "exterior", "moved", "rescaled", "split_point"):
         assert name not in vars(adapt.FrameState2D), name
     # error is the generic function itself, under the 2-d class's own name
     assert vars(adapt.FrameState2D)["error"] is vars(adapt.FrameState)["error"]

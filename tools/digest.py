@@ -2,54 +2,57 @@
 
     python3 tools/digest.py --base ../parent --change . --seeds 4242 9001
 
-Four short stepping histories, three modelled on the benchmark's
-stepping workloads, run on each checkout's own library
-(``<checkout>/src``):
+Four stepping histories run on each checkout's own library
+(``<checkout>/src``).  Three are the benchmark's stepping workloads, run
+through that checkout's own ``perfbench/workloads.py`` (``run``), so
+they step exactly the benchmark's traffic, evolvers included:
 
-* ``front``: a 1-D translating logistic front in ``move-scale`` mode, N=128,
-  β=2.5, dt=0.001, 1000 steps;
-* ``spread``: a 1-D spreading logistic front in ``scale`` mode, N=128,
-  β=2.5, dt=0.04, 1000 steps;
-* ``product``: a 2-D drifting, widening product of two logistic fronts
-  through ``run_2d`` in ``move-scale`` mode, 48×48, β=2, dt=0.005, 1000 steps;
-* ``mixed``: the same ``run_2d`` on a Laguerre × Hermite state, a logistic
+* ``front-move``: a 1-D translating logistic front in ``move-scale`` mode;
+* ``spread-scale``: a 1-D spreading logistic front in ``scale`` mode;
+* ``bump-2d``: a 2-D drifting, widening product of two logistic fronts in
+  ``move-scale`` mode.
+
+Their sizes and jitter are the workloads' own, full or smoke.  The fourth
+is the tool's own:
+
+* ``mixed``: a two-axis run on a Laguerre × Hermite state, a logistic
   front drifting and widening in x times a Gaussian widening about y = 0,
-  48×48, β=2, dt=0.005, 1000 steps.  The Hermite axis has no sentinel
-  point, so its exterior reading is None and only its ladder acts.
+  48×48, β=2, dt=0.005, 1000 steps (smoke: 8×8, dt=0.05, 10 steps),
+  with each seed jittering its speeds and widths by up to 5 %.  Its
+  evolver samples the profile on open grids and builds each state with
+  the public constructor ``FrameState(frames, values, lefts)``.  The
+  Hermite axis has no sentinel point, so its exterior reading is None and
+  only its ladder acts.
 
-Each seed jitters the profiles' speeds and widths by up to 5 %.  Every
-case and seed runs in a fresh process of each checkout, with one BLAS
-thread and bytecode caches off, through the library's own resampling
-evolvers and with the profile as reference.  A run hashes every field of
-every record (each float by its exact bits; the extras by name) with
-sha256.  For each case and seed the tool prints the two digests and
-whether they are equal.  A difference is reported, not failed, as
-``tools/pairs.py`` reports decisions: a change may mean to move a
-history.  ``--smoke`` runs each case at a tiny order and horizon.
+Every case and seed runs in a fresh process of each checkout, with one
+BLAS thread and bytecode caches off, with the profile as reference.  A
+run hashes every field of every record (each float by its exact bits;
+the extras by name) with sha256.  For each case and seed the tool prints
+the two digests and whether they are equal.  A difference is reported,
+not failed, as ``tools/pairs.py`` reports decisions: a change may mean to
+move a history.  ``--smoke`` runs each case at its smoke size.
 
 It exits non-zero when a run fails.  Standard library only, but for the
-``--history`` child, which imports numpy and the checkout's library.
+``--history`` child, which imports numpy, the checkout's library and its
+benchmark workloads.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-CASES = ("front", "spread", "product", "mixed")
+CASES = ("front-move", "spread-scale", "bump-2d", "mixed")
 
-# case -> (order, beta, dt, steps) of a full and of a smoke run
-SIZES = {
-    "full": {"front": (128, 2.5, 0.001, 1000), "spread": (128, 2.5, 0.04, 1000), "product": (48, 2.0, 0.005, 1000),
-             "mixed": (48, 2.0, 0.005, 1000)},
-    "smoke": {"front": (16, 2.5, 0.01, 20), "spread": (16, 2.5, 0.05, 20), "product": (8, 2.0, 0.05, 10),
-              "mixed": (8, 2.0, 0.05, 10)},
-}
+# the mixed case's (order, beta, dt, steps) of a full and of a smoke run
+MIXED = {"full": (48, 2.0, 0.005, 1000), "smoke": (8, 2.0, 0.05, 10)}
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -67,8 +70,8 @@ def record_digest(records) -> str:
     return digest.hexdigest()
 
 
-def history(case: str, seed: int, smoke: bool) -> str:
-    """The record digest of one case's history on the library on ``sys.path``."""
+def _mixed(seed: int, smoke: bool):
+    """The history of the mixed case."""
     import numpy as np
 
     from specadapt import adapt, basis
@@ -76,38 +79,49 @@ def history(case: str, seed: int, smoke: bool) -> str:
     def logistic(z):
         return 0.5 * (1.0 - np.tanh(0.5 * z))
 
-    rng = random.Random(f"{case}:{seed}")
+    rng = random.Random(f"mixed:{seed}")
     a, b = (1.0 + 0.05 * (2.0 * rng.random() - 1.0) for _ in range(2))
-    order, beta, dt, steps = SIZES["smoke" if smoke else "full"][case]
-    if case in ("product", "mixed"):
-        if case == "product":
-            def profile(x, y, t):
-                return (logistic((x - 2.0 - a * t) / (2.0 + a * t))
-                        * logistic((y - 2.0 - 0.8 * b * t) / (2.0 + 0.8 * b * t)))
+    order, beta, dt, steps = MIXED["smoke" if smoke else "full"]
 
-            initial = adapt.frame_state_2d_from(profile, order, beta, order, beta)
-        else:
-            def profile(x, y, t):
-                return logistic((x - 2.0 - a * t) / (2.0 + a * t)) * np.exp(-0.5 * (y / (1.0 + 0.5 * b * t)) ** 2)
+    def profile(x, y, t):
+        return logistic((x - 2.0 - a * t) / (2.0 + a * t)) * np.exp(-0.5 * (y / (1.0 + 0.5 * b * t)) ** 2)
 
-            frames = (adapt.Frame(order, beta), adapt.Frame(order, beta, basis.HERMITE))
-            values = profile(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0)
-            initial = adapt.FrameState(frames, values, (0.0, 0.0))
-        cfg = adapt.AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
-        records, _ = adapt.run_2d(adapt.frame_resample_evolver_2d(profile), initial, cfg, dt, steps * dt,
-                                  adapt.MODE_MOVE_SCALE, reference=profile)
-    else:
-        if case == "front":
-            def profile(x, t):
-                return logistic((x - 5.0 - 5.0 * a * t) / (2.0 * b))
-        else:
-            def profile(x, t):
-                return logistic((x - 5.0) / (2.0 * b + a * t))
+    def evolve(state, t, dt_):
+        values = profile(state.nodes(0)[:, None], state.nodes(1)[None, :], t + dt_)
+        return adapt.FrameState(state.frames, values, state.lefts)
 
-        mode = adapt.MODE_MOVE_SCALE if case == "front" else adapt.MODE_SCALE
-        records, _ = adapt.run_frames(adapt.frame_resample_evolver(profile), adapt.frame_state_from(profile, order, beta),
-                                      adapt.AdaptConfig(), dt, steps * dt, mode, reference=profile)
-    return record_digest(records)
+    frames = (adapt.Frame(order, beta), adapt.Frame(order, beta, basis.HERMITE))
+    values = profile(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0)
+    initial = adapt.FrameState(frames, values, (0.0, 0.0))
+    cfg = adapt.AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
+    records, _ = adapt.run_frames(evolve, initial, cfg, dt, steps * dt, adapt.MODE_MOVE_SCALE, reference=profile)
+    return records
+
+
+def history(case: str, seed: int, smoke: bool) -> str:
+    """The record digest of one case's history on the library on ``sys.path``.
+
+    A workload is loaded from ``perfbench/workloads.py`` in the working
+    directory, the checkout's own.
+    """
+    if case == "mixed":
+        return record_digest(_mixed(seed, smoke))
+    spec = importlib.util.spec_from_file_location("workloads", Path("perfbench", "workloads.py").resolve())
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    kept = []
+
+    class Keeper(workloads.Untraced):
+        """The benchmark's stand-in tracer, keeping the history of the workload's run."""
+
+        def call(self, name, fn, *args, **kwargs):
+            result = fn(*args, **kwargs)
+            if name == "adapt.loop":
+                kept.append(result[0])
+            return result
+
+    workloads.run(case, seed, smoke, Keeper(), time.perf_counter())
+    return record_digest(kept[0])
 
 
 def run(checkout: Path, case: str, seed: int, smoke: bool) -> str:
