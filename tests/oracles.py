@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from specadapt.adapt import FrameState
+from specadapt.basis import laguerre_basis, modified_weights, quadrature
 
 # exp(-s) leaves float64's normal range for s above this
 LOG_TINY = -math.log(np.finfo(float).tiny)
@@ -59,12 +60,13 @@ def hermite_fn_all(order: int, y) -> np.ndarray:
 
 
 def marginal_state(state: FrameState, axis: int) -> FrameState:
-    """The one-axis state of a two-axis ``state``'s values integrated over the other axis.
+    """The one-axis state of a two-axis Laguerre ``state``'s values integrated over the other axis.
 
-    The integral is the product with the other axis's damped unit weights
-    (``mod_weights``), which lack that axis's factor 1/beta.  The state is
-    built with the public constructor on ``axis``'s frame and origin.
+    The integral is the product with the other axis's damped weights of
+    the unit-scale Gauss rule, built here from ``quadrature`` rather than
+    read from the state, so they lack that axis's factor 1/beta.  The state
+    is built with the public constructor on ``axis``'s frame and origin.
     """
-    weights = state.units[1 - axis].mod_weights
+    weights = modified_weights(quadrature(laguerre_basis(state.frames[1 - axis].order, 1.0)))
     values = state.values @ weights if axis == 0 else weights @ state.values
     return FrameState(state.frames[axis], values, state.lefts[axis])

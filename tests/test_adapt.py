@@ -863,12 +863,6 @@ def _count_derivative_setups(monkeypatch) -> list:
     return calls
 
 
-def _unit_marginals(state: FrameState2D) -> tuple:
-    """Each axis's marginal as a 2-d state reads it: the values integrated with the other axis's unit weights."""
-    wx, wy = (modified_weights(quadrature(laguerre_basis(f.order, 1.0))) for f in (state.frame_x, state.frame_y))
-    return state.values @ wy, wx @ state.values
-
-
 def _search_offsets(state, axis: int, cfg: AdaptConfig) -> list:
     """The sentinel offsets a full mover search along ``axis`` evaluates, as the state forms them."""
     split, left = state.split_point(axis), state.lefts[axis]
@@ -921,7 +915,7 @@ def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
         min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
         min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
     )
-    marginals = _unit_marginals(state)
+    marginals = [marginal_state(state, axis).values for axis in (0, 1)]
     calls = _count_derivative_setups(monkeypatch)
     for axis, frame in ((0, fx), (1, fy)):
         offsets = _search_offsets(state, axis, cfg)
@@ -1172,7 +1166,7 @@ def test_frame_state_2d_readings_are_memoized(monkeypatch):
         min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
         min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
     )
-    marginals = _unit_marginals(state)
+    marginals = [marginal_state(state, axis).values for axis in (0, 1)]
     lefts = (state.x_left, state.y_left)
     splits = (state.split_point(0), state.split_point(1))
     scratch_exterior = []
@@ -1349,6 +1343,41 @@ def test_resample_evolver_keeps_the_state_it_was_given(families):
         assert (evolved.frames, evolved.lefts) == (state.frames, state.lefts)
         assert evolved.units is state.units
         assert np.array_equal(evolved.values, sampled(state.frames, state.lefts, 0.4))
+
+
+@pytest.mark.parametrize(
+    "families", [(LAGUERRE,), (LAGUERRE, LAGUERRE), (LAGUERRE, HERMITE)], ids=["1d", "2d", "laguerre-hermite"]
+)
+def test_resample_evolver_steps_the_history_of_the_public_constructor(families):
+    # the library's evolver builds each state on the input's unit operators;
+    # an evolver that samples the same grid and builds each state with the
+    # public FrameState(frames, values, lefts) steps the same run, bit for bit
+    front = lambda x, t: expit(-(x - 2.0 - t) / (2.0 + 0.5 * t))
+    if families == (LAGUERRE,):
+        reference = front
+    elif families[1] == LAGUERRE:
+        reference = lambda x, y, t: front(x, t) * front(y, 0.5 * t)
+    else:
+        reference = lambda x, y, t: front(x, t) * np.exp(-0.5 * (y / (1.0 + 0.5 * t)) ** 2)
+    frames = tuple(Frame(12, 2.0, family) for family in families)
+    lefts = (0.0,) * len(frames)
+
+    def sampled(frames, lefts, t):
+        points = [left + frame.nodes for frame, left in zip(frames, lefts)]
+        return reference(*np.meshgrid(*points, indexing="ij", sparse=True), t)
+
+    def public(state, t, dt):
+        return FrameState(state.frames, sampled(state.frames, state.lefts, t + dt), state.lefts)
+
+    initial = FrameState(frames, sampled(frames, lefts, 0.0), lefts)
+    cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
+    runs = [run_frames(evolver, initial, cfg, 0.05, 2.0, MODE_MOVE_SCALE, reference=reference)
+            for evolver in (frame_resample_evolver(reference), public)]
+    (records, final), (public_records, public_final) = runs
+    assert final.lefts[0] > 0.5 and final.frames[0].beta != 2.0
+    assert records == public_records
+    assert (final.frames, final.lefts) == (public_final.frames, public_final.lefts)
+    assert np.array_equal(final.values, public_final.values)
 
 
 def _alpha_one_tails(frame: Frame, profiles, offsets) -> list:
@@ -2121,10 +2150,9 @@ def test_2d_exterior_readings_are_those_of_the_one_axis_marginal_state():
     evolved = frame_resample_evolver(product_front)(initial, 0.0, 0.3)
     derived = (evolved.moved(0.02, 0), evolved.moved(0.035, 1), evolved.rescaled(1.5, 0), evolved.rescaled(2.0, 1))
     for state in (evolved, *derived):
-        marginals = _unit_marginals(state)
         for axis in (0, 1):
             oracle = marginal_state(state, axis)
-            assert np.array_equal(oracle.values, marginals[axis])
+            assert np.array_equal(oracle.values, state._marginal_values(axis))
             split = state.split_point(axis)
             assert split == oracle.split_point()
             readings = [state.exterior(split + n * cfg.delta, axis) for n in range(n_max + 1)]

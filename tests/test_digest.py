@@ -52,6 +52,10 @@ def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
 
 
 def test_digest_fails_on_a_checkout_without_its_library(tmp_path, capsys):
-    # the history must come from the checkout's own src, never from an installed copy
+    # the history must come from the checkout's own src, never from an
+    # installed copy: the checkout has its workloads but no src, so its run
+    # fails at the import, or, where the package is installed, at the check
+    # of the library's path
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
     assert digest.main(["--base", str(tmp_path), "--change", str(ROOT), "--seeds", "3", "--smoke"]) == 1
     assert f"{tmp_path}: front-move at seed 3 failed" in capsys.readouterr().err
