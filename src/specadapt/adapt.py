@@ -87,6 +87,15 @@ constants from the unit frame (``size``, ``high_start``, ``split_shift``,
 A 2-d state's exterior set-up of an axis first takes that axis's marginal
 values (``values @ w`` with the other axis's unit weights) and their
 coefficients (``tomodal @ marginal``), then the same ``pair @ c``.
+Every such product is written in method form, ``tomodal.dot(values)``
+(:func:`_apply`): it runs the BLAS routine of ``@`` and of the function
+:func:`numpy.dot` on the same operands, with the same bits, without the
+Python-level dispatch that numpy 2 runs on every call of that function.
+Around the products, the driver reads each state's stored readings
+(``_frequencies`` and the set-up's reading at the split) instead of the
+public :meth:`FrameState.frequency` and :meth:`FrameState.exterior`, which
+give the same values; the mover's shifted candidates and the ladder's
+rescaled candidates are read through the public methods.
 
 Reference values for the recorded error are optional: without one, a run is
 blind, exactly like a real solver.  Every reference, of one axis or two,
@@ -187,6 +196,8 @@ class AdaptConfig:
             raise ValueError(
                 f"need 0 < delta <= d_max, got delta={self.delta}, d_max={self.d_max}"
             )
+        # the mover's search length, floor(d_max/delta): not a field, so derived anew by ``replace``
+        object.__setattr__(self, "_candidates", int(math.floor(self.d_max / self.delta + 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -337,14 +348,13 @@ def _moving_distance(state, axis: int, e, e0, cfg: AdaptConfig) -> float:
     ``mu*e0``; if no multiple up to floor(d_max/delta) succeeds the cap
     ``d_max`` itself is the displacement (defined behavior, not an error).
     """
-    if e is None or e0 is None or not e > cfg.mu * e0:
+    if e is None or e0 is None or not e > (bound := cfg.mu * e0):
         return 0.0
-    split = state.split_point(axis)
-    n_max = int(math.floor(cfg.d_max / cfg.delta + 1e-12))
-    for n in range(1, n_max + 1):
-        shifted = state.exterior(split + n * cfg.delta, axis)
-        if shifted is not None and shifted < cfg.mu * e0:
-            return n * cfg.delta
+    split, delta = state.split_point(axis), cfg.delta
+    for n in range(1, cfg._candidates + 1):
+        shifted = state.exterior(split + n * delta, axis)
+        if shifted is not None and shifted < bound:
+            return n * delta
     return cfg.d_max
 
 
@@ -365,8 +375,9 @@ def run_frames(evolver, initial: FrameState, cfg: AdaptConfig, dt: float, t_fina
     ``initial`` is a :class:`FrameState` of one or two axes, and the
     controllers act on one axis at a time through its per-axis readings
     and operations.  Every moving distance is taken from the same evolved
-    state, then the moves are applied; the scaling ladders run one axis
-    after another (x first), each with the other axes held fixed.  Each
+    state, so no move changes another axis's distance; the scaling ladders
+    run one axis after another (x first), each with the other axes held
+    fixed.  Each
     record is read from the state (:func:`_record`): the standard columns
     carry axis 0, and a two-axis run exports axis 1 through the extras
     ``beta_y, freq_y, ext_y, yL``.  ``t_final < dt`` yields exactly the
@@ -409,8 +420,8 @@ def run_frames(evolver, initial: FrameState, cfg: AdaptConfig, dt: float, t_fina
     state = initial
     axes = range(len(state.frames))
     try:
-        f0 = [state.frequency(axis) for axis in axes]
-        e0 = [state.exterior(state.split_point(axis), axis) for axis in axes]
+        f0 = list(state._frequencies)
+        e0 = [state._reading(axis) for axis in axes]
         records = [_record(state, reference, 0.0)]
     except ValueError as exc:
         _name_time(exc, "controller reading", 0.0)
@@ -430,16 +441,14 @@ def run_frames(evolver, initial: FrameState, cfg: AdaptConfig, dt: float, t_fina
             )
         try:
             if moving:
-                distances = [
-                    _moving_distance(state, axis, state.exterior(state.split_point(axis), axis), e0[axis], cfg)
-                    for axis in axes
-                ]
-                for axis, d0 in enumerate(distances):
-                    if d0 > 0.0:
-                        state = state.moved(d0, axis)
+                evolved = state
+                for axis in axes:
+                    distance = _moving_distance(evolved, axis, evolved._reading(axis), e0[axis], cfg)
+                    if distance > 0.0:
+                        state = state.moved(distance, axis)
             if scaling:
                 for axis in axes:
-                    state, f0[axis], _ = _scaling_ladder(state, axis, state.frequency(axis), f0[axis], cfg)
+                    state, f0[axis], _ = _scaling_ladder(state, axis, state._frequencies[axis], f0[axis], cfg)
             records.append(_record(state, reference, t))
         except ValueError as exc:
             _name_time(exc, "controller reading", t)
@@ -460,7 +469,7 @@ def _record(state, reference, t: float) -> ExperimentRecord:
 
 def _readings(state, axis: int) -> tuple:
     """(beta, frequency, exterior at the split, origin) of ``axis``."""
-    return state.frames[axis].beta, state.frequency(axis), state.exterior(state.split_point(axis), axis), state.lefts[axis]
+    return state.frames[axis].beta, state._frequencies[axis], state._reading(axis), state.lefts[axis]
 
 
 def _name_time(exc: Exception, what: str, t: float) -> None:
@@ -774,10 +783,13 @@ def _apply(matrix: np.ndarray, array: np.ndarray, axis: int) -> np.ndarray:
 
     That is ``matrix @ array`` along axis 0 and ``array @ matrix.T`` along
     axis 1; a vector ``matrix`` (weights) removes the axis.  Like every
-    product of a state, it calls :func:`numpy.dot`, which runs the same
-    BLAS routine on the same operands as ``@`` with less dispatch work.
+    product of a state, it is written in method form, ``matrix.dot(array)``:
+    that runs the same BLAS routine on the same operands as ``@`` and
+    :func:`numpy.dot`, bit for bit, but skips the Python-level
+    array-function dispatch that numpy 2 runs on every call of the
+    function :func:`numpy.dot` (about 0.2 us), and ``@``'s ufunc set-up.
     """
-    return np.dot(matrix, array) if axis == 0 else np.dot(array, matrix.T)
+    return matrix.dot(array) if axis == 0 else array.dot(matrix.T)
 
 
 def _on_grid(reference, points: Sequence[np.ndarray], shape: tuple, t: float, name: str) -> np.ndarray:
@@ -854,9 +866,12 @@ class FrameState:
                     f"frames and {len(lefts)} origins"
                 )
         values = np.array(values, dtype=float)
-        units = tuple([_unit_frame(frame.order, frame.family) for frame in frames])
-        if values.shape != tuple([unit.size for unit in units]):
-            raise ValueError(f"values shape {values.shape} != {tuple([unit.size for unit in units])}")
+        units, shape = (), ()
+        for frame in frames:
+            unit = _unit_frame(frame.order, frame.family)
+            units, shape = units + (unit,), shape + (unit.size,)
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} != {shape}")
         if not all(map(math.isfinite, lefts)):
             axis = [math.isfinite(left) for left in lefts].index(False)
             raise ValueError(f"the origin of axis {axis} must be finite, got {lefts[axis]}")
@@ -885,7 +900,7 @@ class FrameState:
 
     @_memoized
     def _coeffs(self) -> np.ndarray:
-        coeffs = np.dot(self.units[0].tomodal, self.values)
+        coeffs = self.units[0].tomodal.dot(self.values)
         for unit in self.units[1:]:
             coeffs = _apply(unit.tomodal, coeffs, 1)
         coeffs.setflags(write=False)
@@ -894,14 +909,18 @@ class FrameState:
     @_memoized
     def _frequencies(self) -> list:
         """The frequency reading of every axis, from one energy matrix and its one total; None for zero energy."""
-        energy = self._coeffs * self._coeffs
+        coeffs = self._coeffs
+        energy = coeffs * coeffs
         # the sums are ``x.sum()``, called as the reduction that method wraps in Python
         total = float(np.add.reduce(energy, None))
         if not math.isfinite(total):
             raise ValueError(f"state energy is {total}: the values are not all finite")
         if total <= 0.0:
             return [None] * len(self.units)
-        return [_high_mode_fraction(energy, total, unit.high_start, axis) for axis, unit in enumerate(self.units)]
+        readings = []
+        for axis, unit in enumerate(self.units):
+            readings.append(_high_mode_fraction(energy, total, unit.high_start, axis))
+        return readings
 
     def _set_up(self, axis: int) -> tuple:
         """The exterior set-up of ``axis``, stored as its entry of ``_exteriors``; a Hermite axis raises.
@@ -913,8 +932,8 @@ class FrameState:
         unit = self.units[axis]
         if unit.pair is None:
             raise ValueError("only a Laguerre frame has an exterior indicator")
-        coeffs = self._coeffs if len(self.frames) == 1 else _read_only(np.dot(unit.tomodal, self._marginal_values(axis)))
-        g = np.dot(unit.pair, coeffs)
+        coeffs = self._coeffs if len(self.frames) == 1 else _read_only(unit.tomodal.dot(self._marginal_values(axis)))
+        g = unit.pair.dot(coeffs)
         whole, tail = g[: unit.size], g[unit.size :]
         denominator = math.sqrt(whole.dot(whole))
         reading = None if denominator <= 0.0 else unit.split_decay * (math.sqrt(tail.dot(tail)) / denominator)
@@ -936,6 +955,12 @@ class FrameState:
         """The sentinel point of ``axis``; None for a Hermite axis."""
         split = self.frames[axis].split_rel
         return None if split is None else self.lefts[axis] + split
+
+    def _reading(self, axis: int) -> float | None:
+        """``exterior(split_point(axis), axis)``, the reading the axis's set-up holds, without the dispatch."""
+        if self.frames[axis].split_rel is None:
+            return None
+        return (self._exteriors[axis] or self._set_up(axis))[2]
 
     def _marginal_values(self, axis: int) -> np.ndarray:
         """The values of a two-axis state integrated over the other axis with its unit weights."""
@@ -959,7 +984,7 @@ class FrameState:
         if denominator <= 0.0:
             return None
         offset = split - left
-        g = np.dot(self.units[axis].dpsi_at(frame, offset), coeffs)
+        g = self.units[axis].dpsi_at(frame, offset).dot(coeffs)
         return math.exp(-0.5 * frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
 
     def moved(self, distance: float, axis: int = 0) -> "FrameState":
@@ -984,7 +1009,7 @@ class FrameState:
     def _resampled(self, axis: int, frame: Frame, psi: np.ndarray, left: float) -> "FrameState":
         """The state with ``frame`` at ``left`` on ``axis``: that axis's coefficients against ``psi``."""
         if len(self.frames) == 1:  # the partial transform is the whole one, which the state keeps
-            return self._of((frame,), np.dot(self._coeffs, psi), (left,), self.units)
+            return self._of((frame,), self._coeffs.dot(psi), (left,), self.units)
         partial = _apply(self.units[axis].tomodal, self.values, axis)
         frames, lefts = list(self.frames), list(self.lefts)
         frames[axis], lefts[axis] = frame, left
@@ -999,16 +1024,16 @@ class FrameState:
         ratio; a zero reference gives the absolute norm, in x.  ValueError
         if a sum is not finite.
         """
-        diff = np.dot(self.units[0].psi_refined.T, self._coeffs)
-        for unit in self.units[1:]:
-            diff = _apply(unit.psi_refined.T, diff, 1)
-        points = [left + frame.refined_nodes for frame, left in zip(self.frames, self.lefts)]
+        diff, points = self._coeffs, []
+        for axis, unit in enumerate(self.units):
+            diff = _apply(unit.psi_refined.T, diff, axis)
+            points.append(self.lefts[axis] + self.frames[axis].refined_nodes)
         exact = _on_grid(reference, points, diff.shape, t, "refined-node grid")
         diff -= exact
         numerator, denominator = diff * diff, exact * exact
         for unit in self.units:
             weights = unit.refined_weights
-            numerator, denominator = np.dot(weights, numerator), np.dot(weights, denominator)
+            numerator, denominator = weights.dot(numerator), weights.dot(denominator)
         numerator, denominator = float(numerator), float(denominator)
         if not (math.isfinite(numerator) and math.isfinite(denominator)):
             raise ValueError(
@@ -1084,13 +1109,14 @@ def frame_resample_evolver(reference) -> Callable:
 def frame_state_2d_from(
     reference, order_x: int, beta_x: float, order_y: int, beta_y: float,
     x_left: float = 0.0, y_left: float = 0.0, t: float = 0.0,
+    family_x: str = LAGUERRE, family_y: str = LAGUERRE,
 ) -> FrameState2D:
-    """Sample ``reference(x, y, t)`` on the tensor node grid.
+    """Sample ``reference(x, y, t)`` on the tensor node grid of a ``family_x`` by ``family_y`` frame pair.
 
     ``reference`` is called on open grids (see :func:`run_frames`): an
     (order_x+1, 1) column of x nodes and a (1, order_y+1) row of y nodes.
     """
-    frame_x = Frame(order_x, beta_x)
-    frame_y = Frame(order_y, beta_y)
+    frame_x = Frame(order_x, beta_x, family_x)
+    frame_y = Frame(order_y, beta_y, family_y)
     values = _on_grid(reference, (x_left + frame_x.nodes, y_left + frame_y.nodes), (order_x + 1, order_y + 1), t, "grid")
     return FrameState2D(frame_x, frame_y, values, x_left, y_left)

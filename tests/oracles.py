@@ -8,16 +8,22 @@
   and every evaluation made through it to these bits.
 * :func:`marginal_state`, the one-axis state whose readings a two-axis
   state reads along an axis.
+* :func:`public_run`, a plain driver in the documented order of
+  :func:`specadapt.adapt.run_frames` that reads a state only through its
+  public readings, so that a test can hold the library's driver, which
+  reads the states' stored readings directly, to its history.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from specadapt.adapt import FrameState
-from specadapt.basis import laguerre_basis, modified_weights, quadrature
+from specadapt.adapt import MODE_MOVE, MODE_MOVE_SCALE, MODE_SCALE, ExperimentRecord, Frame, FrameState
+from specadapt.basis import LAGUERRE, laguerre_basis, modified_weights, quadrature
+from specadapt.indicators import default_high_mode_count
 
 # exp(-s) leaves float64's normal range for s above this
 LOG_TINY = -math.log(np.finfo(float).tiny)
@@ -70,3 +76,87 @@ def marginal_state(state: FrameState, axis: int) -> FrameState:
     weights = modified_weights(quadrature(laguerre_basis(state.frames[1 - axis].order, 1.0)))
     values = state.values @ weights if axis == 0 else weights @ state.values
     return FrameState(state.frames[axis], values, state.lefts[axis])
+
+
+@functools.cache
+def frequency_floor(order: int, family: str) -> float:
+    """The largest frequency reading of a basis function psi_l, l below the high modes, at the nodes.
+
+    Each exact reading is 0, so this is the order's round-off floor.  Each
+    psi_l comes from the recurrences above, at the unit frame's nodes, and is
+    read through the public ``frequency`` of a one-axis state.
+    """
+    unit = Frame(order, 1.0, family)
+    psi = damped_laguerre_all(order, unit.nodes) if family == LAGUERRE else hermite_fn_all(order, unit.nodes)
+    return max(FrameState(unit, psi[l]).frequency() for l in range(order + 1 - default_high_mode_count(order)))
+
+
+def _exterior(state: FrameState, axis: int):
+    return state.exterior(state.split_point(axis), axis)
+
+
+def _distance(state: FrameState, axis: int, e0, cfg) -> float:
+    """The mover's distance along ``axis``: the first n*delta whose reading falls below mu*e0, else d_max."""
+    e = _exterior(state, axis)
+    if e is None or e0 is None or not e > cfg.mu * e0:
+        return 0.0
+    split = state.split_point(axis)
+    for n in range(1, int(math.floor(cfg.d_max / cfg.delta + 1e-12)) + 1):
+        shifted = state.exterior(split + n * cfg.delta, axis)
+        if shifted is not None and shifted < cfg.mu * e0:
+            return n * cfg.delta
+    return cfg.d_max
+
+
+def _ladder(state: FrameState, axis: int, f0, cfg) -> tuple:
+    """The scaling ladder along ``axis``: (state, f0) after its accepted rungs."""
+    f = state.frequency(axis)
+    frame = state.frames[axis]
+    if f is None or f0 is None or not f > cfg.nu * f0 or not f > cfg.nu * frequency_floor(frame.order, frame.family):
+        return state, f0
+    while cfg.q * state.frames[axis].beta >= cfg.beta_min:
+        candidate = state.rescaled(cfg.q * state.frames[axis].beta, axis)
+        f_candidate = candidate.frequency(axis)
+        if f_candidate is None or f_candidate > f:
+            break
+        state, f, f0 = candidate, f_candidate, f_candidate
+    return state, f0
+
+
+def public_run(evolver, initial: FrameState, cfg, dt: float, t_final: float, mode: str, reference=None) -> tuple:
+    """(records, final state) of a run stepped in the order :func:`~specadapt.adapt.run_frames` documents.
+
+    Each step evolves, takes every mover distance from the evolved state,
+    then applies the moves, then runs the scaling ladder of each axis, x
+    first, and records.  A state is read only through its public
+    ``frequency``, ``exterior(split_point)`` and ``error``, and changed only
+    through ``moved`` and ``rescaled``.  ``mode`` is a canonical mode name.
+    """
+    moving, scaling = mode in (MODE_MOVE, MODE_MOVE_SCALE), mode in (MODE_SCALE, MODE_MOVE_SCALE)
+    axes = range(len(initial.frames))
+
+    def record(state, t):
+        readings = [(state.frames[axis].beta, state.frequency(axis), _exterior(state, axis), state.lefts[axis])
+                    for axis in axes]
+        (beta, freq, ext, x_left), extras = readings[0], {}
+        if len(readings) == 2:
+            extras = dict(zip(("beta_y", "freq_y", "ext_y", "yL"), readings[1]))
+        error = None if reference is None else state.error(reference, t)
+        return ExperimentRecord(t, beta, x_left, error, freq, ext, extras)
+
+    state = initial
+    f0 = [state.frequency(axis) for axis in axes]
+    e0 = [_exterior(state, axis) for axis in axes]
+    records = [record(state, 0.0)]
+    for n in range(int(math.floor(t_final / dt + 1e-9))):
+        state = evolver(state, n * dt, dt)
+        if moving:
+            distances = [_distance(state, axis, e0[axis], cfg) for axis in axes]
+            for axis, distance in enumerate(distances):
+                if distance > 0.0:
+                    state = state.moved(distance, axis)
+        if scaling:
+            for axis in axes:
+                state, f0[axis] = _ladder(state, axis, f0[axis], cfg)
+        records.append(record(state, (n + 1) * dt))
+    return records, state

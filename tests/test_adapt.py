@@ -49,7 +49,7 @@ from specadapt.basis import (
 )
 from specadapt.indicators import frequency_indicator
 
-from oracles import laguerre_all, marginal_state
+from oracles import laguerre_all, marginal_state, public_run
 
 
 def diffusive_front(x, t):
@@ -1336,7 +1336,11 @@ def test_resample_evolver_keeps_the_state_it_was_given(families):
         points = [left + frame.nodes for frame, left in zip(frames, lefts)]
         return reference(*np.meshgrid(*points, indexing="ij", sparse=True), t)
 
-    initial = FrameState(frames, sampled(frames, lefts, 0.0), lefts)
+    if len(frames) == 1:
+        initial = frame_state_from(reference, 9, 1.5, lefts[0])
+    else:
+        initial = frame_state_2d_from(reference, 9, 1.5, 10, 2.0, *lefts, family_y=families[1])
+    assert initial.frames == frames
     for state in (initial, initial.moved(0.01), initial.rescaled(1.4)):
         evolved = frame_resample_evolver(reference)(state, 0.3, 0.1)
         assert type(evolved) is type(state)
@@ -2165,12 +2169,37 @@ def _gauss_front(x, y, t):
     return expit(-(np.asarray(x, dtype=float) - 2.0 - t) / 2.0) * np.exp(-0.5 * (np.asarray(y, dtype=float) / (1.0 + 0.5 * t)) ** 2)
 
 
+@pytest.mark.parametrize(
+    "families", [(LAGUERRE, LAGUERRE), (LAGUERRE, HERMITE), (HERMITE, LAGUERRE), (HERMITE, HERMITE)],
+    ids=["laguerre-laguerre", "laguerre-hermite", "hermite-laguerre", "hermite-hermite"],
+)
+def test_frame_state_2d_from_takes_a_family_per_axis(families):
+    # the sampler equals the node grid sampled by hand and built with the
+    # public constructor, bit for bit, and both families default to Laguerre
+    family_x, family_y = families
+    frame_x, frame_y = Frame(10, 1.5, family_x), Frame(8, 2.0, family_y)
+    by_hand = FrameState2D(
+        frame_x, frame_y, _gauss_front((0.3 + frame_x.nodes)[:, None], (-0.2 + frame_y.nodes)[None, :], 0.1), 0.3, -0.2
+    )
+    state = frame_state_2d_from(_gauss_front, 10, 1.5, 8, 2.0, 0.3, -0.2, 0.1, family_x=family_x, family_y=family_y)
+    assert type(state) is FrameState2D
+    assert (state.frames, state.lefts) == (by_hand.frames, by_hand.lefts)
+    assert state.values.tobytes() == by_hand.values.tobytes()
+    for axis in (0, 1):
+        assert state.frequency(axis) == by_hand.frequency(axis)
+        assert state.exterior(state.split_point(axis), axis) == by_hand.exterior(by_hand.split_point(axis), axis)
+    assert state.error(_gauss_front, 0.1) == by_hand.error(_gauss_front, 0.1)
+    if families == (LAGUERRE, LAGUERRE):
+        default = frame_state_2d_from(_gauss_front, 10, 1.5, 8, 2.0, 0.3, -0.2, 0.1)
+        assert default.frames == state.frames and default.values.tobytes() == state.values.tobytes()
+
+
 def test_run_2d_on_a_laguerre_by_hermite_state():
     # the y axis is Hermite: it has no sentinel, so ext_y is None, its
     # mover never fires and only its ladder acts, while the x axis moves
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
-    frames = (Frame(24, 2.0), Frame(20, 2.0, HERMITE))
-    initial = FrameState(frames, _gauss_front(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0), (0.0, 0.0))
+    initial = frame_state_2d_from(_gauss_front, 24, 2.0, 20, 2.0, family_y=HERMITE)
+    assert initial.frames == (Frame(24, 2.0), Frame(20, 2.0, HERMITE))
     records, final = run_2d(
         frame_resample_evolver(_gauss_front), initial, cfg, 0.02, 2.0, MODE_MOVE_SCALE, reference=_gauss_front
     )
@@ -2302,6 +2331,52 @@ def test_move_scale_keeps_the_front_covered(name, mode, cfg):
         else:
             assert centre(t_final) - 3.0 * width(t_final) <= x_left <= centre(t_final)
 
+
+def _record_bits(records) -> list:
+    """Every field of every record, each float by its exact bits."""
+    def bits(value):
+        return None if value is None else float(value).hex()
+
+    return [([bits(getattr(r, name)) for name in ("t", "beta", "x_left", "error", "freq", "ext")],
+             {name: bits(value) for name, value in r.extras.items()}) for r in records]
+
+
+_WIDENING_FRONT = logistic_front(lambda t: 2.0 + 2.0 * t, lambda t: 2.0 + t)
+
+# (reference, initial state, mode, dt, t_final) of runs that move (where an axis is Laguerre) and take rungs
+PUBLIC_RUNS = {
+    "laguerre-move-scale": (
+        _WIDENING_FRONT, lambda: frame_state_from(_WIDENING_FRONT, 24, 2.5), MODE_MOVE_SCALE, 0.02, 1.0,
+    ),
+    "hermite-scale": (
+        widening_gauss, lambda: frame_state_from(widening_gauss, 24, 1.0, family=HERMITE), MODE_SCALE, 0.1, 4.0,
+    ),
+    "laguerre-hermite-move-scale": (
+        _gauss_front, lambda: frame_state_2d_from(_gauss_front, 24, 2.0, 20, 2.0, family_y=HERMITE),
+        MODE_MOVE_SCALE, 0.02, 1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PUBLIC_RUNS))
+def test_run_frames_steps_the_history_of_its_public_readings(case):
+    # run_frames reads each state's stored readings directly; a plain driver
+    # in its documented order that reads only the public frequency,
+    # exterior(split_point) and error, and moves and rescales through the
+    # public methods, steps the same records and final state, bit for bit
+    reference, initial, mode, dt, t_final = PUBLIC_RUNS[case]
+    cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
+    runs = [driver(frame_resample_evolver(reference), initial(), cfg, dt, t_final, mode, reference=reference)
+            for driver in (run_frames, public_run)]
+    (records, final), (public_records, public_final) = runs
+    assert len(records) >= 41
+    assert _record_bits(records) == _record_bits(public_records)
+    assert (final.frames, final.lefts) == (public_final.frames, public_final.lefts)
+    assert final.values.tobytes() == public_final.values.tobytes()
+    betas = [(r.beta, r.extras.get("beta_y")) for r in records]
+    assert len(set(betas)) > 1
+    if mode == MODE_MOVE_SCALE:
+        assert len({r.x_left for r in records}) > 1
 
 
 # (centre, width, mode, dt, steps) of the translation relation's runs at N=64, beta=2.5

@@ -41,13 +41,33 @@ def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
         shutil.copytree(ROOT / part, mutant / part, ignore=shutil.ignore_patterns("__pycache__"))
     source = mutant / "src" / "specadapt" / "adapt.py"
     text = source.read_text()
-    assert text.count("return n * cfg.delta") == 1
-    source.write_text(text.replace("return n * cfg.delta", "return (n + 1) * cfg.delta"))
+    assert text.count("return n * delta") == 1
+    source.write_text(text.replace("return n * delta", "return (n + 1) * delta"))
     assert digest.main(["--base", str(ROOT), "--change", str(mutant), "--seeds", "3", "--smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" (")[0] for line in lines] == [
         "front-move seed 3: DIFFER", "spread-scale seed 3: equal", "bump-2d seed 3: DIFFER", "mixed seed 3: DIFFER",
         "histories: equal in 1 of 4",
+    ]
+
+
+def test_the_mixed_case_steps_the_library_evolver(tmp_path, capsys):
+    # a copy whose resampling evolver scales every sample by 1 + 2^-52: the
+    # benchmark cases step their own evolvers and keep their histories, the
+    # mixed case steps the library's and differs
+    mutant = tmp_path / "mutant"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, mutant / part, ignore=shutil.ignore_patterns("__pycache__"))
+    source = mutant / "src" / "specadapt" / "adapt.py"
+    text = source.read_text()
+    sampled = "np.array(values, dtype=float), state.lefts"
+    assert text.count(sampled) == 1
+    source.write_text(text.replace(sampled, "np.array(values, dtype=float) * (1.0 + 2.0**-52), state.lefts"))
+    assert digest.main(["--base", str(ROOT), "--change", str(mutant), "--seeds", "3", "--smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        "front-move seed 3: equal", "spread-scale seed 3: equal", "bump-2d seed 3: equal", "mixed seed 3: DIFFER",
+        "histories: equal in 3 of 4",
     ]
 
 

@@ -18,11 +18,13 @@ is the tool's own:
 * ``mixed``: a two-axis run on a Laguerre × Hermite state, a logistic
   front drifting and widening in x times a Gaussian widening about y = 0,
   48×48, β=2, dt=0.005, 1000 steps (smoke: 8×8, dt=0.05, 10 steps),
-  with each seed jittering its speeds and widths by up to 5 %.  Its
-  evolver samples the profile on open grids and builds each state with
-  the public constructor ``FrameState(frames, values, lefts)``.  The
-  Hermite axis has no sentinel point, so its exterior reading is None and
-  only its ladder acts.
+  with each seed jittering its speeds and widths by up to 5 %.  It steps
+  the library's own resampling evolver,
+  ``adapt.frame_resample_evolver(profile)``, which no benchmark workload
+  runs; its initial state is sampled on the node grid and built with the
+  public constructor ``FrameState(frames, values, lefts)``.  The Hermite
+  axis has no sentinel point, so its exterior reading is None and only
+  its ladder acts.
 
 Every case and seed runs in a fresh process of each checkout, with one
 BLAS thread and bytecode caches off, with the profile as reference.  A
@@ -86,15 +88,12 @@ def _mixed(seed: int, smoke: bool):
     def profile(x, y, t):
         return logistic((x - 2.0 - a * t) / (2.0 + a * t)) * np.exp(-0.5 * (y / (1.0 + 0.5 * b * t)) ** 2)
 
-    def evolve(state, t, dt_):
-        values = profile(state.nodes(0)[:, None], state.nodes(1)[None, :], t + dt_)
-        return adapt.FrameState(state.frames, values, state.lefts)
-
     frames = (adapt.Frame(order, beta), adapt.Frame(order, beta, basis.HERMITE))
     values = profile(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0)
     initial = adapt.FrameState(frames, values, (0.0, 0.0))
     cfg = adapt.AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
-    records, _ = adapt.run_frames(evolve, initial, cfg, dt, steps * dt, adapt.MODE_MOVE_SCALE, reference=profile)
+    records, _ = adapt.run_frames(adapt.frame_resample_evolver(profile), initial, cfg, dt, steps * dt,
+                                  adapt.MODE_MOVE_SCALE, reference=profile)
     return records
 
 
