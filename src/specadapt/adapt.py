@@ -1,8 +1,7 @@
 """Adaptive controllers for scaled spectral expansions.
 
-One control loop, :func:`run_frames`, drives a pluggable evolution step
-and applies the two controllers of the paper to every dimension of the
-state:
+One driver, :func:`run_frames` (also :func:`run_2d`), steps a pluggable
+evolver and applies the paper's two controllers to each axis of the state:
 
 * frequency-dependent SCALING: when the high-mode energy fraction rises past
   ``nu * max(f0, floor)``, with ``floor`` the order's round-off level, contract
@@ -13,97 +12,21 @@ state:
   origin rightward by the smallest multiple of ``delta`` (capped at
   ``d_max``) that restores the indicator below the threshold;
 * the combination: move first, then scale, with ``x_R`` re-derived from the
-  current node set at every iteration (moving owns ``x_L``, scaling owns
-  ``x_R``).
+  current node set at every iteration.
 
-There is one engine: nodal values in a :class:`Frame` per axis, held by one
-state class, :class:`FrameState`, of one or two axes.  Each of its readings
-and operations is written once and takes the axis it applies to, and the
-loop and both controllers act on a ``(state, axis)`` pair, one axis at a
-time, as the paper applies them to each dimension.  :func:`run_2d` is a
-second name of :func:`run_frames`, one resampling evolver serves both
-sizes (:func:`frame_resample_evolver`), and :class:`FrameState2D` only adds
-the two-axis constructor and per-axis names.  As in the paper, beta only
-places the nodes, and the indicators are defined by the numerical
-solution alone.  A frame holds only the three things beta changes: the
-node positions, the refined-node positions and the split point.  Its
-order's operators are built once in the unit variable
-y = beta*(x - x_left) (:class:`_UnitFrame`).  A state computes every
-reading from its own coefficients and its orders' unit operators, so the
-same unit-variable values read alike at every beta.  The basis functions
-carry their own decay: the damped
-Laguerre functions exp(-y/2) L_l(y) on the half-line, or the Hermite
-functions h_l(y) on the line.  Reconstructing values (or 2-d marginal
-values) from raw polynomial coefficients amplifies roundoff like exp(y_max/2),
-while these forms stay O(1) at any order used here.  A Hermite frame has
-no sentinel point: its exterior indicator is None, the mover never fires,
-and only the scaling controller acts (the time-dependent Hermite scaling
-of Ma, Sun & Tang, SINUM 43, 2005).
-
-The frame engine caches at two lifetimes.  Every operator of an order
-is an entry of the library's one least-recently-used store, under one
-byte budget (:func:`~.basis._stored`), and an evicted entry is rebuilt
-with the same bits.  An order builds its unit operators from one
-recurrence pass of its basis at its nodes, its refined nodes and
-(Laguerre only) its nodes shifted by its split point, which also gives
-the weights of its two Gauss rules and a stacked operator holding its
-weighted basis derivative at shift 0 and at its split point, so a
-state's whole exterior set-up is one matrix-vector product.  Its basis
-at shifted and at rescaled nodes and (Laguerre only) its weighted basis
-derivative at the mover's shifted sentinels are entries of their own.
-A miss at rescaled nodes evaluates the basis.  A miss at shifted nodes
-evaluates nothing: the Laguerre addition theorem shifts a basis the
-order stores, at its nodes or at its split point, by one product with a
-Toeplitz matrix (:func:`_shift`).  Such misses follow each accepted
-rung, which changes the unit shifts of the next move and of its search.
-A state built from values looks its orders' unit operators up once and
-passes them to every state it derives.  A state keeps what it derives
-from its own values for as long as it lives: its coefficients, the
-frequency indicator of every axis, and one exterior set-up per axis.  A
-set-up holds the coefficients the axis's exterior readings use (on one
-axis the state's own, on two those of the axis's marginal values, the
-values integrated over the other axis), their whole-domain derivative
-norm and the reading at the axis's own split point.  So the ladder, the
-mover and the per-step record read each once, the marginal values are
-never a state of their own, and a moved or rescaled state starts with
-none of them.
-The exterior indicator at any other split is evaluated on every call.
-State values are read-only, so no memo can go stale.  The state memos are
-plain instance attributes written on first read (:class:`_memoized`), and
-the set-ups fill a list of one entry per axis that every state starts with
-empty, so a read takes no lock.
-
-A 1-d controlled step computes, besides its evolver's values and the
-reference: the evolved state's coefficients (``tomodal @ values``) and
-exterior set-up (``pair @ c``); in a moving mode, one shifted derivative
-(``dpsi_at(s) @ c``) per mover candidate, then the move (``c @ psi_at(d)``)
-and the moved state's coefficients; the frequency reading (the energy
-c*c, its total and its tail); the error's refined interpolant
-(``psi_refined.T @ c``); and the recorded exterior reading (``pair @ c``
-of the final state).  A rung of the ladder adds a rescale
-(``c @ psi_on``) and its coefficients.  Each reading takes its order's
-constants from the unit frame (``size``, ``high_start``, ``split_shift``,
-``split_decay``), and the 2-d frequency readings share one energy total.
-A 2-d state's exterior set-up of an axis first takes that axis's marginal
-values (``values @ w`` with the other axis's unit weights) and their
-coefficients (``tomodal @ marginal``), then the same ``pair @ c``.
-Every such product is written in method form, ``tomodal.dot(values)``
-(:func:`_apply`): it runs the BLAS routine of ``@`` and of the function
-:func:`numpy.dot` on the same operands, with the same bits, without the
-Python-level dispatch that numpy 2 runs on every call of that function.
-Around the products, the driver reads each state's stored readings
-(``_frequencies`` and the set-up's reading at the split) instead of the
-public :meth:`FrameState.frequency` and :meth:`FrameState.exterior`, which
-give the same values; the mover's shifted candidates and the ladder's
-rescaled candidates are read through the public methods.
-
-Reference values for the recorded error are optional: without one, a run is
-blind, exactly like a real solver.  Every reference, of one axis or two,
-is called once per sampling on open grids and broadcast to the grid
-shape (see :func:`run_frames`).
-
-The coefficient-space :class:`~.approx.Expansion` is not part of the
-engine; :func:`initial_state` reads the controllers' baselines of one.
+A :class:`FrameState` holds nodal values on one :class:`Frame` per axis,
+one or two axes.  A frame holds only what beta changes: its nodes, its
+refined nodes and its split point.  The rest belongs to its order, built
+once in the unit variable y = beta*(x - x_left) (:class:`_UnitFrame`) and
+kept in the library's one store (:func:`~.basis._stored`), so every
+reading comes from the solution alone and reads alike at every beta.  The
+functions carry their own decay, the damped Laguerre exp(-y/2) L_l(y) on
+the half-line or the Hermite h_l(y) on the line, so they stay O(1) at
+every order used here, where raw polynomial coefficients would amplify
+round-off like exp(y_max/2).  A Hermite axis has no sentinel point, so
+only its scaling controller acts (Ma, Sun & Tang, SINUM 43, 2005).  A
+reference for the recorded error is optional: without one a run is
+blind, like a real solver.
 """
 
 from __future__ import annotations
@@ -111,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -125,8 +48,8 @@ from .basis import (
     _stored,
     _unit_nodes,
     _unit_pass,
+    _unit_rule,
     eval_weighted_all,
-    modified_weights,
     quadrature,
 )
 from .indicators import (
@@ -152,7 +75,6 @@ __all__ = [
     "frame_state_from",
     "history_to_csv",
     "initial_state",
-    "normalize_mode",
     "run_2d",
     "run_frames",
 ]
@@ -287,26 +209,7 @@ MODE_SCALE = "scale"
 # d_max = 0.1: x_left 54.6 at t = 5, centre 7).  Use MODE_MOVE_SCALE there.
 MODE_MOVE = "move"
 MODE_MOVE_SCALE = "move-scale"
-
-_MODE_ALIASES = {
-    "none": MODE_NONE,
-    "scale": MODE_SCALE,
-    "scaleonly": MODE_SCALE,
-    "move": MODE_MOVE,
-    "moveonly": MODE_MOVE,
-    "movescale": MODE_MOVE_SCALE,
-}
-
-
-def normalize_mode(mode) -> str:
-    """Map mode spellings (ScaleOnly, move_scale, None, ...) to canonical names."""
-    if mode is None:
-        return MODE_NONE
-    key = str(mode).strip().lower().replace("_", "").replace("-", "").replace(" ", "")
-    canonical = _MODE_ALIASES.get(key)
-    if canonical is None:
-        raise ValueError(f"unknown mode {mode!r}; expected one of none/scale/move/move-scale")
-    return canonical
+_MODES = (MODE_NONE, MODE_SCALE, MODE_MOVE, MODE_MOVE_SCALE)
 
 
 # --------------------------------------------------------------------------
@@ -372,16 +275,16 @@ def run_frames(evolver, initial: FrameState, cfg: AdaptConfig, dt: float, t_fina
                reference=None) -> tuple[list[ExperimentRecord], FrameState]:
     """The one driver: evolve, optionally move, optionally scale, record; returns (history, final state).
 
-    ``initial`` is a :class:`FrameState` of one or two axes, and the
-    controllers act on one axis at a time through its per-axis readings
-    and operations.  Every moving distance is taken from the same evolved
-    state, so no move changes another axis's distance; the scaling ladders
-    run one axis after another (x first), each with the other axes held
-    fixed.  Each
-    record is read from the state (:func:`_record`): the standard columns
-    carry axis 0, and a two-axis run exports axis 1 through the extras
-    ``beta_y, freq_y, ext_y, yL``.  ``t_final < dt`` yields exactly the
-    initial record.  :func:`run_2d` is this function under a second name.
+    ``mode`` is one of ``MODE_NONE``, ``MODE_SCALE``, ``MODE_MOVE`` and
+    ``MODE_MOVE_SCALE``; any other value raises ValueError before the first
+    step.  ``initial`` is a :class:`FrameState` of one or two axes, and the
+    controllers act on one axis at a time.  Every moving distance is taken
+    from the same evolved state, so no move changes another axis's
+    distance; the scaling ladders run one axis after another (x first),
+    each with the other axes held fixed.  Each record is read from the
+    state (:func:`_record`): the standard columns carry axis 0, and a
+    two-axis run exports axis 1 through the extras ``beta_y, freq_y,
+    ext_y, yL``.  ``t_final < dt`` yields exactly the initial record.
 
     Per axis, ``f0``/``e0`` start from the initial state and ``f0`` is
     refreshed only on ladder acceptances.  ``e0`` is never refreshed.
@@ -415,7 +318,8 @@ def run_frames(evolver, initial: FrameState, cfg: AdaptConfig, dt: float, t_fina
     unsupported on fronts that widen: the origin runs past the front (see
     ``MODE_MOVE``); use ``MODE_MOVE_SCALE`` there.
     """
-    mode = normalize_mode(mode)
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(_MODES)}")
     moving, scaling = mode in (MODE_MOVE, MODE_MOVE_SCALE), mode in (MODE_SCALE, MODE_MOVE_SCALE)
     state = initial
     axes = range(len(state.frames))
@@ -592,44 +496,39 @@ class _UnitFrame:
     A frame at beta has nodes y/beta and psi_l(beta*x) = psi_l(y), so its
     transform, its refined psi and beta*split are those of this object;
     every psi_l has norm 1 in y.  The build runs one recurrence pass
-    (:func:`~.basis._unit_pass`): it evaluates the basis at the nodes
+    (:func:`~.basis._unit_pass`), which gives the basis at the nodes
     (``psi``), the refined nodes (``psi_refined``) and, Laguerre only, the
-    nodes shifted by s* = round(split, 12) (``psi_split``, the base of
-    :meth:`dpsi_shifted` from s* on), and stores the order's Gauss rule and
-    the refined one, where not stored yet, for :func:`~.basis.quadrature`.
-    A Laguerre order also builds ``pair`` from that pass, G at shift 0
-    stacked on G at s*, (2(N+1), N+1), with no further evaluation.  A
-    Hermite order has no split, no ``psi_split``, no pair (None) and no
-    derivative entries.  The order's entries at shifted and rescaled nodes
-    are kept in the store beside it (:meth:`psi_at`, :meth:`psi_on`,
-    :meth:`dpsi_at`), keyed in the unit variable, so every ladder rung
-    shares the entry of the ratio 1/q.
+    nodes shifted by s* = round(split, 12) (``psi_split``), and stores the
+    order's Gauss rule and the refined one, whose arrays this object then
+    reads from the store (:func:`~.basis._unit_rule`).  A Laguerre order
+    also holds ``pair``, G at shift 0 stacked on G at s*, (2(N+1), N+1),
+    from that pass.  A Hermite order has no split, no ``psi_split``, no
+    pair (None) and no shifted entries.  It also holds the constants every
+    reading of its states uses: ``size`` (N+1), ``high_start`` (N+1-M, the
+    first of the M = :func:`~.indicators.default_high_mode_count` high
+    modes), ``split_shift`` (s*) and ``split_decay`` (exp(-s*/2)), the last
+    two None on a Hermite order.
 
-    The build also keeps the constants the readings of every state of the
-    order use, so no reading recomputes them: ``size`` (N+1),
-    ``high_start`` (N+1-M, the first of the M =
-    :func:`~.indicators.default_high_mode_count` high modes),
-    ``split_shift`` (s*) and ``split_decay`` (exp(-s*/2)); the last two
-    are None on a Hermite order.
+    The shifted and rescaled entries (:meth:`psi_at`, :meth:`dpsi_at`,
+    :meth:`psi_on`) take a unit key, rounded to 12 decimals by the caller,
+    and are stored under it beside the order, so offsets that differ only
+    by the rounding of origin arithmetic share one entry, and every ladder
+    rung shares the entry of the ratio 1/q.
     """
 
     def __init__(self, order: int, family: str):
-        self.basis = basis = ScaledBasis(family, 1.0, order)
+        self.basis = ScaledBasis(family, 1.0, order)
         nodes = _unit_nodes(family, order)
         if family == LAGUERRE and 0.5 * nodes[-1] > _LOG_TINY:
             raise ValueError(f"frame order {order} exceeds the damped basis ceiling of 363")
         self.split = default_split_point(order, nodes) if family == LAGUERRE else None
-        # the constants every reading of a state of this order uses
         self.size = order + 1
         self.high_start = order + 1 - default_high_mode_count(order)
         self.split_shift = shift = None if self.split is None else round(self.split, 12)
         self.split_decay = None if shift is None else math.exp(-0.5 * shift)
-        # one pass: the evaluations, and both rules into the store
         self.psi, self.psi_refined, self.psi_split = _unit_pass(family, order, nodes, shift)
-        rule, refined = quadrature(basis), quadrature(replace(basis, order=2 * order + 1))
-        self.nodes, self.weights = rule.nodes, rule.weights
-        self.mod_weights = modified_weights(rule)
-        self.refined_nodes, self.refined_weights = refined.nodes, refined.weights
+        self.nodes, self.weights, self.mod_weights = _unit_rule(family, order)
+        self.refined_nodes, self.refined_weights, _ = _unit_rule(family, 2 * order + 1)
         self.tomodal = self.psi * self.mod_weights
         # written in place, column-major, so each write is a contiguous row of G's transpose
         self.pair = None
@@ -645,52 +544,40 @@ class _UnitFrame:
         squares = (self.tomodal @ self.psi[:k].T) ** 2
         return float(np.sqrt(squares[k:].sum(axis=0) / squares.sum(axis=0)).max())
 
-    def psi_at(self, frame: "Frame", shift: float) -> np.ndarray:
-        """The damped functions at the nodes of ``frame``, of this order, shifted by ``shift``, (N+1, N+1).
+    def psi_at(self, s: float) -> np.ndarray:
+        """The damped functions at the unit nodes shifted by the unit key ``s``, (N+1, N+1).
 
-        That is psi at y + beta*shift.  It is stored under
-        ``round(beta*shift, 12)``, and a miss shifts the order's psi at the
-        nodes by that key (:func:`_shift`), with no basis evaluation.  So
-        offsets that differ only by the rounding of origin arithmetic share
-        one entry, whose value does not depend on which came first.  A
-        Hermite order and a negative key raise.
+        A move by d at beta reads ``s = round(beta*d, 12)``.  A miss shifts
+        ``psi`` by ``s`` (:func:`_shift`), with no basis evaluation.  A
+        Hermite order and a negative ``s`` raise ValueError.
         """
         if self.split is None:
             raise ValueError("only a Laguerre frame has a shifted basis")
-        key = round(frame.beta * float(shift), 12)
-        return _stored(("psi_at", LAGUERRE, self.basis.order, key), _shift, self.psi, key)
+        return _stored(("psi_at", LAGUERRE, self.basis.order, s), _shift, self.psi, s)
 
-    def psi_on(self, frame: "Frame", target: "Frame") -> np.ndarray:
-        """The damped functions at the nodes of ``target``, read from ``frame`` (same origin).
+    def psi_on(self, ratio: float) -> np.ndarray:
+        """The damped functions at the unit nodes times the unit key ``ratio``, (N+1, N+1).
 
-        That is psi at y*beta/beta'.  It is stored under
-        ``round(beta/beta', 12)`` and a miss evaluates the basis there.  A
-        target of another order or family than this one raises.
+        A rescale from beta to beta' at one origin reads ``ratio =
+        round(beta/beta', 12)``.  A miss evaluates the basis there.
         """
-        if (target.order, target.family) != (self.basis.order, self.basis.family):
-            raise ValueError(
-                f"psi_on needs a frame of the same order and family: got {target.family} order "
-                f"{target.order} for {self.basis.family} order {self.basis.order}"
-            )
-        key = round(frame.beta / target.beta, 12)
-        return _stored(("psi_on", self.basis.family, self.basis.order, key), _UnitFrame.psi_rescaled, self, key)
+        return _stored(("psi_on", self.basis.family, self.basis.order, ratio), _UnitFrame.psi_rescaled, self, ratio)
 
     def psi_rescaled(self, ratio: float) -> np.ndarray:
         """The damped functions at the nodes times ``ratio``, evaluated."""
         return eval_weighted_all(self.basis, self.nodes * ratio)
 
-    def dpsi_at(self, frame: "Frame", shift: float) -> np.ndarray:
-        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) at y_k + beta*shift, (N+1, N+1).
+    def dpsi_at(self, s: float) -> np.ndarray:
+        """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) at y_k + ``s``, for the unit key ``s``, (N+1, N+1).
 
         With w the unit weights and d/dy L_l = -sum_{j<l} L_j, the
-        derivative of sum_l c_l psi_l there is -beta*(G c)_k/sqrt(w_k).
-        Stored and keyed as :meth:`psi_at`; a miss is
-        :meth:`dpsi_shifted`.  A Hermite order and a negative key raise.
+        derivative of sum_l c_l psi_l there is -beta*(G c)_k/sqrt(w_k).  A
+        miss is :meth:`dpsi_shifted`.  A Hermite order and a negative ``s``
+        raise ValueError.
         """
         if self.split is None:
             raise ValueError("only a Laguerre frame has a derivative memo")
-        key = round(frame.beta * float(shift), 12)
-        return _stored(("dpsi_at", LAGUERRE, self.basis.order, key), _UnitFrame.dpsi_shifted, self, key)
+        return _stored(("dpsi_at", LAGUERRE, self.basis.order, s), _UnitFrame.dpsi_shifted, self, s)
 
     def dpsi_shifted(self, s: float) -> np.ndarray:
         """G at the nodes shifted by ``s``, from the nearest stored base at or left of s.
@@ -983,9 +870,9 @@ class FrameState:
             return reading
         if denominator <= 0.0:
             return None
-        offset = split - left
-        g = self.units[axis].dpsi_at(frame, offset).dot(coeffs)
-        return math.exp(-0.5 * frame.beta * float(offset)) * (math.sqrt(g.dot(g)) / denominator)
+        offset = float(split - left)
+        g = self.units[axis].dpsi_at(round(frame.beta * offset, 12)).dot(coeffs)
+        return math.exp(-0.5 * frame.beta * offset) * (math.sqrt(g.dot(g)) / denominator)
 
     def moved(self, distance: float, axis: int = 0) -> "FrameState":
         """The state on the frame whose origin along ``axis`` is ``distance`` to the right.
@@ -998,13 +885,15 @@ class FrameState:
             raise ValueError("only a Laguerre frame has a movable origin")
         if not (math.isfinite(distance) and distance >= 0.0):
             raise ValueError(f"move distance must be finite and nonnegative, got {distance}")
-        return self._resampled(axis, frame, self.units[axis].psi_at(frame, distance), self.lefts[axis] + distance)
+        psi = self.units[axis].psi_at(round(frame.beta * float(distance), 12))
+        return self._resampled(axis, frame, psi, self.lefts[axis] + distance)
 
     def rescaled(self, beta: float, axis: int = 0) -> "FrameState":
         """The state on the frame of ``axis`` with scaling factor ``beta``."""
         frame = self.frames[axis]
         new_frame = Frame(frame.order, beta, frame.family)
-        return self._resampled(axis, new_frame, self.units[axis].psi_on(frame, new_frame), self.lefts[axis])
+        psi = self.units[axis].psi_on(round(frame.beta / new_frame.beta, 12))
+        return self._resampled(axis, new_frame, psi, self.lefts[axis])
 
     def _resampled(self, axis: int, frame: Frame, psi: np.ndarray, left: float) -> "FrameState":
         """The state with ``frame`` at ``left`` on ``axis``: that axis's coefficients against ``psi``."""

@@ -15,8 +15,7 @@ itself always starts at 0.  Gauss rules are computed once per (family,
 order) at unit scale and then mapped to the requested scale, so repeated
 calls during time stepping are cheap.  The nodes are the eigenvalues of
 the symmetric tridiagonal Jacobi matrix (Golub & Welsch, 1969), from
-LAPACK's dsterf on its two diagonals in O(n^2); where numpy's LAPACK does
-not export dsterf, a dense ``eigvalsh`` gives the same bits in O(n^3).  The
+LAPACK's dsterf on its two diagonals (:func:`_jacobi_eigenvalues`).  The
 weights come from the Christoffel identity, in log form for Laguerre, so
 that the exponentially reweighted weights of :func:`modified_weights` stay
 finite where the plain tail weights underflow.  One kernel,
@@ -229,11 +228,8 @@ def quadrature(basis: ScaledBasis) -> QuadratureRule:
 
     Unit-scale nodes/weights come from the Golub-Welsch eigenproblem and
     are kept in the library's one store (:func:`_stored`), which a frame
-    build also fills (:func:`_unit_pass`).  Its eigenvalues come from
-    LAPACK's O(n^2) dsterf on the Jacobi matrix's two diagonals, or, where
-    numpy's LAPACK lacks dsterf, from a dense O(n^3) ``eigvalsh`` that ends
-    in the same dsterf and so gives the same bits (see
-    :func:`_jacobi_eigenvalues`); the weights from one recurrence pass
+    build also fills (:func:`_unit_pass`): the nodes from
+    :func:`_jacobi_eigenvalues`, the weights from one recurrence pass
     (:func:`_basis_pass`).  The returned rule is the mapped copy
     x -> x/beta, w -> w * beta**-1.  Hermite rules stop at order 727: past it
     exp(-y^2/2) at the largest node leaves the normal float64 range, and

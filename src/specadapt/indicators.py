@@ -14,17 +14,13 @@ identically zero derivative) so callers can branch explicitly instead of
 comparing against NaN.  Both are invariant under scaling the coefficients by
 a nonzero constant.
 
-The controllers read both signals from the states of :mod:`specadapt.adapt`,
-in the unit variable of their frames: the frequency indicator from a
-state's coefficients, the exterior indicator at its own split from one
-product with the order's stacked basis derivative at shift 0 and at the
-split, and at the mover's shifted sentinels from one product with the
-stored ``_UnitFrame.dpsi_at``; per axis for tensor-product states, with
-:func:`default_high_mode_count` and :func:`default_split_point`.  The
-coefficient-space forms here, for one-dimensional
-:class:`~specadapt.approx.Expansion` objects on a Laguerre or (frequency
-only) Hermite basis, are kept only for :func:`specadapt.adapt.initial_state`
-and the benchmark's cold set-up workload (``cold-orders``).  The exterior
+The frame states of :mod:`specadapt.adapt` read both signals in their own
+unit variable, with :func:`default_high_mode_count` and
+:func:`default_split_point`.  The coefficient-space forms here, for
+one-dimensional :class:`~specadapt.approx.Expansion` objects on a Laguerre
+or (frequency only) Hermite basis, are kept only for
+:func:`specadapt.adapt.initial_state` and the benchmark's cold set-up
+workload (``cold-orders``).  The exterior
 form differentiates the expansion itself: since ``d/dy L_l = -sum_{j<l}
 L_j``, the derivative of ``sum c_l L_l(beta*x)`` is ``sum d_j L_j(beta*x)``
 over j < N with ``d_j = -beta * sum_{m>j} c_m``, the same identity that

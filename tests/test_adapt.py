@@ -32,7 +32,6 @@ from specadapt.adapt import (
     frame_state_from,
     history_to_csv,
     initial_state,
-    normalize_mode,
     run_2d,
     run_frames,
 )
@@ -121,12 +120,24 @@ def test_config_rejects_bad_values(kwargs):
     ],
 )
 def test_mode_aliases(alias, expected):
-    assert normalize_mode(alias) == expected
+    # the driver takes each mode under its one name and refuses every other
+    # spelling, naming the four, before the first step
+    state = frame_state_from(moving_front, 8, 2.0)
+    evolver = frame_resample_evolver(moving_front)
+    if alias == expected:
+        records, _ = run_frames(evolver, state, AdaptConfig(), 0.1, 0.2, alias)
+        assert len(records) == 3
+    else:
+        with pytest.raises(ValueError, match="expected one of none, scale, move, move-scale"):
+            run_frames(evolver, state, AdaptConfig(), 0.1, 0.2, alias)
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        normalize_mode("wiggle")
+    def evolver(state, t, dt):
+        raise AssertionError("stepped under an unknown mode")
+
+    with pytest.raises(ValueError, match="unknown mode 'wiggle'"):
+        run_frames(evolver, frame_state_from(moving_front, 8, 2.0), AdaptConfig(), 0.1, 0.2, "wiggle")
 
 
 # ---------------------------------------------------------------------------
@@ -1671,23 +1682,23 @@ def test_derivative_memo_drops_the_least_recently_used_entry(monkeypatch):
     unit = _unit(frame)
     assert _entries("dpsi_at", LAGUERRE, 23) == {}
     shifts = [0.01 * k for k in range(1, 65)]
-    first = [unit.dpsi_at(frame, s) for s in shifts]
+    first = [unit.dpsi_at(round(s, 12)) for s in shifts]
     memo = _entries("dpsi_at", LAGUERRE, 23)
     assert len(memo) == len(basis_module._store) == 64
     calls = _count_basis_evaluations(monkeypatch)
-    unit.dpsi_at(frame, shifts[0])  # a hit makes the oldest entry the most recent
-    unit.dpsi_at(frame, 0.0)  # shift 0 lives in the order's pair, so here it is a miss
+    unit.dpsi_at(round(shifts[0], 12))  # a hit makes the oldest entry the most recent
+    unit.dpsi_at(0.0)  # shift 0 lives in the order's pair, so here it is a miss
     memo = _entries("dpsi_at", LAGUERRE, 23)
     assert len(memo) == 64
     assert round(shifts[1], 12) not in memo
     assert round(shifts[0], 12) in memo and round(shifts[2], 12) in memo
     # a dropped entry is built again, to the same bits
-    assert np.array_equal(unit.dpsi_at(frame, shifts[1]), first[1])
+    assert np.array_equal(unit.dpsi_at(round(shifts[1], 12)), first[1])
     assert round(shifts[2], 12) not in _entries("dpsi_at", LAGUERRE, 23)
     assert calls == []  # a miss shifts the order's basis, with no evaluation
     # the memo's G(0) has the bits of the pair's, which the build's one
     # evaluation gave; the pair costs no evaluation
-    assert np.array_equal(unit.dpsi_at(frame, 0.0), unit.pair[: frame.order + 1])
+    assert np.array_equal(unit.dpsi_at(0.0), unit.pair[: frame.order + 1])
     assert calls == []
 
 
@@ -1786,7 +1797,8 @@ def _operator_digest(unit, frame) -> str:
         "psi", "psi_refined", "psi_split", "tomodal", "pair",
     )]
     arrays += list(basis_module._unit_rule(family, order)) + list(basis_module._unit_rule(family, 2 * order + 1))
-    arrays += [unit.psi_at(frame, 0.3), unit.psi_on(frame, Frame(order, 0.95 * frame.beta)), unit.dpsi_at(frame, 1.7)]
+    arrays += [unit.psi_at(round(frame.beta * 0.3, 12)), unit.psi_on(round(1 / 0.95, 12)),
+               unit.dpsi_at(round(frame.beta * 1.7, 12))]
     for array in arrays:
         digest.update(np.ascontiguousarray(array).tobytes())
     digest.update(repr((unit.split, unit.frequency_floor)).encode())
@@ -1881,7 +1893,7 @@ def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
     np.testing.assert_allclose(pair[:18], _scratch_g(unit.weights, psi), rtol=1e-12, atol=0)
     np.testing.assert_allclose(pair[18:], _scratch_g(unit.weights, at_split), rtol=1e-12, atol=0)
     # the basis at shift 0 gives back the bits of the build's psi
-    assert np.array_equal(unit.psi_at(Frame(17, 1.0), 0.0), psi)
+    assert np.array_equal(unit.psi_at(0.0), psi)
     assert calls == ["pass"]
     assert _entries("dpsi_at", LAGUERRE, 17) == {}
 
@@ -1933,7 +1945,7 @@ def test_hermite_frame_has_no_derivative_memo():
     assert unit.pair is None and unit.psi_split is None
     before = list(basis_module._store)
     with pytest.raises(ValueError, match="Laguerre"):
-        unit.dpsi_at(state.frame, 0.1)
+        unit.dpsi_at(0.1)
     with pytest.raises(ValueError, match="Laguerre"):
         state.exterior(1.0)
     assert list(basis_module._store) == before
@@ -1947,13 +1959,14 @@ def test_derivative_memo_matches_a_scratch_build(order):
     rule = quadrature(basis)
     split = frame.split_rel
     for shift in (0.0, split, split + 0.004, 0.7, 25.0):
-        psi = eval_weighted_all(basis, rule.nodes + round(2.0 * shift, 12))
+        key = round(2.0 * shift, 12)
+        psi = eval_weighted_all(basis, rule.nodes + key)
         # a miss shifts a stored basis, which moves the rounding of the tiny
         # entries: at orders 128 and 363 entries below 1e-8 differ by up to
         # 4.4e-11 and 1.1e-7 relative, and by at most 2.1e-18 absolute
-        _assert_close(unit.dpsi_at(frame, shift), _scratch_g(rule.weights, psi), 1e-11)
+        _assert_close(unit.dpsi_at(key), _scratch_g(rule.weights, psi), 1e-11)
         if order == 16:  # every entry still agrees to 1e-12 relative (1.5e-13)
-            np.testing.assert_allclose(unit.dpsi_at(frame, shift), _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(unit.dpsi_at(key), _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
     # the order's pair stacks the same G at shift 0 and at the unit split
     pair = unit.pair
     for half, shift in ((pair[: order + 1], 0.0), (pair[order + 1 :], round(unit.split, 12))):
@@ -1979,12 +1992,11 @@ def _damped_reference(order: int, y: np.ndarray) -> np.ndarray:
 def test_rescaled_basis_is_accurate_past_the_normal_start(monkeypatch):
     # at order 363 the ratio 1/0.95 puts the largest rescaled node at
     # y = 1490.7, where exp(-y/2) is subnormal: a start there erred by 3.7e-3
-    frame, target = Frame(363, 1.0), Frame(363, 0.95)
-    unit = _unit(frame)
+    unit = _unit(Frame(363, 1.0))
     _empty_store(monkeypatch)
     ratio = round(1.0 / 0.95, 12)
     assert 0.5 * unit.nodes[-1] * ratio > adapt._LOG_TINY
-    _assert_close(unit.psi_on(frame, target), _damped_reference(363, unit.nodes * ratio), 1e-12)
+    _assert_close(unit.psi_on(ratio), _damped_reference(363, unit.nodes * ratio), 1e-12)
 
 
 @pytest.mark.parametrize("order", [16, 48, 128, 256, 363])
@@ -1997,9 +2009,10 @@ def test_shifted_memos_match_a_direct_evaluation(order, monkeypatch):
     _empty_store(monkeypatch)
     split = round(unit.split, 12)
     for shift in (0.008, 1.4, split, split + 0.008, split + 0.2, 50.0):
-        psi = _damped_reference(order, unit.nodes + round(shift, 12))
-        _assert_close(unit.psi_at(frame, shift), psi, 1e-11)
-        _assert_close(unit.dpsi_at(frame, shift), _scratch_g(unit.weights, psi), 1e-11)
+        key = round(shift, 12)
+        psi = _damped_reference(order, unit.nodes + key)
+        _assert_close(unit.psi_at(key), psi, 1e-11)
+        _assert_close(unit.dpsi_at(key), _scratch_g(unit.weights, psi), 1e-11)
     assert not unit.psi_split.flags.writeable
     # a shift past 16 unit lengths is applied in equal pieces: 50 as 4 of 12.5
     pieces = unit.psi
@@ -2013,7 +2026,7 @@ def test_shifted_memos_match_a_direct_evaluation(order, monkeypatch):
     # a small negative shift keeps every node right of 0, but is still refused
     for read in (unit.psi_at, unit.dpsi_at):
         with pytest.raises(ValueError, match="left of its endpoint"):
-            read(frame, -0.001)
+            read(-0.001)
 
 
 def test_shifted_memos_reject_a_negative_shift():
@@ -2023,7 +2036,7 @@ def test_shifted_memos_reject_a_negative_shift():
     for shift in (-1.0, -30.0):
         for read in (unit.psi_at, unit.dpsi_at):
             with pytest.raises(ValueError, match="left of its endpoint"):
-                read(frame, shift)
+                read(shift)
     assert list(basis_module._store) == before
 
 
@@ -2034,19 +2047,25 @@ def test_hermite_frame_has_no_shifted_basis():
     before = list(basis_module._store)
     for shift in (0.0, 0.1):
         with pytest.raises(ValueError, match="Laguerre"):
-            unit.psi_at(frame, shift)
+            unit.psi_at(shift)
     assert list(basis_module._store) == before
 
 
-def test_psi_on_rejects_a_frame_of_another_order_or_family():
-    frame, others = Frame(10, 1.0), (Frame(12, 2.0), Frame(10, 2.0, HERMITE))
-    unit = _unit(frame)
-    before = list(basis_module._store)
-    for other in others:
-        with pytest.raises(ValueError, match="same order and family"):
-            unit.psi_on(frame, other)
-    assert list(basis_module._store) == before
-    assert unit.psi_on(frame, Frame(10, 2.0)).shape == (11, 11)
+def test_rescaled_state_keeps_its_order_and_family():
+    # a rescale reads its order's entry at the unit ratio beta/beta' and
+    # changes only the scale of the axis it acts on
+    for family, profile in ((LAGUERRE, moving_front), (HERMITE, widening_gauss)):
+        state = frame_state_from(profile, 10, 1.0, family=family)
+        rescaled = state.rescaled(2.0)
+        assert (rescaled.frame.order, rescaled.frame.family, rescaled.beta) == (10, family, 2.0)
+        assert rescaled.units == state.units and rescaled.lefts == state.lefts
+        assert np.array_equal(rescaled.values, state._coeffs.dot(state.units[0].psi_on(0.5)))
+        pair = FrameState((state.frame, Frame(12, 1.5, family)), np.outer(state.values, np.ones(13)), (0.0, 0.0))
+        for axis in (0, 1):
+            scaled = pair.rescaled(0.75, axis)
+            assert [frame.order for frame in scaled.frames] == [10, 12] and scaled.units == pair.units
+            assert [frame.family for frame in scaled.frames] == [family, family]
+            assert scaled.frames[axis].beta == 0.75 and scaled.frames[1 - axis] is pair.frames[1 - axis]
 
 
 def test_frame_state_error_rejects_a_misshaped_reference():
