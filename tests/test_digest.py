@@ -32,23 +32,55 @@ def test_record_digest_sees_every_bit_of_every_field():
     assert len(digests) == len(changed) and reference not in digests
 
 
-def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
-    # a copy whose mover moves one delta further than it should: the three
-    # moving cases step other histories, the scaling one the same; the copy
-    # takes the benchmark's workloads along, as the tool runs a checkout's own
+def _mutant_report(tmp_path, capsys, line: str, mutated: str) -> tuple[list, list, list]:
+    """The digest report of this checkout against a copy whose adapt.py has ``line`` as ``mutated``.
+
+    Returns the case lines (cut at their digests), the lines that sort the
+    differing fields and the per-side summaries.  The copy takes the
+    benchmark's workloads along, as the tool runs a checkout's own.
+    """
     mutant = tmp_path / "mutant"
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, mutant / part, ignore=shutil.ignore_patterns("__pycache__"))
     source = mutant / "src" / "specadapt" / "adapt.py"
     text = source.read_text()
-    assert text.count("return n * delta") == 1
-    source.write_text(text.replace("return n * delta", "return (n + 1) * delta"))
+    assert text.count(line) == 1
+    source.write_text(text.replace(line, mutated))
     assert digest.main(["--base", str(ROOT), "--change", str(mutant), "--seeds", "3", "--smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" (")[0] for line in lines] == [
+    cases = [line.split(" (")[0] for line in lines if not line.startswith(" ")]
+    classes = [line.strip() for line in lines if line.startswith("  decisions")]
+    sides = [line.split(":", 1)[1].strip() for line in lines if line.startswith(("  base:", "  change:"))]
+    return cases, classes, sides
+
+
+def test_digest_reports_equal_and_differing_histories(tmp_path, capsys):
+    # a copy whose mover moves one delta further than it should: the three
+    # moving cases step other histories, the scaling one the same
+    cases, classes, sides = _mutant_report(tmp_path, capsys, "return n * delta", "return (n + 1) * delta")
+    assert cases == [
         "front-move seed 3: DIFFER", "spread-scale seed 3: equal", "bump-2d seed 3: DIFFER", "mixed seed 3: DIFFER",
         "histories: equal in 1 of 4",
     ]
+    assert len(classes) == 3 and all(line.startswith("decisions: differ (") for line in classes)
+    assert all("x_left" in line.split(";")[0] for line in classes)
+    # the sides part at the mover: its cap hits and final origin differ
+    base, change = sides[:2]
+    assert base != change and "cap hits" in base and "max_error" in base
+
+
+def test_digest_reports_a_ladder_mutant_as_moved_decisions(tmp_path, capsys):
+    # a copy whose every rung contracts by q^2: the scaling decisions move
+    # on every case whose ladder accepts a rung within the smoke horizon
+    line = "beta_next = cfg.q * state.frames[axis].beta"
+    cases, classes, sides = _mutant_report(tmp_path, capsys, line, line.replace("cfg.q", "cfg.q * cfg.q"))
+    assert cases[1:] == [
+        "spread-scale seed 3: DIFFER", "bump-2d seed 3: DIFFER", "mixed seed 3: DIFFER", "histories: equal in 0 of 4",
+    ]
+    assert len(classes) == 4 and len(sides) == 8
+    assert all(line.startswith("decisions: differ (beta") for line in classes[1:])
+    assert all(base.split("final beta")[1] != change.split("final beta")[1]
+               for base, change in zip(sides[2::2], sides[3::2]))
 
 
 def test_the_mixed_case_steps_the_library_evolver(tmp_path, capsys):
@@ -65,7 +97,7 @@ def test_the_mixed_case_steps_the_library_evolver(tmp_path, capsys):
     source.write_text(text.replace(sampled, "np.array(values, dtype=float) * (1.0 + 2.0**-52), state.lefts"))
     assert digest.main(["--base", str(ROOT), "--change", str(mutant), "--seeds", "3", "--smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" (")[0] for line in lines] == [
+    assert [line.split(" (")[0] for line in lines if not line.startswith(" ")] == [
         "front-move seed 3: equal", "spread-scale seed 3: equal", "bump-2d seed 3: equal", "mixed seed 3: DIFFER",
         "histories: equal in 3 of 4",
     ]

@@ -10,11 +10,13 @@ its spans would silently read zero.
 from __future__ import annotations
 
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specadapt
 from specadapt import adapt
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +73,30 @@ def test_installed_tracer_times_each_generic_call_once(two_d):
     assert tracer.leftovers() == []
     counted = {name: tracer.calls[name] for name in spans.METHODS}
     assert counted == dict.fromkeys(spans.METHODS, 1)
+
+
+def test_the_tracer_walks_every_library_module():
+    library = {f"specadapt.{info.name}" for info in pkgutil.iter_modules(specadapt.__path__)}
+    assert {module.__name__ for module in spans.MODULES} == library
+
+
+def _site(owner, attribute) -> str:
+    """The label ``leftovers()`` gives a patched module attribute or class attribute."""
+    if isinstance(owner, type):
+        return f"{owner.__module__}.{owner.__name__}.{attribute}"
+    return f"{owner.__name__}.{attribute}"
+
+
+def test_leftovers_name_every_patched_site_while_installed():
+    # ``leftovers()`` walks only the classes defined in a module of
+    # ``MODULES``: a traced class moved to a module the tracer does not
+    # walk would keep its wrappers unseen, and this test fails
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = sorted(_site(owner, attribute) for owner, attribute, _ in tracer._patches)
+        assert len(patched) == len(set(patched)) == 29
+        assert sorted(tracer.leftovers()) == patched
+    finally:
+        tracer.uninstall()
+    assert tracer.leftovers() == []

@@ -18,21 +18,32 @@ is the tool's own:
 * ``mixed``: a two-axis run on a Laguerre × Hermite state, a logistic
   front drifting and widening in x times a Gaussian widening about y = 0,
   48×48, β=2, dt=0.005, 1000 steps (smoke: 8×8, dt=0.05, 10 steps),
-  with each seed jittering its speeds and widths by up to 5 %.  It steps
+  with each seed jittering its speeds and widths by up to 5 %.  It
+  samples its initial state with ``adapt.frame_state_2d_from`` and steps
   the library's own resampling evolver,
   ``adapt.frame_resample_evolver(profile)``, which no benchmark workload
-  runs; its initial state is sampled on the node grid and built with the
-  public constructor ``FrameState(frames, values, lefts)``.  The Hermite
-  axis has no sentinel point, so its exterior reading is None and only
-  its ladder acts.
+  runs.  The Hermite axis has no sentinel point, so its exterior reading
+  is None and only its ladder acts.
 
 Every case and seed runs in a fresh process of each checkout, with one
 BLAS thread and bytecode caches off, with the profile as reference.  A
 run hashes every field of every record (each float by its exact bits;
 the extras by name) with sha256.  For each case and seed the tool prints
-the two digests and whether they are equal.  A difference is reported,
-not failed, as ``tools/pairs.py`` reports decisions: a change may mean to
-move a history.  ``--smoke`` runs each case at its smoke size.
+the two digests and whether they are equal.  On a difference it goes on
+to say what moved, in indented lines:
+
+* the first record that differs, and its ``t``;
+* which fields differ anywhere in the history, sorted into decisions
+  (``beta``, ``x_left``, ``beta_y``, ``yL``), readings (``freq``, ``ext``,
+  ``freq_y``, ``ext_y``) and ``error``;
+* per side and per axis: accepted ladder rungs, moves and cap hits
+  (counted from the records with the run's ``q`` and ``d_max``, as the
+  benchmark counts them), the final beta and origin; and the largest
+  recorded error.
+
+A difference is reported, not failed, as ``tools/pairs.py`` reports
+decisions: a change may mean to move a history.  ``--smoke`` runs each
+case at its smoke size.
 
 It exits non-zero when a run fails.  Standard library only, but for the
 ``--history`` child, which imports numpy, the checkout's library and its
@@ -44,6 +55,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
+import math
 import os
 import random
 import subprocess
@@ -57,6 +70,11 @@ CASES = ("front-move", "spread-scale", "bump-2d", "mixed")
 MIXED = {"full": (48, 2.0, 0.005, 1000), "smoke": (8, 2.0, 0.05, 10)}
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# the record fields of each class, with each axis's (beta, origin) pair
+DECISIONS = ("beta", "x_left", "beta_y", "yL")
+READINGS = ("freq", "ext", "freq_y", "ext_y")
+AXES = (("x", "beta", "x_left"), ("y", "beta_y", "yL"))
 
 
 def record_digest(records) -> str:
@@ -72,8 +90,16 @@ def record_digest(records) -> str:
     return digest.hexdigest()
 
 
+def record_rows(records) -> dict:
+    """Every field of every record by name, each float as its hex bits and None as None."""
+    extras = sorted(records[0].extras)
+    rows = [[r.t, r.beta, r.x_left, r.error, r.freq, r.ext] + [r.extras[name] for name in extras] for r in records]
+    return {"names": ["t", "beta", "x_left", "error", "freq", "ext"] + extras,
+            "rows": [[None if v is None else float(v).hex() for v in row] for row in rows]}
+
+
 def _mixed(seed: int, smoke: bool):
-    """The history of the mixed case."""
+    """The history of the mixed case, and its configuration."""
     import numpy as np
 
     from specadapt import adapt, basis
@@ -88,23 +114,21 @@ def _mixed(seed: int, smoke: bool):
     def profile(x, y, t):
         return logistic((x - 2.0 - a * t) / (2.0 + a * t)) * np.exp(-0.5 * (y / (1.0 + 0.5 * b * t)) ** 2)
 
-    frames = (adapt.Frame(order, beta), adapt.Frame(order, beta, basis.HERMITE))
-    values = profile(frames[0].nodes[:, None], frames[1].nodes[None, :], 0.0)
-    initial = adapt.FrameState(frames, values, (0.0, 0.0))
+    initial = adapt.frame_state_2d_from(profile, order, beta, order, beta, family_y=basis.HERMITE)
     cfg = adapt.AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
     records, _ = adapt.run_frames(adapt.frame_resample_evolver(profile), initial, cfg, dt, steps * dt,
                                   adapt.MODE_MOVE_SCALE, reference=profile)
-    return records
+    return records, cfg
 
 
-def history(case: str, seed: int, smoke: bool) -> str:
-    """The record digest of one case's history on the library on ``sys.path``.
+def history(case: str, seed: int, smoke: bool):
+    """One case's history on the library on ``sys.path``, and the configuration it ran with.
 
     A workload is loaded from ``perfbench/workloads.py`` in the working
     directory, the checkout's own.
     """
     if case == "mixed":
-        return record_digest(_mixed(seed, smoke))
+        return _mixed(seed, smoke)
     spec = importlib.util.spec_from_file_location("workloads", Path("perfbench", "workloads.py").resolve())
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -115,16 +139,20 @@ def history(case: str, seed: int, smoke: bool) -> str:
 
         def call(self, name, fn, *args, **kwargs):
             result = fn(*args, **kwargs)
-            if name == "adapt.loop":
-                kept.append(result[0])
+            if name == "adapt.loop":  # run(evolve, initial, cfg, ...)
+                kept.append((result[0], args[2]))
             return result
 
     workloads.run(case, seed, smoke, Keeper(), time.perf_counter())
-    return record_digest(kept[0])
+    return kept[0]
 
 
-def run(checkout: Path, case: str, seed: int, smoke: bool) -> str:
-    """The digest of one case and seed in a fresh process of ``checkout``'s library, or RuntimeError."""
+def run(checkout: Path, case: str, seed: int, smoke: bool) -> tuple[str, dict]:
+    """The digest and record rows of one case and seed in a fresh process of ``checkout``'s library.
+
+    The rows carry the run's ``q`` and ``d_max``.  RuntimeError if the run
+    fails or its library is not the checkout's.
+    """
     src = (checkout / "src").resolve()
     command = [sys.executable, str(Path(__file__).resolve()), "--history", case, str(seed)]
     if smoke:
@@ -132,10 +160,61 @@ def run(checkout: Path, case: str, seed: int, smoke: bool) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", **{name: "1" for name in THREAD_VARS})
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or len(lines) != 2 or not lines[1].startswith(str(src)):
+    if proc.returncode != 0 or len(lines) != 3 or not lines[1].startswith(str(src)):
         raise RuntimeError(f"{checkout}: {case} at seed {seed} failed (exit {proc.returncode}): "
                            f"{proc.stderr.strip() or proc.stdout.strip()}")
-    return lines[0]
+    return lines[0], json.loads(lines[2])
+
+
+def _columns(history: dict) -> dict:
+    """Each field's column of floats (None kept) by name."""
+    columns = zip(*history["rows"]) if history["rows"] else [()] * len(history["names"])
+    return {name: [None if v is None else float.fromhex(v) for v in column]
+            for name, column in zip(history["names"], columns)}
+
+
+def summary(history: dict) -> str:
+    """Per axis: accepted rungs, moves, cap hits, final beta and origin; then the largest recorded error."""
+    columns, q, d_max = _columns(history), history["q"], history["d_max"]
+    parts = []
+    for axis, beta, origin in AXES:
+        if beta not in columns:
+            continue
+        betas, lefts = columns[beta], columns[origin]
+        rungs = sum(round(math.log(b0 / b1) / -math.log(q)) for b0, b1 in zip(betas, betas[1:]))
+        steps = [b - a for a, b in zip(lefts, lefts[1:])]
+        moves, caps = sum(step > 0.0 for step in steps), sum(abs(step - d_max) < 1e-12 for step in steps)
+        parts.append(f"{axis}: rungs {rungs}, moves {moves}, cap hits {caps}, "
+                     f"final beta {betas[-1]:.10g}, origin {lefts[-1]:.10g}")
+    errors = [e for e in columns["error"] if e is not None]
+    parts.append(f"max_error {max(errors):.3g}" if errors else "max_error none")
+    return "; ".join(parts)
+
+
+def what_moved(base: dict, change: dict) -> list[str]:
+    """The indented lines that say where two differing histories part and how each side ends."""
+    rows = list(zip(base["rows"], change["rows"]))
+    first = next((i for i, (a, b) in enumerate(rows) if a != b), len(rows))
+    lines = []
+    if first < len(rows):
+        lines.append(f"  first differing record: {first}, t = {float.fromhex(base['rows'][first][0]):.10g}")
+    if len(base["rows"]) != len(change["rows"]):
+        lines.append(f"  records: base {len(base['rows'])}, change {len(change['rows'])}")
+    differ = [name for name in dict.fromkeys(base["names"] + change["names"])
+              if name not in base["names"] or name not in change["names"]
+              or any(a[base["names"].index(name)] != b[change["names"].index(name)] for a, b in rows)]
+    classes = []
+    for label, names in (("decisions", DECISIONS), ("readings", READINGS)):
+        moved = [name for name in names if name in differ]
+        classes.append(f"{label}: differ ({', '.join(moved)})" if moved else f"{label}: equal")
+    classes.append(f"error: {'differ' if 'error' in differ else 'equal'}")
+    others = [name for name in differ if name not in DECISIONS + READINGS + ("error",)]
+    if others:
+        classes.append(f"other: differ ({', '.join(others)})")
+    lines.append("  " + "; ".join(classes))
+    lines.append(f"  base:   {summary(base)}")
+    lines.append(f"  change: {summary(change)}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -149,8 +228,10 @@ def main(argv=None) -> int:
     if args.history:
         import specadapt
 
-        print(history(args.history[0], int(args.history[1]), args.smoke))
+        records, cfg = history(args.history[0], int(args.history[1]), args.smoke)
+        print(record_digest(records))
         print(Path(specadapt.__file__).resolve())
+        print(json.dumps(dict(record_rows(records), q=cfg.q, d_max=cfg.d_max)))
         return 0
     if args.base is None or args.change is None:
         parser.error("--base and --change are required")
@@ -158,7 +239,8 @@ def main(argv=None) -> int:
     for case in CASES:
         for seed in args.seeds:
             try:
-                base, change = (run(checkout, case, seed, args.smoke) for checkout in (args.base, args.change))
+                (base, base_rows), (change, change_rows) = (
+                    run(checkout, case, seed, args.smoke) for checkout in (args.base, args.change))
             except (RuntimeError, subprocess.TimeoutExpired) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
@@ -166,6 +248,8 @@ def main(argv=None) -> int:
             equal += base == change
             print(f"{case} seed {seed}: {'equal' if base == change else 'DIFFER'} "
                   f"(base {base[:16]}, change {change[:16]})")
+            if base != change:
+                print("\n".join(what_moved(base_rows, change_rows)))
     print(f"histories: equal in {equal} of {total}")
     return 0
 
