@@ -301,13 +301,13 @@ def run_frames(evolver, initial: FrameState, cfg: AdaptConfig, dt: float, t_fina
     an origin or the number of axes raises ValueError.  A failing step or
     reading propagates with its time attached.
 
-    The recorded error is the interpolant's weighted relative error against
-    ``reference(*x, t)`` over a doubled-order rule.  The library calls every
-    reference on open grids, as ``np.meshgrid(xs, ys, indexing="ij",
-    sparse=True)`` gives them: on one axis the points themselves, on two
-    ``x`` as a (len(xs), 1) column and ``y`` as a (1, len(ys)) row, over the
-    node grid (Nx+1, Ny+1) when sampling and over the doubled-order grid
-    when recording the error.  The result must broadcast to the grid
+    The recorded error is the interpolant's relative L2(dx) error against
+    ``reference(*x, t)`` over a doubled-order rule (:meth:`FrameState.error`).
+    The library calls every reference on open grids, as
+    ``np.meshgrid(xs, ys, indexing="ij", sparse=True)`` gives them: on one
+    axis the points themselves, on two ``x`` as a (len(xs), 1) column and
+    ``y`` as a (1, len(ys)) row, over the node grid (Nx+1, Ny+1) when
+    sampling and over the doubled-order grid when recording the error.  The result must broadcast to the grid
     shape, or ValueError names that shape.  Any elementwise numpy
     expression qualifies, and a separable one costs len(xs) + len(ys)
     evaluations instead of len(xs)*len(ys).
@@ -528,7 +528,8 @@ class _UnitFrame:
         self.split_decay = None if shift is None else math.exp(-0.5 * shift)
         self.psi, self.psi_refined, self.psi_split = _unit_pass(family, order, nodes, shift)
         self.nodes, self.weights, self.mod_weights = _unit_rule(family, order)
-        self.refined_nodes, self.refined_weights, _ = _unit_rule(family, 2 * order + 1)
+        # the refined rule's weights for plain dy, so that the error is an L2(dx) norm on both families
+        self.refined_nodes, _, self.refined_weights = _unit_rule(family, 2 * order + 1)
         self.tomodal = self.psi * self.mod_weights
         # written in place, column-major, so each write is a contiguous row of G's transpose
         self.pair = None
@@ -905,13 +906,16 @@ class FrameState:
         return self._of(tuple(frames), _apply(psi.T, partial, axis), tuple(lefts), self.units)
 
     def error(self, reference, t: float) -> float:
-        """Weighted relative error against ``reference(*x, t)`` on the doubled-order grid.
+        """Relative L2(dx) error against ``reference(*x, t)`` on the doubled-order grid.
 
-        ``reference`` is called once, at the refined nodes of every axis, on
-        open grids (see :func:`run_frames`), and its result is broadcast to the
-        grid shape.  The unit weights' missing factors 1/beta cancel in the
-        ratio; a zero reference gives the absolute norm, in x.  ValueError
-        if a sum is not finite.
+        The interpolant and the reference meet at the refined nodes of
+        every axis, weighted by the refined rule's weights for plain dx
+        (:func:`~.basis.modified_weights`), on a Laguerre axis as on a
+        Hermite one.  ``reference`` is called once, on open grids (see
+        :func:`run_frames`), and its result is broadcast to the grid shape.
+        The unit weights' missing factors 1/beta cancel in the ratio; a zero
+        reference gives the absolute L2 norm in x.  ValueError if a sum is
+        not finite.
         """
         diff, points = self._coeffs, []
         for axis, unit in enumerate(self.units):

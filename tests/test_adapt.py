@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, expit
 
 import specadapt.basis as basis_module
@@ -1281,7 +1282,7 @@ def test_open_grids_match_full_grid_sampling():
     evolved = frame_resample_evolver(_non_separable)(state, 0.3, 0.1)
     assert np.array_equal(evolved.values, _non_separable(grid_x, grid_y, 0.4))
     # an oracle error on the full refined grid with the outer grid of the
-    # doubled-order rules' weights in x
+    # doubled-order rules' weights for plain dx
     fx, fy = state.frame_x, state.frame_y
     grid_x, grid_y = np.meshgrid(
         state.x_left + fx.refined_nodes, state.y_left + fy.refined_nodes, indexing="ij"
@@ -1289,7 +1290,7 @@ def test_open_grids_match_full_grid_sampling():
     approx = _unit(fx).psi_refined.T @ state._coeffs @ _unit(fy).psi_refined
     rx, ry = (quadrature(laguerre_basis(2 * f.order + 1, f.beta)) for f in (fx, fy))
     assert np.array_equal(rx.nodes, fx.refined_nodes) and np.array_equal(ry.nodes, fy.refined_nodes)
-    weights = np.multiply.outer(rx.weights, ry.weights)
+    weights = np.multiply.outer(modified_weights(rx), modified_weights(ry))
     for t in (0.3, 0.5):
         exact = _non_separable(grid_x, grid_y, t)
         oracle = math.sqrt(np.sum(weights * (approx - exact) ** 2) / np.sum(weights * exact**2))
@@ -1458,11 +1459,29 @@ def test_fresh_interpolant_error_is_small_and_seen_between_nodes():
     # a visibly wrong state has a visibly large interpolant error
     wrong = FrameState(state.frame, state.values * 1.5, state.x_left)
     assert wrong.error(diffusive_front, 0.0) > 0.1
-    # against a zero reference it is the interpolant's absolute norm in x
+    # against a zero reference it is the interpolant's absolute L2 norm in x
     refined = quadrature(laguerre_basis(81, 2.5))
     interpolant = (state.units[0].tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), refined.nodes)
-    norm = math.sqrt(float(np.sum(refined.weights * interpolant**2)))
+    norm = math.sqrt(float(np.sum(modified_weights(refined) * interpolant**2)))
     assert state.error(lambda x, t: 0.0, 0.0) == pytest.approx(norm, rel=1e-12)
+
+
+def test_error_is_the_plain_l2_norm_in_x():
+    # a 1e-3 bump at the centre of a front 5 units right of the origin
+    # reads 4.35e-4 in L2(dx); under the Gauss-Laguerre weights, which
+    # integrate exp(-beta*x) dx, it read 2.9e-6
+    def front(x, t):
+        return expit(-(np.asarray(x, dtype=float) - 5.0) / 2.0)
+
+    def bumped(x, t):
+        return front(x, t) + 1e-3 * np.exp(-(((np.asarray(x, dtype=float) - 5.0) / 0.5) ** 2))
+
+    state = frame_state_from(front, 128, 2.5)
+    bump_norm = quad(lambda x: (bumped(x, 0.0) - front(x, 0.0)) ** 2, 0.0, 60.0, points=[5.0], limit=200)[0]
+    norm = quad(lambda x: bumped(x, 0.0) ** 2, 0.0, 400.0, limit=400)[0]
+    expected = math.sqrt(bump_norm / norm)
+    assert expected == pytest.approx(4.35e-4, rel=1e-3)
+    assert state.error(bumped, 0.0) == pytest.approx(expected, rel=1e-7)
 
 
 def test_frame_operators_finite_at_order_256():

@@ -111,3 +111,19 @@ def test_digest_fails_on_a_checkout_without_its_library(tmp_path, capsys):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
     assert digest.main(["--base", str(tmp_path), "--change", str(ROOT), "--seeds", "3", "--smoke"]) == 1
     assert f"{tmp_path}: front-move at seed 3 failed" in capsys.readouterr().err
+
+
+def test_digest_reports_an_error_weight_mutant_as_moved_error_only(tmp_path, capsys):
+    # a copy that weights the recorded error with the refined Gauss weights
+    # instead of those for plain dx: every history differs, in its error
+    # column alone
+    line = "self.refined_nodes, _, self.refined_weights = _unit_rule("
+    gauss = "self.refined_nodes, self.refined_weights, _ = _unit_rule("
+    cases, classes, sides = _mutant_report(tmp_path, capsys, line, gauss)
+    assert cases == [
+        "front-move seed 3: DIFFER", "spread-scale seed 3: DIFFER", "bump-2d seed 3: DIFFER", "mixed seed 3: DIFFER",
+        "histories: equal in 0 of 4",
+    ]
+    assert classes == ["decisions: equal; readings: equal; error: differ"] * 4
+    for base, change in zip(sides[::2], sides[1::2]):
+        assert base.split("max_error")[0] == change.split("max_error")[0]
