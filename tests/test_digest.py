@@ -124,6 +124,6 @@ def test_digest_reports_an_error_weight_mutant_as_moved_error_only(tmp_path, cap
         "front-move seed 3: DIFFER", "spread-scale seed 3: DIFFER", "bump-2d seed 3: DIFFER", "mixed seed 3: DIFFER",
         "histories: equal in 0 of 4",
     ]
-    assert classes == ["decisions: equal; readings: equal; error: differ"] * 4
+    assert classes == ["decisions: equal; readings: equal; error: differ; t: equal"] * 4
     for base, change in zip(sides[::2], sides[1::2]):
         assert base.split("max_error")[0] == change.split("max_error")[0]

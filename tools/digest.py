@@ -35,7 +35,7 @@ to say what moved, in indented lines:
 * the first record that differs, and its ``t``;
 * which fields differ anywhere in the history, sorted into decisions
   (``beta``, ``x_left``, ``beta_y``, ``yL``), readings (``freq``, ``ext``,
-  ``freq_y``, ``ext_y``) and ``error``;
+  ``freq_y``, ``ext_y``), ``error`` and ``t``;
 * per side and per axis: accepted ladder rungs, moves and cap hits
   (counted from the records with the run's ``q`` and ``d_max``, as the
   benchmark counts them), the final beta and origin; and the largest
@@ -166,16 +166,11 @@ def run(checkout: Path, case: str, seed: int, smoke: bool) -> tuple[str, dict]:
     return lines[0], json.loads(lines[2])
 
 
-def _columns(history: dict) -> dict:
-    """Each field's column of floats (None kept) by name."""
-    columns = zip(*history["rows"]) if history["rows"] else [()] * len(history["names"])
-    return {name: [None if v is None else float.fromhex(v) for v in column]
-            for name, column in zip(history["names"], columns)}
-
-
 def summary(history: dict) -> str:
     """Per axis: accepted rungs, moves, cap hits, final beta and origin; then the largest recorded error."""
-    columns, q, d_max = _columns(history), history["q"], history["d_max"]
+    q, d_max = history["q"], history["d_max"]
+    columns = {name: [None if v is None else float.fromhex(v) for v in column]
+               for name, column in zip(history["names"], zip(*history["rows"]))}
     parts = []
     for axis, beta, origin in AXES:
         if beta not in columns:
@@ -186,8 +181,7 @@ def summary(history: dict) -> str:
         moves, caps = sum(step > 0.0 for step in steps), sum(abs(step - d_max) < 1e-12 for step in steps)
         parts.append(f"{axis}: rungs {rungs}, moves {moves}, cap hits {caps}, "
                      f"final beta {betas[-1]:.10g}, origin {lefts[-1]:.10g}")
-    errors = [e for e in columns["error"] if e is not None]
-    parts.append(f"max_error {max(errors):.3g}" if errors else "max_error none")
+    parts.append(f"max_error {max(columns['error']):.3g}")
     return "; ".join(parts)
 
 
@@ -200,17 +194,13 @@ def what_moved(base: dict, change: dict) -> list[str]:
         lines.append(f"  first differing record: {first}, t = {float.fromhex(base['rows'][first][0]):.10g}")
     if len(base["rows"]) != len(change["rows"]):
         lines.append(f"  records: base {len(base['rows'])}, change {len(change['rows'])}")
-    differ = [name for name in dict.fromkeys(base["names"] + change["names"])
-              if name not in base["names"] or name not in change["names"]
-              or any(a[base["names"].index(name)] != b[change["names"].index(name)] for a, b in rows)]
+    differ = [name for k, name in enumerate(base["names"]) if any(a[k] != b[k] for a, b in rows)]
     classes = []
     for label, names in (("decisions", DECISIONS), ("readings", READINGS)):
         moved = [name for name in names if name in differ]
         classes.append(f"{label}: differ ({', '.join(moved)})" if moved else f"{label}: equal")
-    classes.append(f"error: {'differ' if 'error' in differ else 'equal'}")
-    others = [name for name in differ if name not in DECISIONS + READINGS + ("error",)]
-    if others:
-        classes.append(f"other: differ ({', '.join(others)})")
+    for name in ("error", "t"):
+        classes.append(f"{name}: {'differ' if name in differ else 'equal'}")
     lines.append("  " + "; ".join(classes))
     lines.append(f"  base:   {summary(base)}")
     lines.append(f"  change: {summary(change)}")
