@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+import stat
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -150,13 +150,23 @@ def _format_field(value: float | None) -> str:
 
 
 def _atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory plus rename."""
+    """Write via a temp file in the target directory plus rename.
+
+    The temp file is created as ``open(path, "w")`` creates a file, with
+    mode 0o666 less the umask, and takes the mode of the target it
+    replaces, so the written file has the mode a plain write gives it.  A
+    failed write leaves the target as it was and no temp file.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:  # a new file keeps the mode it was created with
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

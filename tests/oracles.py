@@ -1,17 +1,23 @@
-"""Independent oracles that tests hold the library to.
+"""Independent oracles that tests hold the library to, and one shared reference.
 
-* Per-step three-term recurrences, the oracles of the library's recurrence
-  kernel.  Each step is written out on its own, in the arithmetic of the
-  textbook recurrences (DLMF §18.9 for Laguerre, the orthonormal
-  Hermite-function recurrence), with no blocking, no shared buffers and no
-  summed columns, so that a test can hold ``specadapt.basis._basis_pass``
-  and every evaluation made through it to these bits.
+* :func:`laguerre_all`, :func:`damped_laguerre_all` and
+  :func:`hermite_fn_all`, per-step three-term recurrences.  Each step is
+  written out on its own, in the arithmetic of the textbook recurrences
+  (DLMF §18.9 for Laguerre, the orthonormal Hermite-function recurrence),
+  with no blocking, no shared buffers and no summed columns, so that a
+  test can hold ``specadapt.basis._basis_pass`` and every evaluation made
+  through it to these bits.  :func:`damped_laguerre_all` is also the
+  basis that frame tests evaluate, so that no oracle of a frame runs the
+  library's own evaluation.
 * :func:`marginal_state`, the one-axis state whose readings a two-axis
   state reads along an axis.
+* :func:`frequency_floor`, an order's round-off floor of the frequency
+  reading, from the recurrences' basis functions.
 * :func:`public_run`, a plain driver in the documented order of
   :func:`specadapt.adapt.run_frames` that reads a state only through its
   public readings, so that a test can hold the library's driver, which
   reads the states' stored readings directly, to its history.
+* :func:`separable`, the two-axis reference g(x)*h(y), not an oracle.
 """
 
 from __future__ import annotations
@@ -76,6 +82,11 @@ def marginal_state(state: FrameState, axis: int) -> FrameState:
     weights = modified_weights(quadrature(laguerre_basis(state.frames[1 - axis].order, 1.0)))
     values = state.values @ weights if axis == 0 else weights @ state.values
     return FrameState(state.frames[axis], values, state.lefts[axis])
+
+
+def separable(g, h):
+    """The two-axis reference g(x)*h(y)."""
+    return lambda x, y, t=0.0: g(np.asarray(x, dtype=float)) * h(np.asarray(y, dtype=float))
 
 
 @functools.cache

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import os
+import stat
 import tracemalloc
 import warnings
 import weakref
@@ -47,9 +49,9 @@ from specadapt.basis import (
     modified_weights,
     quadrature,
 )
-from specadapt.indicators import frequency_indicator
+from specadapt.indicators import default_split_point, exterior_error_indicator, frequency_indicator
 
-from oracles import laguerre_all, marginal_state, public_run
+from oracles import damped_laguerre_all, laguerre_all, marginal_state, public_run
 
 
 def diffusive_front(x, t):
@@ -196,10 +198,44 @@ def test_csv_rejects_non_finite_times(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_csv_write_is_atomic_no_stray_tmp(tmp_path):
+def test_csv_write_is_atomic_no_stray_tmp(tmp_path, monkeypatch):
     records = [ExperimentRecord(t=0.0, beta=1.0, x_left=0.0)]
-    history_to_csv(records, tmp_path / "h.csv")
+    target = tmp_path / "h.csv"
+    history_to_csv(records, target)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv"]
+    # a write that fails, in the text or in the rename, leaves the old file
+    # and no temp file
+    written = target.read_text()
+    with pytest.raises(UnicodeEncodeError):
+        adapt._atomic_write_text(target, "t\ud800")
+
+    def refused(source, destination):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(adapt.os, "replace", refused)
+    with pytest.raises(OSError, match="rename refused"):
+        history_to_csv(records * 2, target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv"] and target.read_text() == written
+
+
+def test_csv_file_has_the_mode_of_a_plain_write(tmp_path):
+    # the temp file that the write renames is made with mode 0o600; a new
+    # file gets the mode open(path, "w") gives under the umask, and a
+    # replaced file keeps its own
+    records = [ExperimentRecord(t=0.0, beta=1.0, x_left=0.0)]
+    umask = os.umask(0o027)
+    try:
+        history_to_csv(records, tmp_path / "h.csv")
+        open(tmp_path / "plain.csv", "w").close()
+    finally:
+        os.umask(umask)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("h.csv", "plain.csv")]
+    assert modes == [0o640, 0o640]
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o604)
+    history_to_csv(records, kept)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604 and kept.read_text() == history_to_csv(records)
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +273,17 @@ def test_nonpositive_steps_rejected():
         )
 
 
-def test_scaling_guard_leaves_state_untouched():
-    # a frozen-in-time profile never raises its frequency indicator
+@pytest.mark.parametrize("profile, mode", [(diffusive_front, MODE_SCALE), (moving_front, MODE_MOVE)], ids=["scale", "move"])
+def test_guards_leave_a_frozen_state_untouched(profile, mode):
+    # a frozen-in-time profile raises neither the frequency nor the exterior indicator
     def frozen(x, t):
-        return diffusive_front(x, 0.0)
+        return profile(x, 0.0)
 
     records, _ = run_frames(
-        frame_resample_evolver(frozen), frame_state_from(frozen, 20, 2.5), AdaptConfig(), 0.1, 1.0, MODE_SCALE
+        frame_resample_evolver(frozen), frame_state_from(frozen, 20, 2.5), AdaptConfig(), 0.1, 1.0, mode
     )
     assert len(records) == 11
     assert all(r.beta == 2.5 and r.x_left == 0.0 for r in records)
-
-
-def test_moving_guard_leaves_state_untouched():
-    def frozen(x, t):
-        return moving_front(x, 0.0)
-
-    records, _ = run_frames(
-        frame_resample_evolver(frozen), frame_state_from(frozen, 20, 2.5), AdaptConfig(), 0.1, 1.0, MODE_MOVE
-    )
-    assert len(records) == 11
-    assert all(r.x_left == 0.0 and r.beta == 2.5 for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -528,32 +554,21 @@ def test_move_search_caps_at_d_max():
 # distinguishability of the mechanisms (short horizons)
 
 
-def test_diffusive_move_scale_identical_to_scale_only():
-    cfg = AdaptConfig()
-    runs = {}
-    for mode in (MODE_SCALE, MODE_MOVE_SCALE):
-        state = frame_state_from(diffusive_front, 40, 2.5)
+@pytest.mark.parametrize(
+    "profile, alone, dt", [(diffusive_front, MODE_SCALE, 0.01), (moving_front, MODE_MOVE, 0.002)],
+    ids=["diffusive", "translating"],
+)
+def test_move_scale_is_identical_to_the_one_controller_that_acts(profile, alone, dt):
+    # a spreading front never fires the mover, and a translating one never
+    # the ladder: the records, which carry beta and the origin, and the
+    # final values are those of the mode of the one that acts
+    runs = []
+    for mode in (alone, MODE_MOVE_SCALE):
         records, final = run_frames(
-            frame_resample_evolver(diffusive_front), state, cfg, 0.01, 2.0, mode
+            frame_resample_evolver(profile), frame_state_from(profile, 40, 2.5), AdaptConfig(), dt, 2.0, mode
         )
-        runs[mode] = (history_to_csv(records), final)
-    assert runs[MODE_SCALE][0] == runs[MODE_MOVE_SCALE][0]
-    assert runs[MODE_SCALE][1].values.tobytes() == runs[MODE_MOVE_SCALE][1].values.tobytes()
-    assert runs[MODE_MOVE_SCALE][1].x_left == 0.0  # the mover never fired
-
-
-def test_translating_move_scale_identical_to_move_only():
-    cfg = AdaptConfig(mu=1.005, delta=0.004, d_max=0.04)
-    runs = {}
-    for mode in (MODE_MOVE, MODE_MOVE_SCALE):
-        state = frame_state_from(moving_front, 40, 2.5)
-        records, final = run_frames(
-            frame_resample_evolver(moving_front), state, cfg, 0.002, 2.0, mode
-        )
-        runs[mode] = (history_to_csv(records), final)
-    assert runs[MODE_MOVE][0] == runs[MODE_MOVE_SCALE][0]
-    assert runs[MODE_MOVE][1].values.tobytes() == runs[MODE_MOVE_SCALE][1].values.tobytes()
-    assert runs[MODE_MOVE_SCALE][1].beta == 2.5  # the ladder never fired
+        runs.append((history_to_csv(records), final.values.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_step_level_spreading_profile_never_triggers_moving():
@@ -633,36 +648,16 @@ def test_hermite_frame_matches_the_coefficient_expansion(beta):
     _assert_close(rescaled.values, evaluate(expansion, rescaled.frame.nodes), 1e-11)
 
 
-def _eval_at(state, points) -> np.ndarray:
-    """A Laguerre frame state's interpolant at physical points."""
-    offsets = np.asarray(points, dtype=float) - state.x_left
-    return (state.units[0].tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), offsets)
-
-
-def test_frame_state_rescale_preserves_function():
-    state = frame_state_from(diffusive_front, 40, 2.5)
-    rescaled = state.rescaled(2.0)
-    points = np.linspace(0.5, 8.0, 23)
-    assert np.max(np.abs(_eval_at(rescaled, points) - _eval_at(state, points))) < 1e-9
-
-
-def test_frame_state_move_shifts_origin():
-    state = frame_state_from(moving_front, 40, 2.5, t=1.0)
-    moved = state.moved(0.5)
-    assert moved.x_left == 0.5
-    points = np.linspace(1.0, 9.0, 17)
-    assert np.max(np.abs(_eval_at(moved, points) - _eval_at(state, points))) < 1e-8
-
-
-def _count_basis_evaluations(monkeypatch) -> list:
-    """Record every eval_weighted_all call the frame engine makes."""
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call to ``owner.name``, ``self`` first for a method."""
     calls = []
+    original = getattr(owner, name)
 
-    def counted(basis, x):
-        calls.append(basis)
-        return eval_weighted_all(basis, x)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(adapt, "eval_weighted_all", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -689,11 +684,6 @@ def _count_passes(monkeypatch) -> list:
     return calls
 
 
-def _basis(frame):
-    """The scaled Laguerre basis whose damped functions a frame evaluates."""
-    return laguerre_basis(frame.order, frame.beta)
-
-
 def _unit(frame):
     """The unit operators of a frame's order, from the store."""
     return adapt._unit_frame(frame.order, frame.family)
@@ -712,89 +702,80 @@ def _entries(kind: str, family: str, order: int) -> dict:
     return {key[3]: value for key, (value, _) in basis_module._store.items() if key[:3] == (kind, family, order)}
 
 
-def _unit_psi(order: int, shift: float = 0.0, ratio: float = 1.0) -> np.ndarray:
-    """The damped functions of ``order`` at ratio*y + shift, y the unit nodes.
-
-    A frame at beta evaluates in the unit variable y = beta*x: a move by d
-    at y + round(beta*d, 12), a rescale to beta' at y*round(beta/beta', 12).
-    """
-    unit = laguerre_basis(order, 1.0)
-    return eval_weighted_all(unit, quadrature(unit).nodes * ratio + shift)
-
-
 def _assert_close(actual: np.ndarray, expected: np.ndarray, rel: float) -> None:
     """Max-norm relative agreement."""
     assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
 
 
+def _partial(state, axis: int) -> np.ndarray:
+    """A state's values transformed along ``axis`` alone."""
+    tomodal = state.units[axis].tomodal
+    return tomodal @ state.values if axis == 0 else (tomodal @ state.values.T).T
+
+
+def _resample(partial: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
+    """``partial`` (from :func:`_partial`) summed along ``axis`` against the functions ``psi[l, k]``."""
+    return partial @ psi if axis == partial.ndim - 1 else psi.T @ partial
+
+
 def test_frame_resampling_is_exact_and_memoized(monkeypatch):
-    # an order no other test uses, so the first calls are cold
-    state = frame_state_from(moving_front, 37, 1.7, t=0.5)
-    frame = state.frame
+    # orders no other test uses, so the first calls are cold; one state of
+    # one axis and one of two, each axis moved by 0.01 and rescaled by 0.95
+    for state in (frame_state_from(moving_front, 37, 1.7, t=0.5),
+                  frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5)):
+        axes = range(len(state.frames))
+        targets = [Frame(frame.order, 0.95 * frame.beta) for frame in state.frames]
+
+        def derived():
+            """The values of the state moved along each axis, then of it rescaled along each axis."""
+            return ([state.moved(0.01, axis).values for axis in axes]
+                    + [state.rescaled(target.beta, axis).values for axis, target in zip(axes, targets)])
+
+        calls = _count_calls(monkeypatch, adapt, "eval_weighted_all")
+        first = derived()
+        assert len(calls) == len(axes)  # the rescales'; a move's miss shifts the order's basis
+        again = derived()
+        assert len(calls) == len(axes)
+        # a miss does not depend on the store's history: in an empty store it
+        # is rebuilt to the same bits
+        _empty_store(monkeypatch)
+        for values in (again, derived()):
+            assert all(np.array_equal(a, b) for a, b in zip(values, first))
+        moved, rescaled = first[: len(axes)], first[len(axes) :]
+        for axis, frame, target in zip(axes, state.frames, targets):
+            unit, partial = state.units[axis], _partial(state, axis)
+            # the unit-variable oracle: a move by d reads the functions at
+            # y + round(beta*d, 12), a rescale to beta' at y*round(beta/beta', 12)
+            y_moved = unit.nodes + round(frame.beta * 0.01, 12)
+            y_rescaled = unit.nodes * round(frame.beta / target.beta, 12)
+            _assert_close(moved[axis], _resample(partial, damped_laguerre_all(frame.order, y_moved), axis), 1e-12)
+            assert np.array_equal(rescaled[axis], _resample(partial, damped_laguerre_all(frame.order, y_rescaled), axis))
+            # the x-variable evaluation agrees to rounding
+            for values, x in ((moved, frame.nodes + 0.01), (rescaled, target.nodes)):
+                _assert_close(values[axis], _resample(partial, damped_laguerre_all(frame.order, frame.beta * x), axis), 1e-12)
+        monkeypatch.undo()
+
+
+def _scratch_coeffs(state) -> np.ndarray:
+    """The tensor transform of a state's values, one product per axis."""
     coeffs = state.units[0].tomodal @ state.values
-    target = Frame(37, 1.7 * 0.95)
-    moved_direct = coeffs @ _unit_psi(37, shift=round(1.7 * 0.012, 12))
-    rescaled_direct = coeffs @ _unit_psi(37, ratio=round(1.7 / target.beta, 12))
-    calls = _count_basis_evaluations(monkeypatch)
-    first = [state.moved(0.012).values, state.rescaled(target.beta).values]
-    assert len(calls) == 1  # the rescale's; a move's miss shifts the order's basis
-    calls.clear()
-    again = [state.moved(0.012).values, state.rescaled(target.beta).values]
-    # a miss does not depend on the store's history: in an empty store it
-    # is rebuilt to the same bits
-    _empty_store(monkeypatch)
-    rebuilt = state.moved(0.012).values
-    assert calls == []
-    for values in (first, again):
-        assert np.array_equal(values[0], rebuilt)
-        assert np.array_equal(values[1], rescaled_direct)
-    _assert_close(first[0], moved_direct, 1e-12)
-    # the x-variable evaluation agrees to rounding
-    monkeypatch.undo()
-    _assert_close(first[0], coeffs @ eval_weighted_all(_basis(frame), frame.nodes + 0.012), 1e-12)
-    _assert_close(first[1], coeffs @ eval_weighted_all(_basis(frame), target.nodes), 1e-12)
+    return coeffs if len(state.units) == 1 else coeffs @ state.units[1].tomodal.T
 
 
-def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
-    state = frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5)
-    fx, fy = state.frame_x, state.frame_y
-    tx, ty = Frame(11, 1.7 * 0.95), Frame(13, 2.3 * 0.95)
-    cx, cy = _unit(fx).tomodal @ state.values, (_unit(fy).tomodal @ state.values.T).T
-    direct = {
-        "moved_x": _unit_psi(11, shift=round(1.7 * 0.01, 12)).T @ cx,
-        "moved_y": cy @ _unit_psi(13, shift=round(2.3 * 0.01, 12)),
-        "rescaled_x": _unit_psi(11, ratio=round(1.7 / tx.beta, 12)).T @ cx,
-        "rescaled_y": cy @ _unit_psi(13, ratio=round(2.3 / ty.beta, 12)),
-    }
-    old = {
-        "moved_x": eval_weighted_all(_basis(fx), fx.nodes + 0.01).T @ cx,
-        "moved_y": cy @ eval_weighted_all(_basis(fy), fy.nodes + 0.01),
-        "rescaled_x": eval_weighted_all(_basis(fx), tx.nodes).T @ cx,
-        "rescaled_y": cy @ eval_weighted_all(_basis(fy), ty.nodes),
-    }
-    args = {"moved_x": (0.01, 0), "moved_y": (0.01, 1), "rescaled_x": (tx.beta, 0), "rescaled_y": (ty.beta, 1)}
+def _scratch_frequencies(coeffs: np.ndarray) -> list:
+    """Each axis's frequency reading: the share of the energy c^2 in the axis's top max(1, N//3) modes."""
+    energy = coeffs * coeffs
+    total = float(energy.sum())
+    readings = []
+    for axis, size in enumerate(coeffs.shape):
+        tail = energy[(slice(None),) * axis + (slice(size - max(1, (size - 1) // 3), None),)]
+        readings.append(min(1.0, math.sqrt(tail.sum() / total)))
+    return readings
 
-    def derived(name):
-        return getattr(state, name[:-2])(*args[name]).values
 
-    calls = _count_basis_evaluations(monkeypatch)
-    results = []
-    for repeat in range(2):
-        results.append({name: derived(name) for name in direct})
-        assert len(calls) == (2 if repeat == 0 else 0)  # the rescales'; a move evaluates nothing
-        calls.clear()
-    # the moves' misses, rebuilt in an empty store, give the same bits
-    _empty_store(monkeypatch)
-    rebuilt = {name: derived(name) for name in ("moved_x", "moved_y")}
-    assert calls == []
-    for values in results:
-        for name, expected in direct.items():
-            if name in rebuilt:
-                assert np.array_equal(values[name], rebuilt[name])
-                _assert_close(values[name], expected, 1e-12)
-            else:
-                assert np.array_equal(values[name], expected)
-            _assert_close(values[name], old[name], 1e-12)
+def _axis_values(state, axis: int) -> np.ndarray:
+    """The values that the readings of ``axis`` read: the state's own on one axis, the marginal ones on two."""
+    return state.values if len(state.frames) == 1 else marginal_state(state, axis).values
 
 
 def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -> tuple:
@@ -809,20 +790,15 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
     with ``unit=False`` at the shifted x-nodes.
     """
     coeffs = (frame.tomodal if isinstance(frame, SimpleNamespace) else _unit(frame).tomodal) @ values
-    weights = quadrature(_basis(frame)).weights
-    squares = coeffs * coeffs
-    m = frame.order // 3
-    frequency = min(1.0, float(math.sqrt(squares[frame.order + 1 - m :].sum() / float(squares.sum()))))
+    weights = quadrature(laguerre_basis(frame.order, frame.beta)).weights
     above = np.zeros_like(coeffs)
     above[:-1] = np.cumsum(coeffs[:0:-1])[::-1]
     dcoeffs = -frame.beta * (above + 0.5 * coeffs)
+    unit_nodes = adapt._unit_frame(frame.order, LAGUERRE).nodes
 
     def tail(shift: float) -> float:
-        if unit:
-            psi = _unit_psi(frame.order, shift=round(frame.beta * shift, 12))
-        else:
-            psi = eval_weighted_all(_basis(frame), frame.nodes + shift)
-        dv = dcoeffs @ psi
+        y = unit_nodes + round(frame.beta * shift, 12) if unit else frame.beta * (frame.nodes + shift)
+        dv = dcoeffs @ damped_laguerre_all(frame.order, y)
         return float(np.sum(weights * dv * dv))
 
     whole = tail(0.0)
@@ -830,7 +806,7 @@ def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -
         math.exp(-0.5 * frame.beta * float(s)) * math.sqrt(max(0.0, tail(float(s)) / whole))
         for s in offsets
     ]
-    return frequency, exterior
+    return _scratch_frequencies(coeffs)[0], exterior
 
 
 def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
@@ -850,7 +826,7 @@ def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
 
     def g(shift: float) -> np.ndarray:
         base = split if shift >= split else 0.0
-        return unit.dpsi(adapt._shift(eval_weighted_all(unit.basis, unit.nodes + base), shift - base))
+        return unit.dpsi(adapt._shift(damped_laguerre_all(frame.order, unit.nodes + base), shift - base))
 
     stacked = np.vstack((g(0.0), g(split))) @ coeffs
     whole, tail = stacked[: frame.order + 1], stacked[frame.order + 1 :]
@@ -862,19 +838,6 @@ def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
     return ratios
 
 
-def _count_derivative_setups(monkeypatch) -> list:
-    """Record the frame of every exterior set-up (a product with the order's pair), one per axis set up."""
-    calls = []
-    original = FrameState._set_up
-
-    def counted(state, axis):
-        calls.append(state.frames[axis])
-        return original(state, axis)
-
-    monkeypatch.setattr(FrameState, "_set_up", counted)
-    return calls
-
-
 def _search_offsets(state, axis: int, cfg: AdaptConfig) -> list:
     """The sentinel offsets a full mover search along ``axis`` evaluates, as the state forms them."""
     split, left = state.split_point(axis), state.lefts[axis]
@@ -883,76 +846,44 @@ def _search_offsets(state, axis: int, cfg: AdaptConfig) -> list:
 
 
 def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
-    # an order and scale no other test uses, so the frame's memos are cold
-    cfg = AdaptConfig()
-    state = frame_state_from(moving_front, 29, 1.9, x_left=0.3, t=0.4)
-    offsets = _search_offsets(state, 0, cfg)
-    frequency, oracle = _scratch_indicators(state.frame, state.values, offsets)
-    exterior = _memo_free_exterior(state.frame, state.values, offsets)
-    assert exterior == pytest.approx(oracle, rel=1e-12, abs=0)
-    calls = _count_derivative_setups(monkeypatch)
-    e = state.exterior(state.split_point())
-    assert e == exterior[0]
-    # a baseline no candidate can meet runs the search to its cap
-    assert adapt._moving_distance(state, 0, e, 1e-300, cfg) == cfg.d_max
-    split = state.split_point()
-    for n, expected in enumerate(exterior):
-        assert state.exterior(split + n * cfg.delta) == expected
-    assert state.frequency() == frequency
-    assert calls == [state.frame]
-    # the x-variable evaluation agrees to rounding
-    x_exterior = _scratch_indicators(state.frame, state.values, offsets, unit=False)[1]
-    assert exterior == pytest.approx(x_exterior, rel=1e-12, abs=0)
-    # a derived state sets up its own indicators from its own values
-    for derived in (state.moved(2 * cfg.delta), state.rescaled(0.95 * state.beta)):
-        calls.clear()
-        offsets = _search_offsets(derived, 0, cfg)[:1]
-        frequency, oracle = _scratch_indicators(derived.frame, derived.values, offsets)
-        assert derived.frequency() == frequency
-        e = derived.exterior(derived.split_point())
-        assert e == _memo_free_exterior(derived.frame, derived.values, offsets)[0]
-        assert e == pytest.approx(oracle[0], rel=1e-12, abs=0)
-        assert calls == [derived.frame]
-
-
-def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
+    # orders and scales no other test uses, so the memos are cold; one state
+    # of one axis and one of two, whose axes read their marginal values
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
-    state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
-    fx, fy = state.frame_x, state.frame_y
-    coeffs = _unit(fx).tomodal @ state.values @ _unit(fy).tomodal.T
-    assert np.array_equal(state._coeffs, coeffs)
-    energy = coeffs * coeffs
-    total = float(energy.sum())
-    expected_frequency = (
-        min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
-        min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
-    )
-    marginals = [marginal_state(state, axis).values for axis in (0, 1)]
-    calls = _count_derivative_setups(monkeypatch)
-    for axis, frame in ((0, fx), (1, fy)):
-        offsets = _search_offsets(state, axis, cfg)
-        oracle = _scratch_indicators(frame, marginals[axis], offsets)[1]
-        exterior = _memo_free_exterior(frame, marginals[axis], offsets)
-        assert exterior == pytest.approx(oracle, rel=1e-12, abs=0)
-        e = state.exterior(state.split_point(axis), axis)
-        assert e == exterior[0]
-        assert adapt._moving_distance(state, axis, e, 1e-300, cfg) == cfg.d_max
-        split = state.split_point(axis)
-        for n, expected in enumerate(exterior):
-            assert state.exterior(split + n * cfg.delta, axis) == expected
-        assert state.frequency(axis) == expected_frequency[axis]
-        x_exterior = _scratch_indicators(frame, marginals[axis], offsets, unit=False)[1]
-        assert exterior == pytest.approx(x_exterior, rel=1e-12, abs=0)
-    assert calls == [fx, fy]
-    # derived states set up their own indicators, one per axis again
-    for derived in (state.moved(0.01, 0), state.moved(0.01, 1), state.rescaled(1.5, 0), state.rescaled(2.0, 1)):
-        calls.clear()
-        derived.exterior(derived.split_point(0), 0)
-        derived.exterior(derived.split_point(1), 1)
-        assert calls == [derived.frame_x, derived.frame_y]
-        assert np.array_equal(
-            derived._coeffs, derived.units[0].tomodal @ derived.values @ derived.units[1].tomodal.T
-        )
+    for state in (frame_state_from(moving_front, 29, 1.9, x_left=0.3, t=0.4),
+                  frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)):
+        axes = range(len(state.frames))
+        coeffs = _scratch_coeffs(state)
+        assert np.array_equal(state._coeffs, coeffs)
+        frequencies = _scratch_frequencies(coeffs)
+        setups = _count_calls(monkeypatch, FrameState, "_set_up")
+        for axis, frame in zip(axes, state.frames):
+            offsets, values = _search_offsets(state, axis, cfg), _axis_values(state, axis)
+            exterior = _memo_free_exterior(frame, values, offsets)
+            assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets)[1], rel=1e-12, abs=0)
+            # the x-variable evaluation agrees to rounding
+            assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets, unit=False)[1], rel=1e-12, abs=0)
+            split = state.split_point(axis)
+            e = state.exterior(split, axis)
+            assert e == exterior[0]
+            # a baseline no candidate can meet runs the search to its cap
+            assert adapt._moving_distance(state, axis, e, 1e-300, cfg) == cfg.d_max
+            assert [state.exterior(split + n * cfg.delta, axis) for n in range(len(exterior))] == exterior
+            assert state.frequency(axis) == frequencies[axis]
+        assert setups == [(state, axis) for axis in axes]
+        # a derived state sets up its own indicators from its own values, each axis once
+        for derived in ([state.moved(2 * cfg.delta, axis) for axis in axes]
+                        + [state.rescaled(0.95 * frame.beta, axis) for axis, frame in zip(axes, state.frames)]):
+            setups.clear()
+            coeffs = _scratch_coeffs(derived)
+            assert np.array_equal(derived._coeffs, coeffs)
+            assert [derived.frequency(axis) for axis in axes] == _scratch_frequencies(coeffs)
+            for axis, frame in zip(axes, derived.frames):
+                offsets, values = _search_offsets(derived, axis, cfg)[:1], _axis_values(derived, axis)
+                e = derived.exterior(derived.split_point(axis), axis)
+                assert e == _memo_free_exterior(frame, values, offsets)[0]
+                assert e == pytest.approx(_scratch_indicators(frame, values, offsets)[1][0], rel=1e-12, abs=0)
+            assert setups == [(derived, axis) for axis in axes]
+        monkeypatch.undo()
 
 
 def test_frame_state_values_are_a_read_only_copy():
@@ -1054,7 +985,7 @@ def test_lock_free_memos_run_once_per_state(monkeypatch):
     runs = []
     assert _memo_names(FrameState2D) == _memo_names(FrameState)  # the 2-d class adds none
     for name in _memo_names(FrameState):
-        memo = vars(FrameState)[name]
+        memo = getattr(FrameState, name)  # on the class, the memo itself
 
         def counted(owner, _compute=memo.compute, _name=name):
             runs.append((owner, _name))  # holds the state, so no id is reused
@@ -1125,85 +1056,45 @@ def test_memo_arrays_stay_read_only():
             array[(0,) * array.ndim] = 1.0
 
 
-def _count_calls(monkeypatch, owner, name) -> list:
-    """Record the arguments of every call to ``owner.name``, ``self`` first for a method."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def test_frame_state_readings_are_memoized(monkeypatch):
-    state = frame_state_from(moving_front, 24, 2.0, x_left=0.3, t=0.2)
-    frame = state.frame
-    split = state.split_point()
-    other = split + 0.05
-    offsets = [split - state.x_left, other - state.x_left]
-    scratch_frequency, oracle = _scratch_indicators(frame, state.values, offsets)
-    scratch_exterior, scratch_other = _memo_free_exterior(frame, state.values, offsets)
-    assert [scratch_exterior, scratch_other] == pytest.approx(oracle, rel=1e-12, abs=0)
-    setups = _count_derivative_setups(monkeypatch)
-    tails = _count_calls(monkeypatch, adapt._UnitFrame, "dpsi_at")
-    frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
-    assert state.frequency() == scratch_frequency
-    assert state.exterior(split) == scratch_exterior
-    assert (len(frequency), len(setups), len(tails)) == (1, 1, 0)
-    for _ in range(3):
-        assert state.frequency() == scratch_frequency
-        assert state.exterior(state.split_point()) == scratch_exterior
-    assert (len(frequency), len(setups), len(tails)) == (1, 1, 0)
-    # any other split is evaluated on every call, over the one set-up
-    assert state.exterior(other) == scratch_other
-    assert state.exterior(other) == scratch_other
-    assert (len(setups), len(tails)) == (1, 2)
-    # a derived state reads its own indicators
-    moved = state.moved(0.01)
-    moved.frequency()
-    moved.exterior(moved.split_point())
-    assert (len(frequency), len(setups), len(tails)) == (2, 2, 2)
-
-
-def test_frame_state_2d_readings_are_memoized(monkeypatch):
-    state = frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)
-    fx, fy = state.frame_x, state.frame_y
-    coeffs = _unit(fx).tomodal @ state.values @ _unit(fy).tomodal.T
-    energy = coeffs * coeffs
-    total = float(energy.sum())
-    scratch_frequency = (
-        min(1.0, float(math.sqrt(energy[fx.order + 1 - fx.order // 3 :, :].sum() / total))),
-        min(1.0, float(math.sqrt(energy[:, fy.order + 1 - fy.order // 3 :].sum() / total))),
-    )
-    marginals = [marginal_state(state, axis).values for axis in (0, 1)]
-    lefts = (state.x_left, state.y_left)
-    splits = (state.split_point(0), state.split_point(1))
-    scratch_exterior = []
-    for frame, marginal, left, split in zip((fx, fy), marginals, lefts, splits):
-        offsets = [split - left, split + 0.05 - left]
-        scratch_exterior.append(_memo_free_exterior(frame, marginal, offsets))
-        oracle = _scratch_indicators(frame, marginal, offsets)[1]
-        assert scratch_exterior[-1] == pytest.approx(oracle, rel=1e-12, abs=0)
-    setups = _count_derivative_setups(monkeypatch)
-    tails = _count_calls(monkeypatch, adapt._UnitFrame, "dpsi_at")
-    frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
-    for axis in (0, 1):
-        before = (len(setups), len(tails))
-        for _ in range(3):
-            assert state.frequency(axis) == scratch_frequency[axis]
-            assert state.exterior(state.split_point(axis), axis) == scratch_exterior[axis][0]
-        # the first frequency reading reads every axis from one energy matrix
-        assert (len(frequency), len(setups), len(tails)) == (2, before[0] + 1, before[1])
-        assert state.exterior(splits[axis] + 0.05, axis) == scratch_exterior[axis][1]
-        assert state.exterior(splits[axis] + 0.05, axis) == scratch_exterior[axis][1]
-        assert (len(setups), len(tails)) == (before[0] + 1, before[1] + 2)
-    # one fraction per axis, of one energy matrix and its one total
-    assert [(start, axis) for _, _, start, axis in frequency] == [(fx.order + 1 - fx.order // 3, 0), (fy.order + 1 - fy.order // 3, 1)]
-    assert all(np.array_equal(read, energy) and read is frequency[0][0] for read, _, _, _ in frequency)
-    assert [read_total for _, read_total, _, _ in frequency] == [total, total]
+    # one state of one axis and one of two, whose axes read their marginal values
+    for state in (frame_state_from(moving_front, 24, 2.0, x_left=0.3, t=0.2),
+                  frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)):
+        axes = range(len(state.frames))
+        coeffs = _scratch_coeffs(state)
+        energy, frequencies = coeffs * coeffs, _scratch_frequencies(coeffs)
+        exteriors = []
+        for axis, frame in zip(axes, state.frames):
+            split, left, values = state.split_point(axis), state.lefts[axis], _axis_values(state, axis)
+            offsets = [split - left, split + 0.05 - left]
+            exteriors.append(_memo_free_exterior(frame, values, offsets))
+            assert exteriors[-1] == pytest.approx(_scratch_indicators(frame, values, offsets)[1], rel=1e-12, abs=0)
+        setups = _count_calls(monkeypatch, FrameState, "_set_up")
+        tails = _count_calls(monkeypatch, adapt._UnitFrame, "dpsi_at")
+        frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
+        for axis in axes:
+            for _ in range(3):
+                assert state.frequency(axis) == frequencies[axis]
+                assert state.exterior(state.split_point(axis), axis) == exteriors[axis][0]
+            # the first frequency reading reads every axis from one energy
+            # matrix, and an axis's split reading is its one set-up's
+            assert (len(frequency), len(setups), len(tails)) == (len(axes), axis + 1, 2 * axis)
+            # any other split is evaluated on every call, over the one set-up
+            for _ in range(2):
+                assert state.exterior(state.split_point(axis) + 0.05, axis) == exteriors[axis][1]
+            assert (len(setups), len(tails)) == (axis + 1, 2 * axis + 2)
+        # one fraction per axis, of one energy matrix and its one total
+        assert [(start, axis) for _, _, start, axis in frequency] == [
+            (frame.order + 1 - frame.order // 3, axis) for axis, frame in enumerate(state.frames)
+        ]
+        assert all(np.array_equal(read, energy) and read is frequency[0][0] for read, _, _, _ in frequency)
+        assert [read_total for _, read_total, _, _ in frequency] == [float(energy.sum())] * len(axes)
+        # a derived state reads its own indicators
+        moved = state.moved(0.01)
+        moved.frequency()
+        moved.exterior(moved.split_point())
+        assert (len(frequency), len(setups), len(tails)) == (2 * len(axes), len(axes) + 1, 2 * len(axes))
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("mode", [MODE_MOVE, MODE_SCALE, MODE_MOVE_SCALE])
@@ -1406,14 +1297,14 @@ def _alpha_one_tails(frame: Frame, profiles, offsets) -> list:
     """
     coeffs = [_unit(frame).tomodal @ values for values in profiles]
     degrees = np.arange(frame.order)[:, None]
-    weights = quadrature(_basis(frame)).weights
+    weights = quadrature(laguerre_basis(frame.order, frame.beta)).weights
     kept = weights > 0.0
 
     def tails(shift: float) -> list:
         points = frame.nodes[kept] + shift
         y = frame.beta * points
         damped_alpha_one = np.exp(-0.5 * y) * eval_genlaguerre(degrees, 1.0, y)
-        damped = eval_weighted_all(_basis(frame), points)
+        damped = damped_laguerre_all(frame.order, y)
         sums = []
         for c in coeffs:
             dv = (-frame.beta * c[1:]) @ damped_alpha_one - 0.5 * frame.beta * (c @ damped)
@@ -1461,7 +1352,7 @@ def test_fresh_interpolant_error_is_small_and_seen_between_nodes():
     assert wrong.error(diffusive_front, 0.0) > 0.1
     # against a zero reference it is the interpolant's absolute L2 norm in x
     refined = quadrature(laguerre_basis(81, 2.5))
-    interpolant = (state.units[0].tomodal @ state.values) @ eval_weighted_all(_basis(state.frame), refined.nodes)
+    interpolant = (state.units[0].tomodal @ state.values) @ damped_laguerre_all(40, 2.5 * refined.nodes)
     norm = math.sqrt(float(np.sum(modified_weights(refined) * interpolant**2)))
     assert state.error(lambda x, t: 0.0, 0.0) == pytest.approx(norm, rel=1e-12)
 
@@ -1704,7 +1595,7 @@ def test_derivative_memo_drops_the_least_recently_used_entry(monkeypatch):
     first = [unit.dpsi_at(round(s, 12)) for s in shifts]
     memo = _entries("dpsi_at", LAGUERRE, 23)
     assert len(memo) == len(basis_module._store) == 64
-    calls = _count_basis_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, adapt, "eval_weighted_all")
     unit.dpsi_at(round(shifts[0], 12))  # a hit makes the oldest entry the most recent
     unit.dpsi_at(0.0)  # shift 0 lives in the order's pair, so here it is a miss
     memo = _entries("dpsi_at", LAGUERRE, 23)
@@ -1908,7 +1799,7 @@ def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
     psi, pair = unit.psi, unit.pair
     assert not psi.flags.writeable
     assert pair.shape == (36, 18) and not pair.flags.writeable
-    at_split = eval_weighted_all(unit.basis, unit.nodes + round(unit.split, 12))
+    at_split = damped_laguerre_all(17, unit.nodes + round(unit.split, 12))
     np.testing.assert_allclose(pair[:18], _scratch_g(unit.weights, psi), rtol=1e-12, atol=0)
     np.testing.assert_allclose(pair[18:], _scratch_g(unit.weights, at_split), rtol=1e-12, atol=0)
     # the basis at shift 0 gives back the bits of the build's psi
@@ -1974,12 +1865,11 @@ def test_hermite_frame_has_no_derivative_memo():
 def test_derivative_memo_matches_a_scratch_build(order):
     frame = Frame(order, 2.0)
     unit = _unit(frame)
-    basis = laguerre_basis(order, 1.0)
-    rule = quadrature(basis)
+    rule = quadrature(laguerre_basis(order, 1.0))
     split = frame.split_rel
     for shift in (0.0, split, split + 0.004, 0.7, 25.0):
         key = round(2.0 * shift, 12)
-        psi = eval_weighted_all(basis, rule.nodes + key)
+        psi = damped_laguerre_all(order, rule.nodes + key)
         # a miss shifts a stored basis, which moves the rounding of the tiny
         # entries: at orders 128 and 363 entries below 1e-8 differ by up to
         # 4.4e-11 and 1.1e-7 relative, and by at most 2.1e-18 absolute
@@ -1989,7 +1879,7 @@ def test_derivative_memo_matches_a_scratch_build(order):
     # the order's pair stacks the same G at shift 0 and at the unit split
     pair = unit.pair
     for half, shift in ((pair[: order + 1], 0.0), (pair[order + 1 :], round(unit.split, 12))):
-        psi = eval_weighted_all(basis, rule.nodes + shift)
+        psi = damped_laguerre_all(order, rule.nodes + shift)
         np.testing.assert_allclose(half, _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
     # and a state's split reading agrees with the reverse-cumsum oracle
     state = frame_state_from(moving_front, order, 2.0, t=0.4)
@@ -2039,20 +1929,17 @@ def test_shifted_memos_match_a_direct_evaluation(order, monkeypatch):
         pieces = adapt._shift(pieces, 12.5)
     assert np.array_equal(adapt._shift(unit.psi, 50.0), pieces)
     assert np.array_equal(adapt._shift(unit.psi, 0.0), unit.psi)
-    for bad in (-1e-300, math.nan, math.inf):
-        with pytest.raises(ValueError, match="left of its endpoint"):
-            adapt._shift(unit.psi, bad)
-    # a small negative shift keeps every node right of 0, but is still refused
-    for read in (unit.psi_at, unit.dpsi_at):
-        with pytest.raises(ValueError, match="left of its endpoint"):
-            read(-0.001)
 
 
 def test_shifted_memos_reject_a_negative_shift():
     frame = Frame(20, 1.0)
     unit = _unit(frame)
     before = list(basis_module._store)
-    for shift in (-1.0, -30.0):
+    for bad in (-1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="left of its endpoint"):
+            adapt._shift(unit.psi, bad)
+    # a small negative shift keeps every node right of 0, but is still refused
+    for shift in (-0.001, -1.0, -30.0):
         for read in (unit.psi_at, unit.dpsi_at):
             with pytest.raises(ValueError, match="left of its endpoint"):
                 read(shift)
@@ -2111,6 +1998,9 @@ def test_frame_rejects_bad_input_and_caches_nothing():
             Frame(32, beta)
     with pytest.raises(ValueError, match="364"):
         Frame(364, 1.0)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            Frame(order, 1.0)
     with pytest.raises(ValueError, match="unknown basis family"):
         Frame(32, 1.0, "chebyshev")
     # int() used to truncate: Frame(12.5, 1.0) built order 12
@@ -2134,6 +2024,19 @@ def test_coefficient_engine_fails_loudly_past_its_range():
                 initial_state(expansion, AdaptConfig())
         with pytest.raises(ValueError, match="overflow"):
             relative_error(expansion, lambda x: diffusive_front(x, 0.0))
+
+
+def test_initial_state_reads_the_default_indicators():
+    # the baselines of a coefficient expansion: its frequency reading and,
+    # on a Laguerre basis, its exterior reading at the default split
+    for basis in (laguerre_basis(40, 2.5), hermite_basis(24, 1.0)):
+        rule = quadrature(basis)
+        expansion = interpolate(widening_gauss(rule.nodes, 0.0), basis, rule)
+        split = default_split_point(basis.order, rule.nodes)
+        e0 = exterior_error_indicator(expansion, split) if basis.family == LAGUERRE else None
+        baselines = initial_state(expansion, AdaptConfig())
+        assert baselines.expansion is expansion and (baselines.f0, baselines.e0) == (frequency_indicator(expansion), e0)
+        assert 0.0 < baselines.f0 < 1e-3 and (e0 is None or 0.0 < e0 < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -2254,22 +2157,6 @@ def test_run_2d_on_a_laguerre_by_hermite_state():
     with pytest.raises(ValueError, match="only a Laguerre frame has an exterior indicator"):
         final.exterior(1.0, 1)
     assert final.exterior(None, 1) is None
-
-
-def test_2d_x_move_leaves_y_untouched():
-    state = frame_state_2d_from(product_front, 12, 2.0, 12, 2.0)
-    moved = state.moved(0.25, 0)
-    assert moved.x_left == 0.25 and moved.y_left == 0.0
-    assert moved.frame_y is state.frame_y
-    # the represented function is unchanged where both frames resolve it
-    xs = np.linspace(1.0, 6.0, 7)
-    before = np.array(
-        [_eval_at(FrameState(state.frame_x, state.values[:, j]), xs) for j in range(13)]
-    )
-    after = np.array(
-        [_eval_at(FrameState(moved.frame_x, moved.values[:, j], 0.25), xs) for j in range(13)]
-    )
-    assert np.max(np.abs(after - before)) < 1e-8
 
 
 def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):

@@ -24,7 +24,7 @@ from specadapt.basis import (
     quadrature,
 )
 
-from oracles import marginal_state
+from oracles import marginal_state, separable
 
 
 def fermi_dirac(x):
@@ -213,10 +213,6 @@ def test_hermite_expansion_round_trip_and_error():
 # 2D: tensor-product states are adapt.FrameState2D, in the damped basis
 
 
-def separable(g, h):
-    return lambda x, y, t=0.0: g(np.asarray(x, dtype=float)) * h(np.asarray(y, dtype=float))
-
-
 def test_separable_2d_coefficients_are_outer_product():
     g = lambda x: np.exp(-x)
     h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
@@ -245,10 +241,13 @@ def test_2d_bump_relative_error_below_1e9():
 def test_move_2d_translates_left_endpoints():
     f = separable(lambda x: np.exp(-x), lambda y: np.exp(-0.5 * y))
     state = frame_state_2d_from(f, 24, 1.0, 24, 1.0)
-    moved = state.moved(0.5, 0).moved(0.25, 1)
-    assert moved.x_left == 0.5 and moved.y_left == 0.25
-    grid = np.meshgrid(moved.nodes(0), moved.nodes(1), indexing="ij")
-    np.testing.assert_allclose(moved.values, f(*grid), rtol=1e-7, atol=1e-7)
+    x_moved = state.moved(0.5, 0)
+    moved = x_moved.moved(0.25, 1)
+    # a move along one axis leaves the other's frame and origin as they were
+    assert (x_moved.lefts, x_moved.frame_y, moved.lefts) == ((0.5, 0.0), state.frame_y, (0.5, 0.25))
+    for current in (x_moved, moved):
+        grid = np.meshgrid(current.nodes(0), current.nodes(1), indexing="ij")
+        np.testing.assert_allclose(current.values, f(*grid), rtol=1e-7, atol=1e-7)
 
 
 def test_marginal_x_separable_oracle():
@@ -284,6 +283,10 @@ def test_validation_errors():
         Expansion(basis, np.array([1.0, np.nan, 0, 0, 0]))
     with pytest.raises(ValueError):
         interpolate(np.zeros(6), basis)
+    with pytest.raises(ValueError, match="different basis"):
+        interpolate(np.zeros(5), basis, quadrature(laguerre_basis(4, 2.0)))
+    with pytest.raises(ValueError, match="vanishes"):
+        relative_error(Expansion(basis, np.ones(5)), lambda x: np.zeros_like(x))
     # moves: only a Laguerre origin moves, rightward by a finite distance,
     # and a rejected move leaves the operator store as it was
     state = FrameState(Frame(4, 1.0), np.ones(5))

@@ -14,6 +14,7 @@ import specadapt.basis as basis_module
 from specadapt.basis import (
     HERMITE,
     LAGUERRE,
+    QuadratureRule,
     ScaledBasis,
     _basis_pass,
     _damped_start,
@@ -581,3 +582,10 @@ def test_invalid_bases_rejected():
                 make(order, 1.0)
     basis = laguerre_basis(np.int64(6), 1.0)
     assert basis.order == 6 and type(basis.order) is int
+    # a rule holds one positive-or-zero finite weight per node, at increasing nodes
+    rule = quadrature(basis)
+    for nodes, weights, message in ((rule.nodes[:-1], rule.weights[:-1], "size"),
+                                    (rule.nodes[::-1], rule.weights, "increasing"),
+                                    (rule.nodes, -rule.weights, "nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            QuadratureRule(basis, nodes, weights)

@@ -26,7 +26,7 @@ from specadapt.indicators import (
     frequency_indicator,
 )
 
-from oracles import laguerre_all
+from oracles import laguerre_all, separable
 
 
 def front(x, center=5.0, width=2.0):
@@ -112,6 +112,8 @@ def test_exterior_undefined_for_constant():
     basis = laguerre_basis(10, 1.0)
     exp = Expansion(basis, np.eye(11)[0])
     assert exterior_error_indicator(exp, 2.0) is None
+    # nor is a derivative whose squares underflow to zero
+    assert exterior_error_indicator(Expansion(basis, 1e-200 * np.eye(11)[1]), 2.0) is None
 
 
 def test_exterior_exponential_matches_adaptive_integration():
@@ -257,10 +259,6 @@ def test_default_split_point_is_an_interior_node():
 # tensor-product states: the per-axis indicators of adapt.FrameState2D
 
 
-def separable(g, h):
-    return lambda x, y, t=0.0: g(np.asarray(x, dtype=float)) * h(np.asarray(y, dtype=float))
-
-
 def test_frequency_2d_separable_factorization():
     g = lambda x: front(x, center=3.0, width=1.0)
     h = lambda y: np.exp(-0.3 * y) * np.cos(y)
@@ -275,6 +273,7 @@ def test_frequency_2d_zero_tail_and_undefined():
     zero = FrameState2D(fx, fy, np.zeros((10, 10)))
     assert zero.frequency(0) is None and zero.frequency(1) is None
     assert zero.exterior(zero.split_point(0), 0) is None
+    assert zero.exterior(zero.split_point(0) + 0.1, 0) is None  # off the split too
     coeffs = np.zeros((10, 10))
     coeffs[:7, :] = 1.0  # x-high-mode count for N=9 is 3: rows 7..9 empty
     psi = zero.units[0].psi
