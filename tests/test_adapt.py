@@ -718,42 +718,47 @@ def _resample(partial: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
     return partial @ psi if axis == partial.ndim - 1 else psi.T @ partial
 
 
+def _check_frame_resampling(monkeypatch, state) -> None:
+    """Each axis of ``state`` moved by 0.01 and rescaled by 0.95: exact, and memoized per axis."""
+    axes = range(len(state.frames))
+    targets = [Frame(frame.order, 0.95 * frame.beta) for frame in state.frames]
+
+    def derived():
+        """The values of the state moved along each axis, then of it rescaled along each axis."""
+        return ([state.moved(0.01, axis).values for axis in axes]
+                + [state.rescaled(target.beta, axis).values for axis, target in zip(axes, targets)])
+
+    calls = _count_calls(monkeypatch, adapt, "eval_weighted_all")
+    first = derived()
+    assert len(calls) == len(axes)  # the rescales'; a move's miss shifts the order's basis
+    again = derived()
+    assert len(calls) == len(axes)
+    # a miss does not depend on the store's history: in an empty store it
+    # is rebuilt to the same bits
+    _empty_store(monkeypatch)
+    for values in (again, derived()):
+        assert all(np.array_equal(a, b) for a, b in zip(values, first))
+    moved, rescaled = first[: len(axes)], first[len(axes) :]
+    for axis, frame, target in zip(axes, state.frames, targets):
+        unit, partial = state.units[axis], _partial(state, axis)
+        # the unit-variable oracle: a move by d reads the functions at
+        # y + round(beta*d, 12), a rescale to beta' at y*round(beta/beta', 12)
+        y_moved = unit.nodes + round(frame.beta * 0.01, 12)
+        y_rescaled = unit.nodes * round(frame.beta / target.beta, 12)
+        _assert_close(moved[axis], _resample(partial, damped_laguerre_all(frame.order, y_moved), axis), 1e-12)
+        assert np.array_equal(rescaled[axis], _resample(partial, damped_laguerre_all(frame.order, y_rescaled), axis))
+        # the x-variable evaluation agrees to rounding
+        for values, x in ((moved, frame.nodes + 0.01), (rescaled, target.nodes)):
+            _assert_close(values[axis], _resample(partial, damped_laguerre_all(frame.order, frame.beta * x), axis), 1e-12)
+
+
 def test_frame_resampling_is_exact_and_memoized(monkeypatch):
-    # orders no other test uses, so the first calls are cold; one state of
-    # one axis and one of two, each axis moved by 0.01 and rescaled by 0.95
-    for state in (frame_state_from(moving_front, 37, 1.7, t=0.5),
-                  frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5)):
-        axes = range(len(state.frames))
-        targets = [Frame(frame.order, 0.95 * frame.beta) for frame in state.frames]
+    # orders no other test uses, so the first calls are cold
+    _check_frame_resampling(monkeypatch, frame_state_from(moving_front, 37, 1.7, t=0.5))
 
-        def derived():
-            """The values of the state moved along each axis, then of it rescaled along each axis."""
-            return ([state.moved(0.01, axis).values for axis in axes]
-                    + [state.rescaled(target.beta, axis).values for axis, target in zip(axes, targets)])
 
-        calls = _count_calls(monkeypatch, adapt, "eval_weighted_all")
-        first = derived()
-        assert len(calls) == len(axes)  # the rescales'; a move's miss shifts the order's basis
-        again = derived()
-        assert len(calls) == len(axes)
-        # a miss does not depend on the store's history: in an empty store it
-        # is rebuilt to the same bits
-        _empty_store(monkeypatch)
-        for values in (again, derived()):
-            assert all(np.array_equal(a, b) for a, b in zip(values, first))
-        moved, rescaled = first[: len(axes)], first[len(axes) :]
-        for axis, frame, target in zip(axes, state.frames, targets):
-            unit, partial = state.units[axis], _partial(state, axis)
-            # the unit-variable oracle: a move by d reads the functions at
-            # y + round(beta*d, 12), a rescale to beta' at y*round(beta/beta', 12)
-            y_moved = unit.nodes + round(frame.beta * 0.01, 12)
-            y_rescaled = unit.nodes * round(frame.beta / target.beta, 12)
-            _assert_close(moved[axis], _resample(partial, damped_laguerre_all(frame.order, y_moved), axis), 1e-12)
-            assert np.array_equal(rescaled[axis], _resample(partial, damped_laguerre_all(frame.order, y_rescaled), axis))
-            # the x-variable evaluation agrees to rounding
-            for values, x in ((moved, frame.nodes + 0.01), (rescaled, target.nodes)):
-                _assert_close(values[axis], _resample(partial, damped_laguerre_all(frame.order, frame.beta * x), axis), 1e-12)
-        monkeypatch.undo()
+def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
+    _check_frame_resampling(monkeypatch, frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5))
 
 
 def _scratch_coeffs(state) -> np.ndarray:
@@ -845,45 +850,50 @@ def _search_offsets(state, axis: int, cfg: AdaptConfig) -> list:
     return [split - left] + [(split + n * cfg.delta) - left for n in range(1, n_max + 1)]
 
 
-def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
-    # orders and scales no other test uses, so the memos are cold; one state
-    # of one axis and one of two, whose axes read their marginal values
+def _check_frame_state_memo(monkeypatch, state) -> None:
+    """The memoized readings of ``state`` and of its derived states against memo-free ones; one set-up per axis."""
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
-    for state in (frame_state_from(moving_front, 29, 1.9, x_left=0.3, t=0.4),
-                  frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)):
-        axes = range(len(state.frames))
-        coeffs = _scratch_coeffs(state)
-        assert np.array_equal(state._coeffs, coeffs)
-        frequencies = _scratch_frequencies(coeffs)
-        setups = _count_calls(monkeypatch, FrameState, "_set_up")
-        for axis, frame in zip(axes, state.frames):
-            offsets, values = _search_offsets(state, axis, cfg), _axis_values(state, axis)
-            exterior = _memo_free_exterior(frame, values, offsets)
-            assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets)[1], rel=1e-12, abs=0)
-            # the x-variable evaluation agrees to rounding
-            assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets, unit=False)[1], rel=1e-12, abs=0)
-            split = state.split_point(axis)
-            e = state.exterior(split, axis)
-            assert e == exterior[0]
-            # a baseline no candidate can meet runs the search to its cap
-            assert adapt._moving_distance(state, axis, e, 1e-300, cfg) == cfg.d_max
-            assert [state.exterior(split + n * cfg.delta, axis) for n in range(len(exterior))] == exterior
-            assert state.frequency(axis) == frequencies[axis]
-        assert setups == [(state, axis) for axis in axes]
-        # a derived state sets up its own indicators from its own values, each axis once
-        for derived in ([state.moved(2 * cfg.delta, axis) for axis in axes]
-                        + [state.rescaled(0.95 * frame.beta, axis) for axis, frame in zip(axes, state.frames)]):
-            setups.clear()
-            coeffs = _scratch_coeffs(derived)
-            assert np.array_equal(derived._coeffs, coeffs)
-            assert [derived.frequency(axis) for axis in axes] == _scratch_frequencies(coeffs)
-            for axis, frame in zip(axes, derived.frames):
-                offsets, values = _search_offsets(derived, axis, cfg)[:1], _axis_values(derived, axis)
-                e = derived.exterior(derived.split_point(axis), axis)
-                assert e == _memo_free_exterior(frame, values, offsets)[0]
-                assert e == pytest.approx(_scratch_indicators(frame, values, offsets)[1][0], rel=1e-12, abs=0)
-            assert setups == [(derived, axis) for axis in axes]
-        monkeypatch.undo()
+    axes = range(len(state.frames))
+    coeffs = _scratch_coeffs(state)
+    assert np.array_equal(state._coeffs, coeffs)
+    frequencies = _scratch_frequencies(coeffs)
+    setups = _count_calls(monkeypatch, FrameState, "_set_up")
+    for axis, frame in zip(axes, state.frames):
+        offsets, values = _search_offsets(state, axis, cfg), _axis_values(state, axis)
+        exterior = _memo_free_exterior(frame, values, offsets)
+        assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets)[1], rel=1e-12, abs=0)
+        # the x-variable evaluation agrees to rounding
+        assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets, unit=False)[1], rel=1e-12, abs=0)
+        split = state.split_point(axis)
+        e = state.exterior(split, axis)
+        assert e == exterior[0]
+        # a baseline no candidate can meet runs the search to its cap
+        assert adapt._moving_distance(state, axis, e, 1e-300, cfg) == cfg.d_max
+        assert [state.exterior(split + n * cfg.delta, axis) for n in range(len(exterior))] == exterior
+        assert state.frequency(axis) == frequencies[axis]
+    assert setups == [(state, axis) for axis in axes]
+    # a derived state sets up its own indicators from its own values, each axis once
+    for derived in ([state.moved(2 * cfg.delta, axis) for axis in axes]
+                    + [state.rescaled(0.95 * frame.beta, axis) for axis, frame in zip(axes, state.frames)]):
+        setups.clear()
+        coeffs = _scratch_coeffs(derived)
+        assert np.array_equal(derived._coeffs, coeffs)
+        assert [derived.frequency(axis) for axis in axes] == _scratch_frequencies(coeffs)
+        for axis, frame in zip(axes, derived.frames):
+            offsets, values = _search_offsets(derived, axis, cfg)[:1], _axis_values(derived, axis)
+            e = derived.exterior(derived.split_point(axis), axis)
+            assert e == _memo_free_exterior(frame, values, offsets)[0]
+            assert e == pytest.approx(_scratch_indicators(frame, values, offsets)[1][0], rel=1e-12, abs=0)
+        assert setups == [(derived, axis) for axis in axes]
+
+
+def test_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
+    # orders and scales no other test uses, so the memos are cold
+    _check_frame_state_memo(monkeypatch, frame_state_from(moving_front, 29, 1.9, x_left=0.3, t=0.4))
+
+
+def test_2d_frame_state_memo_is_exact_and_set_up_once(monkeypatch):
+    _check_frame_state_memo(monkeypatch, frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3))
 
 
 def test_frame_state_values_are_a_read_only_copy():
@@ -1056,45 +1066,50 @@ def test_memo_arrays_stay_read_only():
             array[(0,) * array.ndim] = 1.0
 
 
+def _check_readings_memoized(monkeypatch, state) -> None:
+    """Repeated readings of ``state`` are memoized; a two-axis state's axes read their marginal values."""
+    axes = range(len(state.frames))
+    coeffs = _scratch_coeffs(state)
+    energy, frequencies = coeffs * coeffs, _scratch_frequencies(coeffs)
+    exteriors = []
+    for axis, frame in zip(axes, state.frames):
+        split, left, values = state.split_point(axis), state.lefts[axis], _axis_values(state, axis)
+        offsets = [split - left, split + 0.05 - left]
+        exteriors.append(_memo_free_exterior(frame, values, offsets))
+        assert exteriors[-1] == pytest.approx(_scratch_indicators(frame, values, offsets)[1], rel=1e-12, abs=0)
+    setups = _count_calls(monkeypatch, FrameState, "_set_up")
+    tails = _count_calls(monkeypatch, adapt._UnitFrame, "dpsi_at")
+    frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
+    for axis in axes:
+        for _ in range(3):
+            assert state.frequency(axis) == frequencies[axis]
+            assert state.exterior(state.split_point(axis), axis) == exteriors[axis][0]
+        # the first frequency reading reads every axis from one energy
+        # matrix, and an axis's split reading is its one set-up's
+        assert (len(frequency), len(setups), len(tails)) == (len(axes), axis + 1, 2 * axis)
+        # any other split is evaluated on every call, over the one set-up
+        for _ in range(2):
+            assert state.exterior(state.split_point(axis) + 0.05, axis) == exteriors[axis][1]
+        assert (len(setups), len(tails)) == (axis + 1, 2 * axis + 2)
+    # one fraction per axis, of one energy matrix and its one total
+    assert [(start, axis) for _, _, start, axis in frequency] == [
+        (frame.order + 1 - frame.order // 3, axis) for axis, frame in enumerate(state.frames)
+    ]
+    assert all(np.array_equal(read, energy) and read is frequency[0][0] for read, _, _, _ in frequency)
+    assert [read_total for _, read_total, _, _ in frequency] == [float(energy.sum())] * len(axes)
+    # a derived state reads its own indicators
+    moved = state.moved(0.01)
+    moved.frequency()
+    moved.exterior(moved.split_point())
+    assert (len(frequency), len(setups), len(tails)) == (2 * len(axes), len(axes) + 1, 2 * len(axes))
+
+
 def test_frame_state_readings_are_memoized(monkeypatch):
-    # one state of one axis and one of two, whose axes read their marginal values
-    for state in (frame_state_from(moving_front, 24, 2.0, x_left=0.3, t=0.2),
-                  frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3)):
-        axes = range(len(state.frames))
-        coeffs = _scratch_coeffs(state)
-        energy, frequencies = coeffs * coeffs, _scratch_frequencies(coeffs)
-        exteriors = []
-        for axis, frame in zip(axes, state.frames):
-            split, left, values = state.split_point(axis), state.lefts[axis], _axis_values(state, axis)
-            offsets = [split - left, split + 0.05 - left]
-            exteriors.append(_memo_free_exterior(frame, values, offsets))
-            assert exteriors[-1] == pytest.approx(_scratch_indicators(frame, values, offsets)[1], rel=1e-12, abs=0)
-        setups = _count_calls(monkeypatch, FrameState, "_set_up")
-        tails = _count_calls(monkeypatch, adapt._UnitFrame, "dpsi_at")
-        frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
-        for axis in axes:
-            for _ in range(3):
-                assert state.frequency(axis) == frequencies[axis]
-                assert state.exterior(state.split_point(axis), axis) == exteriors[axis][0]
-            # the first frequency reading reads every axis from one energy
-            # matrix, and an axis's split reading is its one set-up's
-            assert (len(frequency), len(setups), len(tails)) == (len(axes), axis + 1, 2 * axis)
-            # any other split is evaluated on every call, over the one set-up
-            for _ in range(2):
-                assert state.exterior(state.split_point(axis) + 0.05, axis) == exteriors[axis][1]
-            assert (len(setups), len(tails)) == (axis + 1, 2 * axis + 2)
-        # one fraction per axis, of one energy matrix and its one total
-        assert [(start, axis) for _, _, start, axis in frequency] == [
-            (frame.order + 1 - frame.order // 3, axis) for axis, frame in enumerate(state.frames)
-        ]
-        assert all(np.array_equal(read, energy) and read is frequency[0][0] for read, _, _, _ in frequency)
-        assert [read_total for _, read_total, _, _ in frequency] == [float(energy.sum())] * len(axes)
-        # a derived state reads its own indicators
-        moved = state.moved(0.01)
-        moved.frequency()
-        moved.exterior(moved.split_point())
-        assert (len(frequency), len(setups), len(tails)) == (2 * len(axes), len(axes) + 1, 2 * len(axes))
-        monkeypatch.undo()
+    _check_readings_memoized(monkeypatch, frame_state_from(moving_front, 24, 2.0, x_left=0.3, t=0.2))
+
+
+def test_frame_state_2d_readings_are_memoized(monkeypatch):
+    _check_readings_memoized(monkeypatch, frame_state_2d_from(product_front, 9, 1.6, 10, 2.1, x_left=0.2, y_left=0.1, t=0.3))
 
 
 @pytest.mark.parametrize("mode", [MODE_MOVE, MODE_SCALE, MODE_MOVE_SCALE])
@@ -2157,6 +2172,19 @@ def test_run_2d_on_a_laguerre_by_hermite_state():
     with pytest.raises(ValueError, match="only a Laguerre frame has an exterior indicator"):
         final.exterior(1.0, 1)
     assert final.exterior(None, 1) is None
+
+
+def test_2d_x_move_leaves_y_untouched():
+    state = frame_state_2d_from(product_front, 12, 2.0, 12, 2.0)
+    moved = state.moved(0.25, 0)
+    assert moved.x_left == 0.25 and moved.y_left == 0.0
+    assert moved.frame_y is state.frame_y
+    # the represented function is unchanged where both frames resolve it:
+    # each column's interpolant, read at the offsets xs - x_left
+    xs = np.linspace(1.0, 6.0, 7)
+    before = _partial(state, 0).T @ damped_laguerre_all(12, 2.0 * xs)
+    after = _partial(moved, 0).T @ damped_laguerre_all(12, 2.0 * (xs - 0.25))
+    assert np.max(np.abs(after - before)) < 1e-8
 
 
 def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):
