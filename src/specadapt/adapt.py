@@ -158,7 +158,8 @@ def _atomic_write_text(path, text: str) -> None:
     failed write leaves the target as it was and no temp file.
     """
     path = os.fspath(path)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # named from the directory alone, so any name the target may have fits
+    tmp = os.path.join(os.path.dirname(path) or ".", f".{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
