@@ -573,42 +573,33 @@ class _UnitFrame:
         A rescale from beta to beta' at one origin reads ``ratio =
         round(beta/beta', 12)``.  A miss evaluates the basis there.
         """
-        return _stored(("psi_on", self.basis.family, self.basis.order, ratio), _UnitFrame.psi_rescaled, self, ratio)
-
-    def psi_rescaled(self, ratio: float) -> np.ndarray:
-        """The damped functions at the nodes times ``ratio``, evaluated."""
-        return eval_weighted_all(self.basis, self.nodes * ratio)
+        return _stored(("psi_on", self.basis.family, self.basis.order, ratio), eval_weighted_all, self.basis,
+                       self.nodes * ratio)
 
     def dpsi_at(self, s: float) -> np.ndarray:
         """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) at y_k + ``s``, for the unit key ``s``, (N+1, N+1).
 
         With w the unit weights and d/dy L_l = -sum_{j<l} L_j, the
         derivative of sum_l c_l psi_l there is -beta*(G c)_k/sqrt(w_k).  A
-        miss is :meth:`dpsi_shifted`.  A Hermite order and a negative ``s``
-        raise ValueError.
+        miss shifts the nearest base at or left of s, with no basis
+        evaluation: ``psi_split`` from s* on, so the mover's candidates
+        s* + beta*n*delta each take one short :func:`_shift`, and ``psi``
+        before it.  A Hermite order and a negative ``s`` raise ValueError.
         """
         if self.split is None:
             raise ValueError("only a Laguerre frame has a derivative memo")
-        return _stored(("dpsi_at", LAGUERRE, self.basis.order, s), _UnitFrame.dpsi_shifted, self, s)
+        base, start = (self.psi_split, self.split_shift) if s >= self.split_shift else (self.psi, 0.0)
+        return _stored(("dpsi_at", LAGUERRE, self.basis.order, s), _UnitFrame.dpsi, self, base, s - start)
 
-    def dpsi_shifted(self, s: float) -> np.ndarray:
-        """G at the nodes shifted by ``s``, from the nearest stored base at or left of s.
-
-        That base is ``psi_split`` from s* on, so the mover's candidates
-        s* + beta*n*delta each take one short :func:`_shift`, and
-        ``psi`` before it.  No basis evaluation.
-        """
-        split = self.split_shift
-        psi = _shift(self.psi_split, s - split) if s >= split else _shift(self.psi, s)
-        return self.dpsi(psi)
-
-    def dpsi(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def dpsi(self, psi: np.ndarray, shift: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
         """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k], which is left as it was.
 
+        A nonzero ``shift`` first moves psi by that unit shift (:func:`_shift`).
         G is written to ``out`` when given, an (N+1, N+1) array.  The halves
         psi_l/2 are subtracted ``_ROWS`` rows at a time, so the only
         temporary is one block of rows.
         """
+        psi = _shift(psi, shift) if shift else psi
         g = np.cumsum(psi, axis=0, out=None if out is None else out.T)
         for row in range(0, psi.shape[0], _ROWS):
             g[row : row + _ROWS] -= 0.5 * psi[row : row + _ROWS]
@@ -649,23 +640,18 @@ class Frame:
         key = (order, beta, family)
         frame = cls._cache.get(key)
         if frame is None:
+            if order < 1:
+                raise ValueError("frame order must be at least 1")
+            if not (math.isfinite(beta) and beta > 0.0):
+                raise ValueError(f"scaling factor must be positive, got {beta}")
+            unit = _unit_frame(order, family)
             frame = super().__new__(cls)
-            frame._build(order, beta, family)
+            frame.family, frame.order, frame.beta = family, order, beta
+            frame.nodes = _read_only(unit.nodes / beta)
+            frame.split_rel = None if unit.split is None else unit.split / beta
+            frame.refined_nodes = _read_only(unit.refined_nodes / beta)
             cls._cache[key] = frame
         return frame
-
-    def _build(self, order: int, beta: float, family: str) -> None:
-        if order < 1:
-            raise ValueError("frame order must be at least 1")
-        if not (math.isfinite(beta) and beta > 0.0):
-            raise ValueError(f"scaling factor must be positive, got {beta}")
-        unit = _unit_frame(order, family)
-        self.family = family
-        self.order = order
-        self.beta = beta
-        self.nodes = _read_only(unit.nodes / beta)
-        self.split_rel = None if unit.split is None else unit.split / beta
-        self.refined_nodes = _read_only(unit.refined_nodes / beta)
 
 
 def _high_mode_fraction(energy: np.ndarray, total: float, start: int, axis: int) -> float:

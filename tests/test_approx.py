@@ -248,24 +248,24 @@ def test_move_2d_translates_left_endpoints():
 
 
 def test_marginal_x_separable_oracle():
-    # the damped basis keeps the marginal exact to roundoff at high order:
-    # the integral of e^{-0.4 y} over (0, inf) is 2.5
+    # the damped basis keeps the marginal exact to roundoff at high order,
+    # in the oracle and in the library: the integral of e^{-0.4 y} over
+    # (0, inf) is 2.5
     f = separable(lambda x: np.exp(-0.3 * x), lambda y: np.exp(-0.4 * y))
     state = frame_state_2d_from(f, 150, 1.0, 150, 1.0)
-    np.testing.assert_allclose(
-        marginal_state(state, 0).values / state.frame_y.beta, 2.5 * np.exp(-0.3 * state.nodes(0)), rtol=1e-12, atol=0
-    )
+    for marginal in (marginal_state(state, 0).values, state._marginal_values(0)):
+        np.testing.assert_allclose(marginal / state.frame_y.beta, 2.5 * np.exp(-0.3 * state.nodes(0)), rtol=1e-12, atol=0)
     # a zero state marginalizes to zero
     zero = FrameState2D(Frame(16, 1.0), Frame(8, 1.0), np.zeros((17, 9)))
-    assert np.max(np.abs(marginal_state(zero, 0).values)) == 0.0
+    assert np.max(np.abs(marginal_state(zero, 0).values)) == np.max(np.abs(zero._marginal_values(0))) == 0.0
 
 
 def test_marginal_y_proportionality_constant_is_the_x_integral():
     h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
     # the integral of e^{-2x} over (0, inf) is 1/2
     state = frame_state_2d_from(separable(lambda x: np.exp(-2.0 * x), h), 9, 1.0, 14, 1.3)
-    marginal = marginal_state(state, 1).values / state.frame_x.beta
-    np.testing.assert_allclose(marginal, 0.5 * h(state.nodes(1)), rtol=1e-8, atol=1e-8)
+    for marginal in (marginal_state(state, 1).values, state._marginal_values(1)):
+        np.testing.assert_allclose(marginal / state.frame_x.beta, 0.5 * h(state.nodes(1)), rtol=1e-8, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
