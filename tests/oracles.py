@@ -1,4 +1,4 @@
-"""Independent oracles that tests hold the library to, and one shared reference.
+"""Independent oracles that tests hold the library to, and two shared helpers.
 
 * :func:`laguerre_all`, :func:`damped_laguerre_all` and
   :func:`hermite_fn_all`, per-step three-term recurrences.  Each step is
@@ -9,6 +9,14 @@
   through it to these bits.  :func:`damped_laguerre_all` is also the
   basis that frame tests evaluate, so that no oracle of a frame runs the
   library's own evaluation.
+* :func:`derivative_g`, the damped-derivative operator G of a basis
+  array, in one written-out expression.
+* :func:`alpha_one_tails`, the weighted tail sums of an expansion's
+  derivative, taken in the Laguerre family of weight exponent 1 rather
+  than through G or the derivative's coefficients.
+* :func:`transform`, a state's nodal-to-modal transform along one axis or
+  all, one product per axis and no memo, and :func:`frequencies`, each
+  axis's frequency reading from those coefficients.
 * :func:`marginal_state`, the one-axis state whose readings a two-axis
   state reads along an axis.
 * :func:`frequency_floor`, an order's round-off floor of the frequency
@@ -17,7 +25,9 @@
   :func:`specadapt.adapt.run_frames` that reads a state only through its
   public readings, so that a test can hold the library's driver, which
   reads the states' stored readings directly, to its history.
-* :func:`separable`, the two-axis reference g(x)*h(y), not an oracle.
+* :func:`separable`, the two-axis reference g(x)*h(y), and
+  :func:`record_bits`, every field of a history by its exact bits; these
+  two are helpers, not oracles.
 """
 
 from __future__ import annotations
@@ -71,6 +81,62 @@ def hermite_fn_all(order: int, y) -> np.ndarray:
     return out
 
 
+def derivative_g(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from the damped functions psi[l, k] at y_k.
+
+    With d/dy L_l = -sum_{j<l} L_j, the derivative of sum_l c_l psi_l at
+    y_k is -(G c)_k/sqrt(w_k).
+    """
+    return np.sqrt(weights)[:, None] * (np.cumsum(psi, axis=0) - 0.5 * psi).T
+
+
+def alpha_one_tails(coeffs: np.ndarray, beta: float, shifts, damped: bool = False) -> list:
+    """sum_k w_k D(x_k + s)^2 for each s in ``shifts``, over the Gauss-Laguerre rule (x_k, w_k) of the order at ``beta``.
+
+    D is the x-derivative of sum_l c_l L_l(beta*x), or with ``damped`` of
+    sum_l c_l exp(-beta*x/2) L_l(beta*x), taken in the Laguerre family of
+    weight exponent 1, d/dx L_l(beta*x) = -beta*L^(1)_{l-1}(beta*x)
+    (DLMF 18.9.14), by the per-step recurrence.  The damped recurrences
+    start at exp(-y/2), so they stay finite, and they are accurate wherever
+    a weight is nonzero; where the plain squares overflow, the sum is left
+    infinite or NaN.
+    """
+    order = len(coeffs) - 1
+    rule = quadrature(laguerre_basis(order, beta))
+    sums = []
+    for s in shifts:
+        y = beta * (rule.nodes + s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = -beta * (coeffs[1:] @ laguerre_all(order - 1, 1.0, y, np.exp(-0.5 * y) if damped else 1.0))
+            if damped:
+                d -= 0.5 * beta * (coeffs @ damped_laguerre_all(order, y))
+            sums.append(float(np.sum(rule.weights * d**2)))
+    return sums
+
+
+def transform(state: FrameState, axis: int | None = None) -> np.ndarray:
+    """A state's values transformed to coefficients along ``axis``, or along every axis, x first, for None.
+
+    One product per axis with the axis's unit ``tomodal``, with no memo.
+    """
+    coeffs = state.values
+    for a in range(len(state.units)) if axis is None else (axis,):
+        tomodal = state.units[a].tomodal
+        coeffs = tomodal @ coeffs if a == 0 else coeffs @ tomodal.T
+    return coeffs
+
+
+def frequencies(coeffs: np.ndarray) -> list:
+    """Each axis's frequency reading: the share of the energy c^2 in the axis's top max(1, N//3) modes."""
+    energy = coeffs * coeffs
+    total = float(energy.sum())
+    readings = []
+    for axis, size in enumerate(coeffs.shape):
+        tail = energy[(slice(None),) * axis + (slice(size - max(1, (size - 1) // 3), None),)]
+        readings.append(min(1.0, math.sqrt(tail.sum() / total)))
+    return readings
+
+
 def marginal_state(state: FrameState, axis: int) -> FrameState:
     """The one-axis state of a two-axis Laguerre ``state``'s values integrated over the other axis.
 
@@ -87,6 +153,15 @@ def marginal_state(state: FrameState, axis: int) -> FrameState:
 def separable(g, h):
     """The two-axis reference g(x)*h(y)."""
     return lambda x, y, t=0.0: g(np.asarray(x, dtype=float)) * h(np.asarray(y, dtype=float))
+
+
+def record_bits(records) -> list:
+    """Every field of every record, each float by its exact bits, so that 0.0 and -0.0 differ and a NaN equals itself."""
+    def bits(value):
+        return None if value is None else float(value).hex()
+
+    return [([bits(getattr(r, name)) for name in ("t", "beta", "x_left", "error", "freq", "ext")],
+             {name: bits(value) for name, value in r.extras.items()}) for r in records]
 
 
 @functools.cache

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_genlaguerre, expit
+from scipy.special import expit
 
 import specadapt.basis as basis_module
 from specadapt import adapt
@@ -51,7 +51,19 @@ from specadapt.basis import (
 )
 from specadapt.indicators import default_split_point, exterior_error_indicator, frequency_indicator
 
-from oracles import damped_laguerre_all, laguerre_all, marginal_state, public_run
+from oracles import (
+    alpha_one_tails,
+    damped_laguerre_all,
+    derivative_g,
+    frequencies,
+    frequency_floor,
+    laguerre_all,
+    marginal_state,
+    public_run,
+    record_bits,
+    separable,
+    transform,
+)
 
 
 def diffusive_front(x, t):
@@ -698,14 +710,8 @@ def _assert_close(actual: np.ndarray, expected: np.ndarray, rel: float) -> None:
     assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
 
 
-def _partial(state, axis: int) -> np.ndarray:
-    """A state's values transformed along ``axis`` alone."""
-    tomodal = state.units[axis].tomodal
-    return tomodal @ state.values if axis == 0 else (tomodal @ state.values.T).T
-
-
 def _resample(partial: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
-    """``partial`` (from :func:`_partial`) summed along ``axis`` against the functions ``psi[l, k]``."""
+    """``partial`` (the values transformed along ``axis``) summed along ``axis`` against the functions ``psi[l, k]``."""
     return partial @ psi if axis == partial.ndim - 1 else psi.T @ partial
 
 
@@ -734,7 +740,7 @@ def _check_frame_resampling(monkeypatch, state) -> None:
     assert calls == []
     assert all(np.array_equal(a, b) for a, b in zip(rebuilt, moved))
     for axis, frame, target in zip(axes, state.frames, targets):
-        unit, partial = state.units[axis], _partial(state, axis)
+        unit, partial = state.units[axis], transform(state, axis)
         # the unit-variable oracle: a move by d reads the functions at
         # y + round(beta*d, 12), a rescale to beta' at y*round(beta/beta', 12)
         y_moved = unit.nodes + round(frame.beta * 0.01, 12)
@@ -755,57 +761,25 @@ def test_2d_frame_resampling_is_exact_and_memoized(monkeypatch):
     _check_frame_resampling(monkeypatch, frame_state_2d_from(product_front, 11, 1.7, 13, 2.3, t=0.5))
 
 
-def _scratch_coeffs(state) -> np.ndarray:
-    """The tensor transform of a state's values, one product per axis."""
-    coeffs = state.units[0].tomodal @ state.values
-    return coeffs if len(state.units) == 1 else coeffs @ state.units[1].tomodal.T
-
-
-def _scratch_frequencies(coeffs: np.ndarray) -> list:
-    """Each axis's frequency reading: the share of the energy c^2 in the axis's top max(1, N//3) modes."""
-    energy = coeffs * coeffs
-    total = float(energy.sum())
-    readings = []
-    for axis, size in enumerate(coeffs.shape):
-        tail = energy[(slice(None),) * axis + (slice(size - max(1, (size - 1) // 3), None),)]
-        readings.append(min(1.0, math.sqrt(tail.sum() / total)))
-    return readings
-
-
 def _axis_values(state, axis: int) -> np.ndarray:
     """The values that the readings of ``axis`` read: the state's own on one axis, the marginal ones on two."""
     return state.values if len(state.frames) == 1 else marginal_state(state, axis).values
 
 
-def _scratch_indicators(frame, values: np.ndarray, offsets, unit: bool = True) -> tuple:
+def _scratch_indicators(frame, values: np.ndarray, offsets) -> tuple:
     """Frequency and exterior ratios from nodal values, with no memo.
 
     ``frame`` is a :class:`Frame` or a :func:`_direct_frame` build.  The
-    frequency is the ratio of the squared coefficients, each of whose
-    functions has the same norm.  The exterior ratios come from the
-    derivative's own coefficients (a reverse cumsum), independently of the
-    frame's derivative memo, and integrate with the frame's Gauss weights
-    in x.  The tails evaluate in the unit variable, as a frame does, or
-    with ``unit=False`` at the shifted x-nodes.
+    frequency is the share of the squared coefficients in the high modes,
+    each of whose functions has the same norm.  The exterior ratios
+    integrate the derivative of the damped interpolant, taken in the alpha
+    = 1 family (:func:`oracles.alpha_one_tails`) independently of G and its
+    memo, with the frame's Gauss weights at the shifted x-nodes.
     """
     coeffs = (frame.tomodal if isinstance(frame, SimpleNamespace) else _unit(frame).tomodal) @ values
-    weights = quadrature(laguerre_basis(frame.order, frame.beta)).weights
-    above = np.zeros_like(coeffs)
-    above[:-1] = np.cumsum(coeffs[:0:-1])[::-1]
-    dcoeffs = -frame.beta * (above + 0.5 * coeffs)
-    unit_nodes = adapt._unit_frame(frame.order, LAGUERRE).nodes
-
-    def tail(shift: float) -> float:
-        y = unit_nodes + round(frame.beta * shift, 12) if unit else frame.beta * (frame.nodes + shift)
-        dv = dcoeffs @ damped_laguerre_all(frame.order, y)
-        return float(np.sum(weights * dv * dv))
-
-    whole = tail(0.0)
-    exterior = [
-        math.exp(-0.5 * frame.beta * float(s)) * math.sqrt(max(0.0, tail(float(s)) / whole))
-        for s in offsets
-    ]
-    return _scratch_frequencies(coeffs)[0], exterior
+    whole, *tails = alpha_one_tails(coeffs, frame.beta, [0.0, *offsets], damped=True)
+    exterior = [math.exp(-0.5 * frame.beta * s) * math.sqrt(tail / whole) for s, tail in zip(offsets, tails)]
+    return frequencies(coeffs)[0], exterior
 
 
 def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
@@ -817,7 +791,9 @@ def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
     reads G at its unit-variable shift s, as a miss of :meth:`adapt._UnitFrame.dpsi_at`
     builds it: the basis at s* shifted by s - s* when s >= s*, else the
     basis at the nodes shifted by s (:func:`adapt._shift`).  Every base is
-    evaluated afresh, so a memoized reading must equal these bit for bit.
+    evaluated afresh and G is :func:`oracles.derivative_g`, whose bits are
+    those of the library's G, so a memoized reading must equal these bit
+    for bit.
     """
     unit = adapt._unit_frame(frame.order, LAGUERRE)
     coeffs = unit.tomodal @ values
@@ -825,7 +801,7 @@ def _memo_free_exterior(frame: Frame, values: np.ndarray, offsets) -> list:
 
     def g(shift: float) -> np.ndarray:
         base = split if shift >= split else 0.0
-        return unit.dpsi(adapt._shift(damped_laguerre_all(frame.order, unit.nodes + base), shift - base))
+        return derivative_g(unit.weights, adapt._shift(damped_laguerre_all(frame.order, unit.nodes + base), shift - base))
 
     stacked = np.vstack((g(0.0), g(split))) @ coeffs
     whole, tail = stacked[: frame.order + 1], stacked[frame.order + 1 :]
@@ -848,31 +824,29 @@ def _check_frame_state_memo(monkeypatch, state) -> None:
     """The memoized readings of ``state`` and of its derived states against memo-free ones; one set-up per axis."""
     cfg = AdaptConfig(mu=1.003, delta=0.005, d_max=0.1)
     axes = range(len(state.frames))
-    coeffs = _scratch_coeffs(state)
+    coeffs = transform(state)
     assert np.array_equal(state._coeffs, coeffs)
-    frequencies = _scratch_frequencies(coeffs)
+    freqs = frequencies(coeffs)
     setups = _count_calls(monkeypatch, FrameState, "_set_up")
     for axis, frame in zip(axes, state.frames):
         offsets, values = _search_offsets(state, axis, cfg), _axis_values(state, axis)
         exterior = _memo_free_exterior(frame, values, offsets)
         assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets)[1], rel=1e-12, abs=0)
-        # the x-variable evaluation agrees to rounding
-        assert exterior == pytest.approx(_scratch_indicators(frame, values, offsets, unit=False)[1], rel=1e-12, abs=0)
         split = state.split_point(axis)
         e = state.exterior(split, axis)
         assert e == exterior[0]
         # a baseline no candidate can meet runs the search to its cap
         assert adapt._moving_distance(state, axis, e, 1e-300, cfg) == cfg.d_max
         assert [state.exterior(split + n * cfg.delta, axis) for n in range(len(exterior))] == exterior
-        assert state.frequency(axis) == frequencies[axis]
+        assert state.frequency(axis) == freqs[axis]
     assert setups == [(state, axis) for axis in axes]
     # a derived state sets up its own indicators from its own values, each axis once
     for derived in ([state.moved(2 * cfg.delta, axis) for axis in axes]
                     + [state.rescaled(0.95 * frame.beta, axis) for axis, frame in zip(axes, state.frames)]):
         setups.clear()
-        coeffs = _scratch_coeffs(derived)
+        coeffs = transform(derived)
         assert np.array_equal(derived._coeffs, coeffs)
-        assert [derived.frequency(axis) for axis in axes] == _scratch_frequencies(coeffs)
+        assert [derived.frequency(axis) for axis in axes] == frequencies(coeffs)
         for axis, frame in zip(axes, derived.frames):
             offsets, values = _search_offsets(derived, axis, cfg)[:1], _axis_values(derived, axis)
             e = derived.exterior(derived.split_point(axis), axis)
@@ -1063,8 +1037,8 @@ def test_memo_arrays_stay_read_only():
 def _check_readings_memoized(monkeypatch, state) -> None:
     """Repeated readings of ``state`` are memoized; a two-axis state's axes read their marginal values."""
     axes = range(len(state.frames))
-    coeffs = _scratch_coeffs(state)
-    energy, frequencies = coeffs * coeffs, _scratch_frequencies(coeffs)
+    coeffs = transform(state)
+    energy, freqs = coeffs * coeffs, frequencies(coeffs)
     exteriors = []
     for axis, frame in zip(axes, state.frames):
         split, left, values = state.split_point(axis), state.lefts[axis], _axis_values(state, axis)
@@ -1076,7 +1050,7 @@ def _check_readings_memoized(monkeypatch, state) -> None:
     frequency = _count_calls(monkeypatch, adapt, "_high_mode_fraction")
     for axis in axes:
         for _ in range(3):
-            assert state.frequency(axis) == frequencies[axis]
+            assert state.frequency(axis) == freqs[axis]
             assert state.exterior(state.split_point(axis), axis) == exteriors[axis][0]
         # the first frequency reading reads every axis from one energy
         # matrix, and an axis's split reading is its one set-up's
@@ -1146,35 +1120,6 @@ def test_2d_references_are_called_on_open_grids():
     assert shapes == [((10, 1), (1, 7)), ((10, 1), (1, 7)), ((20, 1), (1, 14))]
 
 
-def test_resample_evolver_2d_takes_any_two_axis_state():
-    # it used to read frame_x, so a generic two-axis state failed at the
-    # first step with an AttributeError
-    frames, lefts = (Frame(9, 1.5), Frame(6, 2.0)), (0.2, 0.1)
-    generic = FrameState(frames, _non_separable(frames[0].nodes[:, None] + 0.2, frames[1].nodes + 0.1, 0.0), lefts)
-    shim = FrameState2D(*frames, generic.values, *lefts)
-    kept = np.ones((10, 7))
-
-    def cached(x, y, t):
-        return kept  # the reference's own array
-
-    for state in (generic, shim):
-        evolved = frame_resample_evolver(_non_separable)(state, 0.0, 0.1)
-        assert type(evolved) is type(state)
-        assert (evolved.frames, evolved.lefts, evolved.units) == (state.frames, state.lefts, state.units)
-        grid = np.meshgrid(state.nodes(0), state.nodes(1), indexing="ij")
-        assert np.array_equal(evolved.values, _non_separable(*grid, 0.1))
-        # the samples are copied and made read-only; the reference's array is left as it was
-        copied = frame_resample_evolver(cached)(state, 0.0, 0.1).values
-        assert copied is not kept and np.array_equal(copied, kept)
-        assert not copied.flags.writeable and kept.flags.writeable
-        records, final = run_2d(
-            frame_resample_evolver(product_front), state, AdaptConfig(mu=1.003, delta=0.005, d_max=0.1),
-            0.1, 1.0, MODE_MOVE_SCALE, reference=product_front,
-        )
-        assert type(final) is type(state) and len(records) == 11
-    assert records[-1].x_left > 0.2  # the movers ran on the generic state too
-
-
 def test_open_grids_match_full_grid_sampling():
     state = frame_state_2d_from(_non_separable, 14, 1.5, 11, 2.0, x_left=0.2, y_left=0.1, t=0.3)
     grid_x, grid_y = np.meshgrid(state.nodes(0), state.nodes(1), indexing="ij")
@@ -1230,11 +1175,16 @@ def test_one_axis_reference_results_broadcast_or_raise():
 
 
 @pytest.mark.parametrize(
-    "families", [(LAGUERRE,), (LAGUERRE, LAGUERRE), (LAGUERRE, HERMITE)], ids=["1d", "2d", "laguerre-hermite"]
+    "families", [(LAGUERRE,), (LAGUERRE, LAGUERRE), (LAGUERRE, HERMITE), "generic-2d"],
+    ids=["1d", "2d", "laguerre-hermite", "generic-2d"],
 )
 def test_resample_evolver_keeps_the_state_it_was_given(families):
     # one evolver for every state: the next state is of the input's class,
-    # on its frames and origins, and takes over its unit operators
+    # on its frames and origins, and takes over its unit operators.  A
+    # generic two-axis FrameState, which has no frame_x, failed at its
+    # first step when the evolver read that name
+    generic = families == "generic-2d"
+    families = (LAGUERRE, LAGUERRE) if generic else families
     frames = tuple(Frame(9 + axis, 1.5 + 0.5 * axis, family) for axis, family in enumerate(families))
     lefts = (0.2, -0.3)[: len(frames)]
     if len(frames) == 1:
@@ -1252,13 +1202,20 @@ def test_resample_evolver_keeps_the_state_it_was_given(families):
         initial = frame_state_from(reference, 9, 1.5, lefts[0])
     else:
         initial = frame_state_2d_from(reference, 9, 1.5, 10, 2.0, *lefts, family_y=families[1])
+    if generic:
+        initial = FrameState(initial.frames, initial.values, initial.lefts)
     assert initial.frames == frames
+    kept = np.ones(tuple(frame.order + 1 for frame in frames))
     for state in (initial, initial.moved(0.01), initial.rescaled(1.4)):
         evolved = frame_resample_evolver(reference)(state, 0.3, 0.1)
         assert type(evolved) is type(state)
         assert (evolved.frames, evolved.lefts) == (state.frames, state.lefts)
         assert evolved.units is state.units
         assert np.array_equal(evolved.values, sampled(state.frames, state.lefts, 0.4))
+        # a reference's own array is copied and made read-only, and left as it was
+        copied = frame_resample_evolver(lambda *args: kept)(state, 0.3, 0.1).values
+        assert copied is not kept and np.array_equal(copied, kept)
+        assert not copied.flags.writeable and kept.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -1291,41 +1248,9 @@ def test_resample_evolver_steps_the_history_of_the_public_constructor(families):
             for evolver in (frame_resample_evolver(reference), public)]
     (records, final), (public_records, public_final) = runs
     assert final.lefts[0] > 0.5 and final.frames[0].beta != 2.0
-    assert records == public_records
+    assert record_bits(records) == record_bits(public_records)
     assert (final.frames, final.lefts) == (public_final.frames, public_final.lefts)
     assert np.array_equal(final.values, public_final.values)
-
-
-def _alpha_one_tails(frame: Frame, profiles, offsets) -> list:
-    """Each profile's exterior ratios with the derivative taken in scipy's alpha = 1 family.
-
-    One list per profile.  The alpha = 1 functions depend only on the
-    shift, so each shift evaluates them once for every profile.  Nodes
-    whose weight underflows to 0 are left out: they add nothing, and the
-    undamped polynomials overflow there.
-    """
-    coeffs = [_unit(frame).tomodal @ values for values in profiles]
-    degrees = np.arange(frame.order)[:, None]
-    weights = quadrature(laguerre_basis(frame.order, frame.beta)).weights
-    kept = weights > 0.0
-
-    def tails(shift: float) -> list:
-        points = frame.nodes[kept] + shift
-        y = frame.beta * points
-        damped_alpha_one = np.exp(-0.5 * y) * eval_genlaguerre(degrees, 1.0, y)
-        damped = damped_laguerre_all(frame.order, y)
-        sums = []
-        for c in coeffs:
-            dv = (-frame.beta * c[1:]) @ damped_alpha_one - 0.5 * frame.beta * (c @ damped)
-            sums.append(float(np.sum(weights[kept] * dv * dv)))
-        return sums
-
-    whole = tails(0.0)
-    shifted = [tails(s) for s in offsets]
-    return [
-        [math.exp(-0.5 * frame.beta * s) * math.sqrt(at[i] / whole[i]) for s, at in zip(offsets, shifted)]
-        for i in range(len(coeffs))
-    ]
 
 
 @pytest.mark.parametrize("order", [16, 48, 128, 256, 363])
@@ -1344,8 +1269,8 @@ def test_frame_tails_match_alpha_one_derivative(order, beta):
     offsets = [frame.split_rel + n * 0.004 / beta for n in (0, 1, 10)]
     offsets += [y / beta for y in (0.5, 5.0, 20.0, 40.0)]
     compared = 0
-    for values, tails in zip(profiles, _alpha_one_tails(frame, profiles, offsets)):
-        for offset, expected in zip(offsets, tails):
+    for values in profiles:
+        for offset, expected in zip(offsets, _scratch_indicators(frame, values, offsets)[1]):
             if expected > 1e-12:
                 actual = FrameState(frame, values).exterior(offset)
                 assert actual == pytest.approx(expected, rel=1e-10, abs=0)
@@ -1435,16 +1360,14 @@ def _direct_frame(order: int, beta: float) -> SimpleNamespace:
     mod_weights = modified_weights(rule)
     gamma = gamma_norms(basis)
     return SimpleNamespace(
-        order=order,
         beta=beta,
-        basis=basis,
         nodes=rule.nodes,
         refined_nodes=refined.nodes,
         weights=rule.weights,
         mod_weights=mod_weights,
         gamma=gamma,
-        tomodal=eval_weighted_all(basis, rule.nodes) * mod_weights / gamma[:, None],
-        psi_refined=eval_weighted_all(basis, refined.nodes),
+        tomodal=damped_laguerre_all(order, beta * rule.nodes) * mod_weights / gamma[:, None],
+        psi_refined=damped_laguerre_all(order, beta * refined.nodes),
     )
 
 
@@ -1475,7 +1398,7 @@ def test_unit_frame_matches_direct_build(order, beta):
     compared = 0
     for values in (expit(-(y - 10.0) / 2.0), np.exp(-0.5 * np.abs(y - 10.0))):
         state = FrameState(frame, values)
-        frequency, exterior = _scratch_indicators(at_one, values, unit_offsets, unit=False)
+        frequency, exterior = _scratch_indicators(at_one, values, unit_offsets)
         actual = [state.frequency()] + [state.exterior(s / beta) for s in unit_offsets]
         for a, expected in zip(actual, [frequency] + exterior):
             if expected > 1e-10:
@@ -1533,10 +1456,8 @@ def test_frequency_floor_is_the_largest_non_tail_reading(family, order):
     # set by the rounded transform far more than by the product's order of
     # summation (other orders move the floor by about 1 %)
     unit = adapt._unit_frame(order, family)
-    m = order // 3
-    readings = [FrameState(Frame(order, 1.0, family), unit.psi[l]).frequency() for l in range(order + 1 - m)]
     floor = unit.frequency_floor
-    assert floor == pytest.approx(max(readings), rel=0.05)
+    assert floor == pytest.approx(frequency_floor(order, family), rel=0.05)
     assert 1e-16 < floor < 1e-12
     # one value per order, read by the state of every frame of it
     states = [FrameState(Frame(order, beta, family), unit.psi[0]) for beta in (0.3, 2.5, 7.0)]
@@ -1687,10 +1608,7 @@ def test_unit_frame_constants_are_their_formulas(family, order):
 def test_dpsi_leaves_its_input_and_holds_no_full_size_temporary(order):
     unit = adapt._unit_frame(order, LAGUERRE)
     psi = np.array(unit.psi_split)
-    # the former in-place form: cumulative sums, minus the halved input
-    expected = np.cumsum(psi, axis=0)
-    expected -= 0.5 * psi
-    expected *= np.sqrt(unit.weights)
+    expected = derivative_g(unit.weights, psi)
     out = np.empty((order + 1, order + 1), order="F")
     tracemalloc.start()
     try:
@@ -1699,12 +1617,12 @@ def test_dpsi_leaves_its_input_and_holds_no_full_size_temporary(order):
     finally:
         tracemalloc.stop()
     assert np.array_equal(psi, unit.psi_split)
-    assert np.array_equal(g, expected.T) and np.shares_memory(g, out)
+    assert np.array_equal(g, expected) and np.shares_memory(g, out)
     # three blocks of rows at most: 37 % of psi's size at order 256, 26 % at 363
     assert peak < 3 * adapt._ROWS * (order + 1) * psi.itemsize, (peak, psi.nbytes)
     # the Laguerre pair holds G at shift 0 and at the split, from unchanged bases
-    assert np.array_equal(unit.pair[order + 1 :], expected.T)
-    assert np.array_equal(unit.pair[: order + 1], unit.dpsi(np.array(unit.psi)))
+    assert np.array_equal(unit.pair[order + 1 :], expected)
+    assert np.array_equal(unit.pair[: order + 1], derivative_g(unit.weights, unit.psi))
 
 
 def _operator_digest(unit, frame) -> str:
@@ -1793,11 +1711,6 @@ def test_histories_do_not_depend_on_the_store_budget(monkeypatch):
     assert len({row[2] for row in rows}) > 2 and len({row[5] for row in rows}) > 2
 
 
-def _scratch_g(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """G[k, l] = sqrt(w_k)*(sum_{j<l} psi_j + psi_l/2) from psi[l, k]."""
-    return np.sqrt(weights)[:, None] * (np.cumsum(psi, axis=0) - 0.5 * psi).T
-
-
 def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
     _empty_store(monkeypatch)
     calls = _count_passes(monkeypatch)
@@ -1809,8 +1722,8 @@ def test_derivative_memo_zero_shift_shares_the_build_evaluation(monkeypatch):
     assert not psi.flags.writeable
     assert pair.shape == (36, 18) and not pair.flags.writeable
     at_split = damped_laguerre_all(17, unit.nodes + round(unit.split, 12))
-    np.testing.assert_allclose(pair[:18], _scratch_g(unit.weights, psi), rtol=1e-12, atol=0)
-    np.testing.assert_allclose(pair[18:], _scratch_g(unit.weights, at_split), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pair[:18], derivative_g(unit.weights, psi), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pair[18:], derivative_g(unit.weights, at_split), rtol=1e-12, atol=0)
     # the basis at shift 0 gives back the bits of the build's psi
     assert np.array_equal(unit.psi_at(0.0), psi)
     assert calls == ["pass"]
@@ -1839,21 +1752,9 @@ def test_the_order_build_gives_the_pair_with_one_evaluation(monkeypatch):
     assert e == _memo_free_exterior(state.frame, state.values, [state.frame.split_rel])[0]
 
 
-@pytest.mark.parametrize("family, order", [(LAGUERRE, 16), (LAGUERRE, 128), (LAGUERRE, 363), (HERMITE, 24), (HERMITE, 200)])
-def test_build_evaluation_has_the_bits_of_separate_evaluations(family, order):
-    unit = adapt._unit_frame(order, family)
-    basis = unit.basis
-    parts = [(unit.psi, unit.nodes), (unit.psi_refined, unit.refined_nodes)]
-    if family == LAGUERRE:
-        parts.append((unit.psi_split, unit.nodes + round(unit.split, 12)))
-    else:
-        assert unit.psi_split is None
-    for psi, points in parts:
-        assert np.array_equal(psi, eval_weighted_all(basis, points))
-        assert psi.flags.c_contiguous and not psi.flags.writeable
-
-
 def test_hermite_frame_has_no_derivative_memo():
+    # nor a shifted basis: the addition theorem is Laguerre's, and a move
+    # already refuses a Hermite frame
     state = frame_state_from(widening_gauss, 20, 1.0, family=HERMITE)
     unit = state.units[0]
     assert state.split_point() is None and state.exterior(state.split_point()) is None
@@ -1863,10 +1764,10 @@ def test_hermite_frame_has_no_derivative_memo():
     assert all(r.ext is None for r in records)
     assert unit.pair is None and unit.psi_split is None
     before = list(basis_module._store)
-    with pytest.raises(ValueError, match="Laguerre"):
-        unit.dpsi_at(0.1)
-    with pytest.raises(ValueError, match="Laguerre"):
-        state.exterior(1.0)
+    for read in (unit.psi_at, unit.dpsi_at, state.exterior):
+        for shift in (0.0, 0.1, 1.0):
+            with pytest.raises(ValueError, match="Laguerre"):
+                read(shift)
     assert list(basis_module._store) == before
 
 
@@ -1882,14 +1783,14 @@ def test_derivative_memo_matches_a_scratch_build(order):
         # a miss shifts a stored basis, which moves the rounding of the tiny
         # entries: at orders 128 and 363 entries below 1e-8 differ by up to
         # 4.4e-11 and 1.1e-7 relative, and by at most 2.1e-18 absolute
-        _assert_close(unit.dpsi_at(key), _scratch_g(rule.weights, psi), 1e-11)
+        _assert_close(unit.dpsi_at(key), derivative_g(rule.weights, psi), 1e-11)
         if order == 16:  # every entry still agrees to 1e-12 relative (1.5e-13)
-            np.testing.assert_allclose(unit.dpsi_at(key), _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(unit.dpsi_at(key), derivative_g(rule.weights, psi), rtol=1e-12, atol=0)
     # the order's pair stacks the same G at shift 0 and at the unit split
     pair = unit.pair
     for half, shift in ((pair[: order + 1], 0.0), (pair[order + 1 :], round(unit.split, 12))):
         psi = damped_laguerre_all(order, rule.nodes + shift)
-        np.testing.assert_allclose(half, _scratch_g(rule.weights, psi), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(half, derivative_g(rule.weights, psi), rtol=1e-12, atol=0)
     # and a state's split reading agrees with the reverse-cumsum oracle
     state = frame_state_from(moving_front, order, 2.0, t=0.4)
     oracle = _scratch_indicators(frame, state.values, [split])[1][0]
@@ -1930,7 +1831,7 @@ def test_shifted_memos_match_a_direct_evaluation(order, monkeypatch):
         key = round(shift, 12)
         psi = _damped_reference(order, unit.nodes + key)
         _assert_close(unit.psi_at(key), psi, 1e-11)
-        _assert_close(unit.dpsi_at(key), _scratch_g(unit.weights, psi), 1e-11)
+        _assert_close(unit.dpsi_at(key), derivative_g(unit.weights, psi), 1e-11)
     assert not unit.psi_split.flags.writeable
     # a shift past 16 unit lengths is applied in equal pieces: 50 as 4 of 12.5
     pieces = unit.psi
@@ -1952,17 +1853,6 @@ def test_shifted_memos_reject_a_negative_shift():
         for read in (unit.psi_at, unit.dpsi_at):
             with pytest.raises(ValueError, match="left of its endpoint"):
                 read(shift)
-    assert list(basis_module._store) == before
-
-
-def test_hermite_frame_has_no_shifted_basis():
-    # the addition theorem is Laguerre's; a move already refuses a Hermite frame
-    frame = Frame(20, 1.0, HERMITE)
-    unit = _unit(frame)
-    before = list(basis_module._store)
-    for shift in (0.0, 0.1):
-        with pytest.raises(ValueError, match="Laguerre"):
-            unit.psi_at(shift)
     assert list(basis_module._store) == before
 
 
@@ -2078,18 +1968,28 @@ def test_run_2d_records_and_extras():
 
 
 def test_2d_marginal_matches_direct_integration():
-    state = frame_state_2d_from(product_front, 16, 2.0, 16, 2.0, x_left=0.1, y_left=0.2)
-    # the marginal values that a set-up reads, at its axis's nodes, equal
-    # integrating the interpolant over the other axis; they are those of the
-    # one-axis oracle state on that axis's frame, origin and unit operators
-    rule = quadrature(laguerre_basis(16, 2.0))
-    weights = rule.weights * np.exp(2.0 * rule.nodes)
-    for axis, direct in ((0, state.values @ weights), (1, weights @ state.values)):
-        marginal = marginal_state(state, axis)
-        assert (marginal.frames, marginal.lefts) == ((state.frames[axis],), (state.lefts[axis],))
-        assert marginal.units == (state.units[axis],)
-        assert np.array_equal(state._marginal_values(axis), marginal.values)
-        assert np.allclose(marginal.values / state.frames[1 - axis].beta, direct, rtol=0, atol=1e-12)
+    # the values an axis's set-up reads are the state's values integrated
+    # over the other axis, exact to round-off in the damped basis even at
+    # order 150.  The library's have the bits of the one-axis oracle state,
+    # which is on that axis's frame, origin and unit operators
+    h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
+    cases = (
+        # the integral of e^{-0.4 y} over (0.2, inf) is 2.5 e^{-0.08}
+        (separable(lambda x: np.exp(-0.3 * x), lambda y: np.exp(-0.4 * y)), (150, 1.0, 150, 1.0, 0.1, 0.2), 0,
+         lambda x: 2.5 * math.exp(-0.08) * np.exp(-0.3 * x), 1e-12, 0.0),
+        # the integral of e^{-2x} over (0, inf) is 1/2
+        (separable(lambda x: np.exp(-2.0 * x), h), (9, 1.0, 14, 1.3), 1, lambda y: 0.5 * h(y), 1e-8, 1e-8),
+    )
+    for f, sizes, axis, integral, rtol, atol in cases:
+        state = frame_state_2d_from(f, *sizes)
+        oracle = marginal_state(state, axis)
+        assert (oracle.frames, oracle.lefts, oracle.units) == ((state.frames[axis],), (state.lefts[axis],), (state.units[axis],))
+        assert np.array_equal(state._marginal_values(axis), oracle.values)
+        expected = integral(state.nodes(axis))
+        np.testing.assert_allclose(oracle.values / state.frames[1 - axis].beta, expected, rtol=rtol, atol=atol)
+    # a zero state marginalizes to zero
+    zero = FrameState2D(Frame(16, 1.0), Frame(8, 1.0), np.zeros((17, 9)))
+    assert np.max(np.abs(marginal_state(zero, 0).values)) == np.max(np.abs(zero._marginal_values(0))) == 0.0
 
 
 def test_2d_exterior_readings_are_those_of_the_one_axis_marginal_state():
@@ -2166,19 +2066,6 @@ def test_run_2d_on_a_laguerre_by_hermite_state():
     with pytest.raises(ValueError, match="only a Laguerre frame has an exterior indicator"):
         final.exterior(1.0, 1)
     assert final.exterior(None, 1) is None
-
-
-def test_2d_x_move_leaves_y_untouched():
-    state = frame_state_2d_from(product_front, 12, 2.0, 12, 2.0)
-    moved = state.moved(0.25, 0)
-    assert moved.x_left == 0.25 and moved.y_left == 0.0
-    assert moved.frame_y is state.frame_y
-    # the represented function is unchanged where both frames resolve it:
-    # each column's interpolant, read at the offsets xs - x_left
-    xs = np.linspace(1.0, 6.0, 7)
-    before = _partial(state, 0).T @ damped_laguerre_all(12, 2.0 * xs)
-    after = _partial(moved, 0).T @ damped_laguerre_all(12, 2.0 * (xs - 0.25))
-    assert np.max(np.abs(after - before)) < 1e-8
 
 
 def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):
@@ -2279,15 +2166,6 @@ def test_move_scale_keeps_the_front_covered(name, mode, cfg):
             assert centre(t_final) - 3.0 * width(t_final) <= x_left <= centre(t_final)
 
 
-def _record_bits(records) -> list:
-    """Every field of every record, each float by its exact bits."""
-    def bits(value):
-        return None if value is None else float(value).hex()
-
-    return [([bits(getattr(r, name)) for name in ("t", "beta", "x_left", "error", "freq", "ext")],
-             {name: bits(value) for name, value in r.extras.items()}) for r in records]
-
-
 _WIDENING_FRONT = logistic_front(lambda t: 2.0 + 2.0 * t, lambda t: 2.0 + t)
 
 # (reference, initial state, mode, dt, t_final) of runs that move (where an axis is Laguerre) and take rungs
@@ -2317,7 +2195,7 @@ def test_run_frames_steps_the_history_of_its_public_readings(case):
             for driver in (run_frames, public_run)]
     (records, final), (public_records, public_final) = runs
     assert len(records) >= 41
-    assert _record_bits(records) == _record_bits(public_records)
+    assert record_bits(records) == record_bits(public_records)
     assert (final.frames, final.lefts) == (public_final.frames, public_final.lefts)
     assert final.values.tobytes() == public_final.values.tobytes()
     betas = [(r.beta, r.extras.get("beta_y")) for r in records]

@@ -17,19 +17,31 @@ _spec.loader.exec_module(digest)
 
 
 def test_record_digest_sees_every_bit_of_every_field():
+    def digest_of(records):
+        return digest.record_digest(digest.record_rows(records))
+
     records = [
         ExperimentRecord(0.0, 2.5, 0.0, 1e-9, 1e-3, 0.5),
         ExperimentRecord(0.1, 2.5, 0.004, 2e-9, 2e-3, 0.6, {"beta_y": 2.0, "yL": 0.1}),
     ]
-    reference = digest.record_digest(records)
-    assert digest.record_digest([replace(r) for r in records]) == reference
+    reference = digest_of(records)
+    assert digest_of([replace(r) for r in records]) == reference
     last = records[1]
     changed = [replace(last, **{name: math.nextafter(getattr(last, name), math.inf)})
                for name in ("t", "beta", "x_left", "error", "freq", "ext")]
     changed += [replace(last, ext=None), replace(last, extras={"beta_y": 2.0}),
                 replace(last, extras={"beta_y": math.nextafter(2.0, 0.0), "yL": 0.1})]
-    digests = {digest.record_digest([records[0], record]) for record in changed}
+    digests = {digest_of([records[0], record]) for record in changed}
     assert len(digests) == len(changed) and reference not in digests
+    # each row has its own record's extras, whichever record comes first:
+    # names taken from the first record alone raised KeyError here
+    rows = digest.record_rows(records[::-1])
+    assert [list(row)[6:] for row in rows] == [["beta_y", "yL"], []]
+    assert digest.record_digest(rows) != reference
+    # and what moved is read from every row's fields
+    moved = [records[0], replace(last, extras={"beta_y": 2.0, "yL": 0.2})]
+    base, change = ({"rows": digest.record_rows(history), "q": 0.95, "d_max": 0.1} for history in (records, moved))
+    assert digest.what_moved(base, change)[1] == "  decisions: differ (yL); readings: equal; error: equal; t: equal"
 
 
 def _mutant_report(tmp_path, capsys, line: str, mutated: str) -> tuple[list, list, list]:

@@ -26,7 +26,7 @@ from specadapt.indicators import (
     frequency_indicator,
 )
 
-from oracles import laguerre_all, separable
+from oracles import alpha_one_tails, separable
 
 
 def front(x, center=5.0, width=2.0):
@@ -185,26 +185,6 @@ def test_exterior_of_a_linear_function_is_the_weight_tail():
         assert value == pytest.approx(math.exp(-0.65 * split), rel=1e-12)
 
 
-def _alpha_one_tail_norms(exp: Expansion, x_right: float) -> tuple[float, float]:
-    """:func:`_derivative_tail_norms` with the derivative in the Laguerre family of weight exponent 1.
-
-    The derivative of sum c_l L_l(beta*x) is -beta * sum c_{l+1} L^(1)_l(beta*x)
-    (DLMF 18.9.14), evaluated by the per-step recurrence and
-    integrated with the same rule and substitution.  ValueError where a sum
-    is not finite.
-    """
-    basis, rule = exp.basis, quadrature(exp.basis)
-    dc = -basis.beta * exp.coeffs[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dvals = dc @ laguerre_all(basis.order - 1, 1.0, basis.beta * rule.nodes, 1.0)
-        denom = float(np.sum(rule.weights * dvals**2))
-        shifted = dc @ laguerre_all(basis.order - 1, 1.0, basis.beta * (x_right + rule.nodes), 1.0)
-        num = math.exp(-basis.beta * x_right) * float(np.sum(rule.weights * shifted**2))
-    if not (math.isfinite(num) and math.isfinite(denom)):
-        raise ValueError("not finite")
-    return num, denom
-
-
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
 def test_exterior_derivative_agrees_with_the_alpha_one_family(beta):
     # the library takes the derivative's coefficients d_j = -beta*sum_{m>j} c_m
@@ -225,15 +205,17 @@ def test_exterior_derivative_agrees_with_the_alpha_one_family(beta):
         cases = ((rng.standard_normal(order + 1), True), (interpolate(front(rule.nodes), basis, rule).coeffs, False))
         for coeffs, compared in cases:
             exp = Expansion(basis, coeffs)
-            try:
-                expected = _alpha_one_tail_norms(exp, split)
-            except ValueError:
+            # the same sums with the same rule and substitution, the
+            # derivative taken in the alpha = 1 family
+            denom, num = alpha_one_tails(coeffs, beta, [0.0, split])
+            num *= math.exp(-beta * split)
+            if not (math.isfinite(num) and math.isfinite(denom)):
                 with pytest.raises(ValueError, match="overflow"):
                     _derivative_tail_norms(exp, split)
                 continue
             made = _derivative_tail_norms(exp, split)
             if compared:
-                assert made == pytest.approx(expected, rel=1e-7, abs=0), order
+                assert made == pytest.approx((num, denom), rel=1e-7, abs=0), order
 
 
 def test_exterior_split_validation():

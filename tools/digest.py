@@ -27,8 +27,9 @@ is the tool's own:
 
 Every case and seed runs in a fresh process of each checkout, with one
 BLAS thread and bytecode caches off, with the profile as reference.  A
-run hashes every field of every record (each float by its exact bits;
-the extras by name) with sha256.  For each case and seed the tool prints
+run gives one row per record: every field by name, the record's own
+extras included, each float by its exact bits.  Its digest is the sha256
+of those rows.  For each case and seed the tool prints
 the two digests and whether they are equal.  On a difference it goes on
 to say what moved, in indented lines:
 
@@ -77,25 +78,19 @@ READINGS = ("freq", "ext", "freq_y", "ext_y")
 AXES = (("x", "beta", "x_left"), ("y", "beta_y", "yL"))
 
 
-def record_digest(records) -> str:
-    """sha256 over every field of every record: floats by their hex bits, None as "none", extras sorted by name."""
-    def field(value) -> str:
-        return "none" if value is None else float(value).hex()
+def record_rows(records) -> list[dict]:
+    """One row per record: every field by name, the record's own extras sorted after the six; floats as hex bits."""
+    def row(r) -> dict:
+        fields = [("t", r.t), ("beta", r.beta), ("x_left", r.x_left), ("error", r.error), ("freq", r.freq),
+                  ("ext", r.ext)] + sorted(r.extras.items())
+        return {name: None if value is None else float(value).hex() for name, value in fields}
 
-    digest = hashlib.sha256()
-    for r in records:
-        fields = [r.t, r.beta, r.x_left, r.error, r.freq, r.ext]
-        extras = [f"{name}={field(r.extras[name])}" for name in sorted(r.extras)]
-        digest.update((",".join([field(value) for value in fields] + extras) + "\n").encode())
-    return digest.hexdigest()
+    return [row(r) for r in records]
 
 
-def record_rows(records) -> dict:
-    """Every field of every record by name, each float as its hex bits and None as None."""
-    extras = sorted(records[0].extras)
-    rows = [[r.t, r.beta, r.x_left, r.error, r.freq, r.ext] + [r.extras[name] for name in extras] for r in records]
-    return {"names": ["t", "beta", "x_left", "error", "freq", "ext"] + extras,
-            "rows": [[None if v is None else float(v).hex() for v in row] for row in rows]}
+def record_digest(rows: list[dict]) -> str:
+    """sha256 over a history's rows (:func:`record_rows`) as JSON: every name and every bit of every field."""
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def _mixed(seed: int, smoke: bool):
@@ -160,28 +155,31 @@ def run(checkout: Path, case: str, seed: int, smoke: bool) -> tuple[str, dict]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", **{name: "1" for name in THREAD_VARS})
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or len(lines) != 3 or not lines[1].startswith(str(src)):
+    if proc.returncode != 0 or len(lines) != 2 or not lines[0].startswith(str(src)):
         raise RuntimeError(f"{checkout}: {case} at seed {seed} failed (exit {proc.returncode}): "
                            f"{proc.stderr.strip() or proc.stdout.strip()}")
-    return lines[0], json.loads(lines[2])
+    history = json.loads(lines[1])
+    return record_digest(history["rows"]), history
 
 
 def summary(history: dict) -> str:
     """Per axis: accepted rungs, moves, cap hits, final beta and origin; then the largest recorded error."""
+    def column(name: str) -> list[float]:
+        """The field's values, of the records that carry one."""
+        return [float.fromhex(row[name]) for row in history["rows"] if row.get(name) is not None]
+
     q, d_max = history["q"], history["d_max"]
-    columns = {name: [None if v is None else float.fromhex(v) for v in column]
-               for name, column in zip(history["names"], zip(*history["rows"]))}
     parts = []
     for axis, beta, origin in AXES:
-        if beta not in columns:
+        betas, lefts = column(beta), column(origin)
+        if not betas:
             continue
-        betas, lefts = columns[beta], columns[origin]
         rungs = sum(round(math.log(b0 / b1) / -math.log(q)) for b0, b1 in zip(betas, betas[1:]))
         steps = [b - a for a, b in zip(lefts, lefts[1:])]
         moves, caps = sum(step > 0.0 for step in steps), sum(abs(step - d_max) < 1e-12 for step in steps)
         parts.append(f"{axis}: rungs {rungs}, moves {moves}, cap hits {caps}, "
                      f"final beta {betas[-1]:.10g}, origin {lefts[-1]:.10g}")
-    parts.append(f"max_error {max(columns['error']):.3g}")
+    parts.append(f"max_error {max(column('error')):.3g}")
     return "; ".join(parts)
 
 
@@ -191,10 +189,11 @@ def what_moved(base: dict, change: dict) -> list[str]:
     first = next((i for i, (a, b) in enumerate(rows) if a != b), len(rows))
     lines = []
     if first < len(rows):
-        lines.append(f"  first differing record: {first}, t = {float.fromhex(base['rows'][first][0]):.10g}")
+        lines.append(f"  first differing record: {first}, t = {float.fromhex(base['rows'][first]['t']):.10g}")
     if len(base["rows"]) != len(change["rows"]):
         lines.append(f"  records: base {len(base['rows'])}, change {len(change['rows'])}")
-    differ = [name for k, name in enumerate(base["names"]) if any(a[k] != b[k] for a, b in rows)]
+    names = dict.fromkeys(name for row in base["rows"] + change["rows"] for name in row)
+    differ = [name for name in names if any(a.get(name) != b.get(name) for a, b in rows)]
     classes = []
     for label, names in (("decisions", DECISIONS), ("readings", READINGS)):
         moved = [name for name in names if name in differ]
@@ -219,9 +218,8 @@ def main(argv=None) -> int:
         import specadapt
 
         records, cfg = history(args.history[0], int(args.history[1]), args.smoke)
-        print(record_digest(records))
         print(Path(specadapt.__file__).resolve())
-        print(json.dumps(dict(record_rows(records), q=cfg.q, d_max=cfg.d_max)))
+        print(json.dumps({"rows": record_rows(records), "q": cfg.q, "d_max": cfg.d_max}))
         return 0
     if args.base is None or args.change is None:
         parser.error("--base and --change are required")
