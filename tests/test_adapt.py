@@ -1752,9 +1752,21 @@ def test_the_order_build_gives_the_pair_with_one_evaluation(monkeypatch):
     assert e == _memo_free_exterior(state.frame, state.values, [state.frame.split_rel])[0]
 
 
+@pytest.mark.parametrize("family, order", [(LAGUERRE, 16), (LAGUERRE, 128), (LAGUERRE, 363), (HERMITE, 24), (HERMITE, 200)])
+def test_build_evaluation_has_the_bits_of_separate_evaluations(family, order):
+    unit = adapt._unit_frame(order, family)
+    basis = unit.basis
+    parts = [(unit.psi, unit.nodes), (unit.psi_refined, unit.refined_nodes)]
+    if family == LAGUERRE:
+        parts.append((unit.psi_split, unit.nodes + round(unit.split, 12)))
+    else:
+        assert unit.psi_split is None
+    for psi, points in parts:
+        assert np.array_equal(psi, eval_weighted_all(basis, points))
+        assert psi.flags.c_contiguous and not psi.flags.writeable
+
+
 def test_hermite_frame_has_no_derivative_memo():
-    # nor a shifted basis: the addition theorem is Laguerre's, and a move
-    # already refuses a Hermite frame
     state = frame_state_from(widening_gauss, 20, 1.0, family=HERMITE)
     unit = state.units[0]
     assert state.split_point() is None and state.exterior(state.split_point()) is None
@@ -1764,10 +1776,10 @@ def test_hermite_frame_has_no_derivative_memo():
     assert all(r.ext is None for r in records)
     assert unit.pair is None and unit.psi_split is None
     before = list(basis_module._store)
-    for read in (unit.psi_at, unit.dpsi_at, state.exterior):
-        for shift in (0.0, 0.1, 1.0):
-            with pytest.raises(ValueError, match="Laguerre"):
-                read(shift)
+    with pytest.raises(ValueError, match="Laguerre"):
+        unit.dpsi_at(0.1)
+    with pytest.raises(ValueError, match="Laguerre"):
+        state.exterior(1.0)
     assert list(basis_module._store) == before
 
 
@@ -1853,6 +1865,17 @@ def test_shifted_memos_reject_a_negative_shift():
         for read in (unit.psi_at, unit.dpsi_at):
             with pytest.raises(ValueError, match="left of its endpoint"):
                 read(shift)
+    assert list(basis_module._store) == before
+
+
+def test_hermite_frame_has_no_shifted_basis():
+    # the addition theorem is Laguerre's; a move already refuses a Hermite frame
+    frame = Frame(20, 1.0, HERMITE)
+    unit = _unit(frame)
+    before = list(basis_module._store)
+    for shift in (0.0, 0.1):
+        with pytest.raises(ValueError, match="Laguerre"):
+            unit.psi_at(shift)
     assert list(basis_module._store) == before
 
 
@@ -1968,28 +1991,18 @@ def test_run_2d_records_and_extras():
 
 
 def test_2d_marginal_matches_direct_integration():
-    # the values an axis's set-up reads are the state's values integrated
-    # over the other axis, exact to round-off in the damped basis even at
-    # order 150.  The library's have the bits of the one-axis oracle state,
-    # which is on that axis's frame, origin and unit operators
-    h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
-    cases = (
-        # the integral of e^{-0.4 y} over (0.2, inf) is 2.5 e^{-0.08}
-        (separable(lambda x: np.exp(-0.3 * x), lambda y: np.exp(-0.4 * y)), (150, 1.0, 150, 1.0, 0.1, 0.2), 0,
-         lambda x: 2.5 * math.exp(-0.08) * np.exp(-0.3 * x), 1e-12, 0.0),
-        # the integral of e^{-2x} over (0, inf) is 1/2
-        (separable(lambda x: np.exp(-2.0 * x), h), (9, 1.0, 14, 1.3), 1, lambda y: 0.5 * h(y), 1e-8, 1e-8),
-    )
-    for f, sizes, axis, integral, rtol, atol in cases:
-        state = frame_state_2d_from(f, *sizes)
-        oracle = marginal_state(state, axis)
-        assert (oracle.frames, oracle.lefts, oracle.units) == ((state.frames[axis],), (state.lefts[axis],), (state.units[axis],))
-        assert np.array_equal(state._marginal_values(axis), oracle.values)
-        expected = integral(state.nodes(axis))
-        np.testing.assert_allclose(oracle.values / state.frames[1 - axis].beta, expected, rtol=rtol, atol=atol)
-    # a zero state marginalizes to zero
-    zero = FrameState2D(Frame(16, 1.0), Frame(8, 1.0), np.zeros((17, 9)))
-    assert np.max(np.abs(marginal_state(zero, 0).values)) == np.max(np.abs(zero._marginal_values(0))) == 0.0
+    state = frame_state_2d_from(product_front, 16, 2.0, 16, 2.0, x_left=0.1, y_left=0.2)
+    # the marginal values that a set-up reads, at its axis's nodes, equal
+    # integrating the interpolant over the other axis; they are those of the
+    # one-axis oracle state on that axis's frame, origin and unit operators
+    rule = quadrature(laguerre_basis(16, 2.0))
+    weights = rule.weights * np.exp(2.0 * rule.nodes)
+    for axis, direct in ((0, state.values @ weights), (1, weights @ state.values)):
+        marginal = marginal_state(state, axis)
+        assert (marginal.frames, marginal.lefts) == ((state.frames[axis],), (state.lefts[axis],))
+        assert marginal.units == (state.units[axis],)
+        assert np.array_equal(state._marginal_values(axis), marginal.values)
+        assert np.allclose(marginal.values / state.frames[1 - axis].beta, direct, rtol=0, atol=1e-12)
 
 
 def test_2d_exterior_readings_are_those_of_the_one_axis_marginal_state():
@@ -2066,6 +2079,19 @@ def test_run_2d_on_a_laguerre_by_hermite_state():
     with pytest.raises(ValueError, match="only a Laguerre frame has an exterior indicator"):
         final.exterior(1.0, 1)
     assert final.exterior(None, 1) is None
+
+
+def test_2d_x_move_leaves_y_untouched():
+    state = frame_state_2d_from(product_front, 12, 2.0, 12, 2.0)
+    moved = state.moved(0.25, 0)
+    assert moved.x_left == 0.25 and moved.y_left == 0.0
+    assert moved.frame_y is state.frame_y
+    # the represented function is unchanged where both frames resolve it:
+    # each column's interpolant, read at the offsets xs - x_left
+    xs = np.linspace(1.0, 6.0, 7)
+    before = transform(state, 0).T @ damped_laguerre_all(12, 2.0 * xs)
+    after = transform(moved, 0).T @ damped_laguerre_all(12, 2.0 * (xs - 0.25))
+    assert np.max(np.abs(after - before)) < 1e-8
 
 
 def test_run_2d_moves_from_one_state_and_never_reanchors(monkeypatch):

@@ -24,7 +24,7 @@ from specadapt.basis import (
     quadrature,
 )
 
-from oracles import separable
+from oracles import marginal_state, separable
 
 
 def fermi_dirac(x):
@@ -239,18 +239,33 @@ def test_2d_bump_relative_error_below_1e9():
 
 
 def test_move_2d_translates_left_endpoints():
-    # a move along x leaves the y frame and origin as they were; each move
-    # keeps the represented function, at the moved nodes and between them
     f = separable(lambda x: np.exp(-x), lambda y: np.exp(-0.5 * y))
     state = frame_state_2d_from(f, 24, 1.0, 24, 1.0)
-    moved_x = state.moved(0.5, 0)
-    assert moved_x.lefts == (0.5, 0.0) and moved_x.frame_y is state.frame_y
-    moved = moved_x.moved(0.25, 1)
-    assert moved.lefts == (0.5, 0.25) and moved.frame_x is moved_x.frame_x
-    for after in (moved_x, moved):
-        grid = np.meshgrid(after.nodes(0), after.nodes(1), indexing="ij")
-        np.testing.assert_allclose(after.values, f(*grid), rtol=1e-7, atol=1e-7)
-        assert after.error(f, 0.0) < 1e-10
+    moved = state.moved(0.5, 0).moved(0.25, 1)
+    assert moved.x_left == 0.5 and moved.y_left == 0.25
+    grid = np.meshgrid(moved.nodes(0), moved.nodes(1), indexing="ij")
+    np.testing.assert_allclose(moved.values, f(*grid), rtol=1e-7, atol=1e-7)
+
+
+def test_marginal_x_separable_oracle():
+    # the damped basis keeps the marginal exact to roundoff at high order,
+    # in the oracle and in the library: the integral of e^{-0.4 y} over
+    # (0, inf) is 2.5
+    f = separable(lambda x: np.exp(-0.3 * x), lambda y: np.exp(-0.4 * y))
+    state = frame_state_2d_from(f, 150, 1.0, 150, 1.0)
+    for marginal in (marginal_state(state, 0).values, state._marginal_values(0)):
+        np.testing.assert_allclose(marginal / state.frame_y.beta, 2.5 * np.exp(-0.3 * state.nodes(0)), rtol=1e-12, atol=0)
+    # a zero state marginalizes to zero
+    zero = FrameState2D(Frame(16, 1.0), Frame(8, 1.0), np.zeros((17, 9)))
+    assert np.max(np.abs(marginal_state(zero, 0).values)) == np.max(np.abs(zero._marginal_values(0))) == 0.0
+
+
+def test_marginal_y_proportionality_constant_is_the_x_integral():
+    h = lambda y: 1.0 / (1.0 + np.exp(y - 3.0))
+    # the integral of e^{-2x} over (0, inf) is 1/2
+    state = frame_state_2d_from(separable(lambda x: np.exp(-2.0 * x), h), 9, 1.0, 14, 1.3)
+    for marginal in (marginal_state(state, 1).values, state._marginal_values(1)):
+        np.testing.assert_allclose(marginal / state.frame_x.beta, 0.5 * h(state.nodes(1)), rtol=1e-8, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

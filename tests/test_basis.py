@@ -11,7 +11,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 import specadapt.basis as basis_module
-from specadapt.adapt import _unit_frame
 from specadapt.basis import (
     HERMITE,
     LAGUERRE,
@@ -39,11 +38,29 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_laguerre_values_match_reference_implementation():
-    # L_l(beta*(x-a)): a basis at 0 evaluated at x - a, against scipy at the mapped points
-    for beta, a in ((1.0, 0.0), (0.7, 4.0)):
-        x = a + np.array([0.0, 0.3, 1.1, 1.7, 8.0, 9.2])
-        mine = eval_basis_all(laguerre_basis(10, beta), x - a)
-        np.testing.assert_allclose(mine, eval_genlaguerre(np.arange(11)[:, None], 0.0, beta * (x - a)), rtol=1e-13, atol=1e-13)
+    basis = laguerre_basis(10, 1.0)
+    x = np.array([0.0, 0.3, 1.7, 9.2])
+    mine = eval_basis_all(basis, x)
+    for l in range(11):
+        np.testing.assert_allclose(mine[l], eval_genlaguerre(l, 0.0, x), rtol=1e-13, atol=1e-13)
+
+
+def test_laguerre_scaled_translated_values():
+    # L_l(beta*(x-a)): a basis at 0 evaluated at x - a, against scipy at mapped points
+    basis = laguerre_basis(8, 0.7)
+    x = np.array([4.0, 5.1, 12.0])
+    mine = eval_basis_all(basis, x - 4.0)
+    for l in range(9):
+        np.testing.assert_allclose(
+            mine[l], eval_genlaguerre(l, 0.0, 0.7 * (x - 4.0)), rtol=1e-13, atol=1e-13
+        )
+
+
+def test_laguerre_rejects_points_left_of_endpoint():
+    basis = laguerre_basis(4, 2.0)
+    eval_basis_all(basis, 0.0)
+    with pytest.raises(ValueError):
+        eval_basis_all(basis, -0.001)
 
 
 def test_hermite_values_match_direct_normalized_polynomials():
@@ -102,29 +119,40 @@ def test_gauss_moment_exactness_through_degree_2n_plus_1(beta):
         assert np.sum(rule.weights * rule.nodes**k) == pytest.approx(exact, rel=1e-10)
 
 
-def test_discrete_orthogonality():
-    # the Gauss rule makes each basis discretely orthogonal with the gamma
-    # norms: the plain Laguerre polynomials under the rule's weights, the
-    # damped functions under the modified weights for plain dx, and the
-    # Hermite functions (norm 1)
-    for basis, evaluate, weigh in ((laguerre_basis(32, 0.7), eval_basis_all, lambda rule: rule.weights),
-                                   (laguerre_basis(20, 1.4), eval_weighted_all, modified_weights),
-                                   (hermite_basis(32, 1.7), eval_basis_all, lambda rule: rule.weights)):
-        rule = quadrature(basis)
-        vals = evaluate(basis, rule.nodes)
-        gram = (vals * weigh(rule)) @ vals.T
-        g = gamma_norms(basis)
-        assert np.max(np.abs(gram - np.diag(g)) / np.max(g)) < 1e-11, basis
+def test_discrete_orthogonality_laguerre():
+    basis = laguerre_basis(32, 0.7)
+    rule = quadrature(basis)
+    vals = eval_basis_all(basis, rule.nodes)
+    gram = (vals * rule.weights) @ vals.T
+    g = gamma_norms(basis)
+    err = np.abs(gram - np.diag(g)) / np.max(g)
+    assert np.max(err) < 1e-11
+
+
+def test_discrete_orthonormality_hermite_functions():
+    basis = hermite_basis(32, 1.7)
+    rule = quadrature(basis)
+    vals = eval_basis_all(basis, rule.nodes)
+    gram = (vals * rule.weights) @ vals.T
+    assert np.max(np.abs(gram - np.eye(33))) < 1e-11
+
+
+def test_hermite_rule_maps_by_one_over_beta():
+    unit = quadrature(hermite_basis(11, 1.0))
+    scaled = quadrature(hermite_basis(11, 2.0))
+    np.testing.assert_allclose(scaled.nodes, unit.nodes / 2.0, rtol=1e-15)
+    np.testing.assert_allclose(scaled.weights, unit.weights / 2.0, rtol=1e-15)
+    assert np.array_equal(modified_weights(scaled), scaled.weights)
 
 
 def test_halving_beta_doubles_nodes_and_scales_weights():
-    # nodes(beta/2) = 2*nodes(beta), and the weights double, on both
-    # families; a Hermite rule's modified weights are its weights
-    for make, order, beta in ((laguerre_basis, 14, 2.5), (hermite_basis, 11, 2.0)):
-        coarse, fine = quadrature(make(order, beta)), quadrature(make(order, 0.5 * beta))
-        np.testing.assert_allclose(fine.nodes, 2.0 * coarse.nodes, rtol=1e-15)
-        np.testing.assert_allclose(fine.weights, 2.0 * coarse.weights, rtol=1e-15)
-        assert np.array_equal(modified_weights(coarse), coarse.weights) == (make is hermite_basis)
+    # nodes(beta/2) = 2*nodes(beta); weights and norms double
+    coarse = laguerre_basis(14, 2.5)
+    fine = laguerre_basis(14, 1.25)
+    rc, rf = quadrature(coarse), quadrature(fine)
+    np.testing.assert_allclose(rf.nodes, 2.0 * rc.nodes, rtol=1e-15)
+    np.testing.assert_allclose(rf.weights, 2.0 * rc.weights, rtol=1e-15)
+    np.testing.assert_allclose(gamma_norms(fine), 2.0 * gamma_norms(coarse), rtol=1e-15)
 
 
 def test_quadrature_against_scipy_eigensolver_large_order():
@@ -359,8 +387,6 @@ def _three_call_build(family: str, order: int, shift: float | None):
 @pytest.mark.parametrize("family", [LAGUERRE, HERMITE])
 @pytest.mark.parametrize("order", list(range(1, 61)) + [128, 256, 363])
 def test_unit_pass_has_the_bits_of_the_three_call_build(fresh_rules, family, order):
-    # the pass of a unit frame's build, whose evaluations the frame keeps
-    # C-contiguous and read-only, as the store keeps the rules
     nodes = _unit_nodes(family, order)
     shift = round(float(nodes[(order + 2) // 3]), 12) if family == LAGUERRE else None
     rules, evaluations = _three_call_build(family, order, shift)
@@ -369,12 +395,11 @@ def test_unit_pass_has_the_bits_of_the_three_call_build(fresh_rules, family, ord
         _clear_rules()
         for rule_order in cached:
             _unit_rule(family, rule_order)
-        unit = _unit_frame(order, family)
-        for made, expected in zip((unit.psi, unit.psi_refined, unit.psi_split), evaluations):
+        psi = _unit_pass(family, order, _unit_nodes(family, order), shift)
+        for made, expected in zip(psi, evaluations):
             assert (made is None) == (expected is None)
             if made is not None:
                 assert np.array_equal(made, expected), cached
-                assert made.flags.c_contiguous and not made.flags.writeable
         for rule_order, expected in zip((order, 2 * order + 1), rules):
             for made_part, expected_part in zip(basis_module._store["rule", family, rule_order][0], expected):
                 assert np.array_equal(made_part, expected_part), (cached, rule_order)
@@ -432,6 +457,15 @@ def test_hermite_rule_order_ceiling():
             quadrature(hermite_basis(order, 1.0))
 
 
+def test_weighted_eval_agrees_with_plain_values_times_half_weight():
+    basis = laguerre_basis(12, 0.8)
+    x = np.array([2.0, 2.4, 5.0, 11.0]) - 2.0
+    plain = eval_basis_all(basis, x)
+    weighted = eval_weighted_all(basis, x)
+    y = 0.8 * x
+    np.testing.assert_allclose(weighted, plain * np.exp(-0.5 * y), rtol=1e-13, atol=1e-300)
+
+
 def test_weighted_eval_bounded_where_plain_overflows_noise():
     # at the largest node of a 40-term rule the plain polynomial is ~1e30 while
     # the half-weighted function stays O(1); it must be computed stably, not by
@@ -443,6 +477,20 @@ def test_weighted_eval_bounded_where_plain_overflows_noise():
     assert np.max(np.abs(weighted)) < 10.0
     plain = eval_basis_all(basis, x_max)
     assert np.max(np.abs(plain)) > 1e25  # confirms the plain path really overflows in scale
+
+
+def test_weighted_eval_hermite_matches_plain():
+    basis = hermite_basis(9, 1.3)
+    x = np.array([-2.0, 0.0, 1.7])
+    np.testing.assert_allclose(eval_weighted_all(basis, x), eval_basis_all(basis, x), rtol=1e-15)
+
+
+def test_weighted_eval_scalar_and_rejects_left_of_endpoint():
+    basis = laguerre_basis(4, 2.0)
+    v = eval_weighted_all(basis, 0.5)
+    assert v.shape == (5,)
+    with pytest.raises(ValueError):
+        eval_weighted_all(basis, -0.001)
 
 
 # every order up to 39 and the orders the library runs, Hermite's ceiling included
@@ -479,31 +527,44 @@ def test_evaluations_have_the_bits_of_the_per_step_recurrence(family, beta):
 def test_evaluations_reject_a_non_finite_point(family, point):
     # a NaN point used to give a NaN column, and an infinite one a
     # RuntimeWarning and then NaN; a Laguerre basis at -inf raised as left
-    # of its endpoint.  A Laguerre basis takes its endpoint and refuses a
-    # finite point left of it
+    # of its endpoint
     basis = ScaledBasis(family, 1.5, 12)
     for evaluate in (eval_weighted_all, eval_basis_all):
         for x in (point, np.array([0.5, point, 2.0]), np.array([[0.5], [point]])):
             with pytest.raises(ValueError, match="non-finite point"):
                 evaluate(basis, x)
-        assert np.all(np.isfinite(evaluate(basis, 0.0)))
-        if family == LAGUERRE:
-            for x in (-0.001, np.array([0.5, -0.001])):
-                with pytest.raises(ValueError, match="left of its endpoint"):
-                    evaluate(basis, x)
 
 
 def test_modified_weights_integrate_unweighted_integrands():
-    # int_0^inf exp(-s x) dx = 1/s with the exp-reweighted Gauss weights.  At
-    # order 256 the plain tail weights underflow to 0 while exp(beta*x)
-    # overflows; the modified weights are still finite and integrate dx
-    for order, beta, rates in ((30, 1.0, (1.2, 2.0)), (256, 0.8, (1.5,))):
-        rule = quadrature(laguerre_basis(order, beta))
-        what = modified_weights(rule)
-        assert np.all(np.isfinite(what)) and np.all(what > 0.0)
-        assert np.any(rule.weights == 0.0) == (order == 256)
-        for s in rates:
-            assert np.sum(what * np.exp(-s * rule.nodes)) == pytest.approx(1.0 / s, rel=1e-10)
+    # int_0^inf exp(-s x) dx = 1/s computed with exp-reweighted Gauss weights
+    basis = laguerre_basis(30, 1.0)
+    rule = quadrature(basis)
+    what = modified_weights(rule)
+    for s in (1.2, 2.0):
+        val = np.sum(what * np.exp(-s * rule.nodes))
+        assert val == pytest.approx(1.0 / s, rel=1e-10)
+
+
+def test_modified_weights_orthonormalize_weighted_functions():
+    # (psi_k, psi_l) with plain-dx weights reproduces the gamma norms
+    basis = laguerre_basis(20, 1.4)
+    rule = quadrature(basis)
+    what = modified_weights(rule)
+    psi = eval_weighted_all(basis, rule.nodes)
+    gram = (psi * what) @ psi.T
+    g = gamma_norms(basis)
+    assert np.max(np.abs(gram - np.diag(g)) / np.max(g)) < 1e-11
+
+
+def test_modified_weights_finite_and_exact_at_order_256():
+    # the plain tail weights underflow to 0 here while exp(beta*x) overflows;
+    # the modified weights must come out finite and still integrate dx
+    rule = quadrature(laguerre_basis(256, 0.8))
+    assert np.any(rule.weights == 0.0)
+    what = modified_weights(rule)
+    assert np.all(np.isfinite(what)) and np.all(what > 0.0)
+    # int_0^inf exp(-1.5 x) dx = 1/1.5
+    assert np.sum(what * np.exp(-1.5 * rule.nodes)) == pytest.approx(1.0 / 1.5, rel=1e-10)
 
 
 def test_invalid_bases_rejected():
